@@ -21,6 +21,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -188,32 +189,43 @@ def from_array(arr, space_out: GradedSpace, space_in: GradedSpace | None = None,
 # -- graded operations ------------------------------------------------------
 
 
+@cache
+def _kron_layout(space_out_a: GradedSpace, space_in_a: GradedSpace,
+                 space_out_b: GradedSpace, space_in_b: GradedSpace):
+    """Tensor spaces and read-only Koszul sign table, indexed (i, k, j, l)."""
+    po_a = space_out_a.parity_array
+    pi_a = space_in_a.parity_array
+    po_b = space_out_b.parity_array
+    expo = po_b[None, :, None, None] * (po_a[:, None, None, None]
+                                        + pi_a[None, None, :, None])
+    sign = np.where(expo % 2 == 0, 1.0, -1.0)
+    sign.setflags(write=False)
+    return space_out_a.tensor(space_out_b), space_in_a.tensor(space_in_b), sign
+
+
 def graded_kron(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     """Graded Kronecker product with the entrywise Koszul sign.
 
     The sign ``(-1)^{p(k)(p(i)+p(j))}`` depends only on entry positions, so
     the formula applies verbatim to non-homogeneous matrices (each entry
-    belongs to a unique homogeneous component).
+    belongs to a unique homogeneous component).  The sign table and the two
+    tensor spaces are cached per (space_out, space_in) quadruple of the
+    factors; the cached table is read-only.
     """
-    po_a = a.space_out.parity_array
-    pi_a = a.space_in.parity_array
-    po_b = b.space_out.parity_array
-    expo = po_b[None, :, None] * (po_a[:, None, None] + pi_a[None, None, :])
-    sign = np.where(expo % 2 == 0, 1.0, -1.0)  # (i, k, j)
-    block = np.kron(a.m, b.m).reshape(
-        a.space_out.dim, b.space_out.dim, a.space_in.dim, b.space_in.dim
-    )
-    block = block * sign[:, :, :, None]
-    out = a.space_out.tensor(b.space_out)
-    inn = a.space_in.tensor(b.space_in)
+    out, inn, sign = _kron_layout(a.space_out, a.space_in, b.space_out, b.space_in)
+    block = a.m[:, None, :, None] * b.m[None, :, None, :] * sign
     par = None
     if a.parity is not None and b.parity is not None:
         par = (a.parity + b.parity) % 2
     return SuperMatrix(out, inn, block.reshape(out.dim, inn.dim), par)
 
 
+@cache
 def graded_perm(v: GradedSpace, w: GradedSpace) -> SuperMatrix:
-    """Graded permutation P: v (x) w -> w (x) v, P(x (x) y) = (-1)^{p(x)p(y)} y (x) x."""
+    """Graded permutation P: v (x) w -> w (x) v, P(x (x) y) = (-1)^{p(x)p(y)} y (x) x.
+
+    Cached per space pair; the returned matrix is shared and read-only.
+    """
     if v.dim != w.dim:
         raise ValueError("graded permutation needs equal-dimensional spaces")
     out = w.tensor(v)

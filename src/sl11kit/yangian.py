@@ -3,8 +3,10 @@
 Level-r generators act as rho^r times the level-0 matrices, where rho is
 the scalar by which (u^2 h1 - u^{-2} h2)/(u^2 - u^{-2}) acts on an atypical
 module.  The level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is
-the canonical one) is assembled term by term through the graded tensor
-product; Drinfeld currents are handled as matrix-valued polynomials in 1/z
+the canonical one) is assembled with its terms grouped by level-0 word:
+each (left word, right word) pair takes one graded tensor product, scaled
+by its terms' coefficients times powers of the two evaluation parameters.
+Drinfeld currents are handled as matrix-valued polynomials in 1/z
 truncated at a configurable order.
 
 Everything here is verified in evaluation representations; no abstract
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorImage, RepLabels, atypical_rep
-from .graded import SuperMatrix, graded_perm, identity, max_abs, zeros
+from .algebra import GeneratorImage, RepLabels, _slot_product, atypical_rep
+from .graded import SuperMatrix, graded_kron, graded_perm, max_abs
 from .report import Report
 
 FAMILIES = ("e1", "e2", "f1", "f2", "h1", "h2", "k1", "k2", "h0")
@@ -71,11 +73,6 @@ def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels,
         out.append(eval_rep(RepLabels(lab.gamma, lab.nu,
                                       lab.alpha1 * s, lab.alpha2 * s)))
     return tuple(out)
-
-
-def scaled_eval_rep(labels: RepLabels, rho_bound: float = 1.0) -> EvalRep:
-    """Single-module version of :func:`scaled_eval_pair`."""
-    return scaled_eval_pair(labels, labels, rho_bound)[0]
 
 
 def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
@@ -171,19 +168,16 @@ def _tail_terms(name: str, r: int, eps1: complex, eps2: complex):
     return terms
 
 
-def _eval_slot(ev: EvalRep, factors) -> SuperMatrix:
-    mat = identity(ev.space)
-    level = 0
-    for name, lvl in factors:
-        mat = mat @ ev.base[name]
-        level += lvl
-    return (ev.rho ** level) * mat
-
-
 def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
                       eps: tuple[complex, complex] = (1.0, 1.0),
                       opposite: bool = False) -> SuperMatrix:
-    """Matrix of Delta_eps(g_{., r}) on the tensor of two evaluation modules."""
+    """Matrix of Delta_eps(g_{., r}) on the tensor of two evaluation modules.
+
+    A level-r factor acts as rho^r times its level-0 image, so each term of
+    :func:`_tail_terms` is a scalar coeff * rho_a^La * rho_b^Lb times the
+    graded tensor product of its two level-0 words.  Terms sharing a word
+    pair are summed as scalars first: at most four products per call.
+    """
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}")
     if r < 0:
@@ -192,13 +186,18 @@ def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
         swapped = yangian_coproduct(name, r, rep_b, rep_a, eps)
         return (graded_perm(rep_b.space, rep_a.space) @ swapped
                 @ graded_perm(rep_a.space, rep_b.space))
-    space = rep_a.space.tensor(rep_b.space)
-    total = zeros(space, space, None)
-    from .graded import graded_kron
+    scalars = {}
     for coeff, left, right in _tail_terms(name, r, *eps):
-        total = total + coeff * graded_kron(_eval_slot(rep_a, left),
-                                            _eval_slot(rep_b, right))
-    return total
+        words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
+        scale = (coeff * rep_a.rho ** sum(lvl for _, lvl in left)
+                 * rep_b.rho ** sum(lvl for _, lvl in right))
+        scalars[words] = scalars.get(words, 0) + scale
+    space = rep_a.space.tensor(rep_b.space)
+    total = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for (left, right), scale in scalars.items():
+        total += scale * graded_kron(_slot_product(rep_a.base, left),
+                                     _slot_product(rep_b.base, right)).m
+    return SuperMatrix(space, space, total)
 
 
 def coproduct_hom_report(rep_a: EvalRep, rep_b: EvalRep, rs_max: int = 4,
@@ -206,9 +205,12 @@ def coproduct_hom_report(rep_a: EvalRep, rep_b: EvalRep, rs_max: int = 4,
                          tolerance: float = 1e-10) -> Report:
     """Homomorphism property of the level coproduct on the defining brackets."""
     rpt = Report("yangian-coproduct-homomorphism", tolerance)
+    memo = {}
 
     def cop(name, r):
-        return yangian_coproduct(name, r, rep_a, rep_b, eps)
+        if (name, r) not in memo:
+            memo[name, r] = yangian_coproduct(name, r, rep_a, rep_b, eps)
+        return memo[name, r]
 
     targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
                ("e1", "f2"): "k1", ("e2", "f1"): "k2"}

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from sl11kit import suites
-from sl11kit.algebra import (AtypicalLocusWarning, RepLabels, atypical_rep,
-                             check_relations, fuse_check, singlet_report,
-                             typical_rep)
+from sl11kit.algebra import (AtypicalLocusWarning, DegenerateFusionError,
+                             RepLabels, atypical_rep, check_relations,
+                             fuse_check, singlet_report, typical_rep)
 from sl11kit.graded import C11, graded_perm, max_abs
 from sl11kit.qalgebra import (q_atypical_rep, q_check_relations, q_fuse_check,
                               q_singlet_report, q_typical_rep)
@@ -124,6 +124,7 @@ def test_criterion_5_module_theory():
     worst_locus = 0.0
     worst_fuse = 0.0
     worst_singlet = 0.0
+    fused = q_fused = 0
     for rng in _child_rngs(501, 20):
         alpha = draw_alpha(rng)
         la, lb = draw_labels(rng, alpha), draw_labels(rng, alpha)
@@ -143,7 +144,8 @@ def test_criterion_5_module_theory():
         worst_rel = max(worst_rel, check_relations(gen).max_residual)
         try:
             worst_fuse = max(worst_fuse, fuse_check(la, lb).report.max_residual)
-        except Exception:
+            fused += 1
+        except DegenerateFusionError:
             pass
         q = draw_q(rng)
         qalpha = draw_alpha(rng)
@@ -151,7 +153,8 @@ def test_criterion_5_module_theory():
         worst_rel = max(worst_rel, q_check_relations(q_atypical_rep(qa)).max_residual)
         try:
             worst_fuse = max(worst_fuse, q_fuse_check(qa, qb).report.max_residual)
-        except Exception:
+            q_fused += 1
+        except DegenerateFusionError:
             pass
         sign = 1 if rng.integers(2) else -1
         partner = RepLabels(sign * la.gamma, 1 / la.nu, la.alpha1, la.alpha2)
@@ -162,6 +165,7 @@ def test_criterion_5_module_theory():
                               1 / qa.qlam2, qa.alpha1, qa.alpha2)
         worst_singlet = max(worst_singlet,
                             q_singlet_report(qa, qpartner).max_residual)
+    assert fused >= 1 and q_fused >= 1, "every fusion check hit the shortening locus"
     _criterion("5a typical/atypical relation residuals", worst_rel, 1e-12)
     _criterion("5b atypical-locus submodule identification", worst_locus, 1e-12)
     _criterion("5c fusion basis and weight matches", worst_fuse, 1e-10)

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from sl11kit.algebra import KAC_SPACE
 from sl11kit.graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix,
-                            graded_comm, graded_kron, graded_perm, identity,
-                            max_abs, unit, zeros)
+                            _kron_layout, graded_comm, graded_kron, graded_perm,
+                            identity, max_abs, unit, zeros)
 
 
 def E(i, j):
@@ -79,6 +80,42 @@ def test_kron_associativity_generic_complex():
     left = graded_kron(graded_kron(a, b), c)
     right = graded_kron(a, graded_kron(b, c))
     assert max_abs(left - right) < 1e-14
+
+
+def test_kron_matches_entrywise_formula_on_mixed_spaces():
+    # (A (x) B)[(i,k),(j,l)] = A[i,j] B[k,l] (-1)^{p(k)(p(i)+p(j))}, exactly,
+    # for non-homogeneous factors on square, mixed and rectangular layouts.
+    # Gaussian-integer entries make every product exact, so the scalar loop
+    # and the vectorised product must agree bitwise whatever their rounding.
+    rng = np.random.default_rng(13)
+    layouts = [(C11, C11), (KAC_SPACE, KAC_SPACE),
+               (C11.tensor(C11), C11.tensor(C11)), (KAC_SPACE, C11)]
+
+    def draw(out, inn):
+        shape = (out.dim, inn.dim)
+        m = rng.integers(-9, 10, size=shape) + 1j * rng.integers(-9, 10, size=shape)
+        return SuperMatrix(out, inn, m)
+
+    for (ao, ai), (bo, bi) in itertools.product(layouts, repeat=2):
+        a, b = draw(ao, ai), draw(bo, bi)
+        expect = np.zeros((ao.dim * bo.dim, ai.dim * bi.dim), dtype=complex)
+        for i, j, k, l in itertools.product(range(ao.dim), range(ai.dim),
+                                            range(bo.dim), range(bi.dim)):
+            sign = -1.0 if bo.parity[k] * (ao.parity[i] + ai.parity[j]) % 2 else 1.0
+            expect[i * bo.dim + k, j * bi.dim + l] = a.m[i, j] * b.m[k, l] * sign
+        res = graded_kron(a, b)
+        assert res.space_out == ao.tensor(bo) and res.space_in == ai.tensor(bi)
+        assert res.parity is None
+        assert np.array_equal(res.m, expect)
+
+
+def test_cached_tables_are_read_only():
+    assert graded_perm(C11, C11) is graded_perm(C11, C11)
+    with pytest.raises(ValueError):
+        graded_perm(C11, C11).m[0, 0] = 2.0
+    _, _, sign = _kron_layout(KAC_SPACE, C11, C11, C11)
+    with pytest.raises(ValueError):
+        sign[0, 0, 0, 0] = -1.0
 
 
 def test_perm_is_involution():

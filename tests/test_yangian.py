@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sl11kit.algebra import RepLabels, atypical_rep, coproduct_image
-from sl11kit.graded import max_abs
-from sl11kit.yangian import (TruncatedCurrent, antipode_report,
-                             coproduct_hom_report, current_relations_report,
+from sl11kit.graded import graded_kron, graded_perm, identity, max_abs, zeros
+from sl11kit.yangian import (FAMILIES, TruncatedCurrent, _tail_terms,
+                             antipode_report, coproduct_hom_report,
+                             current_relations_report,
                              currents, eval_rep, k_cocommutativity_report,
                              kir_report, level_bracket_report,
                              omega_preserves_brackets_report,
@@ -55,6 +56,43 @@ def test_coproduct_level_zero_matches_algebra(pair):
         lvl0 = yangian_coproduct(name, 0, eva, evb)
         ref = coproduct_image(name, eva.base, evb.base)
         assert max_abs(lvl0 - ref) == 0.0
+
+
+def _term_by_term_coproduct(name, r, rep_a, rep_b, eps=(1.0, 1.0), opposite=False):
+    """Reference assembly: one graded_kron per _tail_terms entry, each slot
+    scaled by rho to its total level."""
+    if opposite:
+        swapped = _term_by_term_coproduct(name, r, rep_b, rep_a, eps)
+        return (graded_perm(rep_b.space, rep_a.space) @ swapped
+                @ graded_perm(rep_a.space, rep_b.space))
+
+    def slot(ev, factors):
+        mat = identity(ev.space)
+        level = 0
+        for g, lvl in factors:
+            mat = mat @ ev.base[g]
+            level += lvl
+        return (ev.rho ** level) * mat
+
+    space = rep_a.space.tensor(rep_b.space)
+    total = zeros(space, space, None)
+    for coeff, left, right in _tail_terms(name, r, *eps):
+        total = total + coeff * graded_kron(slot(rep_a, left), slot(rep_b, right))
+    return total
+
+
+@pytest.mark.parametrize("eps", [(1.0, 1.0), (1.3 - 0.2j, 0.7 + 0.4j)])
+@pytest.mark.parametrize("opposite", [False, True])
+def test_grouped_coproduct_matches_term_by_term(pair, eps, opposite):
+    eva, evb = pair
+    assert abs(eva.rho - evb.rho) > 0.1  # a rho power on the wrong slot must show
+    for name in FAMILIES:
+        for r in range(7):
+            ref = _term_by_term_coproduct(name, r, eva, evb, eps, opposite)
+            got = yangian_coproduct(name, r, eva, evb, eps, opposite)
+            assert got.space_out == ref.space_out and got.space_in == ref.space_in
+            bound = 1e-13 * max(1.0, max_abs(ref))
+            assert max_abs(got - ref) <= bound, (name, r)
 
 
 def test_coproduct_homomorphism(pair):
