@@ -19,8 +19,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .coproduct import CoproductTable, coproduct_matrix, word_matrix
 from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
-                     graded_kron, graded_perm, identity, max_abs, unit, zeros)
+                     graded_kron, identity, max_abs, unit, zeros)
 from .report import Report, c2j
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
@@ -279,7 +280,7 @@ def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
 
 # -- coproduct ----------------------------------------------------------------
 
-_COPRODUCT = {
+COPRODUCT = CoproductTable({
     "e1": ((1, ("e1",), ("u-",)), (1, ("u+",), ("e1",))),
     "e2": ((1, ("e2",), ("u+",)), (1, ("u-",), ("e2",))),
     "f1": ((1, ("f1",), ("u+",)), (1, ("u-",), ("f1",))),
@@ -291,7 +292,7 @@ _COPRODUCT = {
     "k2": ((1, ("k2",), ("u+", "u+")), (1, ("u-", "u-"), ("k2",))),
     "u+": ((1, ("u+",), ("u+",)),),
     "u-": ((1, ("u-",), ("u-",)),),
-}
+})
 
 #: Antipode on generators: name -> (image name, coefficient); u+ <-> u-.
 _ANTIPODE = {name: (name, -1) for name in CLASSICAL_NAMES if not name.startswith("u")}
@@ -301,32 +302,13 @@ _ANTIPODE["u-"] = ("u+", 1)
 _COUNIT = {name: (1 if name.startswith("u") else 0) for name in CLASSICAL_NAMES}
 
 
-def _slot_product(rep: GeneratorImage, factors: tuple[str, ...]) -> SuperMatrix:
-    mat = identity(rep.space)
-    for name in factors:
-        mat = mat @ rep[name]
-    return mat
-
-
 def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
                     opposite: bool = False) -> SuperMatrix:
     """Matrix of Delta(g) (or the opposite coproduct) on the graded tensor space.
 
-    The opposite coproduct is computed by conjugating the swapped-factor
-    coproduct with the graded permutation, which supplies all Koszul signs.
+    A slice of the memoised :func:`.coproduct.coproduct_stack` of the pair.
     """
-    if name not in _COPRODUCT:
-        raise KeyError(f"unknown generator {name!r}")
-    if opposite:
-        swapped = coproduct_image(name, rep_b, rep_a, opposite=False)
-        p_ba = graded_perm(rep_b.space, rep_a.space)
-        p_ab = graded_perm(rep_a.space, rep_b.space)
-        return p_ba @ swapped @ p_ab
-    total = zeros(rep_a.space.tensor(rep_b.space), rep_a.space.tensor(rep_b.space), None)
-    for coeff, left, right in _COPRODUCT[name]:
-        total = total + coeff * graded_kron(_slot_product(rep_a, left),
-                                            _slot_product(rep_b, right))
-    return total
+    return coproduct_matrix(COPRODUCT, name, rep_a, rep_b, opposite)
 
 
 def coassociativity_report(rep_a: GeneratorImage, rep_b: GeneratorImage,
@@ -341,15 +323,15 @@ def coassociativity_report(rep_a: GeneratorImage, rep_b: GeneratorImage,
         left = zeros(rep_a.space.tensor(rep_b.space).tensor(rep_c.space),
                      rep_a.space.tensor(rep_b.space).tensor(rep_c.space), None)
         right = left
-        for coeff, lf, rf in _COPRODUCT[name]:
+        for coeff, lf, rf in COPRODUCT.terms[name]:
             dl = identity(rep_a.space.tensor(rep_b.space))
             for n in lf:
                 dl = dl @ coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, _slot_product(rep_c, rf))
+            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
             dr = identity(rep_b.space.tensor(rep_c.space))
             for n in rf:
                 dr = dr @ coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(_slot_product(rep_a, lf), dr)
+            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
         r.add(f"coassoc:{name}", max_abs(left - right))
     return r
 
@@ -359,12 +341,12 @@ def counit_antipode_report(rep: GeneratorImage, tolerance: float = 1e-10) -> Rep
     r = Report("counit-antipode", tolerance)
     for name in CLASSICAL_NAMES:
         acc = zeros(rep.space, rep.space)
-        for coeff, left, right in _COPRODUCT[name]:
+        for coeff, left, right in COPRODUCT.terms[name]:
             s_mat = identity(rep.space)
             for n in reversed(left):  # antipode is an anti-homomorphism
                 src, sc = _ANTIPODE[n]
                 s_mat = s_mat @ (sc * rep[src])
-            acc = acc + coeff * (s_mat @ _slot_product(rep, right))
+            acc = acc + coeff * (s_mat @ word_matrix(rep, right))
         r.add(f"antipode:{name}", max_abs(acc - _COUNIT[name] * identity(rep.space)))
     return r
 

@@ -14,27 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import time
+import warnings
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import RepLabels, default_alpha
 from .report import c2j
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Options of one verification run; the seed fixes every random draw."""
-
-    command: str
-    samples: int = 20
-    seed: int = 0
-    tolerance: float | None = None
-    levels: int | None = None
-    truncation_order: int | None = None
-    offshell: bool = False
-    output_path: str | None = None
-    format: str = "json"
-    timestamp: bool = True
+#: ``verify`` flags passed on to the suites, by suite option name.
+_SUITE_FLAGS = {"tolerance": "--tolerance", "levels": "--levels",
+                "order": "--order", "offshell": "--offshell"}
 
 
 def _complex(text: str) -> complex:
@@ -106,12 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tolerance", type=float, default=None)
     verify.add_argument("--levels", type=int, default=None)
     verify.add_argument("--order", type=int, default=None)
-    verify.add_argument("--offshell", action="store_true",
+    verify.add_argument("--offshell", action="store_true", default=None,
                         help="draw |nu| != 1 labels where supported")
     verify.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-reproducible output")
     verify.add_argument("--output", "-o")
     verify.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.set_defaults(usage_error=verify.error)
 
     params = sub.add_parser("params", help="convert physical parametrizations")
     psub = params.add_subparsers(dest="dictionary", required=True)
@@ -192,50 +182,45 @@ def _emit(args) -> int:
 
 
 def _verify(args) -> int:
-    cfg = RunConfig(command=args.suite, samples=args.samples, seed=args.seed,
-                    tolerance=args.tolerance, levels=args.levels,
-                    truncation_order=args.order, offshell=args.offshell,
-                    output_path=args.output, format=args.format,
-                    timestamp=not args.no_timestamp)
-    return run_config(cfg)
+    """Run a suite (or all of them); returns the process exit status.
 
-
-def run_config(cfg: RunConfig) -> int:
-    """Execute a verification run; returns the process exit status."""
-    kwargs = {"tolerance": cfg.tolerance, "levels": cfg.levels,
-              "order": cfg.truncation_order}
-    if cfg.offshell:
-        kwargs["offshell"] = True
-    if cfg.command == "all":
-        reports = suites.run_all(samples=cfg.samples, seed=cfg.seed,
-                                 **{k: v for k, v in kwargs.items() if v is not None})
-        passed = all(r.passed for r in reports)
-        payload = {
-            "suite": "all",
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "suites": [r.to_dict(include_timestamp=False) for r in reports],
-            "max_residual": max(r.max_residual for r in reports),
-            "passed": passed,
-        }
-        if cfg.timestamp:
-            import time
-            payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        if cfg.format == "csv":
-            text = "".join(r.to_csv() for r in reports)
+    A flag the chosen suite does not take (under ``all``: that no suite
+    takes) is a usage error.
+    """
+    options = {name: getattr(args, name) for name in _SUITE_FLAGS}
+    try:
+        if args.suite == "all":
+            reports = suites.run_all(samples=args.samples, seed=args.seed, **options)
         else:
-            text = json.dumps(payload, indent=2)
-        _write(text, cfg.output_path)
-        return 0 if passed else 1
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rpt = suites.run_suite(cfg.command, samples=cfg.samples, seed=cfg.seed,
-                               **kwargs)
-    text = rpt.to_csv() if cfg.format == "csv" else rpt.to_json(
-        include_timestamp=cfg.timestamp)
-    _write(text, cfg.output_path)
-    return 0 if rpt.passed else 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rpt = suites.run_suite(args.suite, samples=args.samples,
+                                       seed=args.seed, **options)
+    except suites.UnsupportedOptionError as err:
+        flags = ", ".join(_SUITE_FLAGS[name] for name in err.options)
+        args.usage_error(f"{args.suite} does not take {flags}")
+    if args.suite != "all":
+        text = rpt.to_csv() if args.format == "csv" else rpt.to_json(
+            include_timestamp=not args.no_timestamp)
+        _write(text, args.output)
+        return 0 if rpt.passed else 1
+    passed = all(r.passed for r in reports)
+    payload = {
+        "suite": "all",
+        "seed": args.seed,
+        "samples": args.samples,
+        "suites": [r.to_dict(include_timestamp=False) for r in reports],
+        "max_residual": max(r.max_residual for r in reports),
+        "passed": passed,
+    }
+    if not args.no_timestamp:
+        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    if args.format == "csv":
+        text = "".join(r.to_csv() for r in reports)
+    else:
+        text = json.dumps(payload, indent=2)
+    _write(text, args.output)
+    return 0 if passed else 1
 
 
 def _params(args) -> int:

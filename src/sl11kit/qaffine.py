@@ -21,8 +21,10 @@ from typing import Mapping
 
 import numpy as np
 
+from .coproduct import (CoproductTable, coproduct_matrix, coproduct_stack,
+                        word_matrix)
 from .graded import (EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
-                     graded_kron, graded_perm, identity, max_abs, zeros)
+                     graded_kron, identity, max_abs, zeros)
 from .qalgebra import QRepLabels, q_atypical_rep
 from .algebra import GeneratorImage
 from .report import Report
@@ -233,39 +235,23 @@ def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
 
 # -- coproduct ------------------------------------------------------------------
 
-_AFF_COPRODUCT: dict[str, tuple] = {}
+_aff_terms: dict[str, tuple] = {}
 for _i, _dress in ((1, "U"), (2, "U"), (3, "V"), (4, "V")):
     _p, _m = (f"{_dress}+", f"{_dress}-") if node_sign(_i) == 1 else (f"{_dress}-", f"{_dress}+")
-    _AFF_COPRODUCT[f"E{_i}"] = ((1, (f"E{_i}",), (_m, f"K{_i}-")),
-                                (1, (_p, f"K{_i}+"), (f"E{_i}",)))
-    _AFF_COPRODUCT[f"F{_i}"] = ((1, (f"F{_i}",), (_p, f"K{_i}-")),
-                                (1, (_m, f"K{_i}+"), (f"F{_i}",)))
+    _aff_terms[f"E{_i}"] = ((1, (f"E{_i}",), (_m, f"K{_i}-")),
+                            (1, (_p, f"K{_i}+"), (f"E{_i}",)))
+    _aff_terms[f"F{_i}"] = ((1, (f"F{_i}",), (_p, f"K{_i}-")),
+                            (1, (_m, f"K{_i}+"), (f"F{_i}",)))
 for _c in GROUP_LIKE:
-    _AFF_COPRODUCT[_c] = ((1, (_c,), (_c,)),)
-
-
-def _slot(rep: AffineRep, factors) -> SuperMatrix:
-    mat = identity(rep.space)
-    for name in factors:
-        mat = mat @ rep[name]
-    return mat
+    _aff_terms[_c] = ((1, (_c,), (_c,)),)
+AFFINE_COPRODUCT = CoproductTable({name: _aff_terms[name] for name in AFFINE_NAMES})
 
 
 def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
                            opposite: bool = False) -> SuperMatrix:
     """Matrix of the affine coproduct: U-dressing on nodes 1,2 and V-dressing
     on nodes 3,4; all fourteen Cartan/group-like elements are group-like."""
-    if name not in _AFF_COPRODUCT:
-        raise KeyError(f"unknown generator {name!r}")
-    if opposite:
-        swapped = affine_coproduct_image(name, rep_b, rep_a)
-        return (graded_perm(rep_b.space, rep_a.space) @ swapped
-                @ graded_perm(rep_a.space, rep_b.space))
-    space = rep_a.space.tensor(rep_b.space)
-    total = zeros(space, space, None)
-    for coeff, left, right in _AFF_COPRODUCT[name]:
-        total = total + coeff * graded_kron(_slot(rep_a, left), _slot(rep_b, right))
-    return total
+    return coproduct_matrix(AFFINE_COPRODUCT, name, rep_a, rep_b, opposite)
 
 
 def affine_coassociativity_report(rep_a: AffineRep, rep_b: AffineRep,
@@ -275,15 +261,15 @@ def affine_coassociativity_report(rep_a: AffineRep, rep_b: AffineRep,
         space3 = rep_a.space.tensor(rep_b.space).tensor(rep_c.space)
         left = zeros(space3, space3, None)
         right = left
-        for coeff, lf, rf in _AFF_COPRODUCT[name]:
+        for coeff, lf, rf in AFFINE_COPRODUCT.terms[name]:
             dl = identity(rep_a.space.tensor(rep_b.space))
             for n in lf:
                 dl = dl @ affine_coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, _slot(rep_c, rf))
+            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
             dr = identity(rep_b.space.tensor(rep_c.space))
             for n in rf:
                 dr = dr @ affine_coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(_slot(rep_a, lf), dr)
+            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
         r.add(f"coassoc:{name}", max_abs(left - right))
     return r
 
@@ -324,11 +310,12 @@ def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,
     rep_a = affine_eval_rep(labels_a, variant, beta)
     rep_b = affine_eval_rep(labels_b, variant, beta)
     rmat = rq_closed(labels_a, labels_b).m
+    d = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)
+    dop = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b, opposite=True)
+    residuals = np.abs(dop @ rmat - rmat @ d).max(axis=(1, 2))
     r = Report("affine-intertwining", tolerance)
-    for name in AFFINE_NAMES:
-        d = affine_coproduct_image(name, rep_a, rep_b).m
-        dop = affine_coproduct_image(name, rep_a, rep_b, opposite=True).m
-        r.add(f"intertwine:{name}", max_abs(dop @ rmat - rmat @ d))
+    for name, res in zip(AFFINE_COPRODUCT.names, residuals):
+        r.add(f"intertwine:{name}", res)
     return r
 
 

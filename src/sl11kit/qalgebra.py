@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AtypicalLocusWarning, GeneratorImage, SingletPreconditionError
+from .coproduct import CoproductTable, coproduct_matrix, word_matrix
 from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
-                     graded_kron, graded_perm, identity, max_abs, unit, zeros)
+                     graded_kron, identity, max_abs, unit, zeros)
 from .report import Report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
@@ -343,14 +344,13 @@ def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
 _GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
                "L1+", "L1-", "L2+", "L2-", "U+", "U-")
 
-_Q_COPRODUCT = {
+Q_COPRODUCT = CoproductTable({
     "E1": ((1, ("E1",), ("U-", "K1-")), (1, ("U+", "K1+"), ("E1",))),
     "E2": ((1, ("E2",), ("U+", "K2-")), (1, ("U-", "K2+"), ("E2",))),
     "F1": ((1, ("F1",), ("U+", "K1-")), (1, ("U-", "K1+"), ("F1",))),
     "F2": ((1, ("F2",), ("U-", "K2-")), (1, ("U+", "K2+"), ("F2",))),
-}
-for _c in _GROUP_LIKE:
-    _Q_COPRODUCT[_c] = ((1, (_c,), (_c,)),)
+    **{c: ((1, (c,), (c,)),) for c in _GROUP_LIKE},
+})
 
 #: S(E_i) = -E_i, S(F_i) = -F_i, S(C) = C^{-1} on group-likes.
 _Q_ANTIPODE = {"E1": ("E1", -1), "E2": ("E2", -1), "F1": ("F1", -1), "F2": ("F2", -1)}
@@ -358,26 +358,10 @@ for _c in _GROUP_LIKE:
     _Q_ANTIPODE[_c] = (_c[:-1] + ("-" if _c.endswith("+") else "+"), 1)
 
 
-def _slot(rep: GeneratorImage, factors) -> SuperMatrix:
-    mat = identity(rep.space)
-    for name in factors:
-        mat = mat @ rep[name]
-    return mat
-
-
 def q_coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
                       opposite: bool = False) -> SuperMatrix:
     """Matrix of the deformed coproduct (or its opposite) on the tensor space."""
-    if name not in _Q_COPRODUCT:
-        raise KeyError(f"unknown generator {name!r}")
-    if opposite:
-        swapped = q_coproduct_image(name, rep_b, rep_a)
-        return (graded_perm(rep_b.space, rep_a.space) @ swapped
-                @ graded_perm(rep_a.space, rep_b.space))
-    total = zeros(rep_a.space.tensor(rep_b.space), rep_a.space.tensor(rep_b.space), None)
-    for coeff, left, right in _Q_COPRODUCT[name]:
-        total = total + coeff * graded_kron(_slot(rep_a, left), _slot(rep_b, right))
-    return total
+    return coproduct_matrix(Q_COPRODUCT, name, rep_a, rep_b, opposite)
 
 
 def q_coassociativity_report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
@@ -386,15 +370,15 @@ def q_coassociativity_report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> R
         space3 = rep_a.space.tensor(rep_b.space).tensor(rep_c.space)
         left = zeros(space3, space3, None)
         right = left
-        for coeff, lf, rf in _Q_COPRODUCT[name]:
+        for coeff, lf, rf in Q_COPRODUCT.terms[name]:
             dl = identity(rep_a.space.tensor(rep_b.space))
             for n in lf:
                 dl = dl @ q_coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, _slot(rep_c, rf))
+            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
             dr = identity(rep_b.space.tensor(rep_c.space))
             for n in rf:
                 dr = dr @ q_coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(_slot(rep_a, lf), dr)
+            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
         r.add(f"coassoc:{name}", max_abs(left - right))
     return r
 
@@ -404,12 +388,12 @@ def q_counit_antipode_report(rep: GeneratorImage, tolerance: float = 1e-12) -> R
     r = Report("q-counit-antipode", tolerance)
     for name in Q_NAMES:
         acc = zeros(rep.space, rep.space)
-        for coeff, left, right in _Q_COPRODUCT[name]:
+        for coeff, left, right in Q_COPRODUCT.terms[name]:
             s_mat = identity(rep.space)
             for n in reversed(left):
                 src, sc = _Q_ANTIPODE[n]
                 s_mat = s_mat @ (sc * rep[src])
-            acc = acc + coeff * (s_mat @ _slot(rep, right))
+            acc = acc + coeff * (s_mat @ word_matrix(rep, right))
         eps = 1 if name in _GROUP_LIKE else 0
         r.add(f"antipode:{name}", max_abs(acc - eps * identity(rep.space)))
     return r

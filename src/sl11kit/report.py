@@ -1,7 +1,8 @@
 """Residual reports: named lists of (identity, max-abs residual) pairs.
 
 Every checker in the library returns one of these.  A report passes when
-its largest residual is at or below its tolerance.
+its largest residual is at or below its tolerance.  Identities that could
+not be checked are listed in ``skipped`` with the reason, never dropped.
 """
 from __future__ import annotations
 
@@ -50,10 +51,22 @@ class Report:
     tolerance: float = 1e-10
     cases: list[Case] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    skipped: list[tuple[str, str]] = field(default_factory=list)
 
     def add(self, identity: str, residual: float, tolerance: float | None = None,
             **params) -> None:
         self.cases.append(Case(identity, float(residual), params, tolerance))
+
+    def skip(self, identity: str, reason: str) -> None:
+        """Record an identity that was not checked, and why."""
+        self.skipped.append((identity, reason))
+
+    def override_tolerance(self, tolerance: float) -> None:
+        """Check every case against ``tolerance``, replacing per-case tolerances."""
+        self.tolerance = tolerance
+        for case in self.cases:
+            case.tolerance = None
+        self.meta["tolerance_override"] = tolerance
 
     def merge(self, other: "Report", prefix: str = "",
               tolerance: float | None = None) -> None:
@@ -65,6 +78,8 @@ class Report:
             elif tol is None and other.tolerance != self.tolerance:
                 tol = other.tolerance
             self.cases.append(Case(name, case.residual, case.params, tol))
+        self.skipped.extend((f"{prefix}{identity}", reason)
+                            for identity, reason in other.skipped)
 
     @property
     def max_residual(self) -> float:
@@ -98,6 +113,8 @@ class Report:
             "median_residual": self.median_residual,
             "passed": self.passed,
         }
+        if self.skipped:
+            d["skipped"] = [{"identity": i, "reason": r} for i, r in self.skipped]
         if include_timestamp:
             d["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         return d

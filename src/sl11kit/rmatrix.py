@@ -5,6 +5,13 @@ independent solver that extracts the intertwiner from the SVD nullspace of
 the stacked intertwining system, Yang-Baxter and unitarity checkers, and
 the grading-conjugated variants for flipped modules.
 
+The solver and :func:`intertwining_report` read the memoised coproduct
+stacks of the pair (:func:`.coproduct.coproduct_stack`).  The system has one
+row block kron(Delta_op(g), 1) - kron(1, Delta(g)^T) per generator g of the
+first module, built for all g in one ``einsum``; its thin SVD yields the
+n^2 singular values and right singular vectors, and the left factor is
+never formed.
+
 Conventions, fixed once:
 
 * an R-matrix R satisfies  Delta_op(a) R = R Delta(a)  for every generator;
@@ -19,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorImage, RepLabels, coproduct_image
+from .algebra import COPRODUCT, GeneratorImage, RepLabels
+from .coproduct import coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
                      identity, max_abs, unit)
-from .qalgebra import QRepLabels, q_coproduct_image
+from .qalgebra import Q_COPRODUCT, QRepLabels
 from .report import Report
 
 _T2 = C11.tensor(C11)
@@ -173,20 +181,23 @@ def rq_closed(labels_a: QRepLabels, labels_b: QRepLabels) -> RMatrix:
 # -- intertwining and the solver oracle -----------------------------------------
 
 
-def _coproduct_for(rep: GeneratorImage):
-    return q_coproduct_image if rep.kind == "q" else coproduct_image
+def _coproduct_stacks(rep_a: GeneratorImage, rep_b: GeneratorImage):
+    """(Delta_op, Delta) stacks of the pair, one slice per name of ``rep_a``."""
+    table = Q_COPRODUCT if rep_a.kind == "q" else COPRODUCT
+    rows = [table.position(name) for name in rep_a.names]
+    return (coproduct_stack(table, rep_a, rep_b, opposite=True)[rows],
+            coproduct_stack(table, rep_a, rep_b)[rows])
 
 
 def intertwining_report(r: np.ndarray | RMatrix, rep_a: GeneratorImage,
                         rep_b: GeneratorImage, tolerance: float = 1e-11) -> Report:
     """Residuals of Delta_op(a) R - R Delta(a) for every generator."""
     mat = r.m if isinstance(r, RMatrix) else np.asarray(r)
-    cop = _coproduct_for(rep_a)
+    dop, d = _coproduct_stacks(rep_a, rep_b)
+    residuals = np.abs(dop @ mat - mat @ d).max(axis=(1, 2))
     rpt = Report("intertwining", tolerance)
-    for name in rep_a.names:
-        lhs = cop(name, rep_a, rep_b, True).m @ mat
-        rhs = mat @ cop(name, rep_a, rep_b, False).m
-        rpt.add(f"intertwine:{name}", max_abs(lhs - rhs))
+    for name, res in zip(rep_a.names, residuals):
+        rpt.add(f"intertwine:{name}", res)
     return rpt
 
 
@@ -194,20 +205,22 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
                       null_threshold: float = 1e-8):
     """SVD nullspace of the stacked intertwining system.
 
-    Returns (null vectors as 4x4 blocks, singular values).  A direction is
+    The rows for generator g are kron(Delta_op(g), 1) - kron(1, Delta(g)^T),
+    acting on the row-major flattening of R; they are built for every
+    generator of ``rep_a`` at once.  The thin SVD gives the n^2 singular
+    values and right singular vectors without the unused left factor.
+
+    Returns (null vectors as n x n blocks, singular values).  A direction is
     declared null when its singular value is below ``null_threshold`` times
     the largest one.
     """
     dim = rep_a.space.dim * rep_b.space.dim
-    cop = _coproduct_for(rep_a)
-    eye = np.eye(dim)
-    rows = []
-    for name in rep_a.names:
-        dop = cop(name, rep_a, rep_b, True).m
-        d = cop(name, rep_a, rep_b, False).m
-        rows.append(np.kron(dop, eye) - np.kron(eye, d.T))
-    system = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(system)
+    dop, d = _coproduct_stacks(rep_a, rep_b)
+    eye = np.broadcast_to(np.eye(dim), dop.shape)
+    # sum over s of kron(A_s, B_s) with (A, B) = (Delta_op, 1), (1, -Delta^T)
+    system = np.einsum("sgij,sgkl->gikjl", np.stack([dop, eye]),
+                       np.stack([eye, -d.transpose(0, 2, 1)]))
+    _, svals, vh = np.linalg.svd(system.reshape(-1, dim * dim), full_matrices=False)
     # kernel vectors are conjugated rows of vh (A = U S V^H)
     null = [vh[i].conj().reshape(dim, dim) for i in range(dim * dim)
             if svals[i] < null_threshold * svals[0]]

@@ -8,6 +8,7 @@ sequence, so a fixed (suite, seed, samples) triple reproduces every draw.
 """
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import numpy as np
@@ -104,8 +105,8 @@ def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Re
         try:
             fusion = algebra.fuse_check(labs[0], labs[1])
             rpt.merge(fusion.report, prefix=f"[{k}]")
-        except algebra.DegenerateFusionError:
-            pass
+        except algebra.DegenerateFusionError as err:
+            rpt.skip(f"[{k}]fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
             tw = algebra.klein_twist(name, reps[0])
             rpt.add(f"[{k}]twist:{name}",
@@ -125,8 +126,8 @@ def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Re
         try:
             qfusion = qalgebra.q_fuse_check(qlabs[0], qlabs[1])
             rpt.merge(qfusion.report, prefix=f"[{k}]")
-        except algebra.DegenerateFusionError:
-            pass
+        except algebra.DegenerateFusionError as err:
+            rpt.skip(f"[{k}]q-fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
             tw = qalgebra.q_klein_twist(name, qreps[0])
             rpt.add(f"[{k}]q-twist:{name}",
@@ -240,22 +241,55 @@ SUITES = {
 }
 
 
-def run_suite(name: str, samples: int, seed: int, **kwargs) -> Report:
+#: Options each suite takes besides ``samples`` and ``seed``.
+_OPTIONS = {name: frozenset(inspect.signature(fn).parameters) - {"samples", "seed"}
+            for name, fn in SUITES.items()}
+
+
+class UnsupportedOptionError(TypeError):
+    """A suite was given an option it does not take."""
+
+    def __init__(self, suite: str, options):
+        self.options = tuple(options)
+        super().__init__(f"suite {suite!r} does not take {', '.join(self.options)}")
+
+
+def run_suite(name: str, samples: int, seed: int, **options) -> Report:
+    """Run one named suite.
+
+    Options left at ``None`` are not passed; any other option the suite does
+    not take raises :class:`UnsupportedOptionError`.  An explicit
+    ``tolerance`` applies to every case, replacing per-case tolerances, and
+    the report records it as ``tolerance_override``.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    import inspect
-    accepted = inspect.signature(fn).parameters
-    kwargs = {k: v for k, v in kwargs.items() if k in accepted and v is not None}
-    return fn(samples=samples, seed=seed, **kwargs)
+    options = {k: v for k, v in options.items() if v is not None}
+    unknown = [k for k in options if k not in _OPTIONS[name]]
+    if unknown:
+        raise UnsupportedOptionError(name, unknown)
+    tolerance = options.pop("tolerance", None)
+    rpt = SUITES[name](samples=samples, seed=seed, **options)
+    if tolerance is not None:
+        rpt.override_tolerance(tolerance)
+    return rpt
 
 
-def run_all(samples: int = 20, seed: int = 0, **kwargs) -> list[Report]:
-    """Every named suite with per-suite sub-seeds split from one master seed."""
+def run_all(samples: int = 20, seed: int = 0, **options) -> list[Report]:
+    """Every named suite with per-suite sub-seeds split from one master seed.
+
+    Each suite gets the options it takes; an option no suite takes raises
+    :class:`UnsupportedOptionError`.
+    """
+    options = {k: v for k, v in options.items() if v is not None}
+    unknown = [k for k in options if not any(k in opts for opts in _OPTIONS.values())]
+    if unknown:
+        raise UnsupportedOptionError("all", unknown)
     seeds = {name: seed + i for i, name in enumerate(SUITES)}
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in SUITES:
-            out.append(run_suite(name, samples=samples, seed=seeds[name], **kwargs))
+            taken = {k: v for k, v in options.items() if k in _OPTIONS[name]}
+            out.append(run_suite(name, samples=samples, seed=seeds[name], **taken))
     return out

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GeneratorImage, RepLabels, _slot_product, atypical_rep
+from .algebra import GeneratorImage, RepLabels, atypical_rep
+from .coproduct import word_matrix
 from .graded import SuperMatrix, graded_kron, graded_perm, max_abs
 from .report import Report
 
@@ -195,8 +196,8 @@ def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
     space = rep_a.space.tensor(rep_b.space)
     total = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for (left, right), scale in scalars.items():
-        total += scale * graded_kron(_slot_product(rep_a.base, left),
-                                     _slot_product(rep_b.base, right)).m
+        total += scale * graded_kron(word_matrix(rep_a.base, left),
+                                     word_matrix(rep_b.base, right)).m
     return SuperMatrix(space, space, total)
 
 

@@ -152,3 +152,39 @@ def test_report_per_case_tolerance():
     assert rpt.passed
     rpt.add("strict", 5e-9)
     assert not rpt.passed
+
+
+@pytest.mark.parametrize("suite", ["yangian", "affine"])
+def test_verify_tolerance_flag_applies_to_every_case(suite, tmp_path):
+    path = tmp_path / "r.json"
+    argv = ["verify", suite, "--samples", "1", "--seed", "0", "--no-timestamp"]
+    assert main(argv + ["--output", str(path)]) == 0
+    blob = json.loads(path.read_text())
+    assert blob["passed"] is True and "tolerance_override" not in blob
+    assert any("tolerance" in case for case in blob["cases"])
+    assert main(argv + ["--tolerance", "1e-30", "--output", str(path)]) == 1
+    blob = json.loads(path.read_text())
+    assert blob["passed"] is False
+    assert blob["tolerance"] == blob["tolerance_override"] == 1e-30
+    assert not any("tolerance" in case for case in blob["cases"])
+
+
+@pytest.mark.parametrize("suite, flag", [("hopf", "--offshell"), ("singlet", "--levels"),
+                                         ("affine", "--order"), ("ybe", "--levels")])
+def test_verify_rejects_flag_the_suite_does_not_take(suite, flag, capsys):
+    argv = ["verify", suite, "--samples", "1", flag]
+    if flag != "--offshell":
+        argv.append("3")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_all_passes_each_flag_to_the_suites_that_take_it(tmp_path):
+    path = tmp_path / "all.json"
+    code = main(["verify", "all", "--samples", "1", "--seed", "2", "--offshell",
+                 "--levels", "2", "--no-timestamp", "--output", str(path)])
+    assert code == 0
+    by_suite = {r["suite"]: r for r in json.loads(path.read_text())["suites"]}
+    assert by_suite["yangian"]["levels"] == 2
