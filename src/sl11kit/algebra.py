@@ -20,12 +20,14 @@ from typing import Mapping
 import numpy as np
 
 from .coproduct import CoproductTable, coproduct_matrix, word_matrix
-from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
+from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
                      graded_kron, identity, max_abs, unit, zeros)
-from .report import Report, c2j
+from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
 _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
+_CLASSICAL_ODD = tuple(n in _ODD_NAMES for n in CLASSICAL_NAMES)
+_CLASSICAL_INDEX = {n: i for i, n in enumerate(CLASSICAL_NAMES)}
 
 #: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21).
 KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
@@ -244,38 +246,45 @@ def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     Covers the e-f brackets, the h0 grading brackets, triviality of the
     remaining brackets, centrality of h_i, k_i, u^{+-}, invertibility of u,
     and (when the representation carries couplings) the central-extension
-    constraints k_i = alpha_i (u^2 - u^{-2}).
+    constraints k_i = alpha_i (u^2 - u^{-2}).  Every bracket is read from
+    one :func:`.graded.bracket_table` of the images.
     """
     rep_names = set(rep.names)
     missing = [n for n in CLASSICAL_NAMES if n not in rep_names]
     if missing:
         raise KeyError(f"missing generator images: {missing}")
-    r = Report("algebra-relations", tolerance)
-    im = rep.images
+    x = np.stack([rep.images[n].m for n in CLASSICAL_NAMES])
+    table = bracket_table(x, _CLASSICAL_ODD)
+    im = {n: x[i] for n, i in _CLASSICAL_INDEX.items()}
+    zero = np.zeros_like(x[0])
+    cases = []
+
+    def comm(a, b):
+        return table[_CLASSICAL_INDEX[a], _CLASSICAL_INDEX[b]]
+
     targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
                ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
     for (a, b), t in targets.items():
-        res = max_abs(graded_comm(im[a], im[b], ODD, ODD) - im[t])
-        r.add(f"[{a},{b}]-{t}", res)
+        cases.append((f"[{a},{b}]-{t}", comm(a, b), im[t]))
     for a in ("e1", "e2"):
-        r.add(f"[h0,{a}]-{a}", max_abs(graded_comm(im["h0"], im[a], EVEN, ODD) - im[a]))
+        cases.append((f"[h0,{a}]-{a}", comm("h0", a), im[a]))
     for a in ("f1", "f2"):
-        r.add(f"[h0,{a}]+{a}", max_abs(graded_comm(im["h0"], im[a], EVEN, ODD) + im[a]))
+        cases.append((f"[h0,{a}]+{a}", comm("h0", a), -im[a]))
     for a, b in (("e1", "e1"), ("e1", "e2"), ("e2", "e2"),
                  ("f1", "f1"), ("f1", "f2"), ("f2", "f2")):
-        r.add(f"[{a},{b}]", max_abs(graded_comm(im[a], im[b], ODD, ODD)))
-    r.add("u+u- - 1", max_abs(im["u+"] @ im["u-"] - identity(rep.space)))
+        cases.append((f"[{a},{b}]", comm(a, b), zero))
+    cases.append(("u+u- - 1", im["u+"] @ im["u-"], np.eye(rep.space.dim)))
     for c in ("h1", "h2", "k1", "k2", "u+", "u-"):
-        pc = EVEN
         for g in CLASSICAL_NAMES:
-            pg = ODD if g in _ODD_NAMES else EVEN
-            r.add(f"central:[{c},{g}]", max_abs(graded_comm(im[c], im[g], pc, pg)))
+            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
     if rep.alpha is not None:
         a1, a2 = rep.alpha
         usq = im["u+"] @ im["u+"] - im["u-"] @ im["u-"]
-        r.add("k1 - alpha1(u^2-u^-2)", max_abs(im["k1"] - a1 * usq))
-        r.add("k2 - alpha2(u^2-u^-2)", max_abs(im["k2"] - a2 * usq))
-    return r
+        # matrix * scalar, the order SuperMatrix uses: numpy can round
+        # scalar * matrix differently in the last bit
+        cases.append(("k1 - alpha1(u^2-u^-2)", im["k1"], usq * a1))
+        cases.append(("k2 - alpha2(u^2-u^-2)", im["k2"], usq * a2))
+    return residual_report("algebra-relations", tolerance, *zip(*cases))
 
 
 # -- coproduct ----------------------------------------------------------------

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import RepLabels, default_alpha
@@ -192,10 +191,8 @@ def _verify(args) -> int:
         if args.suite == "all":
             reports = suites.run_all(samples=args.samples, seed=args.seed, **options)
         else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rpt = suites.run_suite(args.suite, samples=args.samples,
-                                       seed=args.seed, **options)
+            rpt = suites.run_recorded(args.suite, samples=args.samples,
+                                      seed=args.seed, **options)
     except suites.UnsupportedOptionError as err:
         flags = ", ".join(_SUITE_FLAGS[name] for name in err.options)
         args.usage_error(f"{args.suite} does not take {flags}")
@@ -214,6 +211,10 @@ def _verify(args) -> int:
         "passed": passed,
     }
     if not args.no_timestamp:
+        warned = [{"suite": r.suite, "category": c, "message": m, "count": n}
+                  for r in reports for c, m, n in r.warnings]
+        if warned:
+            payload["warnings"] = warned
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if args.format == "csv":
         text = "".join(r.to_csv() for r in reports)

@@ -23,16 +23,18 @@ import numpy as np
 
 from .coproduct import (CoproductTable, coproduct_matrix, coproduct_stack,
                         word_matrix)
-from .graded import (EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
+from .graded import (ODD, GradedSpace, SuperMatrix, bracket_table, graded_comm,
                      graded_kron, identity, max_abs, zeros)
 from .qalgebra import QRepLabels, q_atypical_rep
 from .algebra import GeneratorImage
-from .report import Report
+from .report import Report, residual_report
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
                 "K4+", "K4-", "U+", "U-", "V+", "V-")
 _AFF_ODD = frozenset({"E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"})
+_AFF_ODD_MASK = tuple(n in _AFF_ODD for n in AFFINE_NAMES)
+_AFF_INDEX = {n: i for i, n in enumerate(AFFINE_NAMES)}
 GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
               "K4+", "K4-", "U+", "U-", "V+", "V-")
 
@@ -72,16 +74,21 @@ class AffineRep:
         For i in {1,2}: L_i^{+-} = (U^{+-2})^{(i)} K1^{+-} K2^{+-};
         for i in {3,4}: same with V and the upper node pair.
         """
-        other = "-" if sign == "+" else "+"
-        if i in (1, 2):
-            dress, ka, kb = "U", "K1", "K2"
-        elif i in (3, 4):
-            dress, ka, kb = "V", "K3", "K4"
-        else:
-            raise ValueError("node index out of range")
-        s = sign if node_sign(i) == 1 else other
-        d = self[f"{dress}{s}"]
-        return d @ d @ self[f"{ka}{sign}"] @ self[f"{kb}{sign}"]
+        d, d2, ka, kb = _l_word(i, sign)
+        return self[d] @ self[d2] @ self[ka] @ self[kb]
+
+
+def _l_word(i: int, sign: str) -> tuple[str, str, str, str]:
+    """The generator word whose product is L_i^{+-} (see :meth:`AffineRep.l_image`)."""
+    other = "-" if sign == "+" else "+"
+    if i in (1, 2):
+        dress, ka, kb = "U", "K1", "K2"
+    elif i in (3, 4):
+        dress, ka, kb = "V", "K3", "K4"
+    else:
+        raise ValueError("node index out of range")
+    s = sign if node_sign(i) == 1 else other
+    return (f"{dress}{s}", f"{dress}{s}", f"{ka}{sign}", f"{kb}{sign}")
 
 
 def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
@@ -133,104 +140,100 @@ def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep
 
 def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
     """Residuals of the affine defining relations, Serre and compatibility lines
-    included, for the variant the representation was built with."""
-    missing = [n for n in AFFINE_NAMES if n not in rep.names]
+    included, for the variant the representation was built with.
+
+    Every bracket of two generators is read from one
+    :func:`.graded.bracket_table` of the images.
+    """
+    rep_names = set(rep.names)
+    missing = [n for n in AFFINE_NAMES if n not in rep_names]
     if missing:
         raise KeyError(f"missing generator images: {missing}")
-    im = rep.images
+    x = np.stack([rep.images[n].m for n in AFFINE_NAMES])
+    table = bracket_table(x, _AFF_ODD_MASK)
+    im = {n: x[i] for n, i in _AFF_INDEX.items()}
     q = rep.q
     qq = q - 1 / q
-    one = identity(rep.space)
-    r = Report("affine-relations", tolerance)
-    for base in ("K0", "K1", "K2", "K3", "K4", "U", "V"):
-        r.add(f"{base}+{base}- - 1", max_abs(im[f"{base}+"] @ im[f"{base}-"] - one))
-    for i in range(1, 5):
-        r.add(f"K0+ E{i} K0- - q E{i}",
-              max_abs(im["K0+"] @ im[f"E{i}"] @ im["K0-"] - q * im[f"E{i}"]))
-        r.add(f"K0- F{i} K0+ - q F{i}",
-              max_abs(im["K0-"] @ im[f"F{i}"] @ im["K0+"] - q * im[f"F{i}"]))
+    one = np.eye(rep.space.dim)
+    zero = np.zeros_like(x[0])
+    cases = []
 
     def comm(a, b):
-        return graded_comm(im[a], im[b], ODD, ODD)
+        return table[_AFF_INDEX[a], _AFF_INDEX[b]]
 
-    def even_comm(x, y):
-        return x @ y - y @ x
+    def even_comm(a, b):
+        return a @ b - b @ a
 
+    def l_image(i, sign):
+        d, d2, ka, kb = _l_word(i, sign)
+        return im[d] @ im[d2] @ im[ka] @ im[kb]
+
+    # scalars multiply matrices on the right, as in SuperMatrix: numpy can
+    # round scalar * matrix differently in the last bit
+    for base in ("K0", "K1", "K2", "K3", "K4", "U", "V"):
+        cases.append((f"{base}+{base}- - 1", im[f"{base}+"] @ im[f"{base}-"], one))
+    for i in range(1, 5):
+        cases.append((f"K0+ E{i} K0- - q E{i}",
+                      im["K0+"] @ im[f"E{i}"] @ im["K0-"], im[f"E{i}"] * q))
+        cases.append((f"K0- F{i} K0+ - q F{i}",
+                      im["K0-"] @ im[f"F{i}"] @ im["K0+"], im[f"F{i}"] * q))
     # sl(1|1)^2 blocks on nodes {1,2} and {3,4}
     for block in ((1, 2), (3, 4)):
         for i in block:
             for j in block:
-                lhs = comm(f"E{i}", f"F{j}")
                 if i == j:
                     kp, km = im[f"K{i}+"], im[f"K{i}-"]
                     target = (kp @ kp - km @ km) * (1 / qq)
                 else:
-                    target = (rep.alpha[i - 1] / qq) * (rep.l_image(i, "+")
-                                                        - rep.l_image(i, "-"))
-                r.add(f"[E{i},F{j}]", max_abs(lhs - target))
+                    target = (l_image(i, "+") - l_image(i, "-")) * (rep.alpha[i - 1] / qq)
+                cases.append((f"[E{i},F{j}]", comm(f"E{i}", f"F{j}"), target))
     # quantum Serre lines and the compatibility relation
     kplus = im["K1+"] @ im["K2+"] @ im["K3+"] @ im["K4+"]
     kminus = im["K1-"] @ im["K2-"] @ im["K3-"] @ im["K4-"]
     if rep.variant == "standard":
-        serre1 = even_comm(comm("E3", "F2"), comm("E4", "F1"))
-        r.add("[[E3,F2],[E4,F1]] - (K+-K-)/(q-1/q)",
-              max_abs(serre1 - (kplus - kminus) * (1 / qq)))
+        cases.append(("[[E3,F2],[E4,F1]] - (K+-K-)/(q-1/q)",
+                      even_comm(comm("E3", "F2"), comm("E4", "F1")),
+                      (kplus - kminus) * (1 / qq)))
         for i, j in ((1, 2), (2, 1)):
-            lhs = even_comm(comm(f"E{i}", f"F{i+2}"), comm(f"E{j+2}", f"F{j}"))
-            lp = rep.l_image(i, "+") @ rep.l_image(j + 2, "+")
-            lm = rep.l_image(i, "-") @ rep.l_image(j + 2, "-")
-            r.add(f"[[E{i},F{i+2}],[E{j+2},F{j}]] - L-line",
-                  max_abs(lhs - (lp - lm) * (1 / qq)))
-        for i, j in ((1, 2), (2, 1)):
-            s = node_sign(i)
-            uv_p = im["U+"] @ im["V+"]
-            uv_m = im["U-"] @ im["V-"]
-            kk_p = im[f"K{i}+"] @ im[f"K{j+2}+"]
-            kk_m = im[f"K{i}-"] @ im[f"K{j+2}-"]
-            if s == -1:
-                kk_p, kk_m = np.linalg.inv(kk_p.m), np.linalg.inv(kk_m.m)
-                kk_p = SuperMatrix(rep.space, rep.space, kk_p, EVEN)
-                kk_m = SuperMatrix(rep.space, rep.space, kk_m, EVEN)
-            target = (rep.alpha[i - 1] / qq) * (uv_p @ kk_p - uv_m @ kk_m)
-            r.add(f"[E{i},F{j+2}] - compatibility",
-                  max_abs(comm(f"E{i}", f"F{j+2}") - target))
+            lp = l_image(i, "+") @ l_image(j + 2, "+")
+            lm = l_image(i, "-") @ l_image(j + 2, "-")
+            cases.append((f"[[E{i},F{i+2}],[E{j+2},F{j}]] - L-line",
+                          even_comm(comm(f"E{i}", f"F{i+2}"), comm(f"E{j+2}", f"F{j}")),
+                          (lp - lm) * (1 / qq)))
+        compat = [(i, j + 2, "V+", "V-") for i, j in ((1, 2), (2, 1))]
     else:
-        serre1 = even_comm(comm("E3", "F1"), comm("E4", "F2"))
-        r.add("[[E3,F1],[E4,F2]] - (K+-K-)/(q-1/q)",
-              max_abs(serre1 - (kplus - kminus) * (1 / qq)))
+        cases.append(("[[E3,F1],[E4,F2]] - (K+-K-)/(q-1/q)",
+                      even_comm(comm("E3", "F1"), comm("E4", "F2")),
+                      (kplus - kminus) * (1 / qq)))
         for i, j in ((1, 2), (2, 1)):
-            lhs = even_comm(comm(f"E{i}", f"F{j+2}"), comm(f"E{i+2}", f"F{i}"))
-            lp = rep.l_image(i, "+") @ rep.l_image(i + 2, "+")
-            lm = rep.l_image(i, "-") @ rep.l_image(i + 2, "-")
-            r.add(f"[[E{i},F{j+2}],[E{i+2},F{i}]] - L-line",
-                  max_abs(lhs - (lp - lm) * (1 / qq)))
-        for i in (1, 2):
-            s = node_sign(i)
-            uv_p = im["U+"] @ im["V-"]
-            uv_m = im["U-"] @ im["V+"]
-            kk_p = im[f"K{i}+"] @ im[f"K{i+2}+"]
-            kk_m = im[f"K{i}-"] @ im[f"K{i+2}-"]
-            if s == -1:
-                kk_p = SuperMatrix(rep.space, rep.space, np.linalg.inv(kk_p.m), EVEN)
-                kk_m = SuperMatrix(rep.space, rep.space, np.linalg.inv(kk_m.m), EVEN)
-            target = (rep.alpha[i - 1] / qq) * (uv_p @ kk_p - uv_m @ kk_m)
-            r.add(f"[E{i},F{i+2}] - compatibility",
-                  max_abs(comm(f"E{i}", f"F{i+2}") - target))
+            lp = l_image(i, "+") @ l_image(i + 2, "+")
+            lm = l_image(i, "-") @ l_image(i + 2, "-")
+            cases.append((f"[[E{i},F{j+2}],[E{i+2},F{i}]] - L-line",
+                          even_comm(comm(f"E{i}", f"F{j+2}"), comm(f"E{i+2}", f"F{i}")),
+                          (lp - lm) * (1 / qq)))
+        compat = [(i, i + 2, "V-", "V+") for i in (1, 2)]
+    for i, k, vp, vm in compat:
+        uv_p, uv_m = im["U+"] @ im[vp], im["U-"] @ im[vm]
+        kk_p, kk_m = im[f"K{i}+"] @ im[f"K{k}+"], im[f"K{i}-"] @ im[f"K{k}-"]
+        if node_sign(i) == -1:
+            kk_p, kk_m = np.linalg.inv(kk_p), np.linalg.inv(kk_m)
+        target = (uv_p @ kk_p - uv_m @ kk_m) * (rep.alpha[i - 1] / qq)
+        cases.append((f"[E{i},F{k}] - compatibility", comm(f"E{i}", f"F{k}"), target))
     # triviality of same-chirality brackets across all four nodes
     for i in range(1, 5):
         for j in range(i, 5):
-            r.add(f"[E{i},E{j}]", max_abs(comm(f"E{i}", f"E{j}")))
-            r.add(f"[F{i},F{j}]", max_abs(comm(f"F{i}", f"F{j}")))
+            cases.append((f"[E{i},E{j}]", comm(f"E{i}", f"E{j}"), zero))
+            cases.append((f"[F{i},F{j}]", comm(f"F{i}", f"F{j}"), zero))
     # centrality of the Cartan/group-like elements
     for c in GROUP_LIKE:
         if c in ("K0+", "K0-"):
             continue
         for g in ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"):
-            r.add(f"central:[{c},{g}]", max_abs(graded_comm(im[c], im[g], EVEN, ODD)))
+            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
     # evaluation collapses the full Cartan product to 1
-    r.add("ev(K+) - 1", max_abs(kplus - one))
-    r.add("ev(K-) - 1", max_abs(kminus - one))
-    return r
+    cases.append(("ev(K+) - 1", kplus, one))
+    cases.append(("ev(K-) - 1", kminus, one))
+    return residual_report("affine-relations", tolerance, *zip(*cases))
 
 
 # -- coproduct ------------------------------------------------------------------

@@ -24,13 +24,15 @@ import numpy as np
 
 from .algebra import AtypicalLocusWarning, GeneratorImage, SingletPreconditionError
 from .coproduct import CoproductTable, coproduct_matrix, word_matrix
-from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, graded_comm,
-                     graded_kron, identity, max_abs, unit, zeros)
-from .report import Report
+from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
+                     graded_comm, graded_kron, identity, max_abs, unit, zeros)
+from .report import Report, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
            "L1+", "L1-", "L2+", "L2-", "U+", "U-")
 _Q_ODD = frozenset({"E1", "E2", "F1", "F2"})
+_Q_ODD_MASK = tuple(n in _Q_ODD for n in Q_NAMES)
+_Q_INDEX = {n: i for i, n in enumerate(Q_NAMES)}
 
 _KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
 
@@ -291,27 +293,36 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
 
 
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """Residuals of the deformed defining relations in a representation."""
-    missing = [n for n in Q_NAMES if n not in rep.names]
+    """Residuals of the deformed defining relations in a representation.
+
+    Every bracket is read from one :func:`.graded.bracket_table` of the images.
+    """
+    rep_names = set(rep.names)
+    missing = [n for n in Q_NAMES if n not in rep_names]
     if missing:
         raise KeyError(f"missing generator images: {missing}")
     if rep.q is None:
         raise ValueError("representation carries no deformation parameter q")
     q = rep.q
-    im = rep.images
-    one = identity(rep.space)
-    r = Report("q-algebra-relations", tolerance)
+    x = np.stack([rep.images[n].m for n in Q_NAMES])
+    table = bracket_table(x, _Q_ODD_MASK)
+    im = {n: x[i] for n, i in _Q_INDEX.items()}
+    one = np.eye(rep.space.dim)
+    zero = np.zeros_like(x[0])
+    cases = []
+
+    def comm(a, b):
+        return table[_Q_INDEX[a], _Q_INDEX[b]]
+
+    # scalars multiply matrices on the right, as in SuperMatrix: numpy can
+    # round scalar * matrix differently in the last bit
     for base in ("K0", "K1", "K2", "L1", "L2", "U"):
         plus, minus = f"{base}+", f"{base}-"
-        if base == "U":
-            plus, minus = "U+", "U-"
-        r.add(f"{plus}{minus} - 1", max_abs(im[plus] @ im[minus] - one))
+        cases.append((f"{plus}{minus} - 1", im[plus] @ im[minus], one))
     for a in ("E1", "E2"):
-        r.add(f"K0+ {a} K0- - q {a}",
-              max_abs(im["K0+"] @ im[a] @ im["K0-"] - q * im[a]))
+        cases.append((f"K0+ {a} K0- - q {a}", im["K0+"] @ im[a] @ im["K0-"], im[a] * q))
     for a in ("F1", "F2"):
-        r.add(f"K0- {a} K0+ - q {a}",
-              max_abs(im["K0-"] @ im[a] @ im["K0+"] - q * im[a]))
+        cases.append((f"K0- {a} K0+ - q {a}", im["K0-"] @ im[a] @ im["K0+"], im[a] * q))
     qq = q - 1 / q
     targets = {
         ("E1", "F1"): (im["K1+"] @ im["K1+"] - im["K1-"] @ im["K1-"]) * (1 / qq),
@@ -319,24 +330,23 @@ def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     }
     if rep.alpha is not None:
         a1, a2 = rep.alpha
-        targets[("E1", "F2")] = (a1 / qq) * (im["L1+"] - im["L1-"])
-        targets[("E2", "F1")] = (a2 / qq) * (im["L2+"] - im["L2-"])
+        targets[("E1", "F2")] = (im["L1+"] - im["L1-"]) * (a1 / qq)
+        targets[("E2", "F1")] = (im["L2+"] - im["L2-"]) * (a2 / qq)
     for (a, b), t in targets.items():
-        r.add(f"[{a},{b}]", max_abs(graded_comm(im[a], im[b], ODD, ODD) - t))
+        cases.append((f"[{a},{b}]", comm(a, b), t))
     for a, b in (("E1", "E1"), ("E1", "E2"), ("E2", "E2"),
                  ("F1", "F1"), ("F1", "F2"), ("F2", "F2")):
-        r.add(f"[{a},{b}]", max_abs(graded_comm(im[a], im[b], ODD, ODD)))
+        cases.append((f"[{a},{b}]", comm(a, b), zero))
     # quotient constraints tying L to K and U
-    r.add("L1+ - K1+K2+U^2", max_abs(im["L1+"] - im["K1+"] @ im["K2+"] @ im["U+"] @ im["U+"]))
-    r.add("L2+ - K1+K2+U^-2", max_abs(im["L2+"] - im["K1+"] @ im["K2+"] @ im["U-"] @ im["U-"]))
-    r.add("L1- - K1-K2-U^-2", max_abs(im["L1-"] - im["K1-"] @ im["K2-"] @ im["U-"] @ im["U-"]))
-    r.add("L2- - K1-K2-U^2", max_abs(im["L2-"] - im["K1-"] @ im["K2-"] @ im["U+"] @ im["U+"]))
+    cases.append(("L1+ - K1+K2+U^2", im["L1+"], im["K1+"] @ im["K2+"] @ im["U+"] @ im["U+"]))
+    cases.append(("L2+ - K1+K2+U^-2", im["L2+"], im["K1+"] @ im["K2+"] @ im["U-"] @ im["U-"]))
+    cases.append(("L1- - K1-K2-U^-2", im["L1-"], im["K1-"] @ im["K2-"] @ im["U-"] @ im["U-"]))
+    cases.append(("L2- - K1-K2-U^2", im["L2-"], im["K1-"] @ im["K2-"] @ im["U+"] @ im["U+"]))
     centrals = ("K1+", "K1-", "K2+", "K2-", "L1+", "L1-", "L2+", "L2-", "U+", "U-")
     for c in centrals:
         for g in ("E1", "E2", "F1", "F2", "K0+", "K0-"):
-            pg = ODD if g in _Q_ODD else EVEN
-            r.add(f"central:[{c},{g}]", max_abs(graded_comm(im[c], im[g], EVEN, pg)))
-    return r
+            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
+    return residual_report("q-algebra-relations", tolerance, *zip(*cases))
 
 
 # -- coproduct -----------------------------------------------------------------

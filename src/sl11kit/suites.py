@@ -279,7 +279,8 @@ def run_all(samples: int = 20, seed: int = 0, **options) -> list[Report]:
     """Every named suite with per-suite sub-seeds split from one master seed.
 
     Each suite gets the options it takes; an option no suite takes raises
-    :class:`UnsupportedOptionError`.
+    :class:`UnsupportedOptionError`.  Warnings are recorded per suite, as
+    :func:`run_recorded` does.
     """
     options = {k: v for k, v in options.items() if v is not None}
     unknown = [k for k in options if not any(k in opts for opts in _OPTIONS.values())]
@@ -287,9 +288,17 @@ def run_all(samples: int = 20, seed: int = 0, **options) -> list[Report]:
         raise UnsupportedOptionError("all", unknown)
     seeds = {name: seed + i for i, name in enumerate(SUITES)}
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name in SUITES:
-            taken = {k: v for k, v in options.items() if k in _OPTIONS[name]}
-            out.append(run_suite(name, samples=samples, seed=seeds[name], **taken))
+    for name in SUITES:
+        taken = {k: v for k, v in options.items() if k in _OPTIONS[name]}
+        out.append(run_recorded(name, samples=samples, seed=seeds[name], **taken))
     return out
+
+
+def run_recorded(name: str, samples: int, seed: int, **options) -> Report:
+    """:func:`run_suite` with every warning it raises counted in the report's
+    ``warnings`` instead of shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rpt = run_suite(name, samples=samples, seed=seed, **options)
+    rpt.record_warnings(caught)
+    return rpt

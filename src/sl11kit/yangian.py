@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import GeneratorImage, RepLabels, atypical_rep
 from .coproduct import word_matrix
-from .graded import SuperMatrix, graded_kron, graded_perm, max_abs
-from .report import Report
+from .graded import SuperMatrix, bracket_table, graded_kron, graded_perm, max_abs
+from .report import Report, residual_report
 
 FAMILIES = ("e1", "e2", "f1", "f2", "h1", "h2", "k1", "k2", "h0")
 
@@ -92,27 +92,43 @@ def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     return rpt
 
 
+#: Level brackets (a, b, t, sign): [a_r, b_s} = sign t_{r+s} for r + s <= rs_max.
+_LEVEL_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
+                   ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
+                   ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
+                   ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
+#: The families bracketed in _LEVEL_BRACKETS; their indices in FAMILIES.
+_BRACKETED = ("e1", "e2", "f1", "f2", "h0")
+_BRACKETED_ROWS = [FAMILIES.index(f) for f in _BRACKETED]
+
+
 def level_bracket_report(ev: EvalRep, rs_max: int = 8,
                          tolerance: float = 1e-11) -> Report:
-    """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices."""
-    rpt = Report("level-brackets", tolerance)
-    targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
-               ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
-    for r in range(rs_max + 1):
-        for s in range(rs_max + 1 - r):
-            for (a, b), t in targets.items():
-                lhs = (ev.image(a, r) @ ev.image(b, s)
-                       + ev.image(b, s) @ ev.image(a, r))
-                rpt.add(f"[{a},{r};{b},{s}]", max_abs(lhs - ev.image(t, r + s)))
-            for a in ("e1", "e2"):
-                lhs = (ev.image("h0", r) @ ev.image(a, s)
-                       - ev.image(a, s) @ ev.image("h0", r))
-                rpt.add(f"[h0,{r};{a},{s}]", max_abs(lhs - ev.image(a, r + s)))
-            for a in ("f1", "f2"):
-                lhs = (ev.image("h0", r) @ ev.image(a, s)
-                       - ev.image(a, s) @ ev.image("h0", r))
-                rpt.add(f"[h0,{r};{a},{s}]", max_abs(lhs + ev.image(a, r + s)))
-    return rpt
+    """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices.
+
+    The level images rho^r X, r = 0..rs_max, are stacked as one
+    ``(F, R, n, n)`` array, and every (r, s) bracket is read from one
+    :func:`.graded.bracket_table` of the bracketed families' levels.
+    """
+    count = rs_max + 1
+    x = np.stack([ev.base[f].m for f in FAMILIES])
+    powers = np.array([ev.rho ** r for r in range(count)], dtype=np.complex128)
+    levels = x[:, None] * powers[None, :, None, None]
+    n = x.shape[-1]
+    odd = np.repeat([f != "h0" for f in _BRACKETED], count)
+    table = bracket_table(levels[_BRACKETED_ROWS].reshape(-1, n, n), odd)
+    table = table.reshape(len(_BRACKETED), count, len(_BRACKETED), count, n, n)
+    names, index, signs = [], [], []
+    row, fam = _BRACKETED.index, FAMILIES.index
+    for r in range(count):
+        for s in range(count - r):
+            for a, b, t, sign in _LEVEL_BRACKETS:
+                names.append(f"[{a},{r};{b},{s}]")
+                index.append((row(a), r, row(b), s, fam(t), r + s))
+                signs.append(sign)
+    ia, ir, ib, is_, it, irs = np.array(index).T
+    rhs = np.array(signs, dtype=float)[:, None, None] * levels[it, irs]
+    return residual_report("level-brackets", tolerance, names, table[ia, ir, ib, is_], rhs)
 
 
 # -- level coproduct -------------------------------------------------------------

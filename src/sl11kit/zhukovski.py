@@ -100,15 +100,15 @@ def _eta(zp: ZhukovskiPoint, branch: int) -> complex:
     return _principal_root(_I * gap, branch)
 
 
-def left_labels(zp: ZhukovskiPoint, eta_branch: int = 0, nu_branch: int = 0,
-                gamma_branch: int = 0, tolerance: float = 1e-10
-                ) -> tuple[RepLabels, CoefficientPack]:
-    """Left-moving labels and the coefficient pack (a, b, c, d).
+def _mover_labels(zp: ZhukovskiPoint, gamma_sq, right: bool, eta_branch: int,
+                  nu_branch: int, gamma_branch: int, tolerance: float
+                  ) -> tuple[RepLabels, CoefficientPack]:
+    """Labels and coefficient pack of either mover.
 
-    nu^4 = x+/x-, a = sqrt(h) eta nu, b = sqrt(h) eta / nu,
-    c = -sqrt(-h) eta nu / x+, d = sqrt(-h) eta / (x- nu), and
-    gamma^2 = -i nu^2 x-.  The product identities ac = mu1, bd = mu2,
-    ab = lambda1, cd = lambda2 are verified before returning.
+    The pack (a, b, c, d) has one form for both movers; they differ in
+    gamma^2 = ``gamma_sq(nu)`` and in the lambda pairing: lambda1 = ab,
+    lambda2 = cd for the left mover, swapped for the right (``right``).
+    The pack's product identities are verified before returning.
     """
     h = zp.h
     sh = _principal_root(h, 0)
@@ -119,22 +119,41 @@ def left_labels(zp: ZhukovskiPoint, eta_branch: int = 0, nu_branch: int = 0,
     b = sh * eta / nu
     c = -smh * eta * nu / zp.xplus
     d = smh * eta / (zp.xminus * nu)
-    gamma = _principal_root(-_I * nu**2 * zp.xminus, gamma_branch)
+    gamma = _principal_root(gamma_sq(nu), gamma_branch)
     labels = RepLabels(gamma, nu, -h, h)
+    # (pack product, its name, lambda / (i h), its name) for lambda1 and lambda2
+    pairs = [(a * b, "a b", zp.xminus - zp.xplus, "x- - x+"),
+             (c * d, "c d", 1 / zp.xplus - 1 / zp.xminus, "1/x+ - 1/x-")]
+    if right:
+        pairs.reverse()
+    (p1, p1_name, g1, g1_name), (p2, p2_name, g2, g2_name) = pairs
     checks = (
         ("a c - mu1", a * c - labels.mu1),
         ("b d - mu2", b * d - labels.mu2),
-        ("a b - lambda1", a * b - labels.lambda1),
-        ("c d - lambda2", c * d - labels.lambda2),
-        ("lambda1 - i h (x- - x+)", labels.lambda1 - _I * h * (zp.xminus - zp.xplus)),
-        ("lambda2 - i h (1/x+ - 1/x-)",
-         labels.lambda2 - _I * h * (1 / zp.xplus - 1 / zp.xminus)),
+        (f"{p1_name} - lambda1", p1 - labels.lambda1),
+        (f"{p2_name} - lambda2", p2 - labels.lambda2),
+        (f"lambda1 - i h ({g1_name})", labels.lambda1 - _I * h * g1),
+        (f"lambda2 - i h ({g2_name})", labels.lambda2 - _I * h * g2),
     )
     scale = max(abs(a * c), abs(a * b), 1.0)
     for name, resid in checks:
         if abs(resid) > tolerance * scale:
             raise ValueError(f"coefficient pack inconsistent: {name} = {abs(resid):.3e}")
     return labels, CoefficientPack(a, b, c, d)
+
+
+def left_labels(zp: ZhukovskiPoint, eta_branch: int = 0, nu_branch: int = 0,
+                gamma_branch: int = 0, tolerance: float = 1e-10
+                ) -> tuple[RepLabels, CoefficientPack]:
+    """Left-moving labels and the coefficient pack (a, b, c, d).
+
+    nu^4 = x+/x-, a = sqrt(h) eta nu, b = sqrt(h) eta / nu,
+    c = -sqrt(-h) eta nu / x+, d = sqrt(-h) eta / (x- nu), and
+    gamma^2 = -i nu^2 x-.  The product identities ac = mu1, bd = mu2,
+    ab = lambda1, cd = lambda2 are verified before returning.
+    """
+    return _mover_labels(zp, lambda nu: -_I * nu**2 * zp.xminus, False,
+                         eta_branch, nu_branch, gamma_branch, tolerance)
 
 
 def right_labels(zp: ZhukovskiPoint, eta_branch: int = 0, nu_branch: int = 0,
@@ -147,31 +166,8 @@ def right_labels(zp: ZhukovskiPoint, eta_branch: int = 0, nu_branch: int = 0,
     atypical constructor and conjugating the grading reproduces the
     right-moving action pattern (e_1 maps psi to c phi, etc.).
     """
-    h = zp.h
-    sh = _principal_root(h, 0)
-    smh = _I * sh
-    nu = _principal_root(zp.xplus / zp.xminus, nu_branch, order=4)
-    eta = _eta(zp, eta_branch)
-    a = sh * eta * nu
-    b = sh * eta / nu
-    c = -smh * eta * nu / zp.xplus
-    d = smh * eta / (zp.xminus * nu)
-    gamma = _principal_root(-_I * nu**2 / zp.xplus, gamma_branch)
-    labels = RepLabels(gamma, nu, -h, h)
-    checks = (
-        ("a c - mu1", a * c - labels.mu1),
-        ("b d - mu2", b * d - labels.mu2),
-        ("c d - lambda1", c * d - labels.lambda1),
-        ("a b - lambda2", a * b - labels.lambda2),
-        ("lambda1 - i h (1/x+ - 1/x-)",
-         labels.lambda1 - _I * h * (1 / zp.xplus - 1 / zp.xminus)),
-        ("lambda2 - i h (x- - x+)", labels.lambda2 - _I * h * (zp.xminus - zp.xplus)),
-    )
-    scale = max(abs(a * c), abs(a * b), 1.0)
-    for name, resid in checks:
-        if abs(resid) > tolerance * scale:
-            raise ValueError(f"coefficient pack inconsistent: {name} = {abs(resid):.3e}")
-    return labels, CoefficientPack(a, b, c, d)
+    return _mover_labels(zp, lambda nu: -_I * nu**2 / zp.xplus, True,
+                         eta_branch, nu_branch, gamma_branch, tolerance)
 
 
 # -- deformed dictionary -----------------------------------------------------------

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from sl11kit import algebra
 from sl11kit.cli import main
 from sl11kit.graded import SuperMatrix
 from sl11kit.report import Report
@@ -117,7 +120,43 @@ def test_verify_csv(capsys):
     code, out = run(capsys, "verify", "ybe", "--samples", "2", "--seed", "1",
                     "--format", "csv")
     assert code == 0
-    assert out.splitlines()[0] == "suite,identity,residual"
+    assert out.splitlines()[0] == "suite,identity,residual,tolerance,passed"
+
+
+def test_verify_csv_marks_failed_cases(capsys):
+    code, out = run(capsys, "verify", "ybe", "--samples", "2", "--seed", "1",
+                    "--tolerance", "1e-30", "--format", "csv")
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["tolerance"]) == 1e-30
+        assert row["passed"] == "false"
+
+
+def test_verify_records_warnings_in_the_timestamped_payload(monkeypatch, tmp_path):
+    original = algebra.singlet_report
+
+    def warning_singlet_report(*args, **kwargs):
+        # weights on the shortening locus: lambda1 lambda2 = mu1 mu2 = 0
+        algebra.typical_rep(0.0, 1.0, 1.0, (-0.5, 0.5))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "singlet_report", warning_singlet_report)
+    path = tmp_path / "r.json"
+    argv = ["verify", "singlet", "--samples", "2", "--seed", "3", "--output", str(path)]
+    assert main(argv) == 0
+    assert json.loads(path.read_text())["warnings"] == [
+        {"category": "AtypicalLocusWarning",
+         "message": "weights sit on the shortening locus", "count": 2}]
+    assert main(argv + ["--no-timestamp"]) == 0
+    assert "warnings" not in json.loads(path.read_text())
+    path = tmp_path / "all.json"
+    assert main(["verify", "all", "--samples", "1", "--seed", "3",
+                 "--output", str(path)]) == 0
+    assert {"suite": "singlet", "category": "AtypicalLocusWarning",
+            "message": "weights sit on the shortening locus",
+            "count": 1} in json.loads(path.read_text())["warnings"]
 
 
 def test_verify_failure_exit_code(capsys, tmp_path):
@@ -144,6 +183,14 @@ def test_report_round_trip_and_median():
     d = rpt.to_dict(include_timestamp=False)
     assert d["max_residual"] == 5e-11
     assert "timestamp" not in d
+
+
+def test_report_merge_counts_warnings():
+    rpt, other = Report("demo"), Report("part")
+    rpt.warnings = [("UserWarning", "a", 2)]
+    other.warnings = [("UserWarning", "b", 1), ("UserWarning", "a", 1)]
+    rpt.merge(other, prefix="[0]")
+    assert rpt.warnings == [("UserWarning", "a", 3), ("UserWarning", "b", 1)]
 
 
 def test_report_per_case_tolerance():

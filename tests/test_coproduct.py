@@ -103,6 +103,20 @@ def test_affine_stack_matches_term_by_term_reference(seed):
         _assert_stack_matches(AFFINE_COPRODUCT, qaffine._AFF_ODD, ra, rb)
 
 
+def test_mixed_dimension_pairs_match_reference_in_both_orders():
+    # atypical (C11) with typical (KAC_SPACE): the graded flip between spaces
+    # of different dimension
+    rng = np.random.default_rng(17)
+    (ra, _), (ta, _), *_ = _classical_pairs(rng)
+    (qa, _), (qta, _), *_ = _q_pairs(rng)
+    for table, odd, small, big in ((COPRODUCT, algebra._ODD_NAMES, ra, ta),
+                                   (Q_COPRODUCT, qalgebra._Q_ODD, qa, qta)):
+        assert small.space.dim != big.space.dim
+        _assert_stack_matches(table, odd, small, big)
+        _assert_stack_matches(table, odd, big, small)
+    assert algebra.cocommutativity_report(ra, ta).max_residual <= 1e-12
+
+
 def test_image_functions_are_slices_of_the_stack():
     rng = np.random.default_rng(11)
     (ra, rb), *_ = _classical_pairs(rng)

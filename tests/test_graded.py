@@ -148,8 +148,23 @@ def test_perm_intertwines_kron():
 
 
 def test_perm_dim_mismatch():
-    with pytest.raises(ValueError):
-        graded_perm(C11, GradedSpace(3, (0, 0, 1)))
+    # the graded flip is defined for spaces of any two dimensions
+    w = GradedSpace(3, (0, 0, 1))
+    p_vw, p_wv = graded_perm(C11, w), graded_perm(w, C11)
+    assert p_vw.space_in == C11.tensor(w) and p_vw.space_out == w.tensor(C11)
+    for c, d in itertools.product(range(2), range(3)):
+        v = np.zeros(6)
+        v[c * 3 + d] = 1.0
+        expect = np.zeros(6)
+        expect[d * 2 + c] = -1.0 if C11.parity[c] * w.parity[d] else 1.0
+        assert np.array_equal(p_vw.m @ v, expect)
+    assert max_abs(p_wv @ p_vw - identity(C11.tensor(w))) == 0.0
+    w_units = itertools.product(range(3), repeat=2)
+    for (ai, aj), (bi, bj) in itertools.product(ALL_UNITS, w_units):
+        a, b = E(ai, aj), unit(w, w, bi, bj)
+        lhs = p_vw @ graded_kron(a, b) @ p_wv
+        rhs = (-1) ** (a.parity * b.parity) * graded_kron(b, a)
+        assert max_abs(lhs - rhs) == 0.0
 
 
 def test_graded_comm_examples():

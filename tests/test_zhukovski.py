@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from sl11kit.algebra import atypical_rep, check_relations
+from sl11kit.algebra import RepLabels, atypical_rep, check_relations
 from sl11kit.graded import max_abs
 from sl11kit.qalgebra import q_atypical_rep, q_check_relations
 from sl11kit.rmatrix import conjugate_rep
-from sl11kit.zhukovski import (BranchTieError, QZhukovskiPoint, ZhukovskiPoint,
-                               dispersion, left_labels, q_labels_from_x,
-                               q_zhukovski_point, right_labels, zeta,
-                               zhukovski_solve)
+from sl11kit.zhukovski import (BranchTieError, CoefficientPack, QZhukovskiPoint,
+                               ZhukovskiPoint, _eta, _principal_root, dispersion,
+                               left_labels, q_labels_from_x, q_zhukovski_point,
+                               right_labels, zeta, zhukovski_solve)
 
 
 def test_solver_satisfies_shell():
@@ -88,6 +88,77 @@ def test_right_labels():
     assert abs(lab.lambda1 - 1j * h * (1 / zp.xplus - 1 / zp.xminus)) < 1e-12
     assert abs(lab.lambda1 * lab.lambda2 - lab.mu1 * lab.mu2) < 1e-13
     assert check_relations(atypical_rep(lab)).max_residual <= 1e-11
+
+
+def _ref_labels(zp, eta_branch=0, nu_branch=0, gamma_branch=0, tolerance=1e-10,
+                right=False):
+    """The two movers' label builders as separate bodies (the reference)."""
+    h = zp.h
+    sh = _principal_root(h, 0)
+    smh = 1j * sh
+    nu = _principal_root(zp.xplus / zp.xminus, nu_branch, order=4)
+    eta = _eta(zp, eta_branch)
+    a = sh * eta * nu
+    b = sh * eta / nu
+    c = -smh * eta * nu / zp.xplus
+    d = smh * eta / (zp.xminus * nu)
+    if not right:
+        gamma = _principal_root(-1j * nu**2 * zp.xminus, gamma_branch)
+        labels = RepLabels(gamma, nu, -h, h)
+        checks = (
+            ("a c - mu1", a * c - labels.mu1),
+            ("b d - mu2", b * d - labels.mu2),
+            ("a b - lambda1", a * b - labels.lambda1),
+            ("c d - lambda2", c * d - labels.lambda2),
+            ("lambda1 - i h (x- - x+)", labels.lambda1 - 1j * h * (zp.xminus - zp.xplus)),
+            ("lambda2 - i h (1/x+ - 1/x-)",
+             labels.lambda2 - 1j * h * (1 / zp.xplus - 1 / zp.xminus)),
+        )
+    else:
+        gamma = _principal_root(-1j * nu**2 / zp.xplus, gamma_branch)
+        labels = RepLabels(gamma, nu, -h, h)
+        checks = (
+            ("a c - mu1", a * c - labels.mu1),
+            ("b d - mu2", b * d - labels.mu2),
+            ("c d - lambda1", c * d - labels.lambda1),
+            ("a b - lambda2", a * b - labels.lambda2),
+            ("lambda1 - i h (1/x+ - 1/x-)",
+             labels.lambda1 - 1j * h * (1 / zp.xplus - 1 / zp.xminus)),
+            ("lambda2 - i h (x- - x+)", labels.lambda2 - 1j * h * (zp.xminus - zp.xplus)),
+        )
+    scale = max(abs(a * c), abs(a * b), 1.0)
+    for name, resid in checks:
+        if abs(resid) > tolerance * scale:
+            raise ValueError(f"coefficient pack inconsistent: {name} = {abs(resid):.3e}")
+    return labels, CoefficientPack(a, b, c, d)
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        labels, pack = build(*args, **kwargs)
+    except ValueError as err:
+        return str(err)
+    return [repr(getattr(labels, f)) for f in ("gamma", "nu", "alpha1", "alpha2")] + \
+        [repr(v) for v in pack]
+
+
+def test_mover_labels_match_the_separate_builders():
+    rng = np.random.default_rng(8)
+    errors = 0
+    for _ in range(40):
+        zp = zhukovski_solve(rng.uniform(0.2, 2.9), rng.uniform(0.0, 3.0),
+                             rng.uniform(0.5, 2.0),
+                             branch=("outside", "inside")[rng.integers(2)])
+        branches = dict(eta_branch=int(rng.integers(2)), nu_branch=int(rng.integers(4)),
+                        gamma_branch=int(rng.integers(2)))
+        for tolerance in (1e-10, 1e-16, 0.0):
+            for build, right in ((left_labels, False), (right_labels, True)):
+                got = _outcome(build, zp, tolerance=tolerance, **branches)
+                want = _outcome(_ref_labels, zp, tolerance=tolerance, right=right,
+                                **branches)
+                assert got == want
+                errors += isinstance(got, str)
+    assert errors  # the error messages were compared too
 
 
 def test_right_moving_action_pattern():
