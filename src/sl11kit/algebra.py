@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .coproduct import CoproductTable, coproduct_matrix, word_matrix
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, word_product
 from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
-                     graded_kron, identity, max_abs, unit, zeros)
+                     identity, max_abs, unit, zeros)
 from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
@@ -156,6 +157,73 @@ def _scalar_part(mat: SuperMatrix, tol: float = 1e-9) -> complex | None:
     if max_abs(mat.m - c * np.eye(mat.space_out.dim)) <= tol * max(1.0, abs(c)):
         return c
     return None
+
+
+# -- Hopf structure: checkers each algebra binds to its coproduct table -------
+
+
+def tensor_rep(table: CoproductTable, rep_a, rep_b) -> GeneratorImage:
+    """rep_a (x) rep_b as a representation: the slices of the pair's coproduct stack."""
+    space = rep_a.space.tensor(rep_b.space)
+    stack = coproduct_stack(table, rep_a, rep_b)
+    return GeneratorImage(space, {name: SuperMatrix(space, space, mat)
+                                  for name, mat in zip(table.names, stack)})
+
+
+def coassociativity_checker(table: CoproductTable, suite: str):
+    """Report of (Delta x id)Delta = (id x Delta)Delta on every generator of ``table``.
+
+    Both sides are coproduct stacks, on (rep_a (x) rep_b, rep_c) and (rep_a, rep_b (x) rep_c).
+    """
+    names = [f"coassoc:{name}" for name in table.names]
+
+    def report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
+        left = coproduct_stack(table, tensor_rep(table, rep_a, rep_b), rep_c)
+        right = coproduct_stack(table, rep_a, tensor_rep(table, rep_b, rep_c))
+        return residual_report(suite, tolerance, names, left, right)
+    return report
+
+
+def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float = 1e-10):
+    """Report of m(S x id)Delta(g) = eps(g) 1 on every generator of ``table``, in one module."""
+    names = [f"antipode:{name}" for name in table.names]
+
+    def report(rep, tolerance: float = tolerance) -> Report:
+        # S(x) on every generator; S reverses products, S(x y) = S(y) S(x)
+        s_rep = GeneratorImage(rep.space, {name: coeff * rep[src]
+                                           for name, (src, coeff) in table.antipode.items()})
+        lhs = [sum(coeff * (word_product(s_rep, left[::-1]) @ word_product(rep, right))
+                   for coeff, left, right in table.terms[name]) for name in table.names]
+        counit = table.counit[:, None, None] * np.eye(rep.space.dim)
+        return residual_report(suite, tolerance, names, lhs, counit)
+    return report
+
+
+def cocommutativity_checker(table: CoproductTable, generators: tuple[str, ...], suite: str,
+                            tolerance: float = 1e-10):
+    """Report of Delta(g) = Delta^op(g) for each of ``generators``."""
+    positions = [table.position(name) for name in generators]
+    names = [f"cocomm:{name}" for name in generators]
+
+    def report(rep_a, rep_b, tolerance: float = tolerance) -> Report:
+        return residual_report(suite, tolerance, names,
+                               coproduct_stack(table, rep_a, rep_b)[positions],
+                               coproduct_stack(table, rep_a, rep_b, opposite=True)[positions])
+    return report
+
+
+def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> GeneratorImage:
+    """Apply the outer automorphism ``rows[name]`` to a representation.
+
+    A row set is (target -> (source, coefficient), coupling map); q and kind are kept.
+    """
+    try:
+        table, alpha_map = rows[name]
+    except KeyError:
+        raise KeyError(f"unknown twist {name!r}; choose from {sorted(rows)}") from None
+    imgs = {g: coeff * rep[src] for g, (src, coeff) in table.items()}
+    alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
+    return GeneratorImage(rep.space, imgs, alpha=alpha, q=rep.q, kind=rep.kind)
 
 
 # -- representation constructors ---------------------------------------------
@@ -301,14 +369,7 @@ COPRODUCT = CoproductTable({
     "k2": ((1, ("k2",), ("u+", "u+")), (1, ("u-", "u-"), ("k2",))),
     "u+": ((1, ("u+",), ("u+",)),),
     "u-": ((1, ("u-",), ("u-",)),),
-})
-
-#: Antipode on generators: name -> (image name, coefficient); u+ <-> u-.
-_ANTIPODE = {name: (name, -1) for name in CLASSICAL_NAMES if not name.startswith("u")}
-_ANTIPODE["u+"] = ("u-", 1)
-_ANTIPODE["u-"] = ("u+", 1)
-
-_COUNIT = {name: (1 if name.startswith("u") else 0) for name in CLASSICAL_NAMES}
+}, inverses={"u+": "u-", "u-": "u+"})
 
 
 def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
@@ -320,55 +381,11 @@ def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
     return coproduct_matrix(COPRODUCT, name, rep_a, rep_b, opposite)
 
 
-def coassociativity_report(rep_a: GeneratorImage, rep_b: GeneratorImage,
-                           rep_c: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """(Delta x id)Delta = (id x Delta)Delta on the triple tensor space.
-
-    Slot products are expanded with Delta as an algebra map, so dressed
-    terms like u+ k1 coproduce as products of the individual coproducts.
-    """
-    r = Report("coassociativity", tolerance)
-    for name in CLASSICAL_NAMES:
-        left = zeros(rep_a.space.tensor(rep_b.space).tensor(rep_c.space),
-                     rep_a.space.tensor(rep_b.space).tensor(rep_c.space), None)
-        right = left
-        for coeff, lf, rf in COPRODUCT.terms[name]:
-            dl = identity(rep_a.space.tensor(rep_b.space))
-            for n in lf:
-                dl = dl @ coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
-            dr = identity(rep_b.space.tensor(rep_c.space))
-            for n in rf:
-                dr = dr @ coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
-        r.add(f"coassoc:{name}", max_abs(left - right))
-    return r
-
-
-def counit_antipode_report(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """m(S x id)Delta(g) = eps(g) 1 evaluated in a single representation."""
-    r = Report("counit-antipode", tolerance)
-    for name in CLASSICAL_NAMES:
-        acc = zeros(rep.space, rep.space)
-        for coeff, left, right in COPRODUCT.terms[name]:
-            s_mat = identity(rep.space)
-            for n in reversed(left):  # antipode is an anti-homomorphism
-                src, sc = _ANTIPODE[n]
-                s_mat = s_mat @ (sc * rep[src])
-            acc = acc + coeff * (s_mat @ word_matrix(rep, right))
-        r.add(f"antipode:{name}", max_abs(acc - _COUNIT[name] * identity(rep.space)))
-    return r
-
-
-def cocommutativity_report(rep_a: GeneratorImage, rep_b: GeneratorImage,
-                           tolerance: float = 1e-10) -> Report:
-    """Delta = Delta^op on the central elements (this is what the k_i constraint buys)."""
-    r = Report("central-cocommutativity", tolerance)
-    for name in ("h1", "h2", "k1", "k2", "u+", "u-"):
-        diff = coproduct_image(name, rep_a, rep_b) - coproduct_image(
-            name, rep_a, rep_b, opposite=True)
-        r.add(f"cocomm:{name}", max_abs(diff))
-    return r
+coassociativity_report = coassociativity_checker(COPRODUCT, "coassociativity")
+counit_antipode_report = counit_antipode_checker(COPRODUCT, "counit-antipode")
+#: Delta = Delta^op on the central elements (this is what the k_i constraint buys).
+cocommutativity_report = cocommutativity_checker(
+    COPRODUCT, ("h1", "h2", "k1", "k2", "u+", "u-"), "central-cocommutativity")
 
 
 # -- fusion and the singlet ---------------------------------------------------
@@ -482,7 +499,9 @@ def singlet_report(labels_a: RepLabels, labels_b: RepLabels,
 # -- twists -------------------------------------------------------------------
 
 #: The three non-trivial involutive outer twists; each entry maps a target
-#: generator to (source generator, coefficient), plus the coupling map.
+#: generator to (source generator, coefficient), plus the coupling map.  The
+#: u-inverting rows also flip the couplings, (a1, a2) -> (-a2, -a1), as the
+#: central-extension constraint requires.
 KLEIN_ROWS = {
     # e_i <-> f_i, k1 <-> k2, h0 -> -h0, u -> u^{-1}
     "ef": ({"e1": ("f1", 1), "e2": ("f2", 1), "f1": ("e1", 1), "f2": ("e2", 1),
@@ -501,20 +520,7 @@ KLEIN_ROWS = {
               lambda a: (-a[1], -a[0])),
 }
 
-
-def klein_twist(name: str, rep: GeneratorImage) -> GeneratorImage:
-    """Apply one of the three involutive outer automorphisms to a representation.
-
-    The u-inverting rows also flip the couplings, (a1, a2) -> (-a2, -a1),
-    as required for the central-extension constraint to survive.
-    """
-    try:
-        table, alpha_map = KLEIN_ROWS[name]
-    except KeyError:
-        raise KeyError(f"unknown twist {name!r}; choose from {sorted(KLEIN_ROWS)}") from None
-    imgs = {g: coeff * rep[src] for g, (src, coeff) in table.items()}
-    alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, imgs, alpha=alpha, kind=rep.kind)
+klein_twist = partial(twist, KLEIN_ROWS)
 
 
 def gl2_twist(a: np.ndarray, b: np.ndarray, rep: GeneratorImage) -> GeneratorImage:

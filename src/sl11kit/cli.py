@@ -217,7 +217,9 @@ def _verify(args) -> int:
             payload["warnings"] = warned
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     if args.format == "csv":
-        text = "".join(r.to_csv() for r in reports)
+        # one header row: drop it from every report after the first
+        tables = [r.to_csv() for r in reports]
+        text = tables[0] + "".join(t.partition("\n")[2] for t in tables[1:])
     else:
         text = json.dumps(payload, indent=2)
     _write(text, args.output)

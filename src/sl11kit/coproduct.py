@@ -10,7 +10,7 @@ representations.  It takes one broadcast graded Kronecker product per term
 position, over all generators at once, and returns a read-only ``(G, n, n)``
 array whose g-th slice is Delta(g).  The opposite coproduct is the
 swapped-pair stack conjugated by the graded permutation, which supplies all
-Koszul signs.
+Koszul signs.  The table also carries the antipode and the counit.
 
 Representations are immutable and hash by identity, so stacks are memoised
 per (table, rep_a, rep_b, opposite), and the table's word products per
@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graded import SuperMatrix, _kron_layout, graded_perm
+from .graded import SuperMatrix, _kron_layout, graded_flip
 
 #: Number of entries each memo keeps alive: stacks per (table, rep_a, rep_b,
 #: opposite), word products per (table, rep).
@@ -32,15 +32,25 @@ STACK_CACHE_SIZE = 32
 
 
 class CoproductTable:
-    """Delta on generators: name -> ((coeff, left word, right word), ...).
+    """Hopf data on generators: Delta as name -> ((coeff, left word, right word), ...),
+    and the group-likes, each mapped to its inverse.
 
-    Hashes by identity; build one per algebra at import time.
+    The antipode and the counit follow: S(g) = g^{-1} and eps(g) = 1 on a
+    group-like; every other generator x is skew-primitive with central
+    dressings, so S(x) = -x and eps(x) = 0.  Hashes by identity; build one
+    per algebra at import time.
     """
 
-    def __init__(self, terms: dict[str, tuple]):
+    def __init__(self, terms: dict[str, tuple], inverses: dict[str, str]):
         self.terms = MappingProxyType(dict(terms))
         self.names = tuple(self.terms)
         self._index = {name: i for i, name in enumerate(self.names)}
+        #: antipode on generators: name -> (image generator, coefficient)
+        self.antipode = MappingProxyType({
+            name: (inverses[name], 1) if name in inverses else (name, -1)
+            for name in self.names})
+        #: eps(g) for g in ``names``
+        self.counit = np.array([1.0 if name in inverses else 0.0 for name in self.names])
         width = max(len(t) for t in self.terms.values())
         padded = [t + ((0, (), ()),) * (width - len(t)) for t in self.terms.values()]
         #: every distinct word of the table, in first-seen order
@@ -90,9 +100,7 @@ def coproduct_stack(table: CoproductTable, rep_a, rep_b,
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _stack(table: CoproductTable, rep_a, rep_b, opposite: bool) -> np.ndarray:
     if opposite:
-        p_ba = graded_perm(rep_b.space, rep_a.space).m
-        p_ab = graded_perm(rep_a.space, rep_b.space).m
-        stack = p_ba @ _stack(table, rep_b, rep_a, False) @ p_ab
+        stack = graded_flip(_stack(table, rep_b, rep_a, False), rep_a.space, rep_b.space)
     else:
         out, inn, sign = _kron_layout(rep_a.space, rep_a.space, rep_b.space, rep_b.space)
         words_a, words_b = _words(table, rep_a), _words(table, rep_b)

@@ -142,9 +142,6 @@ class SuperMatrix:
             raise ValueError("matrix is not parity-homogeneous")
         return ODD if odd_amp > tol else EVEN
 
-    def with_parity(self, parity: int | None) -> "SuperMatrix":
-        return SuperMatrix(self.space_out, self.space_in, self.m, parity)
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -184,11 +181,6 @@ def identity(space: GradedSpace) -> SuperMatrix:
 def zeros(space_out: GradedSpace, space_in: GradedSpace, parity: int | None = EVEN) -> SuperMatrix:
     m = np.zeros((space_out.dim, space_in.dim), dtype=np.complex128)
     return SuperMatrix(space_out, space_in, m, parity)
-
-
-def from_array(arr, space_out: GradedSpace, space_in: GradedSpace | None = None,
-               parity: int | None = None) -> SuperMatrix:
-    return SuperMatrix(space_out, space_in or space_out, np.asarray(arr), parity)
 
 
 # -- graded operations ------------------------------------------------------
@@ -240,6 +232,11 @@ def graded_perm(v: GradedSpace, w: GradedSpace) -> SuperMatrix:
             sign = -1.0 if v.parity[c] * w.parity[d] else 1.0
             m[d * v.dim + c, c * w.dim + d] = sign
     return SuperMatrix(out, inn, m, EVEN)
+
+
+def graded_flip(x: np.ndarray, v: GradedSpace, w: GradedSpace) -> np.ndarray:
+    """An operator on w (x) v, or a stack of them, carried to v (x) w by graded permutations."""
+    return graded_perm(w, v).m @ x @ graded_perm(v, w).m
 
 
 def graded_comm(a: SuperMatrix, b: SuperMatrix,

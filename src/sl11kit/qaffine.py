@@ -21,12 +21,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .coproduct import (CoproductTable, coproduct_matrix, coproduct_stack,
-                        word_matrix)
-from .graded import (ODD, GradedSpace, SuperMatrix, bracket_table, graded_comm,
-                     graded_kron, identity, max_abs, zeros)
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack
+from .graded import ODD, GradedSpace, SuperMatrix, bracket_table, graded_comm, max_abs
 from .qalgebra import QRepLabels, q_atypical_rep
-from .algebra import GeneratorImage
+from .algebra import GeneratorImage, coassociativity_checker
 from .report import Report, residual_report
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
@@ -247,7 +245,9 @@ for _i, _dress in ((1, "U"), (2, "U"), (3, "V"), (4, "V")):
                             (1, (_m, f"K{_i}+"), (f"F{_i}",)))
 for _c in GROUP_LIKE:
     _aff_terms[_c] = ((1, (_c,), (_c,)),)
-AFFINE_COPRODUCT = CoproductTable({name: _aff_terms[name] for name in AFFINE_NAMES})
+AFFINE_COPRODUCT = CoproductTable(
+    {name: _aff_terms[name] for name in AFFINE_NAMES},
+    inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in GROUP_LIKE})
 
 
 def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
@@ -257,24 +257,8 @@ def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
     return coproduct_matrix(AFFINE_COPRODUCT, name, rep_a, rep_b, opposite)
 
 
-def affine_coassociativity_report(rep_a: AffineRep, rep_b: AffineRep,
-                                  rep_c: AffineRep, tolerance: float = 1e-10) -> Report:
-    r = Report("affine-coassociativity", tolerance)
-    for name in AFFINE_NAMES:
-        space3 = rep_a.space.tensor(rep_b.space).tensor(rep_c.space)
-        left = zeros(space3, space3, None)
-        right = left
-        for coeff, lf, rf in AFFINE_COPRODUCT.terms[name]:
-            dl = identity(rep_a.space.tensor(rep_b.space))
-            for n in lf:
-                dl = dl @ affine_coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
-            dr = identity(rep_b.space.tensor(rep_c.space))
-            for n in rf:
-                dr = dr @ affine_coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
-        r.add(f"coassoc:{name}", max_abs(left - right))
-    return r
+affine_coassociativity_report = coassociativity_checker(AFFINE_COPRODUCT,
+                                                        "affine-coassociativity")
 
 
 def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
@@ -315,11 +299,9 @@ def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,
     rmat = rq_closed(labels_a, labels_b).m
     d = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)
     dop = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b, opposite=True)
-    residuals = np.abs(dop @ rmat - rmat @ d).max(axis=(1, 2))
-    r = Report("affine-intertwining", tolerance)
-    for name, res in zip(AFFINE_COPRODUCT.names, residuals):
-        r.add(f"intertwine:{name}", res)
-    return r
+    return residual_report("affine-intertwining", tolerance,
+                           [f"intertwine:{name}" for name in AFFINE_COPRODUCT.names],
+                           dop @ rmat, rmat @ d)
 
 
 def upper_nodes_subalgebra(rep: AffineRep) -> GeneratorImage:

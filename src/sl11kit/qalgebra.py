@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .algebra import AtypicalLocusWarning, GeneratorImage, SingletPreconditionError
-from .coproduct import CoproductTable, coproduct_matrix, word_matrix
+from .algebra import (AtypicalLocusWarning, DegenerateFusionError, GeneratorImage,
+                      SingletPreconditionError, coassociativity_checker,
+                      cocommutativity_checker, counit_antipode_checker, twist)
+from .coproduct import CoproductTable, coproduct_matrix
 from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
-                     graded_comm, graded_kron, identity, max_abs, unit, zeros)
-from .report import Report, residual_report
+                     graded_comm, identity, max_abs, unit)
+from .report import Report, c2j, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
            "L1+", "L1-", "L2+", "L2-", "U+", "U-")
@@ -140,7 +143,6 @@ class QRepLabels:
                 g2 * self.alpha2 * self.br_mu2 - self.br_lam1)
 
     def to_dict(self) -> dict:
-        from .report import c2j
         return {
             "gamma": c2j(self.gamma), "nu": c2j(self.nu), "q": c2j(self.q),
             "qlam1": c2j(self.qlam1), "qlam2": c2j(self.qlam2),
@@ -360,13 +362,7 @@ Q_COPRODUCT = CoproductTable({
     "F1": ((1, ("F1",), ("U+", "K1-")), (1, ("U-", "K1+"), ("F1",))),
     "F2": ((1, ("F2",), ("U-", "K2-")), (1, ("U+", "K2+"), ("F2",))),
     **{c: ((1, (c,), (c,)),) for c in _GROUP_LIKE},
-})
-
-#: S(E_i) = -E_i, S(F_i) = -F_i, S(C) = C^{-1} on group-likes.
-_Q_ANTIPODE = {"E1": ("E1", -1), "E2": ("E2", -1), "F1": ("F1", -1), "F2": ("F2", -1)}
-for _c in _GROUP_LIKE:
-    _Q_ANTIPODE[_c] = (_c[:-1] + ("-" if _c.endswith("+") else "+"), 1)
-
+}, inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in _GROUP_LIKE})
 
 def q_coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
                       opposite: bool = False) -> SuperMatrix:
@@ -374,49 +370,11 @@ def q_coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
     return coproduct_matrix(Q_COPRODUCT, name, rep_a, rep_b, opposite)
 
 
-def q_coassociativity_report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
-    r = Report("q-coassociativity", tolerance)
-    for name in Q_NAMES:
-        space3 = rep_a.space.tensor(rep_b.space).tensor(rep_c.space)
-        left = zeros(space3, space3, None)
-        right = left
-        for coeff, lf, rf in Q_COPRODUCT.terms[name]:
-            dl = identity(rep_a.space.tensor(rep_b.space))
-            for n in lf:
-                dl = dl @ q_coproduct_image(n, rep_a, rep_b)
-            left = left + coeff * graded_kron(dl, word_matrix(rep_c, rf))
-            dr = identity(rep_b.space.tensor(rep_c.space))
-            for n in rf:
-                dr = dr @ q_coproduct_image(n, rep_b, rep_c)
-            right = right + coeff * graded_kron(word_matrix(rep_a, lf), dr)
-        r.add(f"coassoc:{name}", max_abs(left - right))
-    return r
-
-
-def q_counit_antipode_report(rep: GeneratorImage, tolerance: float = 1e-12) -> Report:
-    """m(S x id)Delta(g) = eps(g) 1 in a single deformed representation."""
-    r = Report("q-counit-antipode", tolerance)
-    for name in Q_NAMES:
-        acc = zeros(rep.space, rep.space)
-        for coeff, left, right in Q_COPRODUCT.terms[name]:
-            s_mat = identity(rep.space)
-            for n in reversed(left):
-                src, sc = _Q_ANTIPODE[n]
-                s_mat = s_mat @ (sc * rep[src])
-            acc = acc + coeff * (s_mat @ word_matrix(rep, right))
-        eps = 1 if name in _GROUP_LIKE else 0
-        r.add(f"antipode:{name}", max_abs(acc - eps * identity(rep.space)))
-    return r
-
-
-def q_cocommutativity_report(rep_a, rep_b, tolerance: float = 1e-12) -> Report:
-    """Group-like elements are exactly co-commutative."""
-    r = Report("q-cocommutativity", tolerance)
-    for name in _GROUP_LIKE:
-        diff = q_coproduct_image(name, rep_a, rep_b) - q_coproduct_image(
-            name, rep_a, rep_b, opposite=True)
-        r.add(f"cocomm:{name}", max_abs(diff))
-    return r
+q_coassociativity_report = coassociativity_checker(Q_COPRODUCT, "q-coassociativity")
+q_counit_antipode_report = counit_antipode_checker(Q_COPRODUCT, "q-counit-antipode", 1e-12)
+#: Group-like elements are exactly co-commutative.
+q_cocommutativity_report = cocommutativity_checker(Q_COPRODUCT, _GROUP_LIKE,
+                                                   "q-cocommutativity", 1e-12)
 
 
 def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
@@ -483,7 +441,6 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
     bm1, bm2 = qbracket_of_power(qmu1t, q), qbracket_of_power(qmu2t, q)
     scale = max(abs(bl1 * bl2), abs(a1 * a2 * bm1 * bm2), 1.0)
     if abs(bl1 * bl2 - a1 * a2 * bm1 * bm2) <= 1e-10 * scale:
-        from .algebra import DegenerateFusionError
         raise DegenerateFusionError(
             "fused weights satisfy the deformed shortening constraint")
 
@@ -504,9 +461,8 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
     r.add("E1.v21", max_abs(cop("E1").m @ v21 - (a1 * bm1 * v1 - bl1 * v2)))
     r.add("E2.v21", max_abs(cop("E2").m @ v21 - (bl2 * v1 - a2 * bm2 * v2)))
 
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", AtypicalLocusWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AtypicalLocusWarning)
         target = q_typical_from_powers(k1t, k2t, nut, q, labels_a.alpha)
     binv = np.linalg.inv(basis)
     for name in Q_NAMES:
@@ -563,31 +519,24 @@ def q_singlet_report(labels_a: QRepLabels, labels_b: QRepLabels,
 
 # -- Klein-four twists ---------------------------------------------------------
 
+#: Involutive outer twists of the deformed algebra, with the coupling swaps,
+#: in the format of :data:`.algebra.KLEIN_ROWS`.
 Q_KLEIN_ROWS = {
-    "ef": ({"E1": "F1", "E2": "F2", "F1": "E1", "F2": "E2",
-            "K1+": "K1+", "K1-": "K1-", "K2+": "K2+", "K2-": "K2-",
-            "L1+": "L2+", "L1-": "L2-", "L2+": "L1+", "L2-": "L1-",
-            "K0+": "K0-", "K0-": "K0+", "U+": "U-", "U-": "U+"},
+    "ef": ({"E1": ("F1", 1), "E2": ("F2", 1), "F1": ("E1", 1), "F2": ("E2", 1),
+            "K1+": ("K1+", 1), "K1-": ("K1-", 1), "K2+": ("K2+", 1), "K2-": ("K2-", 1),
+            "L1+": ("L2+", 1), "L1-": ("L2-", 1), "L2+": ("L1+", 1), "L2-": ("L1-", 1),
+            "K0+": ("K0-", 1), "K0-": ("K0+", 1), "U+": ("U-", 1), "U-": ("U+", 1)},
            lambda a: (a[1], a[0])),
-    "ef_cross": ({"E1": "F2", "E2": "F1", "F1": "E2", "F2": "E1",
-                  "K1+": "K2+", "K1-": "K2-", "K2+": "K1+", "K2-": "K1-",
-                  "L1+": "L1+", "L1-": "L1-", "L2+": "L2+", "L2-": "L2-",
-                  "K0+": "K0-", "K0-": "K0+", "U+": "U+", "U-": "U-"},
+    "ef_cross": ({"E1": ("F2", 1), "E2": ("F1", 1), "F1": ("E2", 1), "F2": ("E1", 1),
+                  "K1+": ("K2+", 1), "K1-": ("K2-", 1), "K2+": ("K1+", 1), "K2-": ("K1-", 1),
+                  "L1+": ("L1+", 1), "L1-": ("L1-", 1), "L2+": ("L2+", 1), "L2-": ("L2-", 1),
+                  "K0+": ("K0-", 1), "K0-": ("K0+", 1), "U+": ("U+", 1), "U-": ("U-", 1)},
                  lambda a: a),
-    "nodes": ({"E1": "E2", "E2": "E1", "F1": "F2", "F2": "F1",
-               "K1+": "K2+", "K1-": "K2-", "K2+": "K1+", "K2-": "K1-",
-               "L1+": "L2+", "L1-": "L2-", "L2+": "L1+", "L2-": "L1-",
-               "K0+": "K0+", "K0-": "K0-", "U+": "U-", "U-": "U+"},
+    "nodes": ({"E1": ("E2", 1), "E2": ("E1", 1), "F1": ("F2", 1), "F2": ("F1", 1),
+               "K1+": ("K2+", 1), "K1-": ("K2-", 1), "K2+": ("K1+", 1), "K2-": ("K1-", 1),
+               "L1+": ("L2+", 1), "L1-": ("L2-", 1), "L2+": ("L1+", 1), "L2-": ("L1-", 1),
+               "K0+": ("K0+", 1), "K0-": ("K0-", 1), "U+": ("U-", 1), "U-": ("U+", 1)},
               lambda a: (a[1], a[0])),
 }
 
-
-def q_klein_twist(name: str, rep: GeneratorImage) -> GeneratorImage:
-    """Involutive outer twists of the deformed algebra, with the coupling swaps."""
-    try:
-        table, alpha_map = Q_KLEIN_ROWS[name]
-    except KeyError:
-        raise KeyError(f"unknown twist {name!r}; choose from {sorted(Q_KLEIN_ROWS)}") from None
-    imgs = {g: rep[src] for g, src in table.items()}
-    alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, imgs, alpha=alpha, q=rep.q, kind="q")
+q_klein_twist = partial(twist, Q_KLEIN_ROWS)

@@ -31,7 +31,7 @@ from .coproduct import coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
                      identity, max_abs, unit)
 from .qalgebra import Q_COPRODUCT, QRepLabels
-from .report import Report
+from .report import Report, residual_report
 
 _T2 = C11.tensor(C11)
 
@@ -194,11 +194,8 @@ def intertwining_report(r: np.ndarray | RMatrix, rep_a: GeneratorImage,
     """Residuals of Delta_op(a) R - R Delta(a) for every generator."""
     mat = r.m if isinstance(r, RMatrix) else np.asarray(r)
     dop, d = _coproduct_stacks(rep_a, rep_b)
-    residuals = np.abs(dop @ mat - mat @ d).max(axis=(1, 2))
-    rpt = Report("intertwining", tolerance)
-    for name, res in zip(rep_a.names, residuals):
-        rpt.add(f"intertwine:{name}", res)
-    return rpt
+    return residual_report("intertwining", tolerance,
+                           [f"intertwine:{name}" for name in rep_a.names], dop @ mat, mat @ d)
 
 
 def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,

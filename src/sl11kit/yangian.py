@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import GeneratorImage, RepLabels, atypical_rep
 from .coproduct import word_matrix
-from .graded import SuperMatrix, bracket_table, graded_kron, graded_perm, max_abs
+from .graded import SuperMatrix, bracket_table, graded_flip, graded_kron, max_abs
 from .report import Report, residual_report
 
 FAMILIES = ("e1", "e2", "f1", "f2", "h1", "h2", "k1", "k2", "h0")
@@ -199,17 +199,16 @@ def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
         raise KeyError(f"unknown family {name!r}")
     if r < 0:
         raise ValueError("negative level")
+    space = rep_a.space.tensor(rep_b.space)
     if opposite:
-        swapped = yangian_coproduct(name, r, rep_b, rep_a, eps)
-        return (graded_perm(rep_b.space, rep_a.space) @ swapped
-                @ graded_perm(rep_a.space, rep_b.space))
+        swapped = yangian_coproduct(name, r, rep_b, rep_a, eps).m
+        return SuperMatrix(space, space, graded_flip(swapped, rep_a.space, rep_b.space))
     scalars = {}
     for coeff, left, right in _tail_terms(name, r, *eps):
         words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
         scale = (coeff * rep_a.rho ** sum(lvl for _, lvl in left)
                  * rep_b.rho ** sum(lvl for _, lvl in right))
         scalars[words] = scalars.get(words, 0) + scale
-    space = rep_a.space.tensor(rep_b.space)
     total = np.zeros((space.dim, space.dim), dtype=np.complex128)
     for (left, right), scale in scalars.items():
         total += scale * graded_kron(word_matrix(rep_a.base, left),
