@@ -22,7 +22,8 @@ from .rmatrix import (RMatrix, conjugate_r, conjugate_rep, conjugated_pair,
                       intertwining_report, r_closed, r_solve, r_trig, rq_closed,
                       slot_coefficients, unitarity_check, ybe_residual)
 from .yangian import (EvalRep, TruncatedCurrent, antipode_report,
-                      coproduct_hom_report, current_relations_report, currents,
+                      coproduct_hom_report, coproduct_tower,
+                      current_relations_report, currents,
                       eval_rep, k_cocommutativity_report, kir_report,
                       level_bracket_report, omega_twist_equivalence,
                       scaled_eval_pair, yangian_coproduct, yangian_intertwine)

@@ -20,7 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, word_product
+from .coproduct import (CoproductTable, coassociativity_stacks, coproduct_matrix,
+                        coproduct_stack, word_product)
 from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
                      identity, max_abs, unit, zeros)
 from .report import Report, c2j, residual_report
@@ -162,24 +163,15 @@ def _scalar_part(mat: SuperMatrix, tol: float = 1e-9) -> complex | None:
 # -- Hopf structure: checkers each algebra binds to its coproduct table -------
 
 
-def tensor_rep(table: CoproductTable, rep_a, rep_b) -> GeneratorImage:
-    """rep_a (x) rep_b as a representation: the slices of the pair's coproduct stack."""
-    space = rep_a.space.tensor(rep_b.space)
-    stack = coproduct_stack(table, rep_a, rep_b)
-    return GeneratorImage(space, {name: SuperMatrix(space, space, mat)
-                                  for name, mat in zip(table.names, stack)})
-
-
 def coassociativity_checker(table: CoproductTable, suite: str):
     """Report of (Delta x id)Delta = (id x Delta)Delta on every generator of ``table``.
 
-    Both sides are coproduct stacks, on (rep_a (x) rep_b, rep_c) and (rep_a, rep_b (x) rep_c).
+    Both sides are :func:`.coproduct.coassociativity_stacks`.
     """
     names = [f"coassoc:{name}" for name in table.names]
 
     def report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
-        left = coproduct_stack(table, tensor_rep(table, rep_a, rep_b), rep_c)
-        right = coproduct_stack(table, rep_a, tensor_rep(table, rep_b, rep_c))
+        left, right = coassociativity_stacks(table, rep_a, rep_b, rep_c)
         return residual_report(suite, tolerance, names, left, right)
     return report
 

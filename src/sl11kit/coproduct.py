@@ -10,7 +10,9 @@ representations.  It takes one broadcast graded Kronecker product per term
 position, over all generators at once, and returns a read-only ``(G, n, n)``
 array whose g-th slice is Delta(g).  The opposite coproduct is the
 swapped-pair stack conjugated by the graded permutation, which supplies all
-Koszul signs.  The table also carries the antipode and the counit.
+Koszul signs.  :func:`coassociativity_stacks` gives both sides of
+coassociativity on a triple.  The table also carries the antipode and the
+counit.
 
 Representations are immutable and hash by identity, so stacks are memoised
 per (table, rep_a, rep_b, opposite), and the table's word products per
@@ -19,7 +21,7 @@ their keys, so an object id is never reused while its entry is live.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -97,20 +99,56 @@ def coproduct_stack(table: CoproductTable, rep_a, rep_b,
     return _stack(table, rep_a, rep_b, bool(opposite))
 
 
+def coassociativity_stacks(table: CoproductTable, rep_a, rep_b, rep_c):
+    """(Delta x id)Delta and (id x Delta)Delta on rep_a (x) rep_b (x) rep_c, as two stacks.
+
+    They are the Delta stacks of (rep_a (x) rep_b, rep_c) and of
+    (rep_a, rep_b (x) rep_c), where a tensor module's generators act by the
+    slices of its pair's stack.  The tensor modules live for one call, so
+    their word products and these two stacks enter no memo; the pair stacks
+    and the word products of the three given modules do.
+    """
+    ab, bc = coproduct_stack(table, rep_a, rep_b), coproduct_stack(table, rep_b, rep_c)
+    left = kron_sum(table.columns, rep_a.space.tensor(rep_b.space), rep_c.space,
+                    _slice_words(table, ab), _words(table, rep_c))
+    right = kron_sum(table.columns, rep_a.space, rep_b.space.tensor(rep_c.space),
+                     _words(table, rep_a), _slice_words(table, bc))
+    return left, right
+
+
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _stack(table: CoproductTable, rep_a, rep_b, opposite: bool) -> np.ndarray:
     if opposite:
         stack = graded_flip(_stack(table, rep_b, rep_a, False), rep_a.space, rep_b.space)
     else:
-        out, inn, sign = _kron_layout(rep_a.space, rep_a.space, rep_b.space, rep_b.space)
-        words_a, words_b = _words(table, rep_a), _words(table, rep_b)
-        stack = 0
-        for coeff, left, right in table.columns:
-            a, b = words_a[left], words_b[right]
-            stack = stack + coeff * (a[:, :, None, :, None] * b[:, None, :, None, :] * sign)
-        stack = stack.reshape(len(table.names), out.dim, inn.dim)
+        stack = kron_sum(table.columns, rep_a.space, rep_b.space,
+                         _words(table, rep_a), _words(table, rep_b))
     stack.setflags(write=False)
     return stack
+
+
+def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
+    """``(R, n, n)`` stack of row sums of coeff * (left word (x) right word).
+
+    Each column is (coefficients shaped ``(R, 1, 1, 1, 1)``, left word index
+    per row, right word index per row) into the ``(W, n, n)`` word products
+    ``words_a`` on ``space_a`` and ``words_b`` on ``space_b``.  One broadcast
+    graded Kronecker product per column; columns are summed in order.
+    """
+    out, inn, sign = _kron_layout(space_a, space_a, space_b, space_b)
+    stack = 0
+    for coeff, left, right in columns:
+        a, b = words_a[left], words_b[right]
+        stack = stack + coeff * (a[:, :, None, :, None] * b[:, None, :, None, :] * sign)
+    return stack.reshape(-1, out.dim, inn.dim)
+
+
+def _slice_words(table: CoproductTable, stack: np.ndarray) -> np.ndarray:
+    """``(W, n, n)`` word products over ``table.words`` of the module whose
+    generators act by the slices of ``stack``."""
+    eye = np.eye(stack.shape[-1], dtype=np.complex128)
+    return np.stack([reduce(np.matmul, [stack[table.position(name)] for name in word])
+                     if word else eye for word in table.words])
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)

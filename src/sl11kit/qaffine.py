@@ -269,8 +269,8 @@ def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
     q = rep_a.q
     qq = q - 1 / q
 
-    def cop(n, opp=False):
-        return affine_coproduct_image(n, rep_a, rep_b, opp)
+    def cop(n):
+        return affine_coproduct_image(n, rep_a, rep_b)
 
     r = Report("affine-coproduct-homomorphism", tolerance)
     for i, j in ((1, 2), (2, 1)):

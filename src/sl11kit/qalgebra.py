@@ -388,8 +388,8 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     a1, a2 = rep_a.alpha
     q = rep_a.q
 
-    def cop(n, opposite=False):
-        return q_coproduct_image(n, rep_a, rep_b, opposite)
+    def cop(n):
+        return q_coproduct_image(n, rep_a, rep_b)
 
     r = Report("q-coproduct-homomorphism", tolerance)
     qq = q - 1 / q

@@ -3,9 +3,12 @@
 Level-r generators act as rho^r times the level-0 matrices, where rho is
 the scalar by which (u^2 h1 - u^{-2} h2)/(u^2 - u^{-2}) acts on an atypical
 module.  The level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is
-the canonical one) is assembled with its terms grouped by level-0 word:
-each (left word, right word) pair takes one graded tensor product, scaled
-by its terms' coefficients times powers of the two evaluation parameters.
+the canonical one) is evaluated on a pair of modules as one tower: every
+family at every level up to r_max, from one graded tensor product per
+distinct (left word, right word) level-0 pair, each scaled by its terms'
+coefficients times powers of the two evaluation parameters.  The
+homomorphism, cocommutativity, omega-twist and intertwining reports read
+slices of the memoised tower.
 Drinfeld currents are handled as matrix-valued polynomials in 1/z
 truncated at a configurable order.
 
@@ -15,15 +18,21 @@ normal-ordered arithmetic is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import GeneratorImage, RepLabels, atypical_rep
-from .coproduct import word_matrix
-from .graded import SuperMatrix, bracket_table, graded_flip, graded_kron, max_abs
+from .coproduct import STACK_CACHE_SIZE, kron_sum
+from .graded import SuperMatrix, bracket_table, graded_flip, max_abs
 from .report import Report, residual_report
+from .rmatrix import r_closed
 
 FAMILIES = ("e1", "e2", "f1", "f2", "h1", "h2", "k1", "k2", "h0")
+
+
+class SingularEvaluationError(ValueError):
+    """nu^4 = 1: the evaluation parameter rho has a vanishing denominator."""
 
 
 @dataclass(frozen=True)
@@ -47,11 +56,12 @@ def eval_rep(labels: RepLabels) -> EvalRep:
     """Evaluation representation on an atypical module.
 
     rho = (nu^2 lambda1 - nu^{-2} lambda2)/(nu^2 - nu^{-2}); requires
-    nu^4 != 1 so the denominator is invertible.
+    nu^4 != 1 so the denominator is invertible; raises
+    :class:`SingularEvaluationError` otherwise.
     """
     denom = labels.nu**2 - labels.nu**-2
     if abs(denom) < 1e-12:
-        raise ValueError("nu^4 = 1 makes the evaluation parameter rho singular")
+        raise SingularEvaluationError("nu^4 = 1 makes the evaluation parameter rho singular")
     rho = (labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2) / denom
     return EvalRep(atypical_rep(labels), rho)
 
@@ -185,72 +195,200 @@ def _tail_terms(name: str, r: int, eps1: complex, eps2: complex):
     return terms
 
 
+#: Stand-ins for eps1 and eps2 while :func:`_tail_terms` is walked for the
+#: tower layout; every coefficient it forms is one of 1, +-eps1, +-eps2.
+_EPS_CODES = (2, 3)
+#: coefficient stand-in -> slot of the coefficient vector (1, eps1, eps2, -eps1, -eps2, 0)
+_COEFF_SLOT = {1: 0, 2: 1, 3: 2, -2: 3, -3: 4}
+_PAD_SLOT = 5
+
+
+@lru_cache(maxsize=STACK_CACHE_SIZE)
+def _tower_layout(r_max: int):
+    """The level coproducts of all families at levels 0..r_max, as index tables.
+
+    Returns (letters, spelled, pair index, terms).  The distinct (left,
+    right) level-0 word pairs are numbered across families; ``spelled``
+    (``(2, Q, D)``) spells each pair's left and right word as indices into
+    ``letters``, padded with the index ``len(letters)`` of the identity.
+    Row (family, r) lists its pairs in first-seen :func:`_tail_terms` order
+    (``pair index``, ``(F (R+1), P)``), and ``terms`` holds, per pair, the
+    coefficient slot, left level and right level of its terms in order,
+    padded with zero terms to a common ``(3, F (R+1), P, K)`` shape.  Built
+    once per r_max: it depends on nothing else.
+    """
+    pairs = {}
+    rows = []
+    for name in FAMILIES:
+        for r in range(r_max + 1):
+            groups = {}
+            for coeff, left, right in _tail_terms(name, r, *_EPS_CODES):
+                words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
+                groups.setdefault(words, []).append(
+                    (_COEFF_SLOT[coeff], sum(lvl for _, lvl in left),
+                     sum(lvl for _, lvl in right)))
+            rows.append([(pairs.setdefault(words, len(pairs)), terms)
+                         for words, terms in groups.items()])
+    width = max(len(row) for row in rows)
+    depth = max(len(terms) for row in rows for _, terms in row)
+    index = np.zeros((len(rows), width), dtype=int)
+    terms = np.zeros((3, len(rows), width, depth), dtype=int)
+    terms[0] = _PAD_SLOT
+    for i, row in enumerate(rows):
+        for p, (pair, group) in enumerate(row):
+            index[i, p] = pair
+            terms[:, i, p, :len(group)] = np.array(group).T
+    letters = tuple(dict.fromkeys(g for pair in pairs for word in pair for g in word))
+    length = max(len(word) for pair in pairs for word in pair)
+    spelled = np.full((2, len(pairs), length), len(letters))
+    for q, pair in enumerate(pairs):
+        for side, word in enumerate(pair):
+            spelled[side, q, :len(word)] = [letters.index(g) for g in word]
+    for table in (spelled, index, terms):
+        table.setflags(write=False)
+    return letters, spelled, index, terms
+
+
+def _spelled_words(rep: GeneratorImage, letters, spelled: np.ndarray) -> np.ndarray:
+    """``(Q, n, n)`` products of the spelled words in ``rep``, left to right.
+
+    A word is padded with identities to a common length; a product by an
+    identity is exact, so each entry equals the word's plain product.
+    """
+    images = np.stack([rep[g].m for g in letters] + [np.eye(rep.space.dim)])
+    words = images[spelled[:, 0]]
+    for column in spelled.T[1:]:
+        words = words @ images[column]
+    return words
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise complex product rounded as Python's complex type rounds it.
+
+    numpy's vector loops fuse the multiply-add of a complex product; forming
+    the real and imaginary parts separately keeps the scalar rounding, so the
+    scalar table equals the one built term by term in Python.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray:
+    """``(F, R+1, n, n)`` array of Delta_eps(g_{f,r}), built without the memo."""
+    letters, spelled, index, (slot, level_a, level_b) = _tower_layout(r_max)
+    eps1, eps2 = complex(eps[0]), complex(eps[1])
+    coeffs = np.array([1, eps1, eps2, -eps1, -eps2, 0], dtype=np.complex128)
+    powers_a = np.array([rep_a.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
+    powers_b = np.array([rep_b.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
+    terms = _product(_product(coeffs[slot], powers_a[level_a]), powers_b[level_b])
+    scalars = 0
+    for k in range(terms.shape[-1]):
+        scalars = scalars + terms[..., k]
+    # pair position p of every row is one column: the pair's scalar, its words
+    columns = [(scalars[:, p, None, None, None, None], index[:, p], index[:, p])
+               for p in range(index.shape[1])]
+    tower = kron_sum(columns, rep_a.space, rep_b.space,
+                     _spelled_words(rep_a.base, letters, spelled[0]),
+                     _spelled_words(rep_b.base, letters, spelled[1]))
+    return tower.reshape(len(FAMILIES), r_max + 1, *tower.shape[1:])
+
+
+def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
+                    eps: tuple[complex, complex] = (1.0, 1.0), r_max: int = 4,
+                    opposite: bool = False) -> np.ndarray:
+    """Read-only ``(F, R+1, n, n)`` array of Delta_eps(g_{f,r}), or Delta_eps^op.
+
+    The first axis follows :data:`FAMILIES`, the second the levels 0..r_max.
+    A level-r factor acts as rho^r times its level-0 image, so the tower is
+    one graded Kronecker product per distinct level-0 word pair, weighted
+    by a scalar table of coeff * rho_a^La * rho_b^Lb summed per pair, and
+    Delta^op is the graded flip of the swapped pair's tower.  Memoised per
+    (rep_a, rep_b, eps, r_max, opposite).
+    """
+    if r_max < 0:
+        raise ValueError("negative level")
+    # positional, normalised arguments: one cache entry whatever the call form
+    return _tower(rep_a, rep_b, (complex(eps[0]), complex(eps[1])), int(r_max), bool(opposite))
+
+
+@lru_cache(maxsize=STACK_CACHE_SIZE)
+def _tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int, opposite: bool) -> np.ndarray:
+    if opposite:
+        tower = graded_flip(_tower(rep_b, rep_a, eps, r_max, False), rep_a.space, rep_b.space)
+    else:
+        tower = _direct_tower(rep_a, rep_b, eps, r_max)
+    tower.setflags(write=False)
+    return tower
+
+
 def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
                       eps: tuple[complex, complex] = (1.0, 1.0),
                       opposite: bool = False) -> SuperMatrix:
-    """Matrix of Delta_eps(g_{., r}) on the tensor of two evaluation modules.
-
-    A level-r factor acts as rho^r times its level-0 image, so each term of
-    :func:`_tail_terms` is a scalar coeff * rho_a^La * rho_b^Lb times the
-    graded tensor product of its two level-0 words.  Terms sharing a word
-    pair are summed as scalars first: at most four products per call.
-    """
+    """Matrix of Delta_eps(g_{., r}) on the tensor of two evaluation modules:
+    one slice of :func:`coproduct_tower`."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}")
     if r < 0:
         raise ValueError("negative level")
     space = rep_a.space.tensor(rep_b.space)
-    if opposite:
-        swapped = yangian_coproduct(name, r, rep_b, rep_a, eps).m
-        return SuperMatrix(space, space, graded_flip(swapped, rep_a.space, rep_b.space))
-    scalars = {}
-    for coeff, left, right in _tail_terms(name, r, *eps):
-        words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
-        scale = (coeff * rep_a.rho ** sum(lvl for _, lvl in left)
-                 * rep_b.rho ** sum(lvl for _, lvl in right))
-        scalars[words] = scalars.get(words, 0) + scale
-    total = np.zeros((space.dim, space.dim), dtype=np.complex128)
-    for (left, right), scale in scalars.items():
-        total += scale * graded_kron(word_matrix(rep_a.base, left),
-                                     word_matrix(rep_b.base, right)).m
-    return SuperMatrix(space, space, total)
+    tower = coproduct_tower(rep_a, rep_b, eps, r, opposite)
+    return SuperMatrix(space, space, tower[FAMILIES.index(name), r])
+
+
+def _level_report(suite: str, tolerance: float, prefix: str, families, lhs, rhs) -> Report:
+    """Residuals of two ``(len(families), R+1, n, n)`` towers, one case
+    ``prefix:family,r`` per family and level, family by family."""
+    names = [f"{prefix}:{name},{r}" for name in families for r in range(lhs.shape[1])]
+    n = lhs.shape[-1]
+    return residual_report(suite, tolerance, names, lhs.reshape(-1, n, n), rhs.reshape(-1, n, n))
+
+
+#: Anticommuted families (a, b, t): {D(a,r), D(b,s)} = D(t,r+s).
+_HOM_ANTICOMMUTED = (("e1", "f1", "h1"), ("e2", "f2", "h2"),
+                     ("e1", "f2", "k1"), ("e2", "f1", "k2"))
+#: Families commuted with h0 (a, sign): [D(h0,r), D(a,s)] = sign D(a,r+s).
+_HOM_H0 = (("e1", 1), ("e2", 1), ("f1", -1), ("f2", -1))
 
 
 def coproduct_hom_report(rep_a: EvalRep, rep_b: EvalRep, rs_max: int = 4,
                          eps: tuple[complex, complex] = (1.0, 1.0),
                          tolerance: float = 1e-10) -> Report:
-    """Homomorphism property of the level coproduct on the defining brackets."""
-    rpt = Report("yangian-coproduct-homomorphism", tolerance)
-    memo = {}
+    """Homomorphism property of the level coproduct on the defining brackets.
 
-    def cop(name, r):
-        if (name, r) not in memo:
-            memo[name, r] = yangian_coproduct(name, r, rep_a, rep_b, eps)
-        return memo[name, r]
-
-    targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
-               ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
+    Every bracket X Y -+ Y X is taken from two batched products of tower slices.
+    """
+    tower = coproduct_tower(rep_a, rep_b, eps, rs_max)
+    fam = FAMILIES.index
+    # per case: a, r, b, s, target family, target level, (-1)^{p_a p_b}, sign
+    names, index = [], []
     for r in range(rs_max + 1):
         for s in range(rs_max + 1 - r):
-            for (a, b), t in targets.items():
-                lhs = cop(a, r) @ cop(b, s) + cop(b, s) @ cop(a, r)
-                rpt.add(f"[D({a},{r}),D({b},{s})]", max_abs(lhs - cop(t, r + s)))
-            for a, sign in (("e1", 1), ("e2", 1), ("f1", -1), ("f2", -1)):
-                lhs = cop("h0", r) @ cop(a, s) - cop(a, s) @ cop("h0", r)
-                rpt.add(f"[D(h0,{r}),D({a},{s})]", max_abs(lhs - sign * cop(a, r + s)))
-    return rpt
+            for a, b, t in _HOM_ANTICOMMUTED:
+                names.append(f"[D({a},{r}),D({b},{s})]")
+                index.append((fam(a), r, fam(b), s, fam(t), r + s, -1, 1))
+            for a, sign in _HOM_H0:
+                names.append(f"[D(h0,{r}),D({a},{s})]")
+                index.append((fam("h0"), r, fam(a), s, fam(a), r + s, 1, sign))
+    ia, ir, ib, is_, it, irs, swap, sign = np.array(index).T
+    x, y = tower[ia, ir], tower[ib, is_]
+    lhs = x @ y - swap[:, None, None] * (y @ x)
+    rhs = tower[it, irs] * sign[:, None, None]
+    return residual_report("yangian-coproduct-homomorphism", tolerance, names, lhs, rhs)
+
+
+#: The families on which the level coproduct is cocommutative.
+_COCOMMUTATIVE = ("k1", "k2", "h1", "h2")
 
 
 def k_cocommutativity_report(rep_a: EvalRep, rep_b: EvalRep, r_max: int = 4,
                              tolerance: float = 1e-10) -> Report:
     """Delta = Delta_op on the k and h towers (a consequence of the k-h tie)."""
-    rpt = Report("yangian-cocommutativity", tolerance)
-    for name in ("k1", "k2", "h1", "h2"):
-        for r in range(r_max + 1):
-            diff = (yangian_coproduct(name, r, rep_a, rep_b)
-                    - yangian_coproduct(name, r, rep_a, rep_b, opposite=True))
-            rpt.add(f"cocomm:{name},{r}", max_abs(diff))
-    return rpt
+    rows = [FAMILIES.index(name) for name in _COCOMMUTATIVE]
+    return _level_report("yangian-cocommutativity", tolerance, "cocomm", _COCOMMUTATIVE,
+                         coproduct_tower(rep_a, rep_b, r_max=r_max)[rows],
+                         coproduct_tower(rep_a, rep_b, r_max=r_max, opposite=True)[rows])
 
 
 def _omega_scaled_base(rep: GeneratorImage, eps1: complex, eps2: complex,
@@ -271,7 +409,8 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
 
     omega rescales f_i, h_i by eps_i and k_i by eps_j; at representation
     level the right-hand side is Delta_eps evaluated on omega^{-1}-twisted
-    modules times the omega-scale of g itself.
+    modules times the omega-scale of g itself.  The twisted modules live for
+    this call only, so their tower is built without entering the memo.
     """
     if eps1 == 0 or eps2 == 0:
         raise ValueError("twist parameters must be nonzero")
@@ -279,13 +418,10 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
              "h1": eps1, "h2": eps2, "k1": eps2, "k2": eps1}
     ta = EvalRep(_omega_scaled_base(rep_a.base, eps1, eps2, -1), rep_a.rho)
     tb = EvalRep(_omega_scaled_base(rep_b.base, eps1, eps2, -1), rep_b.rho)
-    rpt = Report("omega-twist", tolerance)
-    for name in FAMILIES:
-        for r in range(r_max + 1):
-            lhs = yangian_coproduct(name, r, rep_a, rep_b)
-            rhs = scale[name] * yangian_coproduct(name, r, ta, tb, eps=(eps1, eps2))
-            rpt.add(f"omega:{name},{r}", max_abs(lhs - rhs))
-    return rpt
+    factors = np.array([complex(scale[name]) for name in FAMILIES])
+    rhs = _direct_tower(ta, tb, (eps1, eps2), r_max) * factors[:, None, None, None]
+    return _level_report("omega-twist", tolerance, "omega", FAMILIES,
+                         coproduct_tower(rep_a, rep_b, r_max=r_max), rhs)
 
 
 def omega_preserves_brackets_report(ev: EvalRep, eps1: complex, eps2: complex,
@@ -339,10 +475,12 @@ class TruncatedCurrent:
         if isinstance(other, TruncatedCurrent):
             self._compat(other)
             n = self.order
-            out = [np.zeros_like(self.coeffs[0]) for _ in range(n + 1)]
-            for r, a in enumerate(self.coeffs):
-                for s in range(n + 1 - r):
-                    out[r + s] = out[r + s] + a @ other.coeffs[s]
+            # every coeffs[r] @ other.coeffs[s] in one product, then summed into
+            # z^{-(r+s)} with r ascending, the order of the double loop
+            prods = np.stack(self.coeffs)[:, None] @ np.stack(other.coeffs)[None, :]
+            out = np.zeros_like(prods[0])
+            for r in range(n + 1):
+                out[r:] = out[r:] + prods[r, : n + 1 - r]
             return TruncatedCurrent(tuple(out))
         return TruncatedCurrent(tuple(complex(other) * a for a in self.coeffs))
 
@@ -522,13 +660,9 @@ def yangian_intertwine(labels_a: RepLabels, labels_b: RepLabels, r_max: int = 4,
     The R-matrix depends only on (gamma, nu), so the joint coupling rescale
     that bounds |rho| leaves it untouched.
     """
-    from .rmatrix import r_closed
     rep_a, rep_b = scaled_eval_pair(labels_a, labels_b)
     rmat = r_closed(labels_a, labels_b).m
-    rpt = Report("yangian-intertwining", tolerance)
-    for name in FAMILIES:
-        for r in range(r_max + 1):
-            d = yangian_coproduct(name, r, rep_a, rep_b).m
-            dop = yangian_coproduct(name, r, rep_a, rep_b, opposite=True).m
-            rpt.add(f"intertwine:{name},{r}", max_abs(dop @ rmat - rmat @ d))
-    return rpt
+    d = coproduct_tower(rep_a, rep_b, r_max=r_max)
+    dop = coproduct_tower(rep_a, rep_b, r_max=r_max, opposite=True)
+    return _level_report("yangian-intertwining", tolerance, "intertwine", FAMILIES,
+                         dop @ rmat, rmat @ d)

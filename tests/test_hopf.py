@@ -15,7 +15,7 @@ import pytest
 from sl11kit import algebra, qaffine, qalgebra, suites
 from sl11kit.algebra import (CLASSICAL_NAMES, COPRODUCT, coassociativity_checker,
                              counit_antipode_checker)
-from sl11kit.coproduct import CoproductTable, word_matrix
+from sl11kit.coproduct import CoproductTable, _stack, _words, word_matrix
 from sl11kit.graded import graded_kron, identity, max_abs, zeros
 from sl11kit.qaffine import AFFINE_COPRODUCT, AFFINE_NAMES, affine_coproduct_image
 from sl11kit.qalgebra import Q_COPRODUCT, Q_NAMES, q_coproduct_image
@@ -249,3 +249,15 @@ def test_coassociativity_flags_a_doubled_coproduct_term():
     rpt = check(*reps)
     assert [c.identity for c in rpt.cases if c.residual > rpt.tolerance] == ["coassoc:e1"]
     assert algebra.coassociativity_report(*reps).passed
+
+
+def test_coassociativity_memoises_only_its_own_modules():
+    # the tensor modules live for one call: their stacks and word products stay
+    # out of the memos, which keep the pairs (a, b), (b, c) and the words of a, b, c
+    for reps, report in ((classical_reps(0)[0], algebra.coassociativity_report),
+                         (q_reps(0)[0], qalgebra.q_coassociativity_report)):
+        _stack.cache_clear()
+        _words.cache_clear()
+        report(*reps)
+        assert _stack.cache_info().currsize == 2
+        assert _words.cache_info().currsize == 3

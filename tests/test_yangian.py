@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from sl11kit.algebra import RepLabels, atypical_rep, coproduct_image
-from sl11kit.graded import graded_kron, graded_perm, identity, max_abs, zeros
-from sl11kit.yangian import (FAMILIES, TruncatedCurrent, _tail_terms,
-                             antipode_report, coproduct_hom_report,
+from sl11kit import suites
+from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
+from sl11kit.coproduct import STACK_CACHE_SIZE, word_matrix
+from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
+                            max_abs, zeros)
+from sl11kit.report import Report
+from sl11kit.rmatrix import r_closed
+from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError,
+                             TruncatedCurrent, _omega_scaled_base, _tail_terms, _tower,
+                             antipode_report, coproduct_hom_report, coproduct_tower,
                              current_relations_report,
                              currents, eval_rep, k_cocommutativity_report,
                              kir_report, level_bracket_report,
@@ -33,6 +39,13 @@ def test_eval_rep_scalar():
 def test_eval_rep_singular_rho():
     with pytest.raises(ValueError):
         eval_rep(RepLabels(1.2, 1.0, -0.5, 0.5))
+
+
+@pytest.mark.parametrize("nu", [1.0, -1.0, 1j, -1j])
+def test_eval_rep_singular_rho_is_typed(nu):
+    with pytest.raises(SingularEvaluationError, match="nu\\^4 = 1"):
+        eval_rep(RepLabels(1.2, nu, -0.5, 0.5))
+    assert issubclass(SingularEvaluationError, ValueError)
 
 
 def test_level_bracket_is_rho_power(pair):
@@ -181,3 +194,229 @@ def test_intertwining(pair):
     cases = {c.identity: c.residual for c in rpt.cases}
     assert cases["intertwine:h0,1"] <= 1e-9  # level-1 tail term active
     assert cases["intertwine:e1,0"] <= 1e-11  # reduces to the plain intertwining
+
+
+# -- the coproduct tower against the per-call assembly and report bodies it replaced --
+
+
+def ref_coproduct(name, r, rep_a, rep_b, eps=(1.0, 1.0), opposite=False):
+    """One SuperMatrix per call: the terms of each level-0 word pair summed as
+    scalars, then one graded_kron per word pair."""
+    space = rep_a.space.tensor(rep_b.space)
+    if opposite:
+        swapped = ref_coproduct(name, r, rep_b, rep_a, eps).m
+        return SuperMatrix(space, space, graded_flip(swapped, rep_a.space, rep_b.space))
+    scalars = {}
+    for coeff, left, right in _tail_terms(name, r, *eps):
+        words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
+        scale = (coeff * rep_a.rho ** sum(lvl for _, lvl in left)
+                 * rep_b.rho ** sum(lvl for _, lvl in right))
+        scalars[words] = scalars.get(words, 0) + scale
+    total = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for (left, right), scale in scalars.items():
+        total += scale * graded_kron(word_matrix(rep_a.base, left),
+                                     word_matrix(rep_b.base, right)).m
+    return SuperMatrix(space, space, total)
+
+
+def ref_hom_report(rep_a, rep_b, rs_max=4, eps=(1.0, 1.0), tolerance=1e-10):
+    rpt = Report("yangian-coproduct-homomorphism", tolerance)
+
+    def cop(name, r):
+        return ref_coproduct(name, r, rep_a, rep_b, eps)
+
+    targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
+               ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
+    for r in range(rs_max + 1):
+        for s in range(rs_max + 1 - r):
+            for (a, b), t in targets.items():
+                lhs = cop(a, r) @ cop(b, s) + cop(b, s) @ cop(a, r)
+                rpt.add(f"[D({a},{r}),D({b},{s})]", max_abs(lhs - cop(t, r + s)))
+            for a, sign in (("e1", 1), ("e2", 1), ("f1", -1), ("f2", -1)):
+                lhs = cop("h0", r) @ cop(a, s) - cop(a, s) @ cop("h0", r)
+                rpt.add(f"[D(h0,{r}),D({a},{s})]", max_abs(lhs - sign * cop(a, r + s)))
+    return rpt
+
+
+def ref_cocommutativity_report(rep_a, rep_b, r_max=4, tolerance=1e-10):
+    rpt = Report("yangian-cocommutativity", tolerance)
+    for name in ("k1", "k2", "h1", "h2"):
+        for r in range(r_max + 1):
+            diff = (ref_coproduct(name, r, rep_a, rep_b)
+                    - ref_coproduct(name, r, rep_a, rep_b, opposite=True))
+            rpt.add(f"cocomm:{name},{r}", max_abs(diff))
+    return rpt
+
+
+def ref_omega_report(rep_a, rep_b, eps1, eps2, r_max=3, tolerance=1e-10):
+    scale = {"e1": 1, "e2": 1, "h0": 1, "f1": eps1, "f2": eps2,
+             "h1": eps1, "h2": eps2, "k1": eps2, "k2": eps1}
+    ta = EvalRep(_omega_scaled_base(rep_a.base, eps1, eps2, -1), rep_a.rho)
+    tb = EvalRep(_omega_scaled_base(rep_b.base, eps1, eps2, -1), rep_b.rho)
+    rpt = Report("omega-twist", tolerance)
+    for name in FAMILIES:
+        for r in range(r_max + 1):
+            lhs = ref_coproduct(name, r, rep_a, rep_b)
+            rhs = scale[name] * ref_coproduct(name, r, ta, tb, eps=(eps1, eps2))
+            rpt.add(f"omega:{name},{r}", max_abs(lhs - rhs))
+    return rpt
+
+
+def ref_intertwine_report(labels_a, labels_b, r_max=4, tolerance=1e-9):
+    rep_a, rep_b = scaled_eval_pair(labels_a, labels_b)
+    rmat = r_closed(labels_a, labels_b).m
+    rpt = Report("yangian-intertwining", tolerance)
+    for name in FAMILIES:
+        for r in range(r_max + 1):
+            d = ref_coproduct(name, r, rep_a, rep_b).m
+            dop = ref_coproduct(name, r, rep_a, rep_b, opposite=True).m
+            rpt.add(f"intertwine:{name},{r}", max_abs(dop @ rmat - rmat @ d))
+    return rpt
+
+
+def assert_same_report(got, want):
+    assert got.suite == want.suite and got.tolerance == want.tolerance
+    assert ([(c.identity, c.tolerance) for c in got.cases]
+            == [(c.identity, c.tolerance) for c in want.cases])
+    assert [c.residual for c in got.cases] == [c.residual for c in want.cases]
+    assert got.passed == want.passed
+
+
+def suite_draw(seed):
+    """Labels and twist parameters drawn the way the yangian suite draws a sample."""
+    rng = next(iter(suites._child_rngs(seed, 1)))
+    alpha = suites.draw_alpha(rng)
+    la, lb = suites.draw_labels(rng, alpha), suites.draw_labels(rng, alpha)
+    return la, lb, suites._annulus(rng, 0.5, 1.5), suites._annulus(rng, 0.5, 1.5)
+
+
+EPS_PAIRS = [(1.0, 1.0), (1.3 - 0.2j, 0.7 + 0.4j)]
+
+
+@pytest.mark.parametrize("eps", EPS_PAIRS)
+@pytest.mark.parametrize("opposite", [False, True])
+def test_tower_matches_term_by_term(pair, eps, opposite):
+    eva, evb = pair
+    tower = coproduct_tower(eva, evb, eps, 6, opposite)
+    assert tower.shape == (len(FAMILIES), 7, 4, 4)
+    for f, name in enumerate(FAMILIES):
+        for r in range(7):
+            ref = _term_by_term_coproduct(name, r, eva, evb, eps, opposite)
+            bound = 1e-13 * max(1.0, max_abs(ref))
+            assert max_abs(tower[f, r] - ref.m) <= bound, (name, r)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tower_slices_equal_the_per_call_assembly(seed):
+    la, lb, eps1, eps2 = suite_draw(seed)
+    eva, evb = scaled_eval_pair(la, lb)
+    for eps in ((1.0, 1.0), (eps1, eps2)):
+        for opposite in (False, True):
+            tower = coproduct_tower(eva, evb, eps, 4, opposite)
+            for f, name in enumerate(FAMILIES):
+                for r in range(5):
+                    want = ref_coproduct(name, r, eva, evb, eps, opposite).m
+                    assert np.array_equal(tower[f, r], want), (name, r)
+                    got = yangian_coproduct(name, r, eva, evb, eps, opposite)
+                    assert np.array_equal(got.m, want), (name, r)
+
+
+def test_tower_is_read_only_and_memoised(pair):
+    eva, evb = pair
+    tower = coproduct_tower(eva, evb, (1.0, 1.0), 4)
+    assert coproduct_tower(eva, evb, (1.0, 1.0), 4) is tower
+    # one entry whatever the call form
+    assert coproduct_tower(eva, evb) is tower
+    assert coproduct_tower(eva, evb, (1 + 0j, 1), r_max=4, opposite=0) is tower
+    opposite = coproduct_tower(eva, evb, opposite=True)
+    assert coproduct_tower(eva, evb, (1.0, 1.0), 4, True) is opposite
+    assert opposite is not tower
+    for arr in (tower, opposite):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 1.0
+    base = eva.base
+    twin = EvalRep(GeneratorImage(base.space, base.images, base.alpha), eva.rho)
+    assert coproduct_tower(twin, evb) is not tower  # equal images, distinct object
+    assert np.array_equal(coproduct_tower(twin, evb), tower)
+    assert _tower.cache_info().maxsize == STACK_CACHE_SIZE
+    with pytest.raises(ValueError):
+        coproduct_tower(eva, evb, r_max=-1)
+
+
+def test_coproduct_is_a_tower_slice(pair):
+    eva, evb = pair
+    for opposite in (False, True):
+        tower = coproduct_tower(eva, evb, r_max=6, opposite=opposite)
+        for f, name in enumerate(FAMILIES):
+            for r in range(7):
+                got = yangian_coproduct(name, r, eva, evb, opposite=opposite)
+                assert got.space_out == got.space_in == eva.space.tensor(evb.space)
+                assert np.array_equal(got.m, tower[f, r])
+
+
+def test_tower_reports_match_the_reference_bodies_on_the_fixture(pair):
+    eva, evb = pair
+    for rs_max in (0, 2, 4):
+        assert_same_report(coproduct_hom_report(eva, evb, rs_max),
+                           ref_hom_report(eva, evb, rs_max))
+    assert_same_report(coproduct_hom_report(eva, evb, 3, EPS_PAIRS[1]),
+                       ref_hom_report(eva, evb, 3, EPS_PAIRS[1]))
+    assert_same_report(k_cocommutativity_report(eva, evb, 4),
+                       ref_cocommutativity_report(eva, evb, 4))
+    for eps1, eps2 in EPS_PAIRS:
+        assert_same_report(omega_twist_equivalence(eva, evb, eps1, eps2, 3),
+                           ref_omega_report(eva, evb, eps1, eps2, 3))
+    assert_same_report(yangian_intertwine(A, B, 4), ref_intertwine_report(A, B, 4))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tower_reports_match_the_reference_bodies_on_suite_pairs(seed):
+    la, lb, eps1, eps2 = suite_draw(seed)
+    eva, evb = scaled_eval_pair(la, lb)
+    assert_same_report(coproduct_hom_report(eva, evb, 4), ref_hom_report(eva, evb, 4))
+    assert_same_report(k_cocommutativity_report(eva, evb, 4),
+                       ref_cocommutativity_report(eva, evb, 4))
+    assert_same_report(omega_twist_equivalence(eva, evb, eps1, eps2, 3),
+                       ref_omega_report(eva, evb, eps1, eps2, 3))
+    assert_same_report(yangian_intertwine(la, lb, 4), ref_intertwine_report(la, lb, 4))
+
+
+def ref_current_product(a, b):
+    n = a.order
+    out = [np.zeros_like(a.coeffs[0]) for _ in range(n + 1)]
+    for r, x in enumerate(a.coeffs):
+        for s in range(n + 1 - r):
+            out[r + s] = out[r + s] + x @ b.coeffs[s]
+    return out
+
+
+def ref_current_inverse(a):
+    inv0 = np.linalg.inv(a.coeffs[0])
+    out = [inv0]
+    for r in range(1, a.order + 1):
+        acc = np.zeros_like(inv0)
+        for s in range(1, r + 1):
+            acc = acc + a.coeffs[s] @ out[r - s]
+        out.append(-inv0 @ acc)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_current_product_and_inverse_equal_the_double_loop(dim, pair):
+    rng = np.random.default_rng(dim)
+
+    def draw(order):
+        return TruncatedCurrent(tuple(rng.normal(size=(dim, dim))
+                                      + 1j * rng.normal(size=(dim, dim))
+                                      for _ in range(order + 1)))
+    cases = [(draw(order), draw(order)) for order in (1, 4, 6) for _ in range(3)]
+    if dim == 2:
+        cur = currents(pair[0], 6)
+        # the h currents lead: their constant term 1 is invertible
+        cases += [(cur["h1"], cur["h2"]), (cur["h0"], cur["e1"]), (cur["h2"], cur["k1"])]
+    for a, b in cases:
+        got = a * b
+        for x, y in zip(got.coeffs, ref_current_product(a, b)):
+            assert np.array_equal(x, y)
+        for x, y in zip(a.inverse().coeffs, ref_current_inverse(a)):
+            assert np.array_equal(x, y)
