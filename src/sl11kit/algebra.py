@@ -28,8 +28,6 @@ from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
 _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
-_CLASSICAL_ODD = tuple(n in _ODD_NAMES for n in CLASSICAL_NAMES)
-_CLASSICAL_INDEX = {n: i for i, n in enumerate(CLASSICAL_NAMES)}
 
 #: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21).
 KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
@@ -250,20 +248,24 @@ def atypical_rep(labels: RepLabels) -> GeneratorImage:
     return GeneratorImage(C11, imgs, alpha=labels.alpha)
 
 
-def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
-                alpha: tuple[complex, complex]) -> GeneratorImage:
-    """The 4-dimensional highest-weight module on basis (v0, v1, v2, v21).
+def on_shortening_locus(x: complex, y: complex, rel_tol: float) -> bool:
+    """True when x = y up to ``rel_tol`` relative to max(|x|, |y|, 1).
 
-    f1.v0 = v1, f2.v0 = v2, f2.v1 = -f1.v2 = v21; central elements act by
-    scalars.  Warns when the weights sit on the shortening locus.
+    With x = lambda1 lambda2 and y = mu1 mu2 (or their q-brackets) this is
+    the shortening constraint: the 4-dim module built from the weights is
+    reducible.
     """
-    a1, a2 = alpha
-    mu1 = a1 * (nu**2 - nu**-2)
-    mu2 = a2 * (nu**2 - nu**-2)
-    scale = max(abs(lambda1 * lambda2), abs(mu1 * mu2), 1.0)
-    if abs(lambda1 * lambda2 - mu1 * mu2) <= 1e-12 * scale:
-        warnings.warn("weights sit on the shortening locus", AtypicalLocusWarning)
-    V = KAC_SPACE
+    return abs(x - y) <= rel_tol * max(abs(x), abs(y), 1.0)
+
+
+def kac_odd_images(lam1: complex, lam2: complex, mu1: complex,
+                   mu2: complex) -> tuple[SuperMatrix, ...]:
+    """Odd images (e1, e2, f1, f2) of the 4-dim module on basis (v0, v1, v2, v21).
+
+    f1.v0 = v1, f2.v0 = v2, f2.v1 = -f1.v2 = v21; e_i brackets with f_i to
+    the weight lam_i and with the other f to the central charge mu_i.  The
+    deformed module passes q-brackets and coupled q-brackets.
+    """
     f1 = np.zeros((4, 4), dtype=complex)
     f1[1, 0] = 1.0
     f1[3, 2] = -1.0
@@ -271,21 +273,34 @@ def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
     f2[2, 0] = 1.0
     f2[3, 1] = 1.0
     e1 = np.zeros((4, 4), dtype=complex)
-    e1[0, 1] = lambda1
+    e1[0, 1] = lam1
     e1[0, 2] = mu1
     e1[1, 3] = mu1
-    e1[2, 3] = -lambda1
+    e1[2, 3] = -lam1
     e2 = np.zeros((4, 4), dtype=complex)
     e2[0, 1] = mu2
-    e2[0, 2] = lambda2
-    e2[1, 3] = lambda2
+    e2[0, 2] = lam2
+    e2[1, 3] = lam2
     e2[2, 3] = -mu2
+    return tuple(SuperMatrix(KAC_SPACE, KAC_SPACE, m, ODD) for m in (e1, e2, f1, f2))
+
+
+def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
+                alpha: tuple[complex, complex]) -> GeneratorImage:
+    """The 4-dimensional highest-weight module on basis (v0, v1, v2, v21).
+
+    Odd images from :func:`kac_odd_images`; central elements act by
+    scalars.  Warns when the weights sit on the shortening locus.
+    """
+    a1, a2 = alpha
+    mu1 = a1 * (nu**2 - nu**-2)
+    mu2 = a2 * (nu**2 - nu**-2)
+    if on_shortening_locus(lambda1 * lambda2, mu1 * mu2, 1e-12):
+        warnings.warn("weights sit on the shortening locus", AtypicalLocusWarning)
+    V = KAC_SPACE
     eye = np.eye(4)
     imgs = {
-        "e1": SuperMatrix(V, V, e1, ODD),
-        "e2": SuperMatrix(V, V, e2, ODD),
-        "f1": SuperMatrix(V, V, f1, ODD),
-        "f2": SuperMatrix(V, V, f2, ODD),
+        **dict(zip(("e1", "e2", "f1", "f2"), kac_odd_images(lambda1, lambda2, mu1, mu2))),
         "h0": SuperMatrix(V, V, np.diag([0.0, -1.0, -1.0, -2.0]), EVEN),
         "h1": SuperMatrix(V, V, lambda1 * eye, EVEN),
         "h2": SuperMatrix(V, V, lambda2 * eye, EVEN),
@@ -297,7 +312,26 @@ def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
     return GeneratorImage(V, imgs, alpha=alpha)
 
 
-# -- relation checker ---------------------------------------------------------
+# -- relation checkers ---------------------------------------------------------
+
+
+def relation_images(rep: GeneratorImage, names: tuple[str, ...], odd: frozenset):
+    """The images of ``names`` in ``rep`` by name, and their graded bracket by name pair.
+
+    The preamble of every relation checker: raises KeyError listing each
+    missing image; ``comm(a, b)`` reads one :func:`.graded.bracket_table`
+    of the stacked images, with the parities of ``odd``.
+    """
+    missing = [n for n in names if n not in rep.images]
+    if missing:
+        raise KeyError(f"missing generator images: {missing}")
+    x = np.stack([rep.images[n].m for n in names])
+    table = bracket_table(x, [n in odd for n in names])
+    index = {n: i for i, n in enumerate(names)}
+
+    def comm(a: str, b: str) -> np.ndarray:
+        return table[index[a], index[b]]
+    return {n: x[i] for n, i in index.items()}, comm
 
 
 def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
@@ -306,22 +340,11 @@ def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     Covers the e-f brackets, the h0 grading brackets, triviality of the
     remaining brackets, centrality of h_i, k_i, u^{+-}, invertibility of u,
     and (when the representation carries couplings) the central-extension
-    constraints k_i = alpha_i (u^2 - u^{-2}).  Every bracket is read from
-    one :func:`.graded.bracket_table` of the images.
+    constraints k_i = alpha_i (u^2 - u^{-2}).
     """
-    rep_names = set(rep.names)
-    missing = [n for n in CLASSICAL_NAMES if n not in rep_names]
-    if missing:
-        raise KeyError(f"missing generator images: {missing}")
-    x = np.stack([rep.images[n].m for n in CLASSICAL_NAMES])
-    table = bracket_table(x, _CLASSICAL_ODD)
-    im = {n: x[i] for n, i in _CLASSICAL_INDEX.items()}
-    zero = np.zeros_like(x[0])
+    im, comm = relation_images(rep, CLASSICAL_NAMES, _ODD_NAMES)
+    zero = np.zeros((rep.space.dim, rep.space.dim))
     cases = []
-
-    def comm(a, b):
-        return table[_CLASSICAL_INDEX[a], _CLASSICAL_INDEX[b]]
-
     targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
                ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
     for (a, b), t in targets.items():
@@ -392,55 +415,67 @@ class FusionResult:
     report: Report
 
 
+def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
+                  lowering: tuple[str, str], weights, raised, want,
+                  tolerance: float) -> tuple[np.ndarray, Report]:
+    """Identify rep_a (x) rep_b, two atypical modules, with a 4-dim module.
+
+    Builds the cyclic basis (v0, v1, v2, v21) from v0 = w0 (x) w0' with the
+    two ``lowering`` generators (v1 = f.v0, v2 = f'.v0, v21 = f'f.v0) and
+    checks, on the coproduct stack of the pair:
+
+    * ``weights``: (name, value) with Delta(name) v0 = value v0;
+    * ``raised``: (name, c1, c2) with Delta(name) v21 = c1 v1 - c2 v2;
+    * every generator conjugated into the basis against ``want(name)``.
+
+    Returns the basis and the report.
+    """
+    cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
+    low1, low2 = (cop[name] for name in lowering)
+    v0 = np.zeros(4, dtype=complex)
+    v0[3] = 1.0  # w0 (x) w0'
+    v1 = low1 @ v0
+    v2 = low2 @ v0
+    v21 = low2 @ (low1 @ v0)
+    basis = np.column_stack([v0, v1, v2, v21])
+
+    r = Report(suite, tolerance)
+    for name, val in weights:
+        r.add(f"weight:{name}", max_abs(cop[name] @ v0 - val * v0), expected=val)
+    for name, c1, c2 in raised:
+        r.add(f"{name}.v21", max_abs(cop[name] @ v21 - (c1 * v1 - c2 * v2)))
+    binv = np.linalg.inv(basis)
+    for name in table.names:
+        r.add(f"basis-conjugation:{name}", max_abs(binv @ cop[name] @ basis - want(name)))
+    return basis, r
+
+
 def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
                tolerance: float = 1e-10) -> FusionResult:
     """Identify the product of two atypical modules with a 4-dim module.
 
-    Builds the cyclic basis from the highest vector w0 (x) w0', verifies the
-    fused weights, and conjugates every coproduct image into the standard
-    4-dim matrices (h0 is compared up to the additive shift -2, the weight
-    of the chosen cyclic vector).
+    :func:`fusion_report` on the fused weights; h0 is compared up to the
+    additive shift -2, the weight of the chosen cyclic vector.
     """
     if max(abs(labels_a.alpha1 - labels_b.alpha1),
            abs(labels_a.alpha2 - labels_b.alpha2)) > 1e-12:
         raise ValueError("fusion requires identical couplings alpha_i")
-    rep_a, rep_b = atypical_rep(labels_a), atypical_rep(labels_b)
     lam1 = labels_a.lambda1 + labels_b.lambda1
     lam2 = labels_a.lambda2 + labels_b.lambda2
     nu_t = labels_a.nu * labels_b.nu
     a1, a2 = labels_a.alpha
     mu1 = a1 * (nu_t**2 - nu_t**-2)
     mu2 = a2 * (nu_t**2 - nu_t**-2)
-    scale = max(abs(lam1 * lam2), abs(mu1 * mu2), 1.0)
-    if abs(lam1 * lam2 - mu1 * mu2) <= 1e-10 * scale:
+    if on_shortening_locus(lam1 * lam2, mu1 * mu2, 1e-10):
         raise DegenerateFusionError(
             "fused weights satisfy the shortening constraint; the product is reducible")
-
-    def cop(name):
-        return coproduct_image(name, rep_a, rep_b)
-
-    v0 = np.zeros(4, dtype=complex)
-    v0[3] = 1.0  # w0 (x) w0'
-    v1 = cop("f1").m @ v0
-    v2 = cop("f2").m @ v0
-    v21 = cop("f2").m @ (cop("f1").m @ v0)
-    basis = np.column_stack([v0, v1, v2, v21])
-
-    r = Report("fusion", tolerance)
-    for name, val in (("h1", lam1), ("h2", lam2), ("k1", mu1), ("k2", mu2),
-                      ("u+", nu_t), ("u-", 1 / nu_t)):
-        r.add(f"weight:{name}", max_abs(cop(name).m @ v0 - val * v0),
-              expected=val)
-    r.add("e1.v21", max_abs(cop("e1").m @ v21 - (mu1 * v1 - lam1 * v2)))
-    r.add("e2.v21", max_abs(cop("e2").m @ v21 - (lam2 * v1 - mu2 * v2)))
-
     target = typical_rep(lam1, lam2, nu_t, labels_a.alpha)
-    binv = np.linalg.inv(basis)
     shift = {"h0": -2.0}
-    for name in CLASSICAL_NAMES:
-        want = target[name].m + shift.get(name, 0.0) * np.eye(4)
-        got = binv @ cop(name).m @ basis
-        r.add(f"basis-conjugation:{name}", max_abs(got - want))
+    basis, r = fusion_report(
+        "fusion", COPRODUCT, atypical_rep(labels_a), atypical_rep(labels_b), ("f1", "f2"),
+        (("h1", lam1), ("h2", lam2), ("k1", mu1), ("k2", mu2), ("u+", nu_t), ("u-", 1 / nu_t)),
+        (("e1", mu1, lam1), ("e2", lam2, mu2)),
+        lambda name: target[name].m + shift.get(name, 0.0) * np.eye(4), tolerance)
     return FusionResult(lam1, lam2, nu_t, basis, r)
 
 
@@ -470,22 +505,33 @@ def singlet_vector(labels_a: RepLabels, labels_b: RepLabels,
     return v
 
 
+def singlet_lines(suite: str, table: CoproductTable, rep_a, rep_b, v: np.ndarray,
+                  annihilating, invariant, eigen, tolerance: float) -> Report:
+    """Residuals of an invariant vector ``v`` of rep_a (x) rep_b, on the coproduct stack.
+
+    Delta(g) v = 0 for g in ``annihilating``, Delta(g) v = v for g in
+    ``invariant``, and v an eigenvector of Delta(g) for g in ``eigen``
+    (the eigenvalue is recorded).
+    """
+    cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
+    r = Report(suite, tolerance)
+    for name in annihilating:
+        r.add(f"annihilation:{name}", max_abs(cop[name] @ v))
+    for name in invariant:
+        r.add(f"invariance:{name}", max_abs(cop[name] @ v - v))
+    for name in eigen:
+        gv = cop[name] @ v
+        coeff = np.vdot(v, gv) / np.vdot(v, v)
+        r.add(f"{name}-eigenvector", max_abs(gv - coeff * v), eigenvalue=complex(coeff))
+    return r
+
+
 def singlet_report(labels_a: RepLabels, labels_b: RepLabels,
                    tolerance: float = 1e-11) -> Report:
     """Annihilation and invariance residuals for the singlet vector."""
     v = singlet_vector(labels_a, labels_b, tolerance=max(tolerance, 1e-10))
-    rep_a, rep_b = atypical_rep(labels_a), atypical_rep(labels_b)
-    r = Report("singlet", tolerance)
-    for name in ("e1", "e2", "f1", "f2"):
-        r.add(f"annihilation:{name}",
-              max_abs(coproduct_image(name, rep_a, rep_b).m @ v))
-    for name in ("u+", "u-"):
-        r.add(f"invariance:{name}",
-              max_abs(coproduct_image(name, rep_a, rep_b).m @ v - v))
-    h0v = coproduct_image("h0", rep_a, rep_b).m @ v
-    coeff = np.vdot(v, h0v) / np.vdot(v, v)
-    r.add("h0-eigenvector", max_abs(h0v - coeff * v), eigenvalue=complex(coeff))
-    return r
+    return singlet_lines("singlet", COPRODUCT, atypical_rep(labels_a), atypical_rep(labels_b),
+                         v, ("e1", "e2", "f1", "f2"), ("u+", "u-"), ("h0",), tolerance)
 
 
 # -- twists -------------------------------------------------------------------

@@ -87,11 +87,6 @@ def word_product(rep, word: tuple[str, ...]) -> np.ndarray:
     return mat
 
 
-def word_matrix(rep, word: tuple[str, ...]) -> SuperMatrix:
-    """:func:`word_product` as a SuperMatrix on the carrier space of ``rep``."""
-    return SuperMatrix(rep.space, rep.space, word_product(rep, word))
-
-
 def coproduct_stack(table: CoproductTable, rep_a, rep_b,
                     opposite: bool = False) -> np.ndarray:
     """Read-only ``(G, n, n)`` array of Delta(g), or Delta^op(g), for g in ``table.names``."""

@@ -15,24 +15,20 @@ where V maps to beta U and the odd-node normalizations carry the same beta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack
-from .graded import ODD, GradedSpace, SuperMatrix, bracket_table, graded_comm, max_abs
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, word_product
+from .graded import EVEN, SuperMatrix
 from .qalgebra import QRepLabels, q_atypical_rep
-from .algebra import GeneratorImage, coassociativity_checker
+from .algebra import GeneratorImage, coassociativity_checker, relation_images
 from .report import Report, residual_report
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
                 "K4+", "K4-", "U+", "U-", "V+", "V-")
 _AFF_ODD = frozenset({"E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"})
-_AFF_ODD_MASK = tuple(n in _AFF_ODD for n in AFFINE_NAMES)
-_AFF_INDEX = {n: i for i, n in enumerate(AFFINE_NAMES)}
 GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
               "K4+", "K4-", "U+", "U-", "V+", "V-")
 
@@ -42,29 +38,15 @@ def node_sign(i: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineRep:
-    """Evaluation module of the affine algebra."""
+class AffineRep(GeneratorImage):
+    """Evaluation module of the affine algebra: the images, the couplings
+    (alpha1..alpha4) and q, with the evaluation scalar ``rho`` and the
+    ``variant`` and ``beta`` the module was built with."""
 
-    space: GradedSpace
-    images: Mapping[str, SuperMatrix]
-    alpha: tuple[complex, complex, complex, complex]
-    q: complex
+    _: KW_ONLY
     rho: complex
     variant: str = "standard"
     beta: complex = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", MappingProxyType(dict(self.images)))
-
-    def __getitem__(self, name: str) -> SuperMatrix:
-        try:
-            return self.images[name]
-        except KeyError:
-            raise KeyError(f"unknown generator {name!r}") from None
-
-    @property
-    def names(self):
-        return tuple(self.images)
 
     def l_image(self, i: int, sign: str) -> SuperMatrix:
         """L_i^{+-} assembled from the Cartan and group-like images.
@@ -72,8 +54,7 @@ class AffineRep:
         For i in {1,2}: L_i^{+-} = (U^{+-2})^{(i)} K1^{+-} K2^{+-};
         for i in {3,4}: same with V and the upper node pair.
         """
-        d, d2, ka, kb = _l_word(i, sign)
-        return self[d] @ self[d2] @ self[ka] @ self[kb]
+        return SuperMatrix(self.space, self.space, word_product(self, _l_word(i, sign)), EVEN)
 
 
 def _l_word(i: int, sign: str) -> tuple[str, str, str, str]:
@@ -125,7 +106,8 @@ def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
     else:
         imgs["V+"] = beta * base["U-"]
         imgs["V-"] = beta * base["U+"]
-    return AffineRep(base.space, imgs, alpha, labels.q, rho, variant, beta)
+    return AffineRep(base.space, imgs, alpha, labels.q, "affine",
+                     rho=rho, variant=variant, beta=beta)
 
 
 def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep:
@@ -139,32 +121,19 @@ def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep
 def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
     """Residuals of the affine defining relations, Serre and compatibility lines
     included, for the variant the representation was built with.
-
-    Every bracket of two generators is read from one
-    :func:`.graded.bracket_table` of the images.
     """
-    rep_names = set(rep.names)
-    missing = [n for n in AFFINE_NAMES if n not in rep_names]
-    if missing:
-        raise KeyError(f"missing generator images: {missing}")
-    x = np.stack([rep.images[n].m for n in AFFINE_NAMES])
-    table = bracket_table(x, _AFF_ODD_MASK)
-    im = {n: x[i] for n, i in _AFF_INDEX.items()}
+    im, comm = relation_images(rep, AFFINE_NAMES, _AFF_ODD)
     q = rep.q
     qq = q - 1 / q
     one = np.eye(rep.space.dim)
-    zero = np.zeros_like(x[0])
+    zero = np.zeros((rep.space.dim, rep.space.dim))
     cases = []
-
-    def comm(a, b):
-        return table[_AFF_INDEX[a], _AFF_INDEX[b]]
 
     def even_comm(a, b):
         return a @ b - b @ a
 
     def l_image(i, sign):
-        d, d2, ka, kb = _l_word(i, sign)
-        return im[d] @ im[d2] @ im[ka] @ im[kb]
+        return word_product(rep, _l_word(i, sign))
 
     # scalars multiply matrices on the right, as in SuperMatrix: numpy can
     # round scalar * matrix differently in the last bit
@@ -266,27 +235,21 @@ def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
     """Coproduct homomorphism residual on the compatibility relation."""
     if rep_a.variant != "standard" or rep_b.variant != "standard":
         raise ValueError("the coproduct check runs on the standard variant")
-    q = rep_a.q
-    qq = q - 1 / q
-
-    def cop(n):
-        return affine_coproduct_image(n, rep_a, rep_b)
-
-    r = Report("affine-coproduct-homomorphism", tolerance)
+    qq = rep_a.q - 1 / rep_a.q
+    d = dict(zip(AFFINE_COPRODUCT.names, coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)))
+    names, lhs, rhs = [], [], []
     for i, j in ((1, 2), (2, 1)):
-        s = node_sign(i)
-        lhs = graded_comm(cop(f"E{i}"), cop(f"F{j+2}"), ODD, ODD)
-        uv_p = cop("U+") @ cop("V+")
-        uv_m = cop("U-") @ cop("V-")
-        if s == 1:
-            kk_p = cop(f"K{i}+") @ cop(f"K{j+2}+")
-            kk_m = cop(f"K{i}-") @ cop(f"K{j+2}-")
-        else:
-            kk_p = cop(f"K{i}-") @ cop(f"K{j+2}-")
-            kk_m = cop(f"K{i}+") @ cop(f"K{j+2}+")
-        rhs = (rep_a.alpha[i - 1] / qq) * (uv_p @ kk_p - uv_m @ kk_m)
-        r.add(f"hom:[E{i},F{j+2}]", max_abs(lhs - rhs))
-    return r
+        e, f = d[f"E{i}"], d[f"F{j+2}"]
+        uv_p, uv_m = d["U+"] @ d["V+"], d["U-"] @ d["V-"]
+        # the lower node sign (i) picks which Cartan pair dresses U V
+        kp, km = ("+", "-") if node_sign(i) == 1 else ("-", "+")
+        kk_p = d[f"K{i}{kp}"] @ d[f"K{j+2}{kp}"]
+        kk_m = d[f"K{i}{km}"] @ d[f"K{j+2}{km}"]
+        names.append(f"hom:[E{i},F{j+2}]")
+        lhs.append(e @ f + f @ e)
+        # matrix * scalar, the order SuperMatrix uses
+        rhs.append((uv_p @ kk_p - uv_m @ kk_m) * (rep_a.alpha[i - 1] / qq))
+    return residual_report("affine-coproduct-homomorphism", tolerance, names, lhs, rhs)
 
 
 def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,

@@ -23,21 +23,18 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import (AtypicalLocusWarning, DegenerateFusionError, GeneratorImage,
-                      SingletPreconditionError, coassociativity_checker,
-                      cocommutativity_checker, counit_antipode_checker, twist)
-from .coproduct import CoproductTable, coproduct_matrix
-from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
-                     graded_comm, identity, max_abs, unit)
+from .algebra import (KAC_SPACE, AtypicalLocusWarning, DegenerateFusionError,
+                      GeneratorImage, SingletPreconditionError, coassociativity_checker,
+                      cocommutativity_checker, counit_antipode_checker, fusion_report,
+                      kac_odd_images, on_shortening_locus, relation_images, singlet_lines,
+                      twist)
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack
+from .graded import C11, EVEN, SuperMatrix, identity, unit
 from .report import Report, c2j, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
            "L1+", "L1-", "L2+", "L2-", "U+", "U-")
 _Q_ODD = frozenset({"E1", "E2", "F1", "F2"})
-_Q_ODD_MASK = tuple(n in _Q_ODD for n in Q_NAMES)
-_Q_INDEX = {n: i for i, n in enumerate(Q_NAMES)}
-
-_KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
 
 
 class RootOfUnityError(ValueError):
@@ -250,36 +247,17 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
     bl2 = qbracket_of_power(qlam2**2, q)
     bm1 = qbracket_of_power(qmu1, q)
     bm2 = qbracket_of_power(qmu2, q)
-    scale = max(abs(bl1 * bl2), abs(a1 * a2 * bm1 * bm2), 1.0)
-    if abs(bl1 * bl2 - a1 * a2 * bm1 * bm2) <= 1e-12 * scale:
+    if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-12):
         warnings.warn("weights sit on the deformed shortening locus", AtypicalLocusWarning)
-    V = _KAC_SPACE
-    f1 = np.zeros((4, 4), dtype=complex)
-    f1[1, 0] = 1.0
-    f1[3, 2] = -1.0
-    f2 = np.zeros((4, 4), dtype=complex)
-    f2[2, 0] = 1.0
-    f2[3, 1] = 1.0
-    e1 = np.zeros((4, 4), dtype=complex)
-    e1[0, 1] = bl1
-    e1[0, 2] = a1 * bm1
-    e1[1, 3] = a1 * bm1
-    e1[2, 3] = -bl1
-    e2 = np.zeros((4, 4), dtype=complex)
-    e2[0, 1] = a2 * bm2
-    e2[0, 2] = bl2
-    e2[1, 3] = bl2
-    e2[2, 3] = -a2 * bm2
+    V = KAC_SPACE
     eye = np.eye(4)
 
     def scalar(c):
         return SuperMatrix(V, V, c * eye, EVEN)
 
     imgs = {
-        "E1": SuperMatrix(V, V, e1, ODD),
-        "E2": SuperMatrix(V, V, e2, ODD),
-        "F1": SuperMatrix(V, V, f1, ODD),
-        "F2": SuperMatrix(V, V, f2, ODD),
+        **dict(zip(("E1", "E2", "F1", "F2"),
+                   kac_odd_images(bl1, bl2, a1 * bm1, a2 * bm2))),
         "K0+": SuperMatrix(V, V, np.diag([1.0, q**-1, q**-1, q**-2]), EVEN),
         "K0-": SuperMatrix(V, V, np.diag([1.0, q, q, q**2]), EVEN),
         "K1+": scalar(qlam1), "K1-": scalar(1 / qlam1),
@@ -295,27 +273,14 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
 
 
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """Residuals of the deformed defining relations in a representation.
-
-    Every bracket is read from one :func:`.graded.bracket_table` of the images.
-    """
-    rep_names = set(rep.names)
-    missing = [n for n in Q_NAMES if n not in rep_names]
-    if missing:
-        raise KeyError(f"missing generator images: {missing}")
+    """Residuals of the deformed defining relations in a representation."""
+    im, comm = relation_images(rep, Q_NAMES, _Q_ODD)
     if rep.q is None:
         raise ValueError("representation carries no deformation parameter q")
     q = rep.q
-    x = np.stack([rep.images[n].m for n in Q_NAMES])
-    table = bracket_table(x, _Q_ODD_MASK)
-    im = {n: x[i] for n, i in _Q_INDEX.items()}
     one = np.eye(rep.space.dim)
-    zero = np.zeros_like(x[0])
+    zero = np.zeros((rep.space.dim, rep.space.dim))
     cases = []
-
-    def comm(a, b):
-        return table[_Q_INDEX[a], _Q_INDEX[b]]
-
     # scalars multiply matrices on the right, as in SuperMatrix: numpy can
     # round scalar * matrix differently in the last bit
     for base in ("K0", "K1", "K2", "L1", "L2", "U"):
@@ -386,24 +351,18 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     if rep_a.alpha is None or rep_a.q is None:
         raise ValueError("representations must carry couplings and q")
     a1, a2 = rep_a.alpha
-    q = rep_a.q
-
-    def cop(n):
-        return q_coproduct_image(n, rep_a, rep_b)
-
-    r = Report("q-coproduct-homomorphism", tolerance)
-    qq = q - 1 / q
-    pairs = {("E1", "F2"): (a1, "L1+", "L1-"), ("E2", "F1"): (a2, "L2+", "L2-")}
-    for (x, y), (al, lp, lm) in pairs.items():
-        lhs = graded_comm(cop(x), cop(y), ODD, ODD)
-        rhs = (al / qq) * (cop(lp) - cop(lm))
-        r.add(f"[Delta({x}),Delta({y})]", max_abs(lhs - rhs))
-    for (x, y), (kp, km) in {("E1", "F1"): ("K1+", "K1-"),
-                             ("E2", "F2"): ("K2+", "K2-")}.items():
-        lhs = graded_comm(cop(x), cop(y), ODD, ODD)
-        rhs = (1 / qq) * (cop(kp) @ cop(kp) - cop(km) @ cop(km))
-        r.add(f"[Delta({x}),Delta({y})]", max_abs(lhs - rhs))
-    return r
+    qq = rep_a.q - 1 / rep_a.q
+    d = dict(zip(Q_COPRODUCT.names, coproduct_stack(Q_COPRODUCT, rep_a, rep_b)))
+    names, lhs, rhs = [], [], []
+    # scalars multiply matrices on the right, as in SuperMatrix
+    for x, y, target in (("E1", "F2", (d["L1+"] - d["L1-"]) * (a1 / qq)),
+                         ("E2", "F1", (d["L2+"] - d["L2-"]) * (a2 / qq)),
+                         ("E1", "F1", (d["K1+"] @ d["K1+"] - d["K1-"] @ d["K1-"]) * (1 / qq)),
+                         ("E2", "F2", (d["K2+"] @ d["K2+"] - d["K2-"] @ d["K2-"]) * (1 / qq))):
+        names.append(f"[Delta({x}),Delta({y})]")
+        lhs.append(d[x] @ d[y] + d[y] @ d[x])
+        rhs.append(target)
+    return residual_report("q-coproduct-homomorphism", tolerance, names, lhs, rhs)
 
 
 # -- fusion and the deformed singlet -------------------------------------------
@@ -431,7 +390,6 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
         raise ValueError("fusion requires identical q and couplings")
     q = labels_a.q
     a1, a2 = labels_a.alpha
-    rep_a, rep_b = q_atypical_rep(labels_a), q_atypical_rep(labels_b)
     k1t = labels_a.qlam1 * labels_b.qlam1
     k2t = labels_a.qlam2 * labels_b.qlam2
     nut = labels_a.nu * labels_b.nu
@@ -439,40 +397,19 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
     qmu2t = k1t * k2t * nut**-2
     bl1, bl2 = qbracket_of_power(k1t**2, q), qbracket_of_power(k2t**2, q)
     bm1, bm2 = qbracket_of_power(qmu1t, q), qbracket_of_power(qmu2t, q)
-    scale = max(abs(bl1 * bl2), abs(a1 * a2 * bm1 * bm2), 1.0)
-    if abs(bl1 * bl2 - a1 * a2 * bm1 * bm2) <= 1e-10 * scale:
+    if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-10):
         raise DegenerateFusionError(
             "fused weights satisfy the deformed shortening constraint")
+    target = q_typical_from_powers(k1t, k2t, nut, q, labels_a.alpha)
+    shift = {"K0+": q**-2, "K0-": q**2}
 
-    def cop(name):
-        return q_coproduct_image(name, rep_a, rep_b)
+    def want(name):
+        return shift[name] * target[name].m if name in shift else target[name].m
 
-    v0 = np.zeros(4, dtype=complex)
-    v0[3] = 1.0
-    v1 = cop("F1").m @ v0
-    v2 = cop("F2").m @ v0
-    v21 = cop("F2").m @ (cop("F1").m @ v0)
-    basis = np.column_stack([v0, v1, v2, v21])
-
-    r = Report("q-fusion", tolerance)
-    for name, val in (("K1+", k1t), ("K2+", k2t), ("L1+", qmu1t), ("L2+", qmu2t),
-                      ("U+", nut)):
-        r.add(f"weight:{name}", max_abs(cop(name).m @ v0 - val * v0), expected=val)
-    r.add("E1.v21", max_abs(cop("E1").m @ v21 - (a1 * bm1 * v1 - bl1 * v2)))
-    r.add("E2.v21", max_abs(cop("E2").m @ v21 - (bl2 * v1 - a2 * bm2 * v2)))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AtypicalLocusWarning)
-        target = q_typical_from_powers(k1t, k2t, nut, q, labels_a.alpha)
-    binv = np.linalg.inv(basis)
-    for name in Q_NAMES:
-        want = target[name].m
-        if name == "K0+":
-            want = q**-2 * want
-        elif name == "K0-":
-            want = q**2 * want
-        got = binv @ cop(name).m @ basis
-        r.add(f"basis-conjugation:{name}", max_abs(got - want))
+    basis, r = fusion_report(
+        "q-fusion", Q_COPRODUCT, q_atypical_rep(labels_a), q_atypical_rep(labels_b),
+        ("F1", "F2"), (("K1+", k1t), ("K2+", k2t), ("L1+", qmu1t), ("L2+", qmu2t), ("U+", nut)),
+        (("E1", a1 * bm1, bl1), ("E2", bl2, a2 * bm2)), want, tolerance)
     return QFusionResult(k1t, k2t, nut, basis, r)
 
 
@@ -505,16 +442,11 @@ def q_singlet_vector(labels_a: QRepLabels, labels_b: QRepLabels,
 
 def q_singlet_report(labels_a: QRepLabels, labels_b: QRepLabels,
                      tolerance: float = 1e-11) -> Report:
+    """Annihilation and invariance residuals for the deformed singlet vector."""
     v = q_singlet_vector(labels_a, labels_b, tolerance=max(tolerance, 1e-10))
-    rep_a, rep_b = q_atypical_rep(labels_a), q_atypical_rep(labels_b)
-    r = Report("q-singlet", tolerance)
-    for name in ("E1", "E2", "F1", "F2"):
-        r.add(f"annihilation:{name}",
-              max_abs(q_coproduct_image(name, rep_a, rep_b).m @ v))
-    for name in ("U+", "U-"):
-        r.add(f"invariance:{name}",
-              max_abs(q_coproduct_image(name, rep_a, rep_b).m @ v - v))
-    return r
+    return singlet_lines("q-singlet", Q_COPRODUCT, q_atypical_rep(labels_a),
+                         q_atypical_rep(labels_b), v, ("E1", "E2", "F1", "F2"),
+                         ("U+", "U-"), (), tolerance)
 
 
 # -- Klein-four twists ---------------------------------------------------------

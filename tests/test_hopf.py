@@ -15,8 +15,8 @@ import pytest
 from sl11kit import algebra, qaffine, qalgebra, suites
 from sl11kit.algebra import (CLASSICAL_NAMES, COPRODUCT, coassociativity_checker,
                              counit_antipode_checker)
-from sl11kit.coproduct import CoproductTable, _stack, _words, word_matrix
-from sl11kit.graded import graded_kron, identity, max_abs, zeros
+from sl11kit.coproduct import CoproductTable, _stack, _words, word_product
+from sl11kit.graded import SuperMatrix, graded_kron, identity, max_abs, zeros
 from sl11kit.qaffine import AFFINE_COPRODUCT, AFFINE_NAMES, affine_coproduct_image
 from sl11kit.qalgebra import Q_COPRODUCT, Q_NAMES, q_coproduct_image
 from sl11kit.report import Report
@@ -24,6 +24,11 @@ from sl11kit.report import Report
 SEEDS = range(6)
 
 # -- references: the antipode and counit by hand, one SuperMatrix per term ----------
+
+
+def word_matrix(rep, word):
+    return SuperMatrix(rep.space, rep.space, word_product(rep, word))
+
 
 REF_ANTIPODE = {name: (name, -1) for name in CLASSICAL_NAMES if not name.startswith("u")}
 REF_ANTIPODE["u+"] = ("u-", 1)

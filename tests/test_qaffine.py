@@ -145,3 +145,52 @@ def test_alt_affinization_dispatch():
     bs = alt_affinization(QA, "beta-sign")
     assert bs.beta == -1.0
     assert affine_relations_report(bs).max_residual <= 1e-11
+
+
+# -- the evaluation module is a GeneratorImage --------------------------------------
+
+VARIANTS = (("standard", 1.0), ("swapped", 1.0), ("standard", -1.0))
+
+
+def test_affine_rep_is_a_generator_image():
+    from sl11kit.algebra import GeneratorImage
+    from sl11kit.qaffine import AFFINE_NAMES, AffineRep
+    for variant, beta in VARIANTS:
+        rep = affine_eval_rep(QA, variant, beta)
+        assert isinstance(rep, GeneratorImage) and isinstance(rep, AffineRep)
+        assert sorted(rep.names) == sorted(AFFINE_NAMES)
+        assert (rep.q, rep.variant, rep.beta) == (Q, variant, beta)
+    assert not {"__post_init__", "__getitem__", "names"} & set(vars(AffineRep))
+    with pytest.raises(KeyError, match="unknown generator 'L1\\+'"):
+        rep["L1+"]
+
+
+def test_l_image_is_the_product_of_its_word():
+    from functools import reduce
+
+    from sl11kit.qaffine import _l_word
+    for variant, beta in VARIANTS:
+        rep = affine_eval_rep(QA, variant, beta)
+        for i in (1, 2, 3, 4):
+            for sign in ("+", "-"):
+                word = _l_word(i, sign)
+                assert len(word) == 4
+                want = reduce(np.matmul, [rep[name].m for name in word])
+                assert np.array_equal(rep.l_image(i, sign).m, want), (i, sign)
+    with pytest.raises(ValueError):
+        rep.l_image(5, "+")
+
+
+def test_replace_keeps_the_affine_metadata():
+    import dataclasses
+
+    from sl11kit.qaffine import AffineRep
+    for variant, beta in VARIANTS:
+        rep = affine_eval_rep(QA, variant, beta)
+        imgs = dict(rep.images)
+        imgs["E3"] = 2 * imgs["E3"]
+        twin = dataclasses.replace(rep, images=imgs)
+        assert type(twin) is AffineRep
+        assert (twin.rho, twin.variant, twin.beta) == (rep.rho, rep.variant, rep.beta)
+        assert (twin.alpha, twin.q, twin.kind) == (rep.alpha, rep.q, rep.kind)
+        assert max_abs(twin["E3"] - 2 * rep["E3"]) == 0.0

@@ -5,16 +5,17 @@ generator images.  The references below are the pairwise formulation, one
 ``graded_comm`` or SuperMatrix product per bracket; both must report the
 same cases, in the same order, with the same residuals.
 """
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from sl11kit import algebra, qaffine, qalgebra, suites, yangian
-from sl11kit.algebra import CLASSICAL_NAMES, GeneratorImage
+from sl11kit.algebra import CLASSICAL_NAMES
 from sl11kit.graded import (EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
                             graded_comm, identity, max_abs)
-from sl11kit.qaffine import GROUP_LIKE, AffineRep, node_sign
+from sl11kit.qaffine import GROUP_LIKE, node_sign
 from sl11kit.report import Report
 from sl11kit.yangian import EvalRep
 
@@ -260,9 +261,7 @@ def perturbed(rep, name, factor=1 + 1e-6):
         return EvalRep(perturbed(rep.base, name, factor), rep.rho)
     imgs = dict(rep.images)
     imgs[name] = factor * imgs[name]
-    if isinstance(rep, AffineRep):
-        return AffineRep(rep.space, imgs, rep.alpha, rep.q, rep.rho, rep.variant, rep.beta)
-    return GeneratorImage(rep.space, imgs, rep.alpha, rep.q, rep.kind)
+    return dataclasses.replace(rep, images=imgs)
 
 
 def flagged(rpt: Report) -> list[str]:
@@ -297,6 +296,15 @@ def test_checker_flags_the_cases_the_reference_flags(checker, reference, reps, n
             got, want = checker(bad, tolerance), reference(bad, tolerance)
             assert_same_report(got, want)
             assert flagged(got) == flagged(want) != []
+
+
+@pytest.mark.parametrize("checker, _reference, reps, name, _tolerance", CHECKERS)
+def test_checker_raises_on_a_missing_image(checker, _reference, reps, name, _tolerance):
+    for rep in reps(0):
+        imgs = dict(rep.images)
+        del imgs[name]
+        with pytest.raises(KeyError, match=f"missing generator images: \\['{name}'\\]"):
+            checker(dataclasses.replace(rep, images=imgs))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

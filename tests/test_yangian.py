@@ -3,7 +3,7 @@ import pytest
 
 from sl11kit import suites
 from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
-from sl11kit.coproduct import STACK_CACHE_SIZE, word_matrix
+from sl11kit.coproduct import STACK_CACHE_SIZE, word_product
 from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
                             max_abs, zeros)
 from sl11kit.report import Report
@@ -197,6 +197,10 @@ def test_intertwining(pair):
 
 
 # -- the coproduct tower against the per-call assembly and report bodies it replaced --
+
+
+def word_matrix(rep, word):
+    return SuperMatrix(rep.space, rep.space, word_product(rep, word))
 
 
 def ref_coproduct(name, r, rep_a, rep_b, eps=(1.0, 1.0), opposite=False):
