@@ -32,6 +32,10 @@ _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
 #: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21).
 KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
 
+#: The C11 operators every atypical image, classical or deformed, is a
+#: multiple of: one SuperMatrix per image, formed as matrix times scalar.
+C11_E12, C11_E21, C11_ONE = unit(C11, C11, 0, 1), unit(C11, C11, 1, 0), identity(C11)
+
 
 class AtypicalLocusWarning(UserWarning):
     """Weights sit on the shortening locus; the 4-dim module is reducible."""
@@ -228,22 +232,19 @@ def atypical_rep(labels: RepLabels) -> GeneratorImage:
     f images and all weights vanish.
     """
     g, nu = labels.gamma, labels.nu
-    E12 = unit(C11, C11, 0, 1)
-    E21 = unit(C11, C11, 1, 0)
-    one = identity(C11)
     h0 = SuperMatrix(C11, C11, np.diag([-2.0, -1.0]), EVEN)
     imgs = {
-        "e1": g * E21,
-        "e2": (1 / g) * E21,
-        "f1": g * labels.mu2 * E12,
-        "f2": (1 / g) * labels.mu1 * E12,
+        "e1": g * C11_E21,
+        "e2": (1 / g) * C11_E21,
+        "f1": g * labels.mu2 * C11_E12,
+        "f2": (1 / g) * labels.mu1 * C11_E12,
         "h0": h0,
-        "h1": labels.lambda1 * one,
-        "h2": labels.lambda2 * one,
-        "k1": labels.mu1 * one,
-        "k2": labels.mu2 * one,
-        "u+": nu * one,
-        "u-": (1 / nu) * one,
+        "h1": labels.lambda1 * C11_ONE,
+        "h2": labels.lambda2 * C11_ONE,
+        "k1": labels.mu1 * C11_ONE,
+        "k2": labels.mu2 * C11_ONE,
+        "u+": nu * C11_ONE,
+        "u-": (1 / nu) * C11_ONE,
     }
     return GeneratorImage(C11, imgs, alpha=labels.alpha)
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import RepLabels, default_alpha
@@ -51,7 +52,9 @@ def _matrix_csv(rm: rmatrix.RMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sl11kit",
         description="verification toolkit for the centrally extended sl(1|1)^2 "

@@ -256,9 +256,16 @@ def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,
                       variant: str = "standard", beta: complex = 1.0,
                       tolerance: float = 1e-9) -> Report:
     """The deformed R-matrix intertwines the affine coproducts for every node."""
-    from .rmatrix import rq_closed
     rep_a = affine_eval_rep(labels_a, variant, beta)
     rep_b = affine_eval_rep(labels_b, variant, beta)
+    return _pair_intertwine(rep_a, rep_b, labels_a, labels_b, tolerance)
+
+
+def _pair_intertwine(rep_a: AffineRep, rep_b: AffineRep, labels_a: QRepLabels,
+                     labels_b: QRepLabels, tolerance: float = 1e-9) -> Report:
+    """:func:`affine_intertwine` on evaluation modules already built from the
+    labels, so their memoised coproduct stacks are read, not rebuilt."""
+    from .rmatrix import rq_closed
     rmat = rq_closed(labels_a, labels_b).m
     d = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)
     dop = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b, opposite=True)

@@ -23,13 +23,13 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import (KAC_SPACE, AtypicalLocusWarning, DegenerateFusionError,
-                      GeneratorImage, SingletPreconditionError, coassociativity_checker,
-                      cocommutativity_checker, counit_antipode_checker, fusion_report,
-                      kac_odd_images, on_shortening_locus, relation_images, singlet_lines,
-                      twist)
+from .algebra import (C11_E12, C11_E21, C11_ONE, KAC_SPACE, AtypicalLocusWarning,
+                      DegenerateFusionError, GeneratorImage, SingletPreconditionError,
+                      coassociativity_checker, cocommutativity_checker,
+                      counit_antipode_checker, fusion_report, kac_odd_images,
+                      on_shortening_locus, relation_images, singlet_lines, twist)
 from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack
-from .graded import C11, EVEN, SuperMatrix, identity, unit
+from .graded import C11, EVEN, SuperMatrix
 from .report import Report, c2j, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
@@ -203,26 +203,23 @@ def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
     K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.
     """
     g, nu, q = labels.gamma, labels.nu, labels.q
-    E12 = unit(C11, C11, 0, 1)
-    E21 = unit(C11, C11, 1, 0)
-    one = identity(C11)
     imgs = {
-        "E1": g * E21,
-        "E2": (1 / g) * E21,
-        "F1": labels.alpha2 * g * labels.br_mu2 * E12,
-        "F2": labels.alpha1 * (1 / g) * labels.br_mu1 * E12,
+        "E1": g * C11_E21,
+        "E2": (1 / g) * C11_E21,
+        "F1": labels.alpha2 * g * labels.br_mu2 * C11_E12,
+        "F2": labels.alpha1 * (1 / g) * labels.br_mu1 * C11_E12,
         "K0+": SuperMatrix(C11, C11, np.diag([q**-2, q**-1]), EVEN),
         "K0-": SuperMatrix(C11, C11, np.diag([q**2, q]), EVEN),
-        "K1+": labels.qlam1 * one,
-        "K1-": (1 / labels.qlam1) * one,
-        "K2+": labels.qlam2 * one,
-        "K2-": (1 / labels.qlam2) * one,
-        "L1+": labels.qmu1 * one,
-        "L1-": (1 / labels.qmu1) * one,
-        "L2+": labels.qmu2 * one,
-        "L2-": (1 / labels.qmu2) * one,
-        "U+": nu * one,
-        "U-": (1 / nu) * one,
+        "K1+": labels.qlam1 * C11_ONE,
+        "K1-": (1 / labels.qlam1) * C11_ONE,
+        "K2+": labels.qlam2 * C11_ONE,
+        "K2-": (1 / labels.qlam2) * C11_ONE,
+        "L1+": labels.qmu1 * C11_ONE,
+        "L1-": (1 / labels.qmu1) * C11_ONE,
+        "L2+": labels.qmu2 * C11_ONE,
+        "L2-": (1 / labels.qmu2) * C11_ONE,
+        "U+": nu * C11_ONE,
+        "U-": (1 / nu) * C11_ONE,
     }
     return GeneratorImage(C11, imgs, alpha=labels.alpha, q=q, kind="q")
 

@@ -192,7 +192,7 @@ def suite_yangian(samples: int = 20, seed: int = 0, levels: int = 4,
         rpt.add(f"[{k}]antipode",
                 yangian.antipode_report(eva, 4).max_residual, tolerance=1e-10)
         rpt.add(f"[{k}]intertwining",
-                yangian.yangian_intertwine(la, lb, levels).max_residual,
+                yangian._pair_intertwine(eva, evb, la, lb, levels).max_residual,
                 tolerance=1e-9, **_label_params("a", la), **_label_params("b", lb))
     return rpt
 
@@ -221,7 +221,7 @@ def suite_affine(samples: int = 20, seed: int = 0,
         rpt.add(f"[{k}]coproduct-hom",
                 qaffine.affine_hom_report(ra, rb).max_residual, tolerance=1e-10)
         rpt.add(f"[{k}]intertwining",
-                qaffine.affine_intertwine(la, lb).max_residual, tolerance=1e-9)
+                qaffine._pair_intertwine(ra, rb, la, lb).max_residual, tolerance=1e-9)
         rpt.add(f"[{k}]intertwining-beta",
                 qaffine.affine_intertwine(la, lb, beta=-1.0).max_residual,
                 tolerance=1e-9)

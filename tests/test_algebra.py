@@ -235,3 +235,40 @@ def test_generator_image_json_round_trip():
 
 def test_default_alpha():
     assert default_alpha(2.0) == (-1.0, 1.0)
+
+
+def test_atypical_images_equal_scalar_times_fresh_units():
+    """Each image is one SuperMatrix equal to the scalar times a freshly built
+    matrix unit or identity, with the same parity."""
+    from sl11kit import suites
+    from sl11kit.graded import SuperMatrix, identity
+    from sl11kit.qalgebra import q_atypical_rep
+
+    def ref_images(lab):
+        g, nu = lab.gamma, lab.nu
+        e12, e21, one = unit(C11, C11, 0, 1), unit(C11, C11, 1, 0), identity(C11)
+        return {"e1": g * e21, "e2": (1 / g) * e21, "f1": g * lab.mu2 * e12,
+                "f2": (1 / g) * lab.mu1 * e12, "h1": lab.lambda1 * one,
+                "h2": lab.lambda2 * one, "k1": lab.mu1 * one, "k2": lab.mu2 * one,
+                "u+": nu * one, "u-": (1 / nu) * one}
+
+    def ref_q_images(lab):
+        g, nu = lab.gamma, lab.nu
+        e12, e21, one = unit(C11, C11, 0, 1), unit(C11, C11, 1, 0), identity(C11)
+        return {"E1": g * e21, "E2": (1 / g) * e21,
+                "F1": lab.alpha2 * g * lab.br_mu2 * e12,
+                "F2": lab.alpha1 * (1 / g) * lab.br_mu1 * e12,
+                "K1+": lab.qlam1 * one, "K1-": (1 / lab.qlam1) * one,
+                "K2+": lab.qlam2 * one, "K2-": (1 / lab.qlam2) * one,
+                "L1+": lab.qmu1 * one, "L1-": (1 / lab.qmu1) * one,
+                "L2+": lab.qmu2 * one, "L2-": (1 / lab.qmu2) * one,
+                "U+": nu * one, "U-": (1 / nu) * one}
+
+    for rng in suites._child_rngs(11, 20):
+        lab, qlab = suites.draw_labels(rng), suites.draw_qlabels(rng)
+        for rep, want in ((atypical_rep(lab), ref_images(lab)),
+                          (q_atypical_rep(qlab), ref_q_images(qlab))):
+            for name, ref in want.items():
+                assert isinstance(rep[name], SuperMatrix)
+                assert rep[name].parity == ref.parity
+                assert np.array_equal(rep[name].m, ref.m), name

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sl11kit import algebra
+from sl11kit import algebra, cli
 from sl11kit.cli import main
 from sl11kit.graded import SuperMatrix
 from sl11kit.report import Report
@@ -200,6 +200,35 @@ def test_bad_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus-suite"])
     assert err.value.code == 2
+
+
+def test_main_reuses_one_parser_and_matches_a_fresh_one(capsys, monkeypatch):
+    runs = [
+        ["verify", "singlet", "--samples", "1", "--seed", "3", "--no-timestamp"],
+        ["verify", "ybe", "--samples", "1", "--seed", "1", "--format", "csv"],
+        ["verify", "hopf", "--samples", "1", "--levels", "3"],
+        ["verify", "affine", "--samples", "1", "--seed", "0", "--no-timestamp",
+         "--tolerance", "1e-30"],
+        ["params", "xpm", "--p", "1.0", "--M", "0", "--h", "1.0"],
+        ["emit-r", "--trig", "--theta1", "0.3", "--theta2", "0.4", "--lambda", "0.1"],
+        ["verify", "bogus-suite"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as err:
+            code = err.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert cli._build_parser() is cli._build_parser()
+    cached = [outcome(argv) for argv in runs + runs]
+    assert [code for code, _, _ in cached] == [0, 0, 2, 1, 0, 0, 2] * 2
+    assert cached[:len(runs)] == cached[len(runs):]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert [outcome(argv) for argv in runs] == cached[:len(runs)]
 
 
 def test_report_round_trip_and_median():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from sl11kit import coproduct, suites
 from sl11kit.graded import max_abs
 from sl11kit.qalgebra import q_check_relations, q_labels
 from sl11kit.qaffine import (affine_coassociativity_report,
                              affine_coproduct_image, affine_eval_rep,
-                             affine_hom_report, affine_intertwine,
+                             _pair_intertwine, affine_hom_report, affine_intertwine,
                              affine_relations_report, node_sign,
                              upper_nodes_subalgebra)
 from sl11kit.rmatrix import intertwining_report, rq_closed
@@ -120,6 +121,25 @@ def test_affine_intertwining():
 
 def test_affine_intertwining_beta_variant():
     assert affine_intertwine(QA, QB, beta=-1.0).max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_affine_intertwining_on_the_labels_equals_the_suite_pair(seed):
+    rng = next(iter(suites._child_rngs(seed, 1)))
+    q, alpha = suites.draw_q(rng), suites.draw_alpha(rng)
+    la, lb = suites.draw_qlabels(rng, q, alpha), suites.draw_qlabels(rng, q, alpha)
+    for variant, beta in (("standard", 1.0), ("swapped", 1.0), ("standard", -1.0)):
+        ra, rb = affine_eval_rep(la, variant, beta), affine_eval_rep(lb, variant, beta)
+        got, want = _pair_intertwine(ra, rb, la, lb), affine_intertwine(la, lb, variant, beta)
+        assert (got.suite, got.tolerance) == (want.suite, want.tolerance)
+        assert ([(c.identity, c.residual) for c in got.cases]
+                == [(c.identity, c.residual) for c in want.cases])
+    # the suite's standard pair reads the Delta stack its homomorphism report built
+    ra, rb = affine_eval_rep(la), affine_eval_rep(lb)
+    affine_hom_report(ra, rb)
+    misses = coproduct._stack.cache_info().misses
+    _pair_intertwine(ra, rb, la, lb)
+    assert coproduct._stack.cache_info().misses == misses + 2  # Delta^op and its swap
 
 
 def test_rq_intertwines_upper_nodes_directly(rep_pair):

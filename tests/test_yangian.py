@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, 
 from sl11kit.report import Report
 from sl11kit.rmatrix import r_closed
 from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError,
-                             TruncatedCurrent, _omega_scaled_base, _tail_terms, _tower,
+                             TruncatedCurrent, _omega_scaled_base, _pair_intertwine,
+                             _tail_terms, _tower,
                              antipode_report, coproduct_hom_report, coproduct_tower,
                              current_relations_report,
                              currents, eval_rep, k_cocommutativity_report,
@@ -424,3 +427,221 @@ def test_current_product_and_inverse_equal_the_double_loop(dim, pair):
             assert np.array_equal(x, y)
         for x, y in zip(a.inverse().coeffs, ref_current_inverse(a)):
             assert np.array_equal(x, y)
+
+
+# -- the current reports against the bodies over tuple-of-matrices series --
+
+
+@dataclass(frozen=True)
+class RefCurrent:
+    """The series as a tuple of frozen per-coefficient copies, with the
+    double-loop product: the arithmetic the current reports were written on."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        frozen = []
+        for c in self.coeffs:
+            arr = np.array(c, dtype=np.complex128)
+            arr.setflags(write=False)
+            frozen.append(arr)
+        object.__setattr__(self, "coeffs", tuple(frozen))
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def __add__(self, other):
+        return RefCurrent(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return RefCurrent(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other):
+        if isinstance(other, RefCurrent):
+            return RefCurrent(tuple(ref_current_product(self, other)))
+        return RefCurrent(tuple(complex(other) * a for a in self.coeffs))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        return RefCurrent(tuple(ref_current_inverse(self)))
+
+    def shift(self, k=1):
+        zero = np.zeros_like(self.coeffs[0])
+        return RefCurrent((zero,) * k + self.coeffs[: self.order + 1 - k])
+
+    def max_abs(self):
+        return max(float(np.abs(c).max()) for c in self.coeffs)
+
+    @staticmethod
+    def one(dim, order):
+        return RefCurrent((np.eye(dim, dtype=complex),)
+                          + tuple(np.zeros((dim, dim), dtype=complex) for _ in range(order)))
+
+
+def ref_currents(ev, order):
+    dim = ev.space.dim
+    zero = np.zeros((dim, dim), dtype=complex)
+    out = {}
+    for name in ("e1", "e2", "f1", "f2", "k1", "k2"):
+        mats = [zero] + [ev.rho ** (r - 1) * ev.base[name].m for r in range(1, order + 1)]
+        out[name] = RefCurrent(tuple(mats))
+    for name in ("h0", "h1", "h2"):
+        mats = [np.eye(dim, dtype=complex)] + [ev.rho ** (r - 1) * ev.base[name].m
+                                               for r in range(1, order + 1)]
+        out[name] = RefCurrent(tuple(mats))
+    return out
+
+
+def ref_current_relations_report(ev, order, tolerance=1e-11):
+    cur = ref_currents(ev, order)
+    rpt = Report("current-relations", tolerance)
+    n = order
+
+    def cross(a, b, anticommute):
+        table = {}
+        for r in range(n + 1):
+            for s in range(n + 1):
+                prod = a.coeffs[r] @ b.coeffs[s]
+                swap = b.coeffs[s] @ a.coeffs[r]
+                table[(r, s)] = prod + swap if anticommute else prod - swap
+        return table
+
+    pairs = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
+             ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
+    for (a, b), t in pairs.items():
+        comm = cross(cur[a], cur[b], anticommute=True)
+        tcur = cur[t]
+        for r in range(n):
+            for s in range(n - r):
+                lhs = comm[(r, s + 1)] - comm[(r + 1, s)]
+                rhs = np.zeros_like(lhs)
+                if s == 0:
+                    rhs = rhs + tcur.coeffs[r]
+                if r == 0:
+                    rhs = rhs - tcur.coeffs[s]
+                rpt.add(f"(w-z)[{a}(z),{b}(w)]@({r},{s})", max_abs(lhs - rhs))
+    for b, sign in (("e1", -1), ("e2", -1), ("f1", +1), ("f2", +1)):
+        comm = cross(cur["h0"], cur[b], anticommute=False)
+        bcur = cur[b]
+        for r in range(n):
+            for s in range(n - r):
+                lhs = comm[(r, s + 1)] - comm[(r + 1, s)]
+                rhs = np.zeros_like(lhs)
+                if r == 0:
+                    rhs = rhs + sign * bcur.coeffs[s]
+                if s == 0:
+                    rhs = rhs - sign * bcur.coeffs[r]
+                rpt.add(f"(w-z)[h0(z),{b}(w)]@({r},{s})", max_abs(lhs - rhs))
+    if ev.base.alpha is not None:
+        a1, a2 = ev.base.alpha
+        usq = complex((ev.base["u+"] @ ev.base["u+"]).m[0, 0])
+        usqm = complex((ev.base["u-"] @ ev.base["u-"]).m[0, 0])
+        hcomb = usq * cur["h1"] - usqm * cur["h2"]
+        for i, alpha in ((1, a1), (2, a2)):
+            diff = cur[f"k{i}"] - alpha * hcomb.shift(1)
+            rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z", diff.max_abs())
+    return rpt
+
+
+def ref_antipode_report(ev, order, tolerance=1e-10):
+    cur = ref_currents(ev, order)
+    one = RefCurrent.one(ev.space.dim, order)
+    h1, h2, k1, k2 = cur["h1"], cur["h2"], cur["k1"], cur["k2"]
+    e = {1: cur["e1"], 2: cur["e2"]}
+    f = {1: cur["f1"], 2: cur["f2"]}
+    big_h = h1 * h2 - k1 * k2
+    hinv = big_h.inverse()
+    rpt = Report("antipode", tolerance)
+    rpt.add("H Hinv - 1", (big_h * hinv - one).max_abs())
+    h = {1: h1, 2: h2}
+    k = {1: k1, 2: k2}
+    s_e, s_f = {}, {}
+    for i, j in ((1, 2), (2, 1)):
+        s_e[i] = -1 * ((e[i] * h[j] - e[j] * k[i]) * hinv)
+        s_f[i] = -1 * ((f[i] * h[j] - f[j] * k[j]) * hinv)
+    for i, j in ((1, 2), (2, 1)):
+        rpt.add(f"h{i}: (h{j} h{i} - k{i} k{j}) Hinv - 1",
+                ((h[j] * h[i] - k[i] * k[j]) * hinv - one).max_abs())
+        rpt.add(f"k{i}: commutator telescopes",
+                max(((k[i] * h[j] - h[j] * k[i]) * hinv).max_abs(),
+                    ((k[i] * h[i] - h[i] * k[i]) * hinv).max_abs()))
+        rpt.add(f"e{i}: left antipode",
+                ((-1 * (e[i] * h[j] - e[j] * k[i]) + h[j] * e[i] - k[i] * e[j]) * hinv).max_abs())
+        rpt.add(f"e{i}: right antipode",
+                ((e[i] * big_h - h[i] * (e[i] * h[j] - e[j] * k[i])
+                  - k[i] * (e[j] * h[i] - e[i] * k[j])) * hinv).max_abs())
+        rpt.add(f"f{i}: left antipode",
+                ((f[i] * big_h - (f[i] * h[j] - f[j] * k[j]) * h[i]
+                  - (f[j] * h[i] - f[i] * k[i]) * k[j]) * hinv).max_abs())
+        rpt.add(f"f{i}: right antipode",
+                ((-1 * (f[i] * h[j] - f[j] * k[j]) + f[i] * h[j] - f[j] * k[j]) * hinv).max_abs())
+    lhs = s_f[1] * e[1] + s_f[2] * e[2]
+    rhs = f[1] * s_e[1] + f[2] * s_e[2]
+    rpt.add("h0: S(f)e = f S(e)", (lhs - rhs).max_abs())
+    h0 = cur["h0"]
+    s_h0 = one - h0 + lhs
+    rpt.add("h0: S(h0) + h0 - S(f)e - 1", (s_h0 + h0 - lhs - one).max_abs())
+    rpt.add("h0: S(h0) + h0 - f S(e) - 1", (s_h0 + h0 - rhs - one).max_abs())
+    return rpt
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)])
+def test_current_reports_match_the_reference_bodies_on_suite_pairs(seeds):
+    for seed in seeds:
+        la, lb, _, _ = suite_draw(seed)
+        for ev in scaled_eval_pair(la, lb):
+            for order in (2, 4, 6):
+                assert_same_report(current_relations_report(ev, order),
+                                   ref_current_relations_report(ev, order))
+                assert_same_report(antipode_report(ev, order),
+                                   ref_antipode_report(ev, order))
+
+
+def test_current_reports_match_the_reference_bodies_without_couplings(pair):
+    eva, _ = pair
+    bare = EvalRep(GeneratorImage(eva.space, eva.base.images), eva.rho)
+    rpt = current_relations_report(bare, 4)
+    assert not any(c.identity.startswith("k1(z)") for c in rpt.cases)
+    assert_same_report(rpt, ref_current_relations_report(bare, 4))
+
+
+def test_series_is_one_read_only_array_copied_from_its_input():
+    rng = np.random.default_rng(0)
+    mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)]
+    cur = TruncatedCurrent(tuple(mats))
+    assert isinstance(cur.coeffs, np.ndarray)
+    assert cur.coeffs.shape == (4, 2, 2) and cur.coeffs.dtype == np.complex128
+    assert (cur.order, cur.dim) == (3, 2)
+    with pytest.raises(ValueError):
+        cur.coeffs[1, 0, 0] = 0.0
+    mats[1][0, 0] = 99.0
+    assert cur.coeffs[1, 0, 0] != 99.0  # the constructor copied the input
+    stack = np.array(mats)
+    from_array = TruncatedCurrent(stack)
+    assert from_array.coeffs is not stack and stack.flags.writeable
+    other = TruncatedCurrent(tuple(m.T for m in mats))
+    for result in (cur + other, cur - other, -cur, cur * other, 2j * cur,
+                   cur.shift(2), cur.inverse(), TruncatedCurrent.one(2, 3)):
+        assert isinstance(result.coeffs, np.ndarray)
+        assert result.coeffs.shape == (4, 2, 2) and not result.coeffs.flags.writeable
+    assert np.array_equal(cur.shift(2).coeffs[2:], cur.coeffs[:2])
+    assert not cur.shift(2).coeffs[:2].any()
+    with pytest.raises(ValueError):
+        cur + TruncatedCurrent(tuple(mats[:3]))
+    with pytest.raises(ValueError):
+        TruncatedCurrent((np.zeros((2, 3)),))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_intertwining_on_the_labels_equals_the_suite_pair(seed):
+    la, lb, _, _ = suite_draw(seed)
+    eva, evb = scaled_eval_pair(la, lb)
+    assert_same_report(_pair_intertwine(eva, evb, la, lb, 4), yangian_intertwine(la, lb, 4))
+    # the suite's pair reads the towers the homomorphism and cocommutativity reports built
+    coproduct_hom_report(eva, evb, 4)
+    k_cocommutativity_report(eva, evb, 4)
+    misses = _tower.cache_info().misses
+    _pair_intertwine(eva, evb, la, lb, 4)
+    assert _tower.cache_info().misses == misses
