@@ -29,8 +29,10 @@ from .report import Report, c2j, residual_report
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
 _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
 
-#: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21).
+#: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21), and its
+#: identity, of which every scalar image on it is a multiple.
 KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
+KAC_ONE = identity(KAC_SPACE)
 
 #: The C11 operators every atypical image, classical or deformed, is a
 #: multiple of: one SuperMatrix per image, formed as matrix times scalar.
@@ -299,16 +301,15 @@ def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
     if on_shortening_locus(lambda1 * lambda2, mu1 * mu2, 1e-12):
         warnings.warn("weights sit on the shortening locus", AtypicalLocusWarning)
     V = KAC_SPACE
-    eye = np.eye(4)
     imgs = {
         **dict(zip(("e1", "e2", "f1", "f2"), kac_odd_images(lambda1, lambda2, mu1, mu2))),
         "h0": SuperMatrix(V, V, np.diag([0.0, -1.0, -1.0, -2.0]), EVEN),
-        "h1": SuperMatrix(V, V, lambda1 * eye, EVEN),
-        "h2": SuperMatrix(V, V, lambda2 * eye, EVEN),
-        "k1": SuperMatrix(V, V, mu1 * eye, EVEN),
-        "k2": SuperMatrix(V, V, mu2 * eye, EVEN),
-        "u+": SuperMatrix(V, V, nu * eye, EVEN),
-        "u-": SuperMatrix(V, V, (1 / nu) * eye, EVEN),
+        "h1": lambda1 * KAC_ONE,
+        "h2": lambda2 * KAC_ONE,
+        "k1": mu1 * KAC_ONE,
+        "k2": mu2 * KAC_ONE,
+        "u+": nu * KAC_ONE,
+        "u-": (1 / nu) * KAC_ONE,
     }
     return GeneratorImage(V, imgs, alpha=alpha)
 

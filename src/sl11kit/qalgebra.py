@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import (C11_E12, C11_E21, C11_ONE, KAC_SPACE, AtypicalLocusWarning,
+from .algebra import (C11_E12, C11_E21, C11_ONE, KAC_ONE, KAC_SPACE, AtypicalLocusWarning,
                       DegenerateFusionError, GeneratorImage, SingletPreconditionError,
                       coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, kac_odd_images,
@@ -247,21 +247,16 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
     if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-12):
         warnings.warn("weights sit on the deformed shortening locus", AtypicalLocusWarning)
     V = KAC_SPACE
-    eye = np.eye(4)
-
-    def scalar(c):
-        return SuperMatrix(V, V, c * eye, EVEN)
-
     imgs = {
         **dict(zip(("E1", "E2", "F1", "F2"),
                    kac_odd_images(bl1, bl2, a1 * bm1, a2 * bm2))),
         "K0+": SuperMatrix(V, V, np.diag([1.0, q**-1, q**-1, q**-2]), EVEN),
         "K0-": SuperMatrix(V, V, np.diag([1.0, q, q, q**2]), EVEN),
-        "K1+": scalar(qlam1), "K1-": scalar(1 / qlam1),
-        "K2+": scalar(qlam2), "K2-": scalar(1 / qlam2),
-        "L1+": scalar(qmu1), "L1-": scalar(1 / qmu1),
-        "L2+": scalar(qmu2), "L2-": scalar(1 / qmu2),
-        "U+": scalar(nu), "U-": scalar(1 / nu),
+        "K1+": qlam1 * KAC_ONE, "K1-": (1 / qlam1) * KAC_ONE,
+        "K2+": qlam2 * KAC_ONE, "K2-": (1 / qlam2) * KAC_ONE,
+        "L1+": qmu1 * KAC_ONE, "L1-": (1 / qmu1) * KAC_ONE,
+        "L2+": qmu2 * KAC_ONE, "L2-": (1 / qmu2) * KAC_ONE,
+        "U+": nu * KAC_ONE, "U-": (1 / nu) * KAC_ONE,
     }
     return GeneratorImage(V, imgs, alpha=alpha, q=q, kind="q")
 

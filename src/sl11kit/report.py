@@ -118,9 +118,6 @@ class Report:
     def passed(self) -> bool:
         return all(c.residual <= self.case_tolerance(c) for c in self.cases)
 
-    def worst(self, count: int = 5) -> list[Case]:
-        return sorted(self.cases, key=lambda c: -c.residual)[:count]
-
     def to_dict(self, include_timestamp: bool = True) -> dict:
         d = {
             "suite": self.suite,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import GeneratorImage, RepLabels, atypical_rep
 from .coproduct import STACK_CACHE_SIZE, kron_sum
-from .graded import SuperMatrix, bracket_table, graded_flip, max_abs
+from .graded import SuperMatrix, graded_flip, max_abs
 from .report import Report, residual_report
 from .rmatrix import r_closed
 
@@ -81,37 +81,60 @@ def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels,
     if worst <= rho_bound:
         return ra, rb
     s = rho_bound / worst
-    out = []
-    for lab in (labels_a, labels_b):
-        out.append(eval_rep(RepLabels(lab.gamma, lab.nu,
-                                      lab.alpha1 * s, lab.alpha2 * s)))
-    return tuple(out)
+    return tuple(eval_rep(RepLabels(lab.gamma, lab.nu, lab.alpha1 * s, lab.alpha2 * s))
+                 for lab in (labels_a, labels_b))
 
 
 def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation."""
     if ev.base.alpha is None:
         raise ValueError("evaluation representation carries no couplings")
-    a1, a2 = ev.base.alpha
     usq = ev.image("u+") @ ev.image("u+")
     usqm = ev.image("u-") @ ev.image("u-")
     rpt = Report("k-tower", tolerance)
     for r in range(r_max + 1):
         rhs = usq @ ev.image("h1", r) - usqm @ ev.image("h2", r)
-        for i, alpha in ((1, a1), (2, a2)):
-            res = max_abs(ev.image(f"k{i}", r + 1) - alpha * rhs)
-            rpt.add(f"k{i},{r+1}", res)
+        for i, alpha in enumerate(ev.base.alpha, 1):
+            rpt.add(f"k{i},{r+1}", max_abs(ev.image(f"k{i}", r + 1) - alpha * rhs))
     return rpt
 
 
-#: Level brackets (a, b, t, sign): [a_r, b_s} = sign t_{r+s} for r + s <= rs_max.
-_LEVEL_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
-                   ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
-                   ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
-                   ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
-#: The families bracketed in _LEVEL_BRACKETS; their indices in FAMILIES.
-_BRACKETED = ("e1", "e2", "f1", "f2", "h0")
-_BRACKETED_ROWS = [FAMILIES.index(f) for f in _BRACKETED]
+#: The defining brackets (a, b, t, sign): [a_r, b_s} = sign t_{r+s}, an
+#: anticommutator for the odd pairs and a commutator with h0.  The level
+#: images and the level coproduct satisfy them as written, the currents as
+#: (w - z)[a(z), b(w)} = sign (t(z) - t(w)).
+_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
+             ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
+             ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
+             ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
+
+
+@lru_cache(maxsize=STACK_CACHE_SIZE)
+def _bracket_layout(rs_max: int, names_format: str):
+    """Case names (``names_format`` filled with a, r, b, s) and (a, r, b, s, t,
+    r+s, (-1)^{p_a p_b}, sign) index rows of the brackets with r + s <= rs_max,
+    by r, then s, then bracket."""
+    fam = FAMILIES.index
+    names, index = [], []
+    for r in range(rs_max + 1):
+        for s in range(rs_max + 1 - r):
+            for a, b, t, sign in _BRACKETS:
+                names.append(names_format.format(a=a, r=r, b=b, s=s))
+                index.append((fam(a), r, fam(b), s, fam(t), r + s,
+                              1 if a == "h0" else -1, sign))
+    index = np.array(index).T
+    index.setflags(write=False)
+    return tuple(names), index
+
+
+def _bracket_report(suite: str, tolerance: float, tower: np.ndarray, rs_max: int,
+                    names_format: str) -> Report:
+    """The defining brackets on a ``(F, R, n, n)`` tower of family images by
+    level: x y - swap y x against sign t_{r+s}, x = tower[a, r], y = tower[b, s]."""
+    names, (ia, ir, ib, is_, it, irs, swap, sign) = _bracket_layout(rs_max, names_format)
+    x, y = tower[ia, ir], tower[ib, is_]
+    return residual_report(suite, tolerance, names, x @ y - swap[:, None, None] * (y @ x),
+                           tower[it, irs] * sign[:, None, None])
 
 
 def level_bracket_report(ev: EvalRep, rs_max: int = 8,
@@ -119,28 +142,12 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices.
 
     The level images rho^r X, r = 0..rs_max, are stacked as one
-    ``(F, R, n, n)`` array, and every (r, s) bracket is read from one
-    :func:`.graded.bracket_table` of the bracketed families' levels.
+    ``(F, R, n, n)`` array, and every (r, s) bracket is one gathered product.
     """
-    count = rs_max + 1
     x = np.stack([ev.base[f].m for f in FAMILIES])
-    powers = np.array([ev.rho ** r for r in range(count)], dtype=np.complex128)
+    powers = np.array([ev.rho ** r for r in range(rs_max + 1)], dtype=np.complex128)
     levels = x[:, None] * powers[None, :, None, None]
-    n = x.shape[-1]
-    odd = np.repeat([f != "h0" for f in _BRACKETED], count)
-    table = bracket_table(levels[_BRACKETED_ROWS].reshape(-1, n, n), odd)
-    table = table.reshape(len(_BRACKETED), count, len(_BRACKETED), count, n, n)
-    names, index, signs = [], [], []
-    row, fam = _BRACKETED.index, FAMILIES.index
-    for r in range(count):
-        for s in range(count - r):
-            for a, b, t, sign in _LEVEL_BRACKETS:
-                names.append(f"[{a},{r};{b},{s}]")
-                index.append((row(a), r, row(b), s, fam(t), r + s))
-                signs.append(sign)
-    ia, ir, ib, is_, it, irs = np.array(index).T
-    rhs = np.array(signs, dtype=float)[:, None, None] * levels[it, irs]
-    return residual_report("level-brackets", tolerance, names, table[ia, ir, ib, is_], rhs)
+    return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
 
 
 # -- level coproduct -------------------------------------------------------------
@@ -332,8 +339,6 @@ def yangian_coproduct(name: str, r: int, rep_a: EvalRep, rep_b: EvalRep,
     one slice of :func:`coproduct_tower`."""
     if name not in FAMILIES:
         raise KeyError(f"unknown family {name!r}")
-    if r < 0:
-        raise ValueError("negative level")
     space = rep_a.space.tensor(rep_b.space)
     tower = coproduct_tower(rep_a, rep_b, eps, r, opposite)
     return SuperMatrix(space, space, tower[FAMILIES.index(name), r])
@@ -347,13 +352,6 @@ def _level_report(suite: str, tolerance: float, prefix: str, families, lhs, rhs)
     return residual_report(suite, tolerance, names, lhs.reshape(-1, n, n), rhs.reshape(-1, n, n))
 
 
-#: Anticommuted families (a, b, t): {D(a,r), D(b,s)} = D(t,r+s).
-_HOM_ANTICOMMUTED = (("e1", "f1", "h1"), ("e2", "f2", "h2"),
-                     ("e1", "f2", "k1"), ("e2", "f1", "k2"))
-#: Families commuted with h0 (a, sign): [D(h0,r), D(a,s)] = sign D(a,r+s).
-_HOM_H0 = (("e1", 1), ("e2", 1), ("f1", -1), ("f2", -1))
-
-
 def coproduct_hom_report(rep_a: EvalRep, rep_b: EvalRep, rs_max: int = 4,
                          eps: tuple[complex, complex] = (1.0, 1.0),
                          tolerance: float = 1e-10) -> Report:
@@ -361,23 +359,9 @@ def coproduct_hom_report(rep_a: EvalRep, rep_b: EvalRep, rs_max: int = 4,
 
     Every bracket X Y -+ Y X is taken from two batched products of tower slices.
     """
-    tower = coproduct_tower(rep_a, rep_b, eps, rs_max)
-    fam = FAMILIES.index
-    # per case: a, r, b, s, target family, target level, (-1)^{p_a p_b}, sign
-    names, index = [], []
-    for r in range(rs_max + 1):
-        for s in range(rs_max + 1 - r):
-            for a, b, t in _HOM_ANTICOMMUTED:
-                names.append(f"[D({a},{r}),D({b},{s})]")
-                index.append((fam(a), r, fam(b), s, fam(t), r + s, -1, 1))
-            for a, sign in _HOM_H0:
-                names.append(f"[D(h0,{r}),D({a},{s})]")
-                index.append((fam("h0"), r, fam(a), s, fam(a), r + s, 1, sign))
-    ia, ir, ib, is_, it, irs, swap, sign = np.array(index).T
-    x, y = tower[ia, ir], tower[ib, is_]
-    lhs = x @ y - swap[:, None, None] * (y @ x)
-    rhs = tower[it, irs] * sign[:, None, None]
-    return residual_report("yangian-coproduct-homomorphism", tolerance, names, lhs, rhs)
+    return _bracket_report("yangian-coproduct-homomorphism", tolerance,
+                           coproduct_tower(rep_a, rep_b, eps, rs_max), rs_max,
+                           "[D({a},{r}),D({b},{s})]")
 
 
 #: The families on which the level coproduct is cocommutative.
@@ -393,13 +377,17 @@ def k_cocommutativity_report(rep_a: EvalRep, rep_b: EvalRep, r_max: int = 4,
                          coproduct_tower(rep_a, rep_b, r_max=r_max, opposite=True)[rows])
 
 
+def _omega_scale(eps1: complex, eps2: complex) -> dict:
+    """Scale of each generator under omega: f_i, h_i by eps_i, k_i by eps_j,
+    the rest by 1."""
+    return {"e1": 1, "e2": 1, "h0": 1, "u+": 1, "u-": 1, "f1": eps1, "f2": eps2,
+            "h1": eps1, "h2": eps2, "k1": eps2, "k2": eps1}
+
+
 def _omega_scaled_base(rep: GeneratorImage, eps1: complex, eps2: complex,
                        power: int) -> GeneratorImage:
     """Level-0 images of the rescaling automorphism omega^power (power = +-1)."""
-    factors = {"e1": 1, "e2": 1, "h0": 1, "u+": 1, "u-": 1,
-               "f1": eps1**power, "f2": eps2**power,
-               "h1": eps1**power, "h2": eps2**power,
-               "k1": eps2**power, "k2": eps1**power}
+    factors = _omega_scale(eps1**power, eps2**power)
     imgs = {g: factors[g] * rep[g] for g in rep.names}
     return GeneratorImage(rep.space, imgs, alpha=None, kind=rep.kind)
 
@@ -416,8 +404,7 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
     """
     if eps1 == 0 or eps2 == 0:
         raise ValueError("twist parameters must be nonzero")
-    scale = {"e1": 1, "e2": 1, "h0": 1, "f1": eps1, "f2": eps2,
-             "h1": eps1, "h2": eps2, "k1": eps2, "k2": eps1}
+    scale = _omega_scale(eps1, eps2)
     ta = EvalRep(_omega_scaled_base(rep_a.base, eps1, eps2, -1), rep_a.rho)
     tb = EvalRep(_omega_scaled_base(rep_b.base, eps1, eps2, -1), rep_b.rho)
     factors = np.array([complex(scale[name]) for name in FAMILIES])
@@ -561,22 +548,14 @@ def currents(ev: EvalRep, order: int) -> dict[str, TruncatedCurrent]:
     return out
 
 
-#: Current relations (a, b, t, sign): (w - z)[a(z), b(w)} = sign (t(z) - t(w)),
-#: an anticommutator for the odd pairs and a commutator with h0.
-_CURRENT_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
-                     ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
-                     ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
-                     ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
-
-
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _current_layout(order: int):
     """Case names and (bracket, r, s, z-side row, w-side row) indices of the
     mixed coefficients r + s < order, bracket by bracket; a side row is the
-    bracket's own, or the zero row ``len(_CURRENT_BRACKETS)`` off the boundary."""
-    zero = len(_CURRENT_BRACKETS)
+    bracket's own, or the zero row ``len(_BRACKETS)`` off the boundary."""
+    zero = len(_BRACKETS)
     names, index = [], []
-    for c, (a, b, _, _) in enumerate(_CURRENT_BRACKETS):
+    for c, (a, b, _, _) in enumerate(_BRACKETS):
         for r in range(order):
             for s in range(order - r):
                 names.append(f"(w-z)[{a}(z),{b}(w)]@({r},{s})")
@@ -599,14 +578,14 @@ def current_relations_report(ev: EvalRep, order: int,
     if order < 2:
         raise ValueError("order must be at least 2")
     cur = currents(ev, order)
-    x = np.stack([cur[a].coeffs for a, _, _, _ in _CURRENT_BRACKETS])
-    y = np.stack([cur[b].coeffs for _, b, _, _ in _CURRENT_BRACKETS])
+    x = np.stack([cur[a].coeffs for a, _, _, _ in _BRACKETS])
+    y = np.stack([cur[b].coeffs for _, b, _, _ in _BRACKETS])
     prod = x[:, :, None] @ y[:, None, :]  # [c, r, s] = a_r b_s
     swap = y[:, None, :] @ x[:, :, None]  # [c, r, s] = b_s a_r
-    odd = np.array([a != "h0" for a, _, _, _ in _CURRENT_BRACKETS])
+    odd = np.array([a != "h0" for a, _, _, _ in _BRACKETS])
     cross = np.where(odd[:, None, None, None, None], prod + swap, prod - swap)
     sides = np.stack([cur[t].coeffs if sign > 0 else -cur[t].coeffs
-                      for _, _, t, sign in _CURRENT_BRACKETS]
+                      for _, _, t, sign in _BRACKETS]
                      + [np.zeros_like(x[0])])
     names, (ic, ir, is_, iz, iw) = _current_layout(order)
     lhs = cross[ic, ir, is_ + 1] - cross[ic, ir + 1, is_]
@@ -616,9 +595,9 @@ def current_relations_report(ev: EvalRep, order: int,
         usq = complex((ev.base["u+"].m @ ev.base["u+"].m)[0, 0])
         usqm = complex((ev.base["u-"].m @ ev.base["u-"].m)[0, 0])
         hcomb = (usq * cur["h1"] - usqm * cur["h2"]).shift(1)
-        for i, alpha in ((1, ev.base.alpha[0]), (2, ev.base.alpha[1])):
-            diff = cur[f"k{i}"] - alpha * hcomb
-            rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z", diff.max_abs())
+        for i, alpha in enumerate(ev.base.alpha, 1):
+            rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z",
+                    (cur[f"k{i}"] - alpha * hcomb).max_abs())
     return rpt
 
 

@@ -31,6 +31,8 @@ class BranchTieError(ValueError):
 
 
 class CoefficientPack(NamedTuple):
+    """Coefficients a, b, c, d of a module, undeformed or deformed."""
+
     a: complex
     b: complex
     c: complex
@@ -226,16 +228,9 @@ def q_zhukovski_point(xplus: complex, xi: complex, delta: complex, q: complex,
     return QZhukovskiPoint(xplus, xm, xi, delta, q, h)
 
 
-class QCoefficientPack(NamedTuple):
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-
 def q_labels_from_x(qzp: QZhukovskiPoint, nu_branch: int = 0, sigma_branch: int = 0,
                     eta_branch: int = 0, gamma_branch: int = 0,
-                    tolerance: float = 1e-10) -> tuple[QRepLabels, QCoefficientPack]:
+                    tolerance: float = 1e-10) -> tuple[QRepLabels, CoefficientPack]:
     """Deformed labels from the x^{+-} dictionary, with all product checks.
 
     Both printed expressions for nu^4 and sigma^4 are evaluated and must
@@ -281,7 +276,7 @@ def q_labels_from_x(qzp: QZhukovskiPoint, nu_branch: int = 0, sigma_branch: int 
     gamma = _principal_root(a / d, gamma_branch)
     qd4 = np.exp(complex(qzp.delta) * np.log(q) / 4)  # q^{delta/4}
     labels = QRepLabels(gamma, nu, q, sigma * qd4, sigma / qd4, h, h)
-    return labels, QCoefficientPack(a, b, c, d)
+    return labels, CoefficientPack(a, b, c, d)
 
 
 def dispersion(theta: float, lam: float, h: float) -> tuple[float, complex]:

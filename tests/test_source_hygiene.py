@@ -1,0 +1,94 @@
+"""Source hygiene of the package modules, read from their syntax trees.
+
+Every module-level import must be used, and every module-level private
+``_name`` must be referenced, in its own module outside its own definition or
+from another package module.  A fold that moves a table or a helper otherwise
+leaves the old import or the old private table behind without any test noticing.
+``__init__`` only re-exports, so it is left out.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sl11kit"
+TREES = {path.stem: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _loads(node) -> set[str]:
+    """Names read anywhere under ``node``."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+
+
+def _imports(tree):
+    """(bound name, line) of every module-level import but ``__future__``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], stmt.lineno) for a in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            yield from ((a.asname or a.name, stmt.lineno) for a in stmt.names)
+
+
+def _private_definitions(tree):
+    """(name, defining statement) of every module-level private name."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _external_references(module: str) -> set[str]:
+    """Attribute names and imported names that the other package modules read."""
+    out = set()
+    for other, tree in TREES.items():
+        if other == module:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out.update(a.name for a in node.names)
+    return out
+
+
+def _unused_imports(tree) -> list[str]:
+    used = _loads(tree)
+    return [f"{name} (line {line})" for name, line in _imports(tree) if name not in used]
+
+
+def _unreferenced_privates(tree, external: set[str]) -> list[str]:
+    loads = {id(stmt): _loads(stmt) for stmt in tree.body}
+    return [f"{name} (line {definition.lineno})"
+            for name, definition in _private_definitions(tree)
+            if name not in external and not any(
+                name in names for key, names in loads.items() if key != id(definition))]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_module_level_import_is_used(module):
+    unused = _unused_imports(TREES[module])
+    assert not unused, f"{module}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_module_level_private_name_is_referenced(module):
+    dead = _unreferenced_privates(TREES[module], _external_references(module))
+    assert not dead, f"{module}: unreferenced private names {dead}"
+
+
+def test_the_checks_see_an_unused_import_and_a_dead_private_table():
+    tree = ast.parse("import numpy as np\nfrom .graded import bracket_table, max_abs\n"
+                     "_OLD = (1, 2)\n_USED = 3\n_SELF = 4\n\n"
+                     "def _rec(n):\n    return _rec(n - 1)\n\n"
+                     "def f():\n    return max_abs(_USED)\n")
+    assert _unused_imports(tree) == ["np (line 1)", "bracket_table (line 2)"]
+    assert _unreferenced_privates(tree, {"_SELF"}) == ["_OLD (line 3)", "_rec (line 7)"]

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sl11kit import suites
+from sl11kit import suites, yangian
 from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
 from sl11kit.coproduct import STACK_CACHE_SIZE, word_product
 from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
@@ -348,6 +348,28 @@ def test_tower_is_read_only_and_memoised(pair):
     assert _tower.cache_info().maxsize == STACK_CACHE_SIZE
     with pytest.raises(ValueError):
         coproduct_tower(eva, evb, r_max=-1)
+
+
+def test_bracket_layout_is_built_once_per_depth_and_format():
+    """Bracket reports on fresh modules read one cached layout per (rs_max,
+    names format); none is rebuilt per call, and its index table is read-only."""
+    layout = yangian._bracket_layout
+    for seed in range(3):
+        la, lb, _, _ = suite_draw(seed)
+        eva, evb = scaled_eval_pair(la, lb)
+        for rs_max in (0, 3, 8):
+            level_bracket_report(eva, rs_max)
+        for rs_max in (0, 2, 4):
+            coproduct_hom_report(eva, evb, rs_max)
+        if seed == 0:
+            misses = layout.cache_info().misses
+    assert layout.cache_info().misses == misses
+    assert layout.cache_info().maxsize == STACK_CACHE_SIZE
+    names, index = layout(2, "[{a},{r};{b},{s}]")
+    assert len(names) == index.shape[1] == 8 * 6  # eight brackets, six (r, s) with r + s <= 2
+    assert [c.identity for c in level_bracket_report(eva, 2).cases] == list(names)
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
 
 
 def test_coproduct_is_a_tower_slice(pair):
