@@ -39,6 +39,16 @@ KAC_ONE = identity(KAC_SPACE)
 C11_E12, C11_E21, C11_ONE = unit(C11, C11, 0, 1), unit(C11, C11, 1, 0), identity(C11)
 
 
+#: The defining brackets (a, b, t, sign): [a, b} = sign t, an anticommutator
+#: for the odd pairs and a commutator with h0.  The Yangian's level images and
+#: level coproduct satisfy them as [a_r, b_s} = sign t_{r+s}, its currents as
+#: (w - z)[a(z), b(w)} = sign (t(z) - t(w)).
+_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
+             ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
+             ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
+             ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
+
+
 class AtypicalLocusWarning(UserWarning):
     """Weights sit on the shortening locus; the 4-dim module is reducible."""
 
@@ -346,15 +356,8 @@ def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     """
     im, comm = relation_images(rep, CLASSICAL_NAMES, _ODD_NAMES)
     zero = np.zeros((rep.space.dim, rep.space.dim))
-    cases = []
-    targets = {("e1", "f1"): "h1", ("e2", "f2"): "h2",
-               ("e1", "f2"): "k1", ("e2", "f1"): "k2"}
-    for (a, b), t in targets.items():
-        cases.append((f"[{a},{b}]-{t}", comm(a, b), im[t]))
-    for a in ("e1", "e2"):
-        cases.append((f"[h0,{a}]-{a}", comm("h0", a), im[a]))
-    for a in ("f1", "f2"):
-        cases.append((f"[h0,{a}]+{a}", comm("h0", a), -im[a]))
+    cases = [(f"[{a},{b}]{'-' if sign > 0 else '+'}{t}", comm(a, b), sign * im[t])
+             for a, b, t, sign in _BRACKETS]
     for a, b in (("e1", "e1"), ("e1", "e2"), ("e2", "e2"),
                  ("f1", "f1"), ("f1", "f2"), ("f2", "f2")):
         cases.append((f"[{a},{b}]", comm(a, b), zero))
@@ -452,6 +455,15 @@ def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
     return basis, r
 
 
+def _fused_weights(labels_a: RepLabels, labels_b: RepLabels) -> tuple[complex, ...]:
+    """(lambda~1, lambda~2, nu~, mu~1, mu~2) of the product of two atypical
+    modules: weights add, nu multiplies, mu~_i = alpha_i (nu~^2 - nu~^-2)."""
+    nu_t = labels_a.nu * labels_b.nu
+    a1, a2 = labels_a.alpha
+    return (labels_a.lambda1 + labels_b.lambda1, labels_a.lambda2 + labels_b.lambda2, nu_t,
+            a1 * (nu_t**2 - nu_t**-2), a2 * (nu_t**2 - nu_t**-2))
+
+
 def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
                tolerance: float = 1e-10) -> FusionResult:
     """Identify the product of two atypical modules with a 4-dim module.
@@ -462,12 +474,7 @@ def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
     if max(abs(labels_a.alpha1 - labels_b.alpha1),
            abs(labels_a.alpha2 - labels_b.alpha2)) > 1e-12:
         raise ValueError("fusion requires identical couplings alpha_i")
-    lam1 = labels_a.lambda1 + labels_b.lambda1
-    lam2 = labels_a.lambda2 + labels_b.lambda2
-    nu_t = labels_a.nu * labels_b.nu
-    a1, a2 = labels_a.alpha
-    mu1 = a1 * (nu_t**2 - nu_t**-2)
-    mu2 = a2 * (nu_t**2 - nu_t**-2)
+    lam1, lam2, nu_t, mu1, mu2 = _fused_weights(labels_a, labels_b)
     if on_shortening_locus(lam1 * lam2, mu1 * mu2, 1e-10):
         raise DegenerateFusionError(
             "fused weights satisfy the shortening constraint; the product is reducible")
@@ -481,6 +488,15 @@ def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
     return FusionResult(lam1, lam2, nu_t, basis, r)
 
 
+def _require_singlet(what: str, quantities, tolerance: float) -> None:
+    """Raise :class:`SingletPreconditionError` itemizing every (name, value) of
+    ``quantities`` that is not zero up to ``tolerance``."""
+    bad = [f"{nm} = {val:.3e}" for nm, val in quantities if abs(val) > tolerance]
+    if bad:
+        raise SingletPreconditionError(
+            f"labels do not admit a {what}; nonzero: " + "; ".join(bad))
+
+
 def singlet_vector(labels_a: RepLabels, labels_b: RepLabels,
                    tolerance: float = 1e-10) -> np.ndarray:
     """The invariant vector gamma w1 (x) w0' + gamma' nu nu' w0 (x) w1'.
@@ -488,19 +504,9 @@ def singlet_vector(labels_a: RepLabels, labels_b: RepLabels,
     Requires all fused weights to vanish and nu nu' = 1; the failing
     quantities are itemized otherwise.
     """
-    lam1 = labels_a.lambda1 + labels_b.lambda1
-    lam2 = labels_a.lambda2 + labels_b.lambda2
-    nunu = labels_a.nu * labels_b.nu
-    a1, a2 = labels_a.alpha
-    mu1 = a1 * (nunu**2 - nunu**-2)
-    mu2 = a2 * (nunu**2 - nunu**-2)
-    bad = [f"{nm} = {val:.3e}" for nm, val in
-           (("lambda~1", lam1), ("lambda~2", lam2), ("mu~1", mu1), ("mu~2", mu2),
-            ("nu nu' - 1", nunu - 1))
-           if abs(val) > tolerance]
-    if bad:
-        raise SingletPreconditionError(
-            "labels do not admit a singlet; nonzero: " + "; ".join(bad))
+    lam1, lam2, nunu, mu1, mu2 = _fused_weights(labels_a, labels_b)
+    _require_singlet("singlet", (("lambda~1", lam1), ("lambda~2", lam2), ("mu~1", mu1),
+                                 ("mu~2", mu2), ("nu nu' - 1", nunu - 1)), tolerance)
     v = np.zeros(4, dtype=complex)
     v[1] = labels_a.gamma            # w1 (x) w0'
     v[2] = labels_b.gamma * labels_a.nu * labels_b.nu   # w0 (x) w1'

@@ -18,7 +18,7 @@ import time
 from functools import cache
 
 from . import qalgebra, rmatrix, suites, zhukovski
-from .algebra import RepLabels, default_alpha
+from .algebra import GeneratorImage, RepLabels, atypical_rep, default_alpha
 from .report import c2j
 
 #: ``verify`` flags passed on to the suites, by suite option name.
@@ -31,6 +31,17 @@ def _complex(text: str) -> complex:
         return complex(text.replace(" ", ""))
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from err
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low`` (a usage error names the flag)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # unparsable text reads "invalid int value"
+    return parse
 
 
 def _write(payload: str, path: str | None) -> None:
@@ -92,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
-    verify.add_argument("--samples", type=int, default=20)
+    verify.add_argument("--samples", type=_int_at_least(1), default=20)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tolerance", type=float, default=None)
-    verify.add_argument("--levels", type=int, default=None)
-    verify.add_argument("--order", type=int, default=None)
+    verify.add_argument("--levels", type=_int_at_least(0), default=None)
+    verify.add_argument("--order", type=_int_at_least(2), default=None)
     verify.add_argument("--offshell", action="store_true", default=None,
                         help="draw |nu| != 1 labels where supported")
     verify.add_argument("--no-timestamp", action="store_true",
@@ -133,18 +144,12 @@ def _emit(args) -> int:
         if not (args.solve and args.rep_a and args.rep_b):
             raise SystemExit("representation files require --solve with both "
                              "--rep-a and --rep-b")
-        from .algebra import GeneratorImage
         with open(args.rep_a) as fh:
             rep_a = GeneratorImage.from_dict(json.load(fh))
         with open(args.rep_b) as fh:
             rep_b = GeneratorImage.from_dict(json.load(fh))
         rm = rmatrix.r_solve(rep_a, rep_b)
-        if args.format == "csv":
-            _write(_matrix_csv(rm), args.output)
-        else:
-            _write(json.dumps(rm.to_dict(), indent=2), args.output)
-        return 0
-    if args.trig:
+    elif args.trig:
         for flag in ("theta1", "theta2", "lam"):
             if getattr(args, flag) is None:
                 raise SystemExit("--trig needs --theta1, --theta2 and --lambda")
@@ -173,7 +178,6 @@ def _emit(args) -> int:
             lb = RepLabels(args.gamma2, args.nu2, *alpha)
             rm = rmatrix.r_closed(la, lb)
             if args.solve:
-                from .algebra import atypical_rep
                 rm = rmatrix.r_solve(atypical_rep(la), atypical_rep(lb),
                                      match_r11=rm.normalization)
     if args.format == "csv":
@@ -245,7 +249,6 @@ def _params(args) -> int:
             "mover": args.mover,
         }
         if args.emit_rep:
-            from .algebra import atypical_rep
             payload["representation"] = atypical_rep(labels).to_dict()
     else:
         qzp = zhukovski.q_zhukovski_point(args.xplus, args.xi, args.delta, args.q,

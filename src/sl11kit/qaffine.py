@@ -21,9 +21,10 @@ import numpy as np
 
 from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, word_product
 from .graded import EVEN, SuperMatrix
-from .qalgebra import QRepLabels, q_atypical_rep
+from .qalgebra import QRepLabels, _ef_targets, q_atypical_rep
 from .algebra import GeneratorImage, coassociativity_checker, relation_images
 from .report import Report, residual_report
+from .rmatrix import rq_closed
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
@@ -146,14 +147,10 @@ def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
                       im["K0-"] @ im[f"F{i}"] @ im["K0+"], im[f"F{i}"] * q))
     # sl(1|1)^2 blocks on nodes {1,2} and {3,4}
     for block in ((1, 2), (3, 4)):
-        for i in block:
-            for j in block:
-                if i == j:
-                    kp, km = im[f"K{i}+"], im[f"K{i}-"]
-                    target = (kp @ kp - km @ km) * (1 / qq)
-                else:
-                    target = (l_image(i, "+") - l_image(i, "-")) * (rep.alpha[i - 1] / qq)
-                cases.append((f"[E{i},F{j}]", comm(f"E{i}", f"F{j}"), target))
+        words = {f"L{i}{sign}": l_image(i, sign) for i in block for sign in "+-"}
+        targets = _ef_targets(im | words, q, rep.alpha, block)
+        cases += [(f"[E{i},F{j}]", comm(f"E{i}", f"F{j}"), targets[f"E{i}", f"F{j}"])
+                  for i in block for j in block]
     # quantum Serre lines and the compatibility relation
     kplus = im["K1+"] @ im["K2+"] @ im["K3+"] @ im["K4+"]
     kminus = im["K1-"] @ im["K2-"] @ im["K3-"] @ im["K4-"]
@@ -265,7 +262,6 @@ def _pair_intertwine(rep_a: AffineRep, rep_b: AffineRep, labels_a: QRepLabels,
                      labels_b: QRepLabels, tolerance: float = 1e-9) -> Report:
     """:func:`affine_intertwine` on evaluation modules already built from the
     labels, so their memoised coproduct stacks are read, not rebuilt."""
-    from .rmatrix import rq_closed
     rmat = rq_closed(labels_a, labels_b).m
     d = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)
     dop = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b, opposite=True)

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import (C11_E12, C11_E21, C11_ONE, KAC_ONE, KAC_SPACE, AtypicalLocusWarning,
-                      DegenerateFusionError, GeneratorImage, SingletPreconditionError,
+                      DegenerateFusionError, GeneratorImage, _require_singlet,
                       coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, kac_odd_images,
                       on_shortening_locus, relation_images, singlet_lines, twist)
@@ -54,11 +54,7 @@ def reject_root_of_unity(q: complex, order: int = 48, tol: float = 1e-9) -> None
 
 def qbracket(x: complex, q: complex) -> complex:
     """[x]_q = (q^x - q^{-x})/(q - q^{-1}) for a numeric exponent x."""
-    q = complex(q)
-    if abs(q - 1) < 1e-14 or abs(q + 1) < 1e-14:
-        raise ValueError("qbracket undefined at q = +-1")
-    qx = np.exp(complex(x) * np.log(q))
-    return (qx - 1 / qx) / (q - 1 / q)
+    return qbracket_of_power(np.exp(complex(x) * np.log(complex(q))), q)
 
 
 def qbracket_of_power(qx: complex, q: complex) -> complex:
@@ -264,6 +260,23 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
 # -- relation checker ----------------------------------------------------------
 
 
+def _ef_targets(im, q: complex, alpha, nodes: tuple[int, ...]) -> dict:
+    """[E_i, F_j} right-hand sides on ``nodes`` from the name -> matrix map ``im``:
+    (K_i^{+2} - K_i^{-2})/(q - q^{-1}) for i = j and, when the couplings (by
+    node) are known, alpha_i (L_i^+ - L_i^-)/(q - q^{-1}) for i != j.  Scalars
+    stay on the right, as in SuperMatrix."""
+    qq = q - 1 / q
+    out = {}
+    for i in nodes:
+        for j in nodes:
+            if i == j:
+                kp, km = im[f"K{i}+"], im[f"K{i}-"]
+                out[f"E{i}", f"F{j}"] = (kp @ kp - km @ km) * (1 / qq)
+            elif alpha is not None:
+                out[f"E{i}", f"F{j}"] = (im[f"L{i}+"] - im[f"L{i}-"]) * (alpha[i - 1] / qq)
+    return out
+
+
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     """Residuals of the deformed defining relations in a representation."""
     im, comm = relation_images(rep, Q_NAMES, _Q_ODD)
@@ -282,17 +295,10 @@ def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
         cases.append((f"K0+ {a} K0- - q {a}", im["K0+"] @ im[a] @ im["K0-"], im[a] * q))
     for a in ("F1", "F2"):
         cases.append((f"K0- {a} K0+ - q {a}", im["K0-"] @ im[a] @ im["K0+"], im[a] * q))
-    qq = q - 1 / q
-    targets = {
-        ("E1", "F1"): (im["K1+"] @ im["K1+"] - im["K1-"] @ im["K1-"]) * (1 / qq),
-        ("E2", "F2"): (im["K2+"] @ im["K2+"] - im["K2-"] @ im["K2-"]) * (1 / qq),
-    }
-    if rep.alpha is not None:
-        a1, a2 = rep.alpha
-        targets[("E1", "F2")] = (im["L1+"] - im["L1-"]) * (a1 / qq)
-        targets[("E2", "F1")] = (im["L2+"] - im["L2-"]) * (a2 / qq)
-    for (a, b), t in targets.items():
-        cases.append((f"[{a},{b}]", comm(a, b), t))
+    targets = _ef_targets(im, q, rep.alpha, (1, 2))
+    cases += [(f"[{a},{b}]", comm(a, b), targets[a, b])
+              for a, b in (("E1", "F1"), ("E2", "F2"), ("E1", "F2"), ("E2", "F1"))
+              if (a, b) in targets]
     for a, b in (("E1", "E1"), ("E1", "E2"), ("E2", "E2"),
                  ("F1", "F1"), ("F1", "F2"), ("F2", "F2")):
         cases.append((f"[{a},{b}]", comm(a, b), zero))
@@ -342,19 +348,13 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     """
     if rep_a.alpha is None or rep_a.q is None:
         raise ValueError("representations must carry couplings and q")
-    a1, a2 = rep_a.alpha
-    qq = rep_a.q - 1 / rep_a.q
     d = dict(zip(Q_COPRODUCT.names, coproduct_stack(Q_COPRODUCT, rep_a, rep_b)))
-    names, lhs, rhs = [], [], []
-    # scalars multiply matrices on the right, as in SuperMatrix
-    for x, y, target in (("E1", "F2", (d["L1+"] - d["L1-"]) * (a1 / qq)),
-                         ("E2", "F1", (d["L2+"] - d["L2-"]) * (a2 / qq)),
-                         ("E1", "F1", (d["K1+"] @ d["K1+"] - d["K1-"] @ d["K1-"]) * (1 / qq)),
-                         ("E2", "F2", (d["K2+"] @ d["K2+"] - d["K2-"] @ d["K2-"]) * (1 / qq))):
-        names.append(f"[Delta({x}),Delta({y})]")
-        lhs.append(d[x] @ d[y] + d[y] @ d[x])
-        rhs.append(target)
-    return residual_report("q-coproduct-homomorphism", tolerance, names, lhs, rhs)
+    targets = _ef_targets(d, rep_a.q, rep_a.alpha, (1, 2))
+    pairs = (("E1", "F2"), ("E2", "F1"), ("E1", "F1"), ("E2", "F2"))
+    names = [f"[Delta({x}),Delta({y})]" for x, y in pairs]
+    lhs = [d[x] @ d[y] + d[y] @ d[x] for x, y in pairs]
+    return residual_report("q-coproduct-homomorphism", tolerance, names, lhs,
+                           [targets[pair] for pair in pairs])
 
 
 # -- fusion and the deformed singlet -------------------------------------------
@@ -367,6 +367,15 @@ class QFusionResult:
     nu: complex
     basis: np.ndarray
     report: Report
+
+
+def _q_fused_powers(labels_a: QRepLabels, labels_b: QRepLabels) -> tuple[complex, ...]:
+    """(q^{lambda~1/2}, q^{lambda~2/2}, nu~, q^{mu~1}, q^{mu~2}) of the product of
+    two deformed atypical modules: the powers and nu multiply."""
+    k1t = labels_a.qlam1 * labels_b.qlam1
+    k2t = labels_a.qlam2 * labels_b.qlam2
+    nut = labels_a.nu * labels_b.nu
+    return k1t, k2t, nut, k1t * k2t * nut**2, k1t * k2t * nut**-2
 
 
 def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
@@ -382,11 +391,7 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
         raise ValueError("fusion requires identical q and couplings")
     q = labels_a.q
     a1, a2 = labels_a.alpha
-    k1t = labels_a.qlam1 * labels_b.qlam1
-    k2t = labels_a.qlam2 * labels_b.qlam2
-    nut = labels_a.nu * labels_b.nu
-    qmu1t = k1t * k2t * nut**2
-    qmu2t = k1t * k2t * nut**-2
+    k1t, k2t, nut, qmu1t, qmu2t = _q_fused_powers(labels_a, labels_b)
     bl1, bl2 = qbracket_of_power(k1t**2, q), qbracket_of_power(k2t**2, q)
     bm1, bm2 = qbracket_of_power(qmu1t, q), qbracket_of_power(qmu2t, q)
     if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-10):
@@ -413,19 +418,11 @@ def q_singlet_vector(labels_a: QRepLabels, labels_b: QRepLabels,
     The factor q^{-lambda~2/2} is kept verbatim even though it is +-1 on the
     admissible locus.
     """
-    k1t = labels_a.qlam1 * labels_b.qlam1
-    k2t = labels_a.qlam2 * labels_b.qlam2
-    nut = labels_a.nu * labels_b.nu
-    qmu1t = k1t * k2t * nut**2
-    qmu2t = k1t * k2t * nut**-2
-    bad = [f"{nm} = {val:.3e}" for nm, val in
-           (("q^lambda~1 - 1", k1t**2 - 1), ("q^lambda~2 - 1", k2t**2 - 1),
-            ("q^mu~1 - 1", qmu1t - 1), ("q^mu~2 - 1", qmu2t - 1),
-            ("nu nu' - 1", nut - 1))
-           if abs(val) > tolerance]
-    if bad:
-        raise SingletPreconditionError(
-            "labels do not admit a deformed singlet; nonzero: " + "; ".join(bad))
+    k1t, k2t, nut, qmu1t, qmu2t = _q_fused_powers(labels_a, labels_b)
+    _require_singlet("deformed singlet",
+                     (("q^lambda~1 - 1", k1t**2 - 1), ("q^lambda~2 - 1", k2t**2 - 1),
+                      ("q^mu~1 - 1", qmu1t - 1), ("q^mu~2 - 1", qmu2t - 1),
+                      ("nu nu' - 1", nut - 1)), tolerance)
     v = np.zeros(4, dtype=complex)
     v[1] = labels_a.gamma
     v[2] = (1 / k2t) * labels_b.gamma * labels_a.nu * labels_b.nu

@@ -31,7 +31,7 @@ from .coproduct import coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
                      identity, max_abs, unit)
 from .qalgebra import Q_COPRODUCT, QRepLabels
-from .report import Report, residual_report
+from .report import Report, c2j, residual_report
 
 _T2 = C11.tensor(C11)
 
@@ -80,7 +80,6 @@ class RMatrix:
         return max_abs(off)
 
     def to_dict(self) -> dict:
-        from .report import c2j
         d = {"form": self.form, "normalization": c2j(self.normalization),
              "matrix": self.matrix.to_dict()}
         for tag, lab in (("labels_a", self.labels_a), ("labels_b", self.labels_b)):
@@ -115,17 +114,10 @@ def slot_coefficients(r) -> dict[str, complex]:
 
 
 def r_closed(labels_a: RepLabels, labels_b: RepLabels) -> RMatrix:
-    """Rational closed form of the intertwiner for two atypical modules."""
-    g, n = labels_a.gamma, labels_a.nu
-    gp, np_ = labels_b.gamma, labels_b.nu
-    coeffs = {
-        "11,11": gp * n * np_ / g - g / (gp * n * np_),
-        "11,22": gp * np_ / (g * n) - g * n / (gp * np_),
-        "12,21": -(n**2 - n**-2),
-        "21,12": (np_**2 - np_**-2),
-        "22,11": gp * n / (g * np_) - g * np_ / (gp * n),
-        "22,22": gp / (g * n * np_) - g * n * np_ / gp,
-    }
+    """Rational closed form of the intertwiner for two atypical modules: the
+    deformed coefficients :func:`rq_from_powers` at unit weight powers."""
+    coeffs = rq_from_powers(labels_a.gamma, labels_a.nu, 1, 1,
+                            labels_b.gamma, labels_b.nu, 1, 1)
     if max(abs(c) for c in coeffs.values()) < 1e-14:
         raise ValueError("all six coefficients vanish: degenerate label pair")
     return RMatrix(_assemble(coeffs), "closed", labels_a, labels_b,

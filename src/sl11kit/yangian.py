@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GeneratorImage, RepLabels, atypical_rep
+from .algebra import _BRACKETS, GeneratorImage, RepLabels, atypical_rep
 from .coproduct import STACK_CACHE_SIZE, kron_sum
 from .graded import SuperMatrix, graded_flip, max_abs
 from .report import Report, residual_report
@@ -85,6 +85,13 @@ def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels,
                  for lab in (labels_a, labels_b))
 
 
+def _levels(r_max: int) -> range:
+    """The levels 0..r_max of a report; a negative depth is an error."""
+    if r_max < 0:
+        raise ValueError("negative level")
+    return range(r_max + 1)
+
+
 def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation."""
     if ev.base.alpha is None:
@@ -92,31 +99,21 @@ def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     usq = ev.image("u+") @ ev.image("u+")
     usqm = ev.image("u-") @ ev.image("u-")
     rpt = Report("k-tower", tolerance)
-    for r in range(r_max + 1):
+    for r in _levels(r_max):
         rhs = usq @ ev.image("h1", r) - usqm @ ev.image("h2", r)
         for i, alpha in enumerate(ev.base.alpha, 1):
             rpt.add(f"k{i},{r+1}", max_abs(ev.image(f"k{i}", r + 1) - alpha * rhs))
     return rpt
 
 
-#: The defining brackets (a, b, t, sign): [a_r, b_s} = sign t_{r+s}, an
-#: anticommutator for the odd pairs and a commutator with h0.  The level
-#: images and the level coproduct satisfy them as written, the currents as
-#: (w - z)[a(z), b(w)} = sign (t(z) - t(w)).
-_BRACKETS = (("e1", "f1", "h1", 1), ("e2", "f2", "h2", 1),
-             ("e1", "f2", "k1", 1), ("e2", "f1", "k2", 1),
-             ("h0", "e1", "e1", 1), ("h0", "e2", "e2", 1),
-             ("h0", "f1", "f1", -1), ("h0", "f2", "f2", -1))
-
-
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _bracket_layout(rs_max: int, names_format: str):
     """Case names (``names_format`` filled with a, r, b, s) and (a, r, b, s, t,
-    r+s, (-1)^{p_a p_b}, sign) index rows of the brackets with r + s <= rs_max,
-    by r, then s, then bracket."""
+    r+s, (-1)^{p_a p_b}, sign) index rows of the brackets ``_BRACKETS`` with
+    r + s <= rs_max, by r, then s, then bracket."""
     fam = FAMILIES.index
     names, index = [], []
-    for r in range(rs_max + 1):
+    for r in _levels(rs_max):
         for s in range(rs_max + 1 - r):
             for a, b, t, sign in _BRACKETS:
                 names.append(names_format.format(a=a, r=r, b=b, s=s))
@@ -145,7 +142,7 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     ``(F, R, n, n)`` array, and every (r, s) bracket is one gathered product.
     """
     x = np.stack([ev.base[f].m for f in FAMILIES])
-    powers = np.array([ev.rho ** r for r in range(rs_max + 1)], dtype=np.complex128)
+    powers = np.array([ev.rho ** r for r in _levels(rs_max)], dtype=np.complex128)
     levels = x[:, None] * powers[None, :, None, None]
     return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
 
@@ -229,7 +226,7 @@ def _tower_layout(r_max: int):
     pairs = {}
     rows = []
     for name in FAMILIES:
-        for r in range(r_max + 1):
+        for r in _levels(r_max):
             groups = {}
             for coeff, left, right in _tail_terms(name, r, *_EPS_CODES):
                 words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
@@ -316,8 +313,6 @@ def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
     Delta^op is the graded flip of the swapped pair's tower.  Memoised per
     (rep_a, rep_b, eps, r_max, opposite).
     """
-    if r_max < 0:
-        raise ValueError("negative level")
     # positional, normalised arguments: one cache entry whatever the call form
     return _tower(rep_a, rep_b, (complex(eps[0]), complex(eps[1])), int(r_max), bool(opposite))
 

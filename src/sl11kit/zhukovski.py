@@ -73,6 +73,8 @@ def zhukovski_solve(p: complex, m: complex, h: complex,
     (``inside``).  Modulus ties fall back to the larger real part; an exact
     tie raises :class:`BranchTieError`.
     """
+    if branch not in ("outside", "inside"):
+        raise ValueError(f"branch must be 'outside' or 'inside', not {branch!r}")
     if h == 0:
         raise ValueError("h must be nonzero")
     eip = np.exp(_I * p)
@@ -207,6 +209,9 @@ def q_zhukovski_point(xplus: complex, xi: complex, delta: complex, q: complex,
     ``xminus_hint`` overrides both.  A short Newton polish on the shell
     function is run afterwards.
     """
+    if minus_branch not in ("near-inverse", "near-same"):
+        raise ValueError("minus_branch must be 'near-inverse' or 'near-same', "
+                         f"not {minus_branch!r}")
     q = complex(q)
     qd = np.exp(complex(delta) * np.log(q))
     target = zeta(xplus, xi) / qd**2

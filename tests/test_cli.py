@@ -293,3 +293,27 @@ def test_verify_all_passes_each_flag_to_the_suites_that_take_it(tmp_path):
     assert code == 0
     by_suite = {r["suite"]: r for r in json.loads(path.read_text())["suites"]}
     assert by_suite["yangian"]["levels"] == 2
+
+
+@pytest.mark.parametrize("suite, flag, value, message", [
+    ("ybe", "--samples", "0", "must be at least 1, got 0"),
+    ("ybe", "--samples", "-1", "must be at least 1, got -1"),
+    ("all", "--samples", "0", "must be at least 1, got 0"),
+    ("yangian", "--levels", "-1", "must be at least 0, got -1"),
+    ("yangian", "--order", "0", "must be at least 2, got 0"),
+    ("yangian", "--order", "1", "must be at least 2, got 1"),
+    ("ybe", "--samples", "many", "invalid int value: 'many'"),
+])
+def test_verify_rejects_out_of_range_counts_at_parse_time(suite, flag, value, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", suite, flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_verify_takes_the_smallest_counts_in_range(capsys):
+    code, out = run(capsys, "verify", "yangian", "--samples", "1", "--levels", "0",
+                    "--order", "2", "--no-timestamp")
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["samples"], blob["levels"], blob["order"]) == (1, 0, 2)

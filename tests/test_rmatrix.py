@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from sl11kit import suites
 from sl11kit.algebra import RepLabels, atypical_rep, check_relations
 from sl11kit.graded import C11, graded_perm, identity, max_abs
 from sl11kit.qalgebra import q_labels, q_atypical_rep
-from sl11kit.rmatrix import (ReducibleTensorError, conjugate_r, conjugate_rep,
+from sl11kit.rmatrix import (ReducibleTensorError, _assemble, conjugate_r, conjugate_rep,
                              conjugated_pair, intertwining_report, r_closed,
                              r_solve, r_trig, rq_closed, rq_from_powers,
                              slot_coefficients, solve_intertwiner,
@@ -283,3 +284,29 @@ def test_deformed_conjugation_smoke():
     rq = conjugate_r(rq_closed(QA, QB), "V-Vbar")
     pa, pb = conjugated_pair(q_atypical_rep(QA), q_atypical_rep(QB), "V-Vbar")
     assert intertwining_report(rq, pa, pb).max_residual <= 1e-10
+
+
+def _rational_coefficients(labels_a, labels_b):
+    """The rational slot coefficients as written out before ``r_closed`` read
+    :func:`rq_from_powers`: the reference the fold must reproduce exactly."""
+    g, n = labels_a.gamma, labels_a.nu
+    gp, np_ = labels_b.gamma, labels_b.nu
+    return {
+        "11,11": gp * n * np_ / g - g / (gp * n * np_),
+        "11,22": gp * np_ / (g * n) - g * n / (gp * np_),
+        "12,21": -(n**2 - n**-2),
+        "21,12": (np_**2 - np_**-2),
+        "22,11": gp * n / (g * np_) - g * np_ / (gp * n),
+        "22,22": gp / (g * n * np_) - g * n * np_ / gp,
+    }
+
+
+@pytest.mark.parametrize("offshell", [False, True])
+def test_closed_form_is_the_deformed_one_at_unit_powers(offshell):
+    for rng in suites._child_rngs(17, 600):
+        alpha = suites.draw_alpha(rng)
+        la, lb = (suites.draw_labels(rng, alpha, offshell) for _ in range(2))
+        coeffs = _rational_coefficients(la, lb)
+        r = r_closed(la, lb)
+        assert np.array_equal(r.m, _assemble(coeffs).m)
+        assert r.normalization == coeffs["11,11"]

@@ -4,6 +4,8 @@ Every module-level import must be used, and every module-level private
 ``_name`` must be referenced, in its own module outside its own definition or
 from another package module.  A fold that moves a table or a helper otherwise
 leaves the old import or the old private table behind without any test noticing.
+No function body imports a package module: the package has no import cycle to
+break, so such an import only hides a dependency from the module header.
 ``__init__`` only re-exports, so it is left out.
 """
 import ast
@@ -73,6 +75,15 @@ def _unreferenced_privates(tree, external: set[str]) -> list[str]:
                 name in names for key, names in loads.items() if key != id(definition))]
 
 
+def _function_imports(tree) -> list[str]:
+    """(function, line) of every relative import inside a function body, by line."""
+    found = sorted((node.lineno, fn.name) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0)
+    return [f"{name} (line {line})" for line, name in found]
+
+
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_module_level_import_is_used(module):
     unused = _unused_imports(TREES[module])
@@ -92,3 +103,17 @@ def test_the_checks_see_an_unused_import_and_a_dead_private_table():
                      "def f():\n    return max_abs(_USED)\n")
     assert _unused_imports(tree) == ["np (line 1)", "bracket_table (line 2)"]
     assert _unreferenced_privates(tree, {"_SELF"}) == ["_OLD (line 3)", "_rec (line 7)"]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_body_imports_a_package_module(module):
+    local = _function_imports(TREES[module])
+    assert not local, f"{module}: package imports inside functions {local}"
+
+
+def test_the_check_sees_a_package_import_in_a_method_body():
+    tree = ast.parse("import json\n\nclass R:\n    def to_dict(self):\n"
+                     "        from .report import c2j\n        import numpy\n"
+                     "        return c2j(1)\n\n"
+                     "def f():\n    from . import graded\n    return graded\n")
+    assert _function_imports(tree) == ["to_dict (line 5)", "f (line 10)"]

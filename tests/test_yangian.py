@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sl11kit import suites, yangian
+from sl11kit import algebra, suites, yangian
 from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
 from sl11kit.coproduct import STACK_CACHE_SIZE, word_product
 from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
@@ -667,3 +667,27 @@ def test_intertwining_on_the_labels_equals_the_suite_pair(seed):
     misses = _tower.cache_info().misses
     _pair_intertwine(eva, evb, la, lb, 4)
     assert _tower.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("report", [
+    lambda ev, evb: yangian.kir_report(ev, r_max=-1),
+    lambda ev, evb: yangian.level_bracket_report(ev, -1),
+    lambda ev, evb: yangian.omega_preserves_brackets_report(ev, 0.7, 1.3j, -1),
+    lambda ev, evb: yangian.omega_twist_equivalence(ev, evb, 0.7, 1.3j, r_max=-1),
+    lambda ev, evb: yangian.coproduct_hom_report(ev, evb, -1),
+    lambda ev, evb: yangian.coproduct_tower(ev, evb, r_max=-1),
+], ids=["kir", "level-brackets", "omega-brackets", "omega-twist", "hom", "tower"])
+def test_a_negative_depth_is_a_typed_error(report, pair):
+    with pytest.raises(ValueError, match="^negative level$"):
+        report(*pair)
+
+
+def test_level_zero_brackets_are_the_first_relation_cases():
+    for rng in suites._child_rngs(5, 200):
+        ev = yangian.eval_rep(suites.draw_labels(rng))
+        level = yangian.level_bracket_report(ev, 0).cases
+        relations = algebra.check_relations(ev.base).cases[:8]
+        assert [c.residual for c in level] == [c.residual for c in relations]
+        assert [c.identity for c in relations] == [
+            "[e1,f1]-h1", "[e2,f2]-h2", "[e1,f2]-k1", "[e2,f1]-k2",
+            "[h0,e1]-e1", "[h0,e2]-e2", "[h0,f1]+f1", "[h0,f2]+f2"]

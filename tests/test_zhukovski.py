@@ -238,3 +238,15 @@ def test_dispersion_identity():
     energy, mom = dispersion(theta, lam, h)
     direct = -16 * h**2 * np.sin(2 * theta) ** 2 * np.cos(4 * lam)
     assert abs(energy**2 + mom**2 - direct) < 1e-12
+
+
+def test_solver_rejects_an_unknown_branch():
+    with pytest.raises(ValueError, match="'outside' or 'inside'.*'outsde'"):
+        zhukovski_solve(1.0, 0.5, 1.0, branch="outsde")
+    assert abs(zhukovski_solve(1.0, 0.5, 1.0).xplus) > 1
+
+
+def test_q_point_rejects_an_unknown_minus_branch():
+    with pytest.raises(ValueError, match="'near-inverse' or 'near-same'.*'near_inverse'"):
+        q_zhukovski_point(1.4 + 0.9j, 3.0 + 0.5j, 0.35 - 0.1j, 1.12 + 0.05j,
+                          minus_branch="near_inverse")
