@@ -19,7 +19,7 @@ from functools import cache
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import GeneratorImage, RepLabels, atypical_rep, default_alpha
-from .report import c2j
+from .report import c2j, json_text
 
 #: ``verify`` flags passed on to the suites, by suite option name.
 _SUITE_FLAGS = {"tolerance": "--tolerance", "levels": "--levels",
@@ -213,7 +213,7 @@ def _verify(args) -> int:
         "suite": "all",
         "seed": args.seed,
         "samples": args.samples,
-        "suites": [r.to_dict(include_timestamp=False) for r in reports],
+        "suites": [r.json_fields(include_timestamp=False) for r in reports],
         "max_residual": max(r.max_residual for r in reports),
         "passed": passed,
     }
@@ -228,7 +228,7 @@ def _verify(args) -> int:
         tables = [r.to_csv() for r in reports]
         text = tables[0] + "".join(t.partition("\n")[2] for t in tables[1:])
     else:
-        text = json.dumps(payload, indent=2)
+        text = json_text(payload)
     _write(text, args.output)
     return 0 if passed else 1
 

@@ -3,7 +3,9 @@
 Every checker in the library returns one of these.  A report passes when
 its largest residual is at or below its tolerance.  Identities that could
 not be checked are listed in ``skipped`` with the reason, never dropped;
-warnings raised while a suite ran are counted in ``warnings``.
+warnings raised while a suite ran are counted in ``warnings``.  A report
+holds its cases as columns, and :func:`json_text` writes its case lines
+from them, byte for byte as ``json.dumps(report.to_dict(), indent=2)``.
 """
 from __future__ import annotations
 
@@ -12,8 +14,14 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
+
+#: ``float.__repr__`` of the non-finite floats, as :mod:`json` writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def c2j(z) -> list[float]:
@@ -30,11 +38,11 @@ def param_value(v):
     return v
 
 
-@dataclass
-class Case:
+class Case(NamedTuple):
+    """One case of a report, as a read-only view of its columns."""
     identity: str
     residual: float
-    params: dict = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
     tolerance: float | None = None  # overrides the report tolerance
 
     def to_dict(self) -> dict:
@@ -50,17 +58,32 @@ class Case:
 
 @dataclass
 class Report:
+    """Case ``i`` is ``names[i]`` with residual ``residuals[i]``, checked against
+    ``tolerances[i]`` (``None``: the report's tolerance); the few cases that
+    carry params have them in ``params[i]``.  A report is filled in place."""
     suite: str
     tolerance: float = 1e-10
-    cases: list[Case] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    names: list[str] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
+    tolerances: list[float | None] = field(default_factory=list)
+    params: dict[int, dict] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     #: (category, message, count) of each distinct warning, in first-seen order
     warnings: list[tuple[str, str, int]] = field(default_factory=list)
 
+    @property
+    def cases(self) -> list[Case]:
+        return [Case(name, res, self.params.get(i, {}), tol) for i, (name, res, tol)
+                in enumerate(zip(self.names, self.residuals, self.tolerances))]
+
     def add(self, identity: str, residual: float, tolerance: float | None = None,
             **params) -> None:
-        self.cases.append(Case(identity, float(residual), params, tolerance))
+        if params:
+            self.params[len(self.names)] = params
+        self.names.append(identity)
+        self.residuals.append(float(residual))
+        self.tolerances.append(tolerance)
 
     def skip(self, identity: str, reason: str) -> None:
         """Record an identity that was not checked, and why."""
@@ -79,51 +102,53 @@ class Report:
     def override_tolerance(self, tolerance: float) -> None:
         """Check every case against ``tolerance``, replacing per-case tolerances."""
         self.tolerance = tolerance
-        for case in self.cases:
-            case.tolerance = None
+        self.tolerances = [None] * len(self.names)
         self.meta["tolerance_override"] = tolerance
 
     def merge(self, other: "Report", prefix: str = "",
               tolerance: float | None = None) -> None:
-        for case in other.cases:
-            name = f"{prefix}{case.identity}" if prefix else case.identity
-            tol = case.tolerance
-            if tol is None and tolerance is not None:
-                tol = tolerance
-            elif tol is None and other.tolerance != self.tolerance:
-                tol = other.tolerance
-            self.cases.append(Case(name, case.residual, case.params, tol))
+        """Append ``other``'s cases, names prefixed.  A case of ``other`` without
+        its own tolerance gets ``tolerance``, else ``other``'s if that differs."""
+        if tolerance is None and other.tolerance != self.tolerance:
+            tolerance = other.tolerance
+        self.params.update((len(self.names) + i, p) for i, p in other.params.items())
+        self.names.extend([prefix + n for n in other.names] if prefix else other.names)
+        self.residuals.extend(other.residuals)
+        self.tolerances.extend(other.tolerances if tolerance is None else
+                               [tolerance if t is None else t for t in other.tolerances])
         self.skipped.extend((f"{prefix}{identity}", reason)
                             for identity, reason in other.skipped)
         self._count_warnings(other.warnings)
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.cases), default=0.0)
+        return max(self.residuals, default=0.0)
 
     @property
     def median_residual(self) -> float:
-        vals = sorted(c.residual for c in self.cases)
+        vals = sorted(self.residuals)
         if not vals:
             return 0.0
         n = len(vals)
         mid = n // 2
         return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
 
-    def case_tolerance(self, case: Case) -> float:
-        """The tolerance ``case`` is checked against: its own, else the report's."""
-        return case.tolerance if case.tolerance is not None else self.tolerance
+    def _checked_against(self):
+        """(residual, the tolerance it is checked against) of each case."""
+        tolerance = self.tolerance
+        return zip(self.residuals, (tolerance if t is None else t for t in self.tolerances))
 
     @property
     def passed(self) -> bool:
-        return all(c.residual <= self.case_tolerance(c) for c in self.cases)
+        return all(r <= t for r, t in self._checked_against())
 
-    def to_dict(self, include_timestamp: bool = True) -> dict:
+    def json_fields(self, include_timestamp: bool = True) -> dict:
+        """:meth:`to_dict` with the report itself in place of its case list."""
         d = {
             "suite": self.suite,
             "tolerance": self.tolerance,
             **self.meta,
-            "cases": [c.to_dict() for c in self.cases],
+            "cases": self,
             "max_residual": self.max_residual,
             "median_residual": self.median_residual,
             "passed": self.passed,
@@ -137,18 +162,54 @@ class Report:
             d["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         return d
 
+    def to_dict(self, include_timestamp: bool = True) -> dict:
+        d = self.json_fields(include_timestamp)
+        d["cases"] = [c.to_dict() for c in self.cases]
+        return d
+
     def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timestamp), indent=2)
+        return json_text(self.json_fields(include_timestamp))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["suite", "identity", "residual", "tolerance", "passed"])
-        for c in self.cases:
-            tol = self.case_tolerance(c)
-            writer.writerow([self.suite, c.identity, repr(c.residual), repr(tol),
-                             "true" if c.residual <= tol else "false"])
+        writer.writerows([self.suite, name, repr(res), repr(tol),
+                          "true" if res <= tol else "false"]
+                         for name, (res, tol) in zip(self.names, self._checked_against()))
         return buf.getvalue()
+
+
+def json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` as written ``depth`` levels deep, where a
+    :class:`Report` in place of a case list is written from its columns.
+    Dict keys are strings."""
+    if isinstance(obj, float):  # as the encoder writes it, without its set-up
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, Report):  # each case as its ``Case.to_dict()``
+        key = pad + '  "'
+        params = {i: json_text({k: param_value(v) for k, v in p.items()}, depth + 2)
+                  for i, p in obj.params.items()}
+        residuals = [_NON_FINITE.get(t, t) for t in map(float.__repr__, obj.residuals)]
+        tolerances = ["" if t is None else f',{key}tolerance": {json_text(t)}'
+                      for t in obj.tolerances]
+        brackets = "[]"
+        items = [f'{{{key}identity": {encode_basestring_ascii(name)},{key}residual": {res}'
+                 f',{key}params": {params.get(i, "{}")}{tol}{pad}}}' for i, (name, res, tol)
+                 in enumerate(zip(obj.names, residuals, tolerances))]
+    elif isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {json_text(v, depth + 1)}"
+                 for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [json_text(v, depth + 1) for v in obj]
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
 def residual_report(suite: str, tolerance: float, names, lhs, rhs) -> Report:
@@ -157,8 +218,7 @@ def residual_report(suite: str, tolerance: float, names, lhs, rhs) -> Report:
     ``lhs`` and ``rhs`` are ``(C, n, n)`` arrays or sequences of C matrices;
     every residual is taken in one array operation.
     """
-    rpt = Report(suite, tolerance)
-    residuals = np.abs(np.asarray(lhs) - np.asarray(rhs)).max(axis=(1, 2))
-    for name, res in zip(names, residuals.tolist()):
-        rpt.add(name, res)
-    return rpt
+    residuals = np.abs(np.asarray(lhs) - np.asarray(rhs)).max(axis=(1, 2)).astype(float)
+    residuals = residuals.tolist()
+    return Report(suite, tolerance, names=list(names), residuals=residuals,
+                  tolerances=[None] * len(residuals))

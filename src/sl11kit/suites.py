@@ -254,16 +254,23 @@ class UnsupportedOptionError(TypeError):
         super().__init__(f"suite {suite!r} does not take {', '.join(self.options)}")
 
 
+class SampleCountError(ValueError):
+    """A suite was asked for fewer than one sample."""
+
+
 def run_suite(name: str, samples: int, seed: int, **options) -> Report:
     """Run one named suite.
 
-    Options left at ``None`` are not passed; any other option the suite does
-    not take raises :class:`UnsupportedOptionError`.  An explicit
-    ``tolerance`` applies to every case, replacing per-case tolerances, and
-    the report records it as ``tolerance_override``.
+    A ``samples`` count below 1 raises :class:`SampleCountError`.  Options
+    left at ``None`` are not passed; any other option the suite does not take
+    raises :class:`UnsupportedOptionError`.  An explicit ``tolerance`` applies
+    to every case, replacing per-case tolerances, and the report records it
+    as ``tolerance_override``.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    if samples < 1:
+        raise SampleCountError(f"samples must be at least 1, got {samples}")
     options = {k: v for k, v in options.items() if v is not None}
     unknown = [k for k in options if k not in _OPTIONS[name]]
     if unknown:

@@ -53,3 +53,14 @@ def test_skips_are_merged_with_prefix_and_omitted_when_empty():
     outer.merge(inner, prefix="[3]")
     assert outer.skipped == [("[3]b", "not applicable")]
     assert "skipped" not in Report("empty").to_dict(include_timestamp=False)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_library_rejects_sample_counts_below_one(samples):
+    assert issubclass(suites.SampleCountError, ValueError)
+    with pytest.raises(suites.SampleCountError, match=f"got {samples}"):
+        suites.run_suite("hopf", samples=samples, seed=0)
+    with pytest.raises(suites.SampleCountError):
+        suites.run_recorded("ybe", samples=samples, seed=0)
+    with pytest.raises(suites.SampleCountError):
+        suites.run_all(samples=samples, seed=0)
