@@ -1,9 +1,12 @@
 """The centrally extended sl(1|1)^2 superalgebra with group-like central u.
 
-Representations are stored as :class:`GeneratorImage`: a named map from the
-generators (e1, e2, f1, f2, h0, h1, h2, k1, k2, u+, u-) to supermatrices on
-a common graded space, together with the central-extension couplings
-(alpha1, alpha2) that tie k_i to alpha_i (u^2 - u^{-2}).
+Representations are stored as :class:`GeneratorImage`: the images of the
+generators (e1, e2, f1, f2, h0, h1, h2, k1, k2, u+, u-) on a common graded
+space as one read-only :class:`ImageStack`, together with the
+central-extension couplings (alpha1, alpha2) that tie k_i to
+alpha_i (u^2 - u^{-2}).  The module builders fill the stack from the
+labels, and the relation checkers read it through gathered batched
+products; a SuperMatrix is made only when an image is asked for by name.
 
 The algebra carries a two-parameter family of u-deformed coproducts; at
 representation level these are assembled with the Koszul-signed tensor
@@ -13,30 +16,32 @@ conjugation with the graded permutation.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .coproduct import (CoproductTable, coassociativity_stacks, coproduct_matrix,
-                        coproduct_stack, word_product)
-from .graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
-                     identity, max_abs, unit, zeros)
+from .coproduct import (CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
+                        coproduct_stack, spell, word_stack)
+from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, max_abs
 from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
 _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
+_PARITY = tuple(ODD if name in _ODD_NAMES else EVEN for name in CLASSICAL_NAMES)
 
-#: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21), and its
-#: identity, of which every scalar image on it is a multiple.
+#: 4-dimensional highest-weight module space, basis (v0, v1, v2, v21).
 KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
-KAC_ONE = identity(KAC_SPACE)
 
-#: The C11 operators every atypical image, classical or deformed, is a
-#: multiple of: one SuperMatrix per image, formed as matrix times scalar.
-C11_E12, C11_E21, C11_ONE = unit(C11, C11, 0, 1), unit(C11, C11, 1, 0), identity(C11)
+#: Entry patterns of the atypical images on C11 (basis w1, w0), each image a
+#: pattern times one scalar: e_i lower w1 -> w0, f_i raise w0 -> w1, h0 is
+#: diag(-2, -1) and the central elements are multiples of the identity.
+#: The deformed atypical module reuses the rows of e, f and the identity.
+_LOWER = np.array([[0, 0], [1, 0]], dtype=np.complex128)
+_ONE = np.eye(2, dtype=np.complex128)
+ATYPICAL_PATTERNS = np.stack([_LOWER, _LOWER, _LOWER.T, _LOWER.T, np.diag([-2.0, -1.0]),
+                              *[_ONE] * 6])
 
 
 #: The defining brackets (a, b, t, sign): [a, b} = sign t, an anticommutator
@@ -115,9 +120,42 @@ def default_alpha(h: complex) -> tuple[complex, complex]:
     return (-h / 2, h / 2)
 
 
+class ImageStack(Mapping):
+    """The images of ``names`` on ``space`` as one read-only ``(G, n, n)``
+    array ``stack`` (the array given is frozen in place), with their declared
+    parities (``None``: undeclared).  As a mapping it is read-only; each
+    access makes a SuperMatrix of a slice.
+    """
+
+    def __init__(self, space: GradedSpace, names, stack: np.ndarray, parity):
+        self.space, self.names, self.parity = space, tuple(names), tuple(parity)
+        self.stack = np.asarray(stack, dtype=np.complex128)
+        if (self.stack.shape != (len(self.names), space.dim, space.dim)
+                or len(self.parity) != len(self.names)):
+            raise ValueError("image stack does not match its names and carrier space")
+        self.stack.setflags(write=False)
+        self.index = {name: g for g, name in enumerate(self.names)}
+
+    def __getitem__(self, name: str) -> SuperMatrix:
+        g = self.index[name]
+        return SuperMatrix(self.space, self.space, self.stack[g], self.parity[g])
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorImage:
-    """A representation: generator name -> supermatrix on a common space."""
+    """A representation: generator name -> supermatrix on a common space.
+
+    ``images`` is an :class:`ImageStack`.  The constructor also takes any
+    name -> SuperMatrix mapping, checks that every image acts on ``space``
+    and stacks it once.  ``images`` and ``rep[name]`` give SuperMatrix views
+    made on access; :attr:`stack` and :meth:`gather` give the arrays.
+    """
 
     space: GradedSpace
     images: Mapping[str, SuperMatrix]
@@ -126,11 +164,18 @@ class GeneratorImage:
     kind: str = "classical"
 
     def __post_init__(self):
-        imgs = dict(self.images)
-        for name, mat in imgs.items():
-            if mat.space_out != self.space or mat.space_in != self.space:
-                raise ValueError(f"image of {name} is not an operator on the carrier space")
-        object.__setattr__(self, "images", MappingProxyType(imgs))
+        images, dim = self.images, self.space.dim
+        if not isinstance(images, ImageStack):
+            images = dict(images)
+            for name, mat in images.items():
+                if mat.space_out != self.space or mat.space_in != self.space:
+                    raise ValueError(f"image of {name} is not an operator on the carrier space")
+            images = ImageStack(self.space, images, np.array(
+                [mat.m for mat in images.values()]).reshape(-1, dim, dim),
+                [mat.parity for mat in images.values()])
+        elif images.space != self.space:
+            raise ValueError("the image stack is not on the carrier space")
+        object.__setattr__(self, "images", images)
 
     def __getitem__(self, name: str) -> SuperMatrix:
         try:
@@ -140,7 +185,22 @@ class GeneratorImage:
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.images)
+        return self.images.names
+
+    @property
+    def stack(self) -> np.ndarray:
+        """Read-only ``(G, n, n)`` array of the images, in :attr:`names` order."""
+        return self.images.stack
+
+    def gather(self, names) -> np.ndarray:
+        """The images of ``names`` as one array, in that order; raises
+        KeyError listing each missing image."""
+        missing = [name for name in names if name not in self.images.index]
+        if missing:
+            raise KeyError(f"missing generator images: {missing}")
+        if tuple(names) == self.names:
+            return self.stack
+        return self.stack[[self.images.index[name] for name in names]]
 
     def to_dict(self) -> dict:
         d = {
@@ -166,12 +226,33 @@ class GeneratorImage:
         return GeneratorImage(space, imgs, alpha, q, d.get("kind", "classical"))
 
 
-def _scalar_part(mat: SuperMatrix, tol: float = 1e-9) -> complex | None:
+def _scalar_part(mat: np.ndarray, tol: float = 1e-9) -> complex | None:
     """c such that mat = c * identity, or None."""
-    c = complex(np.trace(mat.m)) / mat.space_out.dim
-    if max_abs(mat.m - c * np.eye(mat.space_out.dim)) <= tol * max(1.0, abs(c)):
+    c = complex(np.trace(mat)) / len(mat)
+    if max_abs(mat - c * np.eye(len(mat))) <= tol * max(1.0, abs(c)):
         return c
     return None
+
+
+def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
+    """Index arrays of the graded brackets [a, b} of ``pairs`` over ``names``:
+    the distinct products x_a x_b they read, and per pair the rows of x_a x_b
+    and x_b x_a among them and (-1)^{p_a p_b}.  One per checker, at import."""
+    index = {name: g for g, name in enumerate(names)}
+    products = tuple(dict.fromkeys(p for a, b in pairs for p in ((a, b), (b, a))))
+    row = {p: k for k, p in enumerate(products)}
+    return (np.array([[index[a] for a, _ in products], [index[b] for _, b in products]]),
+            np.array([row[a, b] for a, b in pairs]), np.array([row[b, a] for a, b in pairs]),
+            np.array([-1.0 if a in odd and b in odd else 1.0 for a, b in pairs])[:, None, None])
+
+
+def graded_brackets(x: np.ndarray, layout: tuple) -> np.ndarray:
+    """``(P, n, n)`` brackets x_a x_b - (-1)^{p_a p_b} x_b x_a of a
+    :func:`bracket_layout` on the ``(G, n, n)`` stack ``x``, from one
+    gathered batched product."""
+    (left, right), ab, ba, sign = layout
+    prod = x[left] @ x[right]
+    return prod[ab] - sign * prod[ba]
 
 
 # -- Hopf structure: checkers each algebra binds to its coproduct table -------
@@ -193,13 +274,16 @@ def coassociativity_checker(table: CoproductTable, suite: str):
 def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float = 1e-10):
     """Report of m(S x id)Delta(g) = eps(g) 1 on every generator of ``table``, in one module."""
     names = [f"antipode:{name}" for name in table.names]
+    sources = [src for src, _ in table.antipode.values()]
+    signs = np.array([coeff for _, coeff in table.antipode.values()], dtype=float)[:, None, None]
+    # S reverses products, S(x y) = S(y) S(x): the left words, reversed
+    reversed_words = spell(table.names, [word[::-1] for word in table.words])
 
     def report(rep, tolerance: float = tolerance) -> Report:
-        # S(x) on every generator; S reverses products, S(x y) = S(y) S(x)
-        s_rep = GeneratorImage(rep.space, {name: coeff * rep[src]
-                                           for name, (src, coeff) in table.antipode.items()})
-        lhs = [sum(coeff * (word_product(s_rep, left[::-1]) @ word_product(rep, right))
-                   for coeff, left, right in table.terms[name]) for name in table.names]
+        s_words = word_stack(rep.gather(sources) * signs, reversed_words)
+        words = _words(table, rep)
+        lhs = sum(coeff.reshape(-1, 1, 1) * (s_words[left] @ words[right])
+                  for coeff, left, right in table.columns)
         counit = table.counit[:, None, None] * np.eye(rep.space.dim)
         return residual_report(suite, tolerance, names, lhs, counit)
     return report
@@ -227,9 +311,12 @@ def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> Generato
         table, alpha_map = rows[name]
     except KeyError:
         raise KeyError(f"unknown twist {name!r}; choose from {sorted(rows)}") from None
-    imgs = {g: coeff * rep[src] for g, (src, coeff) in table.items()}
+    sources = [src for src, _ in table.values()]
+    coeffs = np.array([coeff for _, coeff in table.values()], dtype=float)
+    images = ImageStack(rep.space, table, rep.gather(sources) * coeffs[:, None, None],
+                        [rep.images.parity[rep.images.index[src]] for src in sources])
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, imgs, alpha=alpha, q=rep.q, kind=rep.kind)
+    return GeneratorImage(rep.space, images, alpha=alpha, q=rep.q, kind=rep.kind)
 
 
 # -- representation constructors ---------------------------------------------
@@ -243,22 +330,12 @@ def atypical_rep(labels: RepLabels) -> GeneratorImage:
     nu^4 = 1 the representation is degenerate (``labels.degenerate``): the
     f images and all weights vanish.
     """
-    g, nu = labels.gamma, labels.nu
-    h0 = SuperMatrix(C11, C11, np.diag([-2.0, -1.0]), EVEN)
-    imgs = {
-        "e1": g * C11_E21,
-        "e2": (1 / g) * C11_E21,
-        "f1": g * labels.mu2 * C11_E12,
-        "f2": (1 / g) * labels.mu1 * C11_E12,
-        "h0": h0,
-        "h1": labels.lambda1 * C11_ONE,
-        "h2": labels.lambda2 * C11_ONE,
-        "k1": labels.mu1 * C11_ONE,
-        "k2": labels.mu2 * C11_ONE,
-        "u+": nu * C11_ONE,
-        "u-": (1 / nu) * C11_ONE,
-    }
-    return GeneratorImage(C11, imgs, alpha=labels.alpha)
+    g, nu, mu1, mu2 = labels.gamma, labels.nu, labels.mu1, labels.mu2
+    values = (g, 1 / g, g * mu2, (1 / g) * mu1, 1, labels.lambda1, labels.lambda2,
+              mu1, mu2, nu, 1 / nu)
+    stack = ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
+    return GeneratorImage(C11, ImageStack(C11, CLASSICAL_NAMES, stack, _PARITY),
+                          alpha=labels.alpha)
 
 
 def on_shortening_locus(x: complex, y: complex, rel_tol: float) -> bool:
@@ -271,38 +348,36 @@ def on_shortening_locus(x: complex, y: complex, rel_tol: float) -> bool:
     return abs(x - y) <= rel_tol * max(abs(x), abs(y), 1.0)
 
 
-def kac_odd_images(lam1: complex, lam2: complex, mu1: complex,
-                   mu2: complex) -> tuple[SuperMatrix, ...]:
-    """Odd images (e1, e2, f1, f2) of the 4-dim module on basis (v0, v1, v2, v21).
+#: Entry patterns of the 4-dim images on basis (v0, v1, v2, v21): the odd
+#: images (zero here) are written in by :func:`kac_images`, h0 is
+#: diag(0, -1, -1, -2), and the central elements are multiples of the identity.
+KAC_PATTERNS = np.stack([*[np.zeros((4, 4))] * 4, np.diag([0.0, -1.0, -1.0, -2.0]),
+                         *[np.eye(4)] * 6]).astype(np.complex128)
+
+
+def kac_images(patterns: np.ndarray, values, lam1: complex, lam2: complex, mu1: complex,
+               mu2: complex) -> np.ndarray:
+    """Image stack ``patterns[g] * values[g]`` of a 4-dim module, with the odd
+    images (the first four: e1, e2, f1, f2) written in.
 
     f1.v0 = v1, f2.v0 = v2, f2.v1 = -f1.v2 = v21; e_i brackets with f_i to
     the weight lam_i and with the other f to the central charge mu_i.  The
     deformed module passes q-brackets and coupled q-brackets.
     """
-    f1 = np.zeros((4, 4), dtype=complex)
-    f1[1, 0] = 1.0
-    f1[3, 2] = -1.0
-    f2 = np.zeros((4, 4), dtype=complex)
-    f2[2, 0] = 1.0
-    f2[3, 1] = 1.0
-    e1 = np.zeros((4, 4), dtype=complex)
-    e1[0, 1] = lam1
-    e1[0, 2] = mu1
-    e1[1, 3] = mu1
-    e1[2, 3] = -lam1
-    e2 = np.zeros((4, 4), dtype=complex)
-    e2[0, 1] = mu2
-    e2[0, 2] = lam2
-    e2[1, 3] = lam2
-    e2[2, 3] = -mu2
-    return tuple(SuperMatrix(KAC_SPACE, KAC_SPACE, m, ODD) for m in (e1, e2, f1, f2))
+    stack = patterns * np.array(values, dtype=np.complex128)[:, None, None]
+    rows, cols = [0, 0, 1, 2], [1, 2, 3, 3]
+    stack[0, rows, cols] = lam1, mu1, mu1, -lam1
+    stack[1, rows, cols] = mu2, lam2, lam2, -mu2
+    stack[2, [1, 3], [0, 2]] = 1.0, -1.0
+    stack[3, [2, 3], [0, 1]] = 1.0, 1.0
+    return stack
 
 
 def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
                 alpha: tuple[complex, complex]) -> GeneratorImage:
     """The 4-dimensional highest-weight module on basis (v0, v1, v2, v21).
 
-    Odd images from :func:`kac_odd_images`; central elements act by
+    Odd images from :func:`kac_images`; central elements act by
     scalars.  Warns when the weights sit on the shortening locus.
     """
     a1, a2 = alpha
@@ -310,40 +385,31 @@ def typical_rep(lambda1: complex, lambda2: complex, nu: complex,
     mu2 = a2 * (nu**2 - nu**-2)
     if on_shortening_locus(lambda1 * lambda2, mu1 * mu2, 1e-12):
         warnings.warn("weights sit on the shortening locus", AtypicalLocusWarning)
-    V = KAC_SPACE
-    imgs = {
-        **dict(zip(("e1", "e2", "f1", "f2"), kac_odd_images(lambda1, lambda2, mu1, mu2))),
-        "h0": SuperMatrix(V, V, np.diag([0.0, -1.0, -1.0, -2.0]), EVEN),
-        "h1": lambda1 * KAC_ONE,
-        "h2": lambda2 * KAC_ONE,
-        "k1": mu1 * KAC_ONE,
-        "k2": mu2 * KAC_ONE,
-        "u+": nu * KAC_ONE,
-        "u-": (1 / nu) * KAC_ONE,
-    }
-    return GeneratorImage(V, imgs, alpha=alpha)
+    return _typical(lambda1, lambda2, nu, mu1, mu2, alpha)
+
+
+def _typical(lam1, lam2, nu, mu1, mu2, alpha) -> GeneratorImage:
+    """:func:`typical_rep` from weights whose locus test has already passed."""
+    values = (0, 0, 0, 0, 1, lam1, lam2, mu1, mu2, nu, 1 / nu)
+    stack = kac_images(KAC_PATTERNS, values, lam1, lam2, mu1, mu2)
+    return GeneratorImage(KAC_SPACE, ImageStack(KAC_SPACE, CLASSICAL_NAMES, stack, _PARITY),
+                          alpha=alpha)
 
 
 # -- relation checkers ---------------------------------------------------------
 
 
-def relation_images(rep: GeneratorImage, names: tuple[str, ...], odd: frozenset):
-    """The images of ``names`` in ``rep`` by name, and their graded bracket by name pair.
-
-    The preamble of every relation checker: raises KeyError listing each
-    missing image; ``comm(a, b)`` reads one :func:`.graded.bracket_table`
-    of the stacked images, with the parities of ``odd``.
-    """
-    missing = [n for n in names if n not in rep.images]
-    if missing:
-        raise KeyError(f"missing generator images: {missing}")
-    x = np.stack([rep.images[n].m for n in names])
-    table = bracket_table(x, [n in odd for n in names])
-    index = {n: i for i, n in enumerate(names)}
-
-    def comm(a: str, b: str) -> np.ndarray:
-        return table[index[a], index[b]]
-    return {n: x[i] for n, i in index.items()}, comm
+#: The brackets :func:`check_relations` reads, in case order: the defining
+#: ones, the odd pairs that vanish and those of the central generators.
+_PAIRS = ([(a, b) for a, b, _, _ in _BRACKETS]
+          + [(a, b) for a in ("e1", "e2", "f1", "f2") for b in ("e1", "e2", "f1", "f2")
+             if a[0] == b[0] and a <= b]
+          + [(c, g) for c in ("h1", "h2", "k1", "k2", "u+", "u-") for g in CLASSICAL_NAMES])
+_LAYOUT = bracket_layout(CLASSICAL_NAMES, _ODD_NAMES, _PAIRS)
+_CASES = ([f"[{a},{b}]{'-' if sign > 0 else '+'}{t}" for a, b, t, sign in _BRACKETS]
+          + [f"[{a},{b}]" for a, b in _PAIRS[8:14]] + ["u+u- - 1"]
+          + [f"central:[{c},{g}]" for c, g in _PAIRS[14:]]
+          + ["k1 - alpha1(u^2-u^-2)", "k2 - alpha2(u^2-u^-2)"])
 
 
 def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
@@ -352,27 +418,25 @@ def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     Covers the e-f brackets, the h0 grading brackets, triviality of the
     remaining brackets, centrality of h_i, k_i, u^{+-}, invertibility of u,
     and (when the representation carries couplings) the central-extension
-    constraints k_i = alpha_i (u^2 - u^{-2}).
+    constraints k_i = alpha_i (u^2 - u^{-2}).  Every bracket comes from one
+    gathered batched product.
     """
-    im, comm = relation_images(rep, CLASSICAL_NAMES, _ODD_NAMES)
-    zero = np.zeros((rep.space.dim, rep.space.dim))
-    cases = [(f"[{a},{b}]{'-' if sign > 0 else '+'}{t}", comm(a, b), sign * im[t])
-             for a, b, t, sign in _BRACKETS]
-    for a, b in (("e1", "e1"), ("e1", "e2"), ("e2", "e2"),
-                 ("f1", "f1"), ("f1", "f2"), ("f2", "f2")):
-        cases.append((f"[{a},{b}]", comm(a, b), zero))
-    cases.append(("u+u- - 1", im["u+"] @ im["u-"], np.eye(rep.space.dim)))
-    for c in ("h1", "h2", "k1", "k2", "u+", "u-"):
-        for g in CLASSICAL_NAMES:
-            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
+    x = rep.gather(CLASSICAL_NAMES)
+    n = rep.space.dim
+    br = graded_brackets(x, _LAYOUT)
+    up, um = x[9], x[10]  # u+, u-
+    lhs = [br[:14], (up @ um)[None], br[14:]]
+    rhs = [np.stack([sign * x[CLASSICAL_NAMES.index(t)] for _, _, t, sign in _BRACKETS]),
+           np.zeros((6, n, n)), np.eye(n)[None], np.zeros((len(br) - 14, n, n))]
     if rep.alpha is not None:
-        a1, a2 = rep.alpha
-        usq = im["u+"] @ im["u+"] - im["u-"] @ im["u-"]
+        usq = up @ up - um @ um
         # matrix * scalar, the order SuperMatrix uses: numpy can round
         # scalar * matrix differently in the last bit
-        cases.append(("k1 - alpha1(u^2-u^-2)", im["k1"], usq * a1))
-        cases.append(("k2 - alpha2(u^2-u^-2)", im["k2"], usq * a2))
-    return residual_report("algebra-relations", tolerance, *zip(*cases))
+        lhs.append(x[7:9])  # k1, k2
+        rhs.append(np.stack([usq * a for a in rep.alpha]))
+    # one name per stacked row: the coupling lines only when there are couplings
+    return residual_report("algebra-relations", tolerance, _CASES[:sum(map(len, lhs))],
+                           np.concatenate(lhs), np.concatenate(rhs))
 
 
 # -- coproduct ----------------------------------------------------------------
@@ -421,7 +485,7 @@ class FusionResult:
 
 
 def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
-                  lowering: tuple[str, str], weights, raised, want,
+                  lowering: tuple[str, str], weights, raised, want: np.ndarray,
                   tolerance: float) -> tuple[np.ndarray, Report]:
     """Identify rep_a (x) rep_b, two atypical modules, with a 4-dim module.
 
@@ -431,7 +495,8 @@ def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
 
     * ``weights``: (name, value) with Delta(name) v0 = value v0;
     * ``raised``: (name, c1, c2) with Delta(name) v21 = c1 v1 - c2 v2;
-    * every generator conjugated into the basis against ``want(name)``.
+    * every generator conjugated into the basis against its row of the
+      ``(G, 4, 4)`` stack ``want``, in table order.
 
     Returns the basis and the report.
     """
@@ -450,8 +515,8 @@ def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
     for name, c1, c2 in raised:
         r.add(f"{name}.v21", max_abs(cop[name] @ v21 - (c1 * v1 - c2 * v2)))
     binv = np.linalg.inv(basis)
-    for name in table.names:
-        r.add(f"basis-conjugation:{name}", max_abs(binv @ cop[name] @ basis - want(name)))
+    for name, target in zip(table.names, want):
+        r.add(f"basis-conjugation:{name}", max_abs(binv @ cop[name] @ basis - target))
     return basis, r
 
 
@@ -462,6 +527,11 @@ def _fused_weights(labels_a: RepLabels, labels_b: RepLabels) -> tuple[complex, .
     a1, a2 = labels_a.alpha
     return (labels_a.lambda1 + labels_b.lambda1, labels_a.lambda2 + labels_b.lambda2, nu_t,
             a1 * (nu_t**2 - nu_t**-2), a2 * (nu_t**2 - nu_t**-2))
+
+
+#: h0 on the fused module sits at the additive shift -2 of the cyclic vector's weight.
+_H0_SHIFT = np.array([-2.0 if name == "h0" else 0.0 for name in CLASSICAL_NAMES])[:, None, None] \
+    * np.eye(4)
 
 
 def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
@@ -478,13 +548,11 @@ def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
     if on_shortening_locus(lam1 * lam2, mu1 * mu2, 1e-10):
         raise DegenerateFusionError(
             "fused weights satisfy the shortening constraint; the product is reducible")
-    target = typical_rep(lam1, lam2, nu_t, labels_a.alpha)
-    shift = {"h0": -2.0}
+    target = _typical(lam1, lam2, nu_t, mu1, mu2, labels_a.alpha)
     basis, r = fusion_report(
         "fusion", COPRODUCT, atypical_rep(labels_a), atypical_rep(labels_b), ("f1", "f2"),
         (("h1", lam1), ("h2", lam2), ("k1", mu1), ("k2", mu2), ("u+", nu_t), ("u-", 1 / nu_t)),
-        (("e1", mu1, lam1), ("e2", lam2, mu2)),
-        lambda name: target[name].m + shift.get(name, 0.0) * np.eye(4), tolerance)
+        (("e1", mu1, lam1), ("e2", lam2, mu2)), target.stack + _H0_SHIFT, tolerance)
     return FusionResult(lam1, lam2, nu_t, basis, r)
 
 
@@ -580,30 +648,19 @@ def gl2_twist(a: np.ndarray, b: np.ndarray, rep: GeneratorImage) -> GeneratorIma
     b = np.asarray(b, dtype=complex)
     if abs(np.linalg.det(a)) < 1e-14 or abs(np.linalg.det(b)) < 1e-14:
         raise ValueError("twist matrices must be invertible")
-    e = [rep["e1"], rep["e2"]]
-    f = [rep["f1"], rep["f2"]]
-    hk = [[rep["h1"], rep["k1"]], [rep["k2"], rep["h2"]]]
-    new_e = [a[r, 0] * e[0] + a[r, 1] * e[1] for r in range(2)]
-    new_f = [b[r, 0] * f[0] + b[r, 1] * f[1] for r in range(2)]
-
-    def hk_entry(r, c):
-        acc = zeros(rep.space, rep.space)
-        for s in range(2):
-            for t in range(2):
-                acc = acc + (a[r, s] * b[c, t]) * hk[s][t]
-        return acc
-
-    imgs = {
-        "e1": new_e[0], "e2": new_e[1], "f1": new_f[0], "f2": new_f[1],
-        "h0": rep["h0"], "u+": rep["u+"], "u-": rep["u-"],
-        "h1": hk_entry(0, 0), "k1": hk_entry(0, 1),
-        "k2": hk_entry(1, 0), "h2": hk_entry(1, 1),
-    }
+    x = np.array(rep.gather(CLASSICAL_NAMES))
+    e, f, hk = x[0:2].copy(), x[2:4].copy(), x[[5, 7, 8, 6]].reshape(2, 2, *x.shape[1:])
+    for r in range(2):
+        x[r] = e[0] * a[r, 0] + e[1] * a[r, 1]
+        x[2 + r] = f[0] * b[r, 0] + f[1] * b[r, 1]
+    for g, (r, c) in zip((5, 7, 8, 6), ((0, 0), (0, 1), (1, 0), (1, 1))):  # h1, k1, k2, h2
+        x[g] = sum(hk[s, t] * (a[r, s] * b[c, t]) for s in range(2) for t in range(2))
     alpha = None
-    nu = _scalar_part(rep["u+"])
+    nu = _scalar_part(x[9])
     if nu is not None and abs(nu**2 - nu**-2) > 1e-12:
-        k1c = _scalar_part(imgs["k1"])
-        k2c = _scalar_part(imgs["k2"])
+        k1c, k2c = _scalar_part(x[7]), _scalar_part(x[8])
         if k1c is not None and k2c is not None:
             alpha = (k1c / (nu**2 - nu**-2), k2c / (nu**2 - nu**-2))
-    return GeneratorImage(rep.space, imgs, alpha=alpha, kind=rep.kind)
+    parity = [rep.images.parity[rep.images.index[name]] for name in CLASSICAL_NAMES]
+    return GeneratorImage(rep.space, ImageStack(rep.space, CLASSICAL_NAMES, x, parity),
+                          alpha=alpha, kind=rep.kind)

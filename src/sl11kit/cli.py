@@ -100,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--rep-b")
     emit.add_argument("--output", "-o")
     emit.add_argument("--format", choices=("json", "csv"), default="json")
+    emit.set_defaults(usage_error=emit.error)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("suite", choices=sorted(suites.SUITES) + ["all"])
@@ -139,16 +140,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_rep(path: str, usage_error) -> GeneratorImage:
+    """A representation file: a bare representation, or the ``representation``
+    entry of a ``params xpm --emit-rep`` payload; anything else is a usage error."""
+    with open(path) as fh:
+        try:
+            blob = json.load(fh)
+            return GeneratorImage.from_dict(blob.get("representation", blob))
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            usage_error(f"{path} is not a representation file: {err!r}")
+
+
 def _emit(args) -> int:
     if args.rep_a or args.rep_b:
         if not (args.solve and args.rep_a and args.rep_b):
             raise SystemExit("representation files require --solve with both "
                              "--rep-a and --rep-b")
-        with open(args.rep_a) as fh:
-            rep_a = GeneratorImage.from_dict(json.load(fh))
-        with open(args.rep_b) as fh:
-            rep_b = GeneratorImage.from_dict(json.load(fh))
-        rm = rmatrix.r_solve(rep_a, rep_b)
+        rm = rmatrix.r_solve(*(_load_rep(path, args.usage_error)
+                               for path in (args.rep_a, args.rep_b)))
     elif args.trig:
         for flag in ("theta1", "theta2", "lam"):
             if getattr(args, flag) is None:

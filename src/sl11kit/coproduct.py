@@ -3,7 +3,9 @@
 A :class:`CoproductTable` lists, for every generator g, the terms
 ``(coeff, left word, right word)`` of Delta(g).  A word is a tuple of
 generator names, read as the matrix product of their images in one
-representation; the empty word is the identity.
+representation; the empty word is the identity.  :func:`spell` writes words
+as index rows padded with the identity, and :func:`word_stack` takes all
+their products on an image stack at once.
 
 :func:`coproduct_stack` evaluates a whole table on a pair of
 representations.  It takes one broadcast graded Kronecker product per term
@@ -21,7 +23,7 @@ their keys, so an object id is never reused while its entry is live.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -55,9 +57,10 @@ class CoproductTable:
         self.counit = np.array([1.0 if name in inverses else 0.0 for name in self.names])
         width = max(len(t) for t in self.terms.values())
         padded = [t + ((0, (), ()),) * (width - len(t)) for t in self.terms.values()]
-        #: every distinct word of the table, in first-seen order
+        #: every distinct word of the table, in first-seen order, and spelled
         self.words = tuple(dict.fromkeys(
             word for row in padded for _, left, right in row for word in (left, right)))
+        self.spelled = spell(self.names, self.words)
         slot = {word: i for i, word in enumerate(self.words)}
         # Term position k of every generator, padded with zero terms on empty
         # words: (coefficients shaped to broadcast over the Kronecker block,
@@ -77,14 +80,32 @@ class CoproductTable:
             raise KeyError(f"unknown generator {name!r}") from None
 
 
-def word_product(rep, word: tuple[str, ...]) -> np.ndarray:
-    """Matrix of the product of the named generators in ``rep``, left to right."""
-    if not word:
-        return np.eye(rep.space.dim, dtype=np.complex128)
-    mat = rep[word[0]].m
-    for name in word[1:]:
-        mat = mat @ rep[name].m
-    return mat
+def spell(names: tuple[str, ...], words) -> np.ndarray:
+    """``(W, L)`` index table of ``words`` over the generator ``names``.
+
+    Each word is padded with the identity index ``len(names)`` to the length
+    of the longest word (at least 1).
+    """
+    index = {name: g for g, name in enumerate(names)}
+    width = max([1, *map(len, words)])
+    spelled = np.array([[index[name] for name in word] + [len(names)] * (width - len(word))
+                        for word in words])
+    spelled.setflags(write=False)
+    return spelled
+
+
+def word_stack(stack: np.ndarray, spelled: np.ndarray) -> np.ndarray:
+    """``(W, n, n)`` products of spelled words on a ``(G, n, n)`` image stack.
+
+    Each word is multiplied left to right, one batched gather per letter
+    position; index G is the identity, and a product by an identity is
+    exact, so every entry equals the word's plain product.
+    """
+    images = np.concatenate([stack, np.eye(stack.shape[-1], dtype=np.complex128)[None]])
+    words = images[spelled[:, 0]]
+    for column in spelled.T[1:]:
+        words = words @ images[column]
+    return words
 
 
 def coproduct_stack(table: CoproductTable, rep_a, rep_b,
@@ -105,9 +126,9 @@ def coassociativity_stacks(table: CoproductTable, rep_a, rep_b, rep_c):
     """
     ab, bc = coproduct_stack(table, rep_a, rep_b), coproduct_stack(table, rep_b, rep_c)
     left = kron_sum(table.columns, rep_a.space.tensor(rep_b.space), rep_c.space,
-                    _slice_words(table, ab), _words(table, rep_c))
+                    word_stack(ab, table.spelled), _words(table, rep_c))
     right = kron_sum(table.columns, rep_a.space, rep_b.space.tensor(rep_c.space),
-                     _words(table, rep_a), _slice_words(table, bc))
+                     _words(table, rep_a), word_stack(bc, table.spelled))
     return left, right
 
 
@@ -138,18 +159,10 @@ def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray
     return stack.reshape(-1, out.dim, inn.dim)
 
 
-def _slice_words(table: CoproductTable, stack: np.ndarray) -> np.ndarray:
-    """``(W, n, n)`` word products over ``table.words`` of the module whose
-    generators act by the slices of ``stack``."""
-    eye = np.eye(stack.shape[-1], dtype=np.complex128)
-    return np.stack([reduce(np.matmul, [stack[table.position(name)] for name in word])
-                     if word else eye for word in table.words])
-
-
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _words(table: CoproductTable, rep) -> np.ndarray:
-    """Read-only ``(W, n, n)`` array of :func:`word_product` over ``table.words``."""
-    words = np.stack([word_product(rep, word) for word in table.words])
+    """Read-only ``(W, n, n)`` array of the products of ``table.words`` in ``rep``."""
+    words = word_stack(rep.gather(table.names), table.spelled)
     words.setflags(write=False)
     return words
 

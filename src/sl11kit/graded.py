@@ -16,11 +16,6 @@ where p(i), p(j) are the row/column parities of the A factor and p(k) is
 the row parity of the B factor.  Every other module builds on this choice;
 do not mix flattenings.
 
-:func:`bracket_table` takes the graded brackets of every ordered pair of a
-``(G, n, n)`` stack of operators at once, with the same entries as
-:func:`graded_comm` on each pair; the relation checkers read their
-brackets from it instead of building one SuperMatrix per product.
-
 All values are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
@@ -246,20 +241,6 @@ def graded_comm(a: SuperMatrix, b: SuperMatrix,
     pb = parity_b if parity_b is not None else b.inferred_parity(tol=0.0)
     sign = -1.0 if pa * pb else 1.0
     return a @ b - sign * (b @ a)
-
-
-def bracket_table(stack: np.ndarray, odd) -> np.ndarray:
-    """Graded brackets of every ordered pair of a ``(G, n, n)`` operator stack.
-
-    ``odd[a]`` is the parity of ``stack[a]``.  Returns the ``(G, G, n, n)``
-    array whose ``[a, b]`` slice is X_a X_b - (-1)^{p_a p_b} X_b X_a, from
-    one broadcast product; each slice has the entries of :func:`graded_comm`
-    on the pair with the same parities.
-    """
-    odd = np.asarray(odd, dtype=bool)
-    prod = stack[:, None] @ stack[None, :]
-    sign = np.where(odd[:, None] & odd[None, :], -1.0, 1.0)
-    return prod - sign[:, :, None, None] * prod.transpose(1, 0, 2, 3)
 
 
 def max_abs(x) -> float:

@@ -19,10 +19,11 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, word_product
-from .graded import EVEN, SuperMatrix
-from .qalgebra import QRepLabels, _ef_targets, q_atypical_rep
-from .algebra import GeneratorImage, coassociativity_checker, relation_images
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, spell, word_stack
+from .graded import EVEN, ODD, SuperMatrix
+from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, _ef_targets, q_atypical_rep
+from .algebra import (GeneratorImage, ImageStack, bracket_layout, coassociativity_checker,
+                      graded_brackets)
 from .report import Report, residual_report
 from .rmatrix import rq_closed
 
@@ -32,6 +33,7 @@ AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
 _AFF_ODD = frozenset({"E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"})
 GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
               "K4+", "K4-", "U+", "U-", "V+", "V-")
+_AFF_PARITY = tuple(ODD if name in _AFF_ODD else EVEN for name in AFFINE_NAMES)
 
 #: exponent convention (i) = (-1)^{i-1} used in the mixed relations
 def node_sign(i: int) -> int:
@@ -55,7 +57,8 @@ class AffineRep(GeneratorImage):
         For i in {1,2}: L_i^{+-} = (U^{+-2})^{(i)} K1^{+-} K2^{+-};
         for i in {3,4}: same with V and the upper node pair.
         """
-        return SuperMatrix(self.space, self.space, word_product(self, _l_word(i, sign)), EVEN)
+        word = word_stack(self.gather(AFFINE_NAMES), spell(AFFINE_NAMES, [_l_word(i, sign)]))
+        return SuperMatrix(self.space, self.space, word[0], EVEN)
 
 
 def _l_word(i: int, sign: str) -> tuple[str, str, str, str]:
@@ -71,6 +74,18 @@ def _l_word(i: int, sign: str) -> tuple[str, str, str, str]:
     return (f"{dress}{s}", f"{dress}{s}", f"{ka}{sign}", f"{kb}{sign}")
 
 
+#: Per variant, the deformed image each affine image is read from, in
+#: ``AFFINE_NAMES`` order: E_{i+2}, F_{i+2} from the base node i, K_{i+2}^{+-}
+#: from K^{-+}, V from U; and the gap node j of E3 and of E4.
+_EVAL_SOURCES = {
+    "standard": (("E1", "E2", "E1", "E2", "F1", "F2", "F1", "F2", "K0+", "K0-", "K1+", "K1-",
+                  "K2+", "K2-", "K1-", "K1+", "K2-", "K2+", "U+", "U-", "U+", "U-"), (2, 1)),
+    "swapped": (("E1", "E2", "E2", "E1", "F1", "F2", "F2", "F1", "K0+", "K0-", "K1+", "K1-",
+                 "K2+", "K2-", "K2-", "K2+", "K1-", "K1+", "U+", "U-", "U-", "U+"), (1, 2)),
+}
+_SCALED = [AFFINE_NAMES.index(name) for name in ("E3", "E4", "F3", "F4", "V+", "V-")]
+
+
 def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
                     beta: complex = 1.0) -> AffineRep:
     """Build the affine evaluation module on a deformed atypical representation."""
@@ -84,31 +99,18 @@ def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
     if abs(rho) < 1e-12:
         raise ValueError("the evaluation scalar rho vanishes at this point")
     lgap = {1: labels.qmu1 - 1 / labels.qmu1, 2: labels.qmu2 - 1 / labels.qmu2}
-    imgs = {name: base[name] for name in
-            ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
-             "U+", "U-")}
+    sources, (j3, j4) = _EVAL_SOURCES[variant]
+    stack = base.gather(sources)
+    # E_{i+2} from E_i with the complementary central gap, V from beta U
+    stack[_SCALED] *= np.array([-beta * lgap[j3] / rho, -beta * lgap[j4] / rho,
+                                beta * rho / lgap[j3], beta * rho / lgap[j4],
+                                beta, beta], dtype=np.complex128)[:, None, None]
     if variant == "standard":
-        # E_{i+2} from E_i with the complementary central gap
-        pairs = {3: (1, 2), 4: (2, 1)}   # node -> (base node i, gap node j)
-        kmap = {"K3+": "K1-", "K3-": "K1+", "K4+": "K2-", "K4-": "K2+"}
         alpha = (labels.alpha1, labels.alpha2, labels.alpha1, labels.alpha2)
     else:
-        pairs = {3: (2, 1), 4: (1, 2)}
-        kmap = {"K3+": "K2-", "K3-": "K2+", "K4+": "K1-", "K4-": "K1+"}
         alpha = (labels.alpha1, labels.alpha2, labels.alpha2, labels.alpha1)
-    for node, (i, j) in pairs.items():
-        imgs[f"E{node}"] = (-beta * lgap[j] / rho) * base[f"E{i}"]
-        imgs[f"F{node}"] = (beta * rho / lgap[j]) * base[f"F{i}"]
-    for tgt, src in kmap.items():
-        imgs[tgt] = base[src]
-    if variant == "standard":
-        imgs["V+"] = beta * base["U+"]
-        imgs["V-"] = beta * base["U-"]
-    else:
-        imgs["V+"] = beta * base["U-"]
-        imgs["V-"] = beta * base["U+"]
-    return AffineRep(base.space, imgs, alpha, labels.q, "affine",
-                     rho=rho, variant=variant, beta=beta)
+    return AffineRep(base.space, ImageStack(base.space, AFFINE_NAMES, stack, _AFF_PARITY),
+                     alpha, labels.q, "affine", rho=rho, variant=variant, beta=beta)
 
 
 def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep:
@@ -119,85 +121,83 @@ def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep
     return affine_eval_rep(labels, variant)
 
 
+def _relation_layout(variant: str):
+    """Words, bracket layout, case names and L-line rows of
+    :func:`affine_relations_report` for one variant.  ``serre`` holds the
+    bracket pairs whose even commutators the Serre line and the two L-lines
+    take, ``ik`` the nodes (i, k) of the L-lines and compatibility lines."""
+    if variant == "standard":
+        serre, ik = ("E3F2", "E4F1", "E1F3", "E4F2", "E2F4", "E3F1"), ((1, 4), (2, 3))
+    else:
+        serre, ik = ("E3F1", "E4F2", "E1F4", "E3F1", "E2F3", "E4F2"), ((1, 3), (2, 4))
+    serre = [(pair[:2], pair[2:]) for pair in serre]
+    blocks = ((1, 2), (3, 4))
+    words = spell(AFFINE_NAMES, [
+        *((f"{base}+", f"{base}-") for base in ("K0", "K1", "K2", "K3", "K4", "U", "V")),
+        *(w for i in range(1, 5) for w in (("K0+", f"E{i}", "K0-"), ("K0-", f"F{i}", "K0+"))),
+        *((f"K{i}{sign}",) * 2 for block in blocks for sign in "+-" for i in block),
+        *(_l_word(i, sign) for block in blocks for sign in "+-" for i in block),
+        ("K1+", "K2+", "K3+", "K4+"), ("K1-", "K2-", "K3-", "K4-"),
+        *((("U+", "V+"), ("U-", "V-")) if variant == "standard" else (("U+", "V-"), ("U-", "V+"))),
+        *((f"K{i}{sign}", f"K{k}{sign}") for i, k in ik for sign in "+-")])
+    ef = [(f"E{i}", f"F{j}") for block in blocks for i in block for j in block]
+    trivial = [(f"{x}{i}", f"{x}{j}") for i in range(1, 5) for j in range(i, 5) for x in "EF"]
+    central = [(c, g) for c in GROUP_LIKE[2:] for g in AFFINE_NAMES[:8]]
+    commutators = [f"[[{a},{b}],[{c},{d}]]" for (a, b), (c, d) in zip(serre[::2], serre[1::2])]
+    names = ([f"{base}+{base}- - 1" for base in ("K0", "K1", "K2", "K3", "K4", "U", "V")]
+             + [f"K0{s} {x}{i} K0{t} - q {x}{i}" for i in range(1, 5)
+                for x, s, t in (("E", "+", "-"), ("F", "-", "+"))]
+             + [f"[{e},{f}]" for e, f in ef] + [commutators[0] + " - (K+-K-)/(q-1/q)"]
+             + [name + " - L-line" for name in commutators[1:]]
+             + [f"[E{i},F{k}] - compatibility" for i, k in ik]
+             + [f"[{e},{f}]" for e, f in trivial] + [f"central:[{c},{g}]" for c, g in central]
+             + ["ev(K+) - 1", "ev(K-) - 1"])
+    # rows of L_i^{+-} among the L words: by node block, then sign, then node
+    lines = [[4 * ((node - 1) // 2) + 2 * (sign == "-") + (node - 1) % 2 for node in nodes]
+             for sign in "+-" for nodes in zip(*ik)]
+    pairs = ef + serre + [(f"E{i}", f"F{k}") for i, k in ik] + trivial + central
+    return words, bracket_layout(AFFINE_NAMES, _AFF_ODD, pairs), names, lines
+
+
+_RELATIONS = {variant: _relation_layout(variant) for variant in ("standard", "swapped")}
+#: E1, F1, ..., E4, F4: the images the K0 conjugations compare against.
+_CONJUGATED = [AFFINE_NAMES.index(f"{x}{i}") for i in range(1, 5) for x in "EF"]
+
+
 def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
     """Residuals of the affine defining relations, Serre and compatibility lines
-    included, for the variant the representation was built with.
-    """
-    im, comm = relation_images(rep, AFFINE_NAMES, _AFF_ODD)
-    q = rep.q
+    included, for the variant the representation was built with: every bracket
+    from one gathered batched product, every word from one padded batch."""
+    x = rep.gather(AFFINE_NAMES)
+    words, layout, names, (l_left, l_right, m_left, m_right) = _RELATIONS[rep.variant]
+    q, n = rep.q, rep.space.dim
     qq = q - 1 / q
-    one = np.eye(rep.space.dim)
-    zero = np.zeros((rep.space.dim, rep.space.dim))
-    cases = []
-
-    def even_comm(a, b):
-        return a @ b - b @ a
-
-    def l_image(i, sign):
-        return word_product(rep, _l_word(i, sign))
-
+    # w: 7 inverse pairs, 8 K0 conjugations, the K squares (15:23) and L words
+    # (23:31) of the two blocks, K+ and K- (31, 32), the U V (33, 34) and
+    # K K (35:39) of the compatibility lines; br: the cases' brackets in order
+    w, br = word_stack(x, words), graded_brackets(x, layout)
     # scalars multiply matrices on the right, as in SuperMatrix: numpy can
     # round scalar * matrix differently in the last bit
-    for base in ("K0", "K1", "K2", "K3", "K4", "U", "V"):
-        cases.append((f"{base}+{base}- - 1", im[f"{base}+"] @ im[f"{base}-"], one))
-    for i in range(1, 5):
-        cases.append((f"K0+ E{i} K0- - q E{i}",
-                      im["K0+"] @ im[f"E{i}"] @ im["K0-"], im[f"E{i}"] * q))
-        cases.append((f"K0- F{i} K0+ - q F{i}",
-                      im["K0-"] @ im[f"F{i}"] @ im["K0+"], im[f"F{i}"] * q))
-    # sl(1|1)^2 blocks on nodes {1,2} and {3,4}
-    for block in ((1, 2), (3, 4)):
-        words = {f"L{i}{sign}": l_image(i, sign) for i in block for sign in "+-"}
-        targets = _ef_targets(im | words, q, rep.alpha, block)
-        cases += [(f"[E{i},F{j}]", comm(f"E{i}", f"F{j}"), targets[f"E{i}", f"F{j}"])
-                  for i in block for j in block]
-    # quantum Serre lines and the compatibility relation
-    kplus = im["K1+"] @ im["K2+"] @ im["K3+"] @ im["K4+"]
-    kminus = im["K1-"] @ im["K2-"] @ im["K3-"] @ im["K4-"]
-    if rep.variant == "standard":
-        cases.append(("[[E3,F2],[E4,F1]] - (K+-K-)/(q-1/q)",
-                      even_comm(comm("E3", "F2"), comm("E4", "F1")),
-                      (kplus - kminus) * (1 / qq)))
-        for i, j in ((1, 2), (2, 1)):
-            lp = l_image(i, "+") @ l_image(j + 2, "+")
-            lm = l_image(i, "-") @ l_image(j + 2, "-")
-            cases.append((f"[[E{i},F{i+2}],[E{j+2},F{j}]] - L-line",
-                          even_comm(comm(f"E{i}", f"F{i+2}"), comm(f"E{j+2}", f"F{j}")),
-                          (lp - lm) * (1 / qq)))
-        compat = [(i, j + 2, "V+", "V-") for i, j in ((1, 2), (2, 1))]
-    else:
-        cases.append(("[[E3,F1],[E4,F2]] - (K+-K-)/(q-1/q)",
-                      even_comm(comm("E3", "F1"), comm("E4", "F2")),
-                      (kplus - kminus) * (1 / qq)))
-        for i, j in ((1, 2), (2, 1)):
-            lp = l_image(i, "+") @ l_image(i + 2, "+")
-            lm = l_image(i, "-") @ l_image(i + 2, "-")
-            cases.append((f"[[E{i},F{j+2}],[E{i+2},F{i}]] - L-line",
-                          even_comm(comm(f"E{i}", f"F{j+2}"), comm(f"E{i+2}", f"F{i}")),
-                          (lp - lm) * (1 / qq)))
-        compat = [(i, i + 2, "V-", "V+") for i in (1, 2)]
-    for i, k, vp, vm in compat:
-        uv_p, uv_m = im["U+"] @ im[vp], im["U-"] @ im[vm]
-        kk_p, kk_m = im[f"K{i}+"] @ im[f"K{k}+"], im[f"K{i}-"] @ im[f"K{k}-"]
-        if node_sign(i) == -1:
-            kk_p, kk_m = np.linalg.inv(kk_p), np.linalg.inv(kk_m)
-        target = (uv_p @ kk_p - uv_m @ kk_m) * (rep.alpha[i - 1] / qq)
-        cases.append((f"[E{i},F{k}] - compatibility", comm(f"E{i}", f"F{k}"), target))
-    # triviality of same-chirality brackets across all four nodes
-    for i in range(1, 5):
-        for j in range(i, 5):
-            cases.append((f"[E{i},E{j}]", comm(f"E{i}", f"E{j}"), zero))
-            cases.append((f"[F{i},F{j}]", comm(f"F{i}", f"F{j}"), zero))
-    # centrality of the Cartan/group-like elements
-    for c in GROUP_LIKE:
-        if c in ("K0+", "K0-"):
-            continue
-        for g in ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"):
-            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
-    # evaluation collapses the full Cartan product to 1
-    cases.append(("ev(K+) - 1", kplus, one))
-    cases.append(("ev(K-) - 1", kminus, one))
-    return residual_report("affine-relations", tolerance, *zip(*cases))
+    ef = [_ef_targets(w[15 + 4 * b:19 + 4 * b].reshape(2, 2, n, n),
+                      w[23 + 4 * b:27 + 4 * b].reshape(2, 2, n, n), q,
+                      rep.alpha[2 * b:2 * b + 2])[[0, 2, 3, 1]] for b in (0, 1)]
+    # the Serre line and the L-lines: even commutators of bracket pairs
+    # against (K+ - K-) and (L_i^+ L_k^+ - L_i^- L_k^-) over q - 1/q
+    a, b = br[8:14:2], br[9:14:2]
+    lw = w[23:31]
+    lines = ((np.concatenate([w[31:32], lw[l_left] @ lw[l_right]])
+              - np.concatenate([w[32:33], lw[m_left] @ lw[m_right]])) * (1 / qq))
+    # compatibility: (U V^{+-} K_i^+ K_k^+ - U V^{-+} K_i^- K_k^-) alpha_i/(q - 1/q),
+    # the K pair inverted on the node of sign (2) = -1
+    kk = w[35:39].reshape(2, 2, n, n)
+    kk[1] = np.linalg.inv(kk[1])
+    compat = ((w[33] @ kk[:, 0] - w[34] @ kk[:, 1])
+              * np.array([rep.alpha[0] / qq, rep.alpha[1] / qq])[:, None, None])
+    lhs = [w[:15], br[:8], a @ b - b @ a, br[14:], w[31:33]]
+    rhs = [np.broadcast_to(np.eye(n), (7, n, n)), x[_CONJUGATED] * q, *ef, lines, compat,
+           np.zeros((len(br) - 16, n, n)), np.broadcast_to(np.eye(n), (2, n, n))]
+    return residual_report("affine-relations", tolerance, names,
+                           np.concatenate(lhs), np.concatenate(rhs))
 
 
 # -- coproduct ------------------------------------------------------------------
@@ -270,19 +270,19 @@ def _pair_intertwine(rep_a: AffineRep, rep_b: AffineRep, labels_a: QRepLabels,
                            dop @ rmat, rmat @ d)
 
 
+#: The deformed algebra on nodes {3,4} with V, in ``Q_NAMES`` order: the
+#: upper images, and the L images assembled from the Cartan data.
+_UPPER = spell(AFFINE_NAMES, [
+    ("E3",), ("E4",), ("F3",), ("F4",), ("K0+",), ("K0-",), ("K3+",), ("K3-",), ("K4+",),
+    ("K4-",), _l_word(3, "+"), _l_word(3, "-"), _l_word(4, "+"), _l_word(4, "-"), ("V+",), ("V-",)])
+
+
 def upper_nodes_subalgebra(rep: AffineRep) -> GeneratorImage:
     """Nodes {3,4} with V as a copy of the deformed algebra.
 
     The L images are assembled from the Cartan data, so the returned
     representation can be fed straight to the deformed relation checker.
     """
-    imgs = {
-        "E1": rep["E3"], "E2": rep["E4"], "F1": rep["F3"], "F2": rep["F4"],
-        "K0+": rep["K0+"], "K0-": rep["K0-"],
-        "K1+": rep["K3+"], "K1-": rep["K3-"], "K2+": rep["K4+"], "K2-": rep["K4-"],
-        "L1+": rep.l_image(3, "+"), "L1-": rep.l_image(3, "-"),
-        "L2+": rep.l_image(4, "+"), "L2-": rep.l_image(4, "-"),
-        "U+": rep["V+"], "U-": rep["V-"],
-    }
-    return GeneratorImage(rep.space, imgs, alpha=(rep.alpha[2], rep.alpha[3]),
-                          q=rep.q, kind="q")
+    stack = word_stack(rep.gather(AFFINE_NAMES), _UPPER)
+    return GeneratorImage(rep.space, ImageStack(rep.space, Q_NAMES, stack, _Q_PARITY),
+                          alpha=(rep.alpha[2], rep.alpha[3]), q=rep.q, kind="q")

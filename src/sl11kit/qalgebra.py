@@ -23,18 +23,19 @@ from functools import partial
 
 import numpy as np
 
-from .algebra import (C11_E12, C11_E21, C11_ONE, KAC_ONE, KAC_SPACE, AtypicalLocusWarning,
-                      DegenerateFusionError, GeneratorImage, _require_singlet,
-                      coassociativity_checker, cocommutativity_checker,
-                      counit_antipode_checker, fusion_report, kac_odd_images,
-                      on_shortening_locus, relation_images, singlet_lines, twist)
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack
-from .graded import C11, EVEN, SuperMatrix
+from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusWarning,
+                      DegenerateFusionError, GeneratorImage, ImageStack, _require_singlet,
+                      bracket_layout, coassociativity_checker, cocommutativity_checker,
+                      counit_antipode_checker, fusion_report, graded_brackets, kac_images,
+                      on_shortening_locus, singlet_lines, twist)
+from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, spell, word_stack
+from .graded import C11, EVEN, ODD, SuperMatrix
 from .report import Report, c2j, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
            "L1+", "L1-", "L2+", "L2-", "U+", "U-")
 _Q_ODD = frozenset({"E1", "E2", "F1", "F2"})
+_Q_PARITY = tuple(ODD if name in _Q_ODD else EVEN for name in Q_NAMES)
 
 
 class RootOfUnityError(ValueError):
@@ -191,6 +192,12 @@ def q_labels(lambda1: complex, nu: complex, q: complex,
 # -- representations ----------------------------------------------------------
 
 
+#: Entry patterns of the deformed atypical and 4-dim images: those of the
+#: undeformed modules, with the diagonal K0^{+-} written in over a zero value.
+_Q_ATYPICAL_PATTERNS = ATYPICAL_PATTERNS[[0, 1, 2, 3] + [5] * 12]
+_Q_KAC_PATTERNS = KAC_PATTERNS[[0, 1, 2, 3] + [5] * 12]
+
+
 def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
     """2-dimensional deformed atypical representation on basis (w1, w0).
 
@@ -199,25 +206,14 @@ def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
     K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.
     """
     g, nu, q = labels.gamma, labels.nu, labels.q
-    imgs = {
-        "E1": g * C11_E21,
-        "E2": (1 / g) * C11_E21,
-        "F1": labels.alpha2 * g * labels.br_mu2 * C11_E12,
-        "F2": labels.alpha1 * (1 / g) * labels.br_mu1 * C11_E12,
-        "K0+": SuperMatrix(C11, C11, np.diag([q**-2, q**-1]), EVEN),
-        "K0-": SuperMatrix(C11, C11, np.diag([q**2, q]), EVEN),
-        "K1+": labels.qlam1 * C11_ONE,
-        "K1-": (1 / labels.qlam1) * C11_ONE,
-        "K2+": labels.qlam2 * C11_ONE,
-        "K2-": (1 / labels.qlam2) * C11_ONE,
-        "L1+": labels.qmu1 * C11_ONE,
-        "L1-": (1 / labels.qmu1) * C11_ONE,
-        "L2+": labels.qmu2 * C11_ONE,
-        "L2-": (1 / labels.qmu2) * C11_ONE,
-        "U+": nu * C11_ONE,
-        "U-": (1 / nu) * C11_ONE,
-    }
-    return GeneratorImage(C11, imgs, alpha=labels.alpha, q=q, kind="q")
+    qlam1, qlam2, qmu1, qmu2 = labels.qlam1, labels.qlam2, labels.qmu1, labels.qmu2
+    values = (g, 1 / g, labels.alpha2 * g * labels.br_mu2, labels.alpha1 * (1 / g) * labels.br_mu1,
+              0, 0, qlam1, 1 / qlam1, qlam2, 1 / qlam2, qmu1, 1 / qmu1, qmu2, 1 / qmu2, nu, 1 / nu)
+    stack = _Q_ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
+    stack[4, [0, 1], [0, 1]] = q**-2, q**-1
+    stack[5, [0, 1], [0, 1]] = q**2, q
+    return GeneratorImage(C11, ImageStack(C11, Q_NAMES, stack, _Q_PARITY),
+                          alpha=labels.alpha, q=q, kind="q")
 
 
 def q_typical_rep(lambda1: complex, lambda2: complex, nu: complex, q: complex,
@@ -242,76 +238,80 @@ def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: comple
     bm2 = qbracket_of_power(qmu2, q)
     if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-12):
         warnings.warn("weights sit on the deformed shortening locus", AtypicalLocusWarning)
-    V = KAC_SPACE
-    imgs = {
-        **dict(zip(("E1", "E2", "F1", "F2"),
-                   kac_odd_images(bl1, bl2, a1 * bm1, a2 * bm2))),
-        "K0+": SuperMatrix(V, V, np.diag([1.0, q**-1, q**-1, q**-2]), EVEN),
-        "K0-": SuperMatrix(V, V, np.diag([1.0, q, q, q**2]), EVEN),
-        "K1+": qlam1 * KAC_ONE, "K1-": (1 / qlam1) * KAC_ONE,
-        "K2+": qlam2 * KAC_ONE, "K2-": (1 / qlam2) * KAC_ONE,
-        "L1+": qmu1 * KAC_ONE, "L1-": (1 / qmu1) * KAC_ONE,
-        "L2+": qmu2 * KAC_ONE, "L2-": (1 / qmu2) * KAC_ONE,
-        "U+": nu * KAC_ONE, "U-": (1 / nu) * KAC_ONE,
-    }
-    return GeneratorImage(V, imgs, alpha=alpha, q=q, kind="q")
+    return _q_typical(qlam1, qlam2, nu, qmu1, qmu2, q, alpha, (bl1, bl2, a1 * bm1, a2 * bm2))
+
+
+def _q_typical(qlam1, qlam2, nu, qmu1, qmu2, q, alpha, brackets) -> GeneratorImage:
+    """:func:`q_typical_from_powers` from the powers, the weight q-brackets and
+    coupled q-brackets ([l1], [l2], a1 [m1], a2 [m2]) once the locus test has passed."""
+    values = (0, 0, 0, 0, 0, 0, qlam1, 1 / qlam1, qlam2, 1 / qlam2,
+              qmu1, 1 / qmu1, qmu2, 1 / qmu2, nu, 1 / nu)
+    stack = kac_images(_Q_KAC_PATTERNS, values, *brackets)
+    diagonal = [0, 1, 2, 3]
+    stack[4, diagonal, diagonal] = 1.0, q**-1, q**-1, q**-2
+    stack[5, diagonal, diagonal] = 1.0, q, q, q**2
+    return GeneratorImage(KAC_SPACE, ImageStack(KAC_SPACE, Q_NAMES, stack, _Q_PARITY),
+                          alpha=alpha, q=q, kind="q")
 
 
 # -- relation checker ----------------------------------------------------------
 
 
-def _ef_targets(im, q: complex, alpha, nodes: tuple[int, ...]) -> dict:
-    """[E_i, F_j} right-hand sides on ``nodes`` from the name -> matrix map ``im``:
-    (K_i^{+2} - K_i^{-2})/(q - q^{-1}) for i = j and, when the couplings (by
-    node) are known, alpha_i (L_i^+ - L_i^-)/(q - q^{-1}) for i != j.  Scalars
-    stay on the right, as in SuperMatrix."""
+def _ef_targets(kk: np.ndarray, ll: np.ndarray, q: complex, alpha) -> np.ndarray:
+    """[E_i, F_j} right-hand sides on a node pair (i, j), in the order (i, i),
+    (j, j), (i, j), (j, i): (K_i^{+2} - K_i^{-2})/(q - q^{-1}) from the words
+    ``kk`` = K^{+-} K^{+-} and, when the pair's couplings ``alpha`` are known,
+    alpha_i (L_i^+ - L_i^-)/(q - q^{-1}) from the images ``ll`` = L^{+-}, both
+    shaped (sign, node, n, n).  Scalars stay on the right, as in SuperMatrix."""
     qq = q - 1 / q
-    out = {}
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                kp, km = im[f"K{i}+"], im[f"K{i}-"]
-                out[f"E{i}", f"F{j}"] = (kp @ kp - km @ km) * (1 / qq)
-            elif alpha is not None:
-                out[f"E{i}", f"F{j}"] = (im[f"L{i}+"] - im[f"L{i}-"]) * (alpha[i - 1] / qq)
-    return out
+    out = [(kk[0] - kk[1]) * (1 / qq)]
+    if alpha is not None:
+        out.append((ll[0] - ll[1]) * np.array([a / qq for a in alpha])[:, None, None])
+    return np.concatenate(out)
+
+
+#: The words :func:`q_check_relations` reads: each group-like times its
+#: inverse, the K0 conjugations and the L quotients, in case order, then the
+#: K squares of the [E_i, F_i} targets by sign then node.
+_Q_WORDS = spell(Q_NAMES, [
+    *((f"{base}+", f"{base}-") for base in ("K0", "K1", "K2", "L1", "L2", "U")),
+    ("K0+", "E1", "K0-"), ("K0+", "E2", "K0-"), ("K0-", "F1", "K0+"), ("K0-", "F2", "K0+"),
+    ("K1+", "K2+", "U+", "U+"), ("K1+", "K2+", "U-", "U-"),
+    ("K1-", "K2-", "U-", "U-"), ("K1-", "K2-", "U+", "U+"),
+    *((f"K{i}{sign}",) * 2 for sign in "+-" for i in (1, 2))])
+_L_ROWS = [10, 12, 11, 13]  # L1+, L2+, L1-, L2-
+#: Its brackets, in case order: [E_i, F_j}, the vanishing odd pairs, centrality.
+_Q_PAIRS = (("E1", "F1"), ("E2", "F2"), ("E1", "F2"), ("E2", "F1"),
+            *((a, b) for a in Q_NAMES[:4] for b in Q_NAMES[:4] if a[0] == b[0] and a <= b),
+            *((c, g) for c in Q_NAMES[6:] for g in Q_NAMES[:6]))
+_Q_LAYOUT = bracket_layout(Q_NAMES, _Q_ODD, _Q_PAIRS)
+_Q_CASES = ([f"{base}+{base}- - 1" for base in ("K0", "K1", "K2", "L1", "L2", "U")]
+            + [f"K0+ {a} K0- - q {a}" for a in ("E1", "E2")]
+            + [f"K0- {a} K0+ - q {a}" for a in ("F1", "F2")]
+            + [f"[{a},{b}]" for a, b in _Q_PAIRS[:10]]
+            + ["L1+ - K1+K2+U^2", "L2+ - K1+K2+U^-2", "L1- - K1-K2-U^-2", "L2- - K1-K2-U^2"]
+            + [f"central:[{c},{g}]" for c, g in _Q_PAIRS[10:]])
 
 
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """Residuals of the deformed defining relations in a representation."""
-    im, comm = relation_images(rep, Q_NAMES, _Q_ODD)
+    """Residuals of the deformed defining relations in a representation:
+    every bracket from one gathered batched product, every other line from
+    one batch of identity-padded words."""
+    x = rep.gather(Q_NAMES)
     if rep.q is None:
         raise ValueError("representation carries no deformation parameter q")
-    q = rep.q
-    one = np.eye(rep.space.dim)
-    zero = np.zeros((rep.space.dim, rep.space.dim))
-    cases = []
+    q, n = rep.q, rep.space.dim
+    w, br, ll = word_stack(x, _Q_WORDS), graded_brackets(x, _Q_LAYOUT), x[_L_ROWS]
+    ef = _ef_targets(w[14:].reshape(2, 2, n, n), ll.reshape(2, 2, n, n), q, rep.alpha)
     # scalars multiply matrices on the right, as in SuperMatrix: numpy can
     # round scalar * matrix differently in the last bit
-    for base in ("K0", "K1", "K2", "L1", "L2", "U"):
-        plus, minus = f"{base}+", f"{base}-"
-        cases.append((f"{plus}{minus} - 1", im[plus] @ im[minus], one))
-    for a in ("E1", "E2"):
-        cases.append((f"K0+ {a} K0- - q {a}", im["K0+"] @ im[a] @ im["K0-"], im[a] * q))
-    for a in ("F1", "F2"):
-        cases.append((f"K0- {a} K0+ - q {a}", im["K0-"] @ im[a] @ im["K0+"], im[a] * q))
-    targets = _ef_targets(im, q, rep.alpha, (1, 2))
-    cases += [(f"[{a},{b}]", comm(a, b), targets[a, b])
-              for a, b in (("E1", "F1"), ("E2", "F2"), ("E1", "F2"), ("E2", "F1"))
-              if (a, b) in targets]
-    for a, b in (("E1", "E1"), ("E1", "E2"), ("E2", "E2"),
-                 ("F1", "F1"), ("F1", "F2"), ("F2", "F2")):
-        cases.append((f"[{a},{b}]", comm(a, b), zero))
-    # quotient constraints tying L to K and U
-    cases.append(("L1+ - K1+K2+U^2", im["L1+"], im["K1+"] @ im["K2+"] @ im["U+"] @ im["U+"]))
-    cases.append(("L2+ - K1+K2+U^-2", im["L2+"], im["K1+"] @ im["K2+"] @ im["U-"] @ im["U-"]))
-    cases.append(("L1- - K1-K2-U^-2", im["L1-"], im["K1-"] @ im["K2-"] @ im["U-"] @ im["U-"]))
-    cases.append(("L2- - K1-K2-U^2", im["L2-"], im["K1-"] @ im["K2-"] @ im["U+"] @ im["U+"]))
-    centrals = ("K1+", "K1-", "K2+", "K2-", "L1+", "L1-", "L2+", "L2-", "U+", "U-")
-    for c in centrals:
-        for g in ("E1", "E2", "F1", "F2", "K0+", "K0-"):
-            cases.append((f"central:[{c},{g}]", comm(c, g), zero))
-    return residual_report("q-algebra-relations", tolerance, *zip(*cases))
+    lhs = [w[:10], br[:len(ef)], br[4:10], ll, br[10:]]
+    rhs = [np.broadcast_to(np.eye(n), (6, n, n)), x[:4] * q, ef, np.zeros((6, n, n)),
+           w[10:14], np.zeros((len(br) - 10, n, n))]
+    # without couplings the [E_i, F_j} across the nodes drop out
+    return residual_report("q-algebra-relations", tolerance,
+                           _Q_CASES[:10 + len(ef)] + _Q_CASES[14:],
+                           np.concatenate(lhs), np.concatenate(rhs))
 
 
 # -- coproduct -----------------------------------------------------------------
@@ -340,6 +340,11 @@ q_cocommutativity_report = cocommutativity_checker(Q_COPRODUCT, _GROUP_LIKE,
                                                    "q-cocommutativity", 1e-12)
 
 
+_HOM_PAIRS = _Q_PAIRS[2:4] + _Q_PAIRS[:2]
+_HOM_LAYOUT = bracket_layout(Q_NAMES, _Q_ODD, _HOM_PAIRS)
+_HOM_CASES = [f"[Delta({x}),Delta({y})]" for x, y in _HOM_PAIRS]
+
+
 def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     """Coproduct homomorphism residuals on the mixed brackets.
 
@@ -348,13 +353,12 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     """
     if rep_a.alpha is None or rep_a.q is None:
         raise ValueError("representations must carry couplings and q")
-    d = dict(zip(Q_COPRODUCT.names, coproduct_stack(Q_COPRODUCT, rep_a, rep_b)))
-    targets = _ef_targets(d, rep_a.q, rep_a.alpha, (1, 2))
-    pairs = (("E1", "F2"), ("E2", "F1"), ("E1", "F1"), ("E2", "F2"))
-    names = [f"[Delta({x}),Delta({y})]" for x, y in pairs]
-    lhs = [d[x] @ d[y] + d[y] @ d[x] for x, y in pairs]
-    return residual_report("q-coproduct-homomorphism", tolerance, names, lhs,
-                           [targets[pair] for pair in pairs])
+    d = coproduct_stack(Q_COPRODUCT, rep_a, rep_b)
+    n = d.shape[-1]
+    targets = _ef_targets(word_stack(d, _Q_WORDS[14:]).reshape(2, 2, n, n),
+                          d[_L_ROWS].reshape(2, 2, n, n), rep_a.q, rep_a.alpha)
+    return residual_report("q-coproduct-homomorphism", tolerance, _HOM_CASES,
+                           graded_brackets(d, _HOM_LAYOUT), targets[[2, 3, 0, 1]])
 
 
 # -- fusion and the deformed singlet -------------------------------------------
@@ -397,12 +401,11 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
     if on_shortening_locus(bl1 * bl2, a1 * a2 * bm1 * bm2, 1e-10):
         raise DegenerateFusionError(
             "fused weights satisfy the deformed shortening constraint")
-    target = q_typical_from_powers(k1t, k2t, nut, q, labels_a.alpha)
-    shift = {"K0+": q**-2, "K0-": q**2}
-
-    def want(name):
-        return shift[name] * target[name].m if name in shift else target[name].m
-
+    want = np.array(_q_typical(k1t, k2t, nut, qmu1t, qmu2t, q, labels_a.alpha,
+                               (bl1, bl2, a1 * bm1, a2 * bm2)).stack)
+    # K0 on the fused module carries the cyclic vector's multiplicative shift
+    want[4] = q**-2 * want[4]
+    want[5] = q**2 * want[5]
     basis, r = fusion_report(
         "q-fusion", Q_COPRODUCT, q_atypical_rep(labels_a), q_atypical_rep(labels_b),
         ("F1", "F2"), (("K1+", k1t), ("K2+", k2t), ("L1+", qmu1t), ("L2+", qmu2t), ("U+", nut)),

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COPRODUCT, GeneratorImage, RepLabels
+from .algebra import COPRODUCT, GeneratorImage, ImageStack, RepLabels
 from .coproduct import coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
                      identity, max_abs, unit)
@@ -305,9 +305,8 @@ def conjugate_rep(rep: GeneratorImage) -> GeneratorImage:
     """
     if rep.space.dim != 2:
         raise ValueError("grading conjugation is defined for the 2-dim modules")
-    x = SuperMatrix(rep.space, rep.space, _X, EVEN)
-    imgs = {name: x @ rep[name] @ x for name in rep.names}
-    return GeneratorImage(rep.space, imgs, alpha=rep.alpha, q=rep.q, kind=rep.kind)
+    images = ImageStack(rep.space, rep.names, _X @ rep.stack @ _X, rep.images.parity)
+    return GeneratorImage(rep.space, images, alpha=rep.alpha, q=rep.q, kind=rep.kind)
 
 
 def conjugate_r(r: RMatrix, target: str) -> RMatrix:

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _BRACKETS, GeneratorImage, RepLabels, atypical_rep
-from .coproduct import STACK_CACHE_SIZE, kron_sum
+from .algebra import _BRACKETS, GeneratorImage, ImageStack, RepLabels, atypical_rep
+from .coproduct import STACK_CACHE_SIZE, kron_sum, spell, word_stack
 from .graded import SuperMatrix, graded_flip, max_abs
 from .report import Report, residual_report
 from .rmatrix import r_closed
@@ -96,13 +96,15 @@ def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation."""
     if ev.base.alpha is None:
         raise ValueError("evaluation representation carries no couplings")
-    usq = ev.image("u+") @ ev.image("u+")
-    usqm = ev.image("u-") @ ev.image("u-")
+    up, um, h1, h2, *k = ev.base.gather(("u+", "u-", "h1", "h2", "k1", "k2"))
+    usq, usqm = up @ up, um @ um
     rpt = Report("k-tower", tolerance)
+    # level-r images rho^r X, the scalar on the right as in :meth:`EvalRep.image`
     for r in _levels(r_max):
-        rhs = usq @ ev.image("h1", r) - usqm @ ev.image("h2", r)
+        rhs = usq @ (h1 * complex(ev.rho ** r)) - usqm @ (h2 * complex(ev.rho ** r))
         for i, alpha in enumerate(ev.base.alpha, 1):
-            rpt.add(f"k{i},{r+1}", max_abs(ev.image(f"k{i}", r + 1) - alpha * rhs))
+            rpt.add(f"k{i},{r+1}",
+                    max_abs(k[i - 1] * complex(ev.rho ** (r + 1)) - rhs * complex(alpha)))
     return rpt
 
 
@@ -141,7 +143,7 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     The level images rho^r X, r = 0..rs_max, are stacked as one
     ``(F, R, n, n)`` array, and every (r, s) bracket is one gathered product.
     """
-    x = np.stack([ev.base[f].m for f in FAMILIES])
+    x = ev.base.gather(FAMILIES)
     powers = np.array([ev.rho ** r for r in _levels(rs_max)], dtype=np.complex128)
     levels = x[:, None] * powers[None, :, None, None]
     return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
@@ -245,27 +247,11 @@ def _tower_layout(r_max: int):
             index[i, p] = pair
             terms[:, i, p, :len(group)] = np.array(group).T
     letters = tuple(dict.fromkeys(g for pair in pairs for word in pair for g in word))
-    length = max(len(word) for pair in pairs for word in pair)
-    spelled = np.full((2, len(pairs), length), len(letters))
-    for q, pair in enumerate(pairs):
-        for side, word in enumerate(pair):
-            spelled[side, q, :len(word)] = [letters.index(g) for g in word]
-    for table in (spelled, index, terms):
+    words = spell(letters, [word for pair in pairs for word in pair])
+    spelled = words.reshape(len(pairs), 2, -1).transpose(1, 0, 2)
+    for table in (index, terms):
         table.setflags(write=False)
     return letters, spelled, index, terms
-
-
-def _spelled_words(rep: GeneratorImage, letters, spelled: np.ndarray) -> np.ndarray:
-    """``(Q, n, n)`` products of the spelled words in ``rep``, left to right.
-
-    A word is padded with identities to a common length; a product by an
-    identity is exact, so each entry equals the word's plain product.
-    """
-    images = np.stack([rep[g].m for g in letters] + [np.eye(rep.space.dim)])
-    words = images[spelled[:, 0]]
-    for column in spelled.T[1:]:
-        words = words @ images[column]
-    return words
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -296,8 +282,8 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray
     columns = [(scalars[:, p, None, None, None, None], index[:, p], index[:, p])
                for p in range(index.shape[1])]
     tower = kron_sum(columns, rep_a.space, rep_b.space,
-                     _spelled_words(rep_a.base, letters, spelled[0]),
-                     _spelled_words(rep_b.base, letters, spelled[1]))
+                     word_stack(rep_a.base.gather(letters), spelled[0]),
+                     word_stack(rep_b.base.gather(letters), spelled[1]))
     return tower.reshape(len(FAMILIES), r_max + 1, *tower.shape[1:])
 
 
@@ -383,8 +369,9 @@ def _omega_scaled_base(rep: GeneratorImage, eps1: complex, eps2: complex,
                        power: int) -> GeneratorImage:
     """Level-0 images of the rescaling automorphism omega^power (power = +-1)."""
     factors = _omega_scale(eps1**power, eps2**power)
-    imgs = {g: factors[g] * rep[g] for g in rep.names}
-    return GeneratorImage(rep.space, imgs, alpha=None, kind=rep.kind)
+    scale = np.array([complex(factors[g]) for g in rep.names])[:, None, None]
+    images = ImageStack(rep.space, rep.names, rep.stack * scale, rep.images.parity)
+    return GeneratorImage(rep.space, images, alpha=None, kind=rep.kind)
 
 
 def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
@@ -532,13 +519,14 @@ def currents(ev: EvalRep, order: int) -> dict[str, TruncatedCurrent]:
     if order < 1:
         raise ValueError("order must be at least 1")
     dim = ev.space.dim
+    names = ("e1", "e2", "f1", "f2", "k1", "k2", "h0", "h1", "h2")
     out = {}
-    for name in ("e1", "e2", "f1", "f2", "k1", "k2", "h0", "h1", "h2"):
+    for name, image in zip(names, ev.base.gather(names)):
         coeffs = np.zeros((order + 1, dim, dim), dtype=np.complex128)
         if name[0] == "h":
             coeffs[0] = np.eye(dim)
         for r in range(1, order + 1):
-            coeffs[r] = ev.rho ** (r - 1) * ev.base[name].m
+            coeffs[r] = ev.rho ** (r - 1) * image
         out[name] = TruncatedCurrent(coeffs)
     return out
 
@@ -587,8 +575,8 @@ def current_relations_report(ev: EvalRep, order: int,
     rpt = residual_report("current-relations", tolerance, names, lhs,
                           sides[iz, ir] - sides[iw, is_])
     if ev.base.alpha is not None:
-        usq = complex((ev.base["u+"].m @ ev.base["u+"].m)[0, 0])
-        usqm = complex((ev.base["u-"].m @ ev.base["u-"].m)[0, 0])
+        up, um = ev.base.gather(("u+", "u-"))
+        usq, usqm = complex((up @ up)[0, 0]), complex((um @ um)[0, 0])
         hcomb = (usq * cur["h1"] - usqm * cur["h2"]).shift(1)
         for i, alpha in enumerate(ev.base.alpha, 1):
             rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z",

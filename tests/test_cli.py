@@ -98,6 +98,31 @@ def test_rep_file_round_trip(capsys, tmp_path):
     assert json.loads(out)["form"] == "solved"
 
 
+def test_readme_rep_round_trip_reads_the_emitted_payload(capsys, tmp_path):
+    # sl11kit params xpm --p 1.0 --M 0.5 --h 1.0 --emit-rep > left.json
+    code, out = run(capsys, "params", "xpm", "--p", "1.0", "--M", "0.5", "--h", "1.0",
+                    "--emit-rep")
+    assert code == 0
+    left = tmp_path / "left.json"
+    left.write_text(out)
+    code, out = run(capsys, "emit-r", "--solve", "--rep-a", str(left), "--rep-b", str(left))
+    assert code == 0
+    assert json.loads(out)["form"] == "solved"
+
+
+@pytest.mark.parametrize("text", ['{"x": 1}', "[1, 2]", "not json"])
+def test_a_file_that_is_no_representation_is_a_usage_error(capsys, tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rep = tmp_path / "rep.json"
+    run(capsys, "params", "xpm", "--p", "1.0", "--M", "0.5", "--h", "1.0", "--emit-rep",
+        "-o", str(rep))
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-r", "--solve", "--rep-a", str(rep), "--rep-b", str(bad)])
+    assert exc.value.code == 2
+    assert f"{bad} is not a representation file" in capsys.readouterr().err
+
+
 def test_verify_suite_exit_code_and_report(capsys, tmp_path):
     path = tmp_path / "report.json"
     code = main(["verify", "singlet", "--samples", "2", "--seed", "3",

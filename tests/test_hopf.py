@@ -15,7 +15,7 @@ import pytest
 from sl11kit import algebra, qaffine, qalgebra, suites
 from sl11kit.algebra import (CLASSICAL_NAMES, COPRODUCT, coassociativity_checker,
                              counit_antipode_checker)
-from sl11kit.coproduct import CoproductTable, _stack, _words, word_product
+from sl11kit.coproduct import CoproductTable, _stack, _words
 from sl11kit.graded import SuperMatrix, graded_kron, identity, max_abs, zeros
 from sl11kit.qaffine import AFFINE_COPRODUCT, AFFINE_NAMES, affine_coproduct_image
 from sl11kit.qalgebra import Q_COPRODUCT, Q_NAMES, q_coproduct_image
@@ -24,6 +24,16 @@ from sl11kit.report import Report
 SEEDS = range(6)
 
 # -- references: the antipode and counit by hand, one SuperMatrix per term ----------
+
+
+def word_product(rep, word):
+    """Reference: the named images multiplied left to right, one SuperMatrix each."""
+    if not word:
+        return np.eye(rep.space.dim, dtype=np.complex128)
+    mat = rep[word[0]].m
+    for name in word[1:]:
+        mat = mat @ rep[name].m
+    return mat
 
 
 def word_matrix(rep, word):

@@ -314,3 +314,39 @@ def test_fusion_reports_every_warning_on_hopf_draws():
         with pytest.raises(DegenerateFusionError):
             q_fuse_check(*qpair)
     assert checked > 0
+
+
+def test_fusion_tests_the_shortening_locus_once(monkeypatch):
+    """The 4-dim target is built from the fused weights the fusion guard has
+    tested: the locus is tested once, and the deformed weight q-brackets are
+    formed once, four of the eight qbracket_of_power calls (the other four are
+    the two atypical modules' F images)."""
+    tests, brackets = [], []
+    on_locus = algebra.on_shortening_locus
+
+    def locus(*args):
+        tests.append(args)
+        return on_locus(*args)
+
+    def bracket(*args):
+        brackets.append(args)
+        return qbracket_of_power(*args)
+    monkeypatch.setattr(algebra, "on_shortening_locus", locus)
+    monkeypatch.setattr(qalgebra, "on_shortening_locus", locus)
+    monkeypatch.setattr(qalgebra, "qbracket_of_power", bracket)
+    for seed in SEEDS:
+        labs, qlabs = hopf_draw(seed)
+        for check, pair in ((fuse_check, labs[:2]), (q_fuse_check, qlabs[:2])):
+            tests.clear()
+            brackets.clear()
+            try:
+                check(*pair)
+            except DegenerateFusionError:
+                continue
+            assert len(tests) == 1
+            assert len(brackets) == (8 if check is q_fuse_check else 0)
+    # the public constructors keep their own test and warning
+    nu = np.exp(0.3j)
+    gap = nu**2 - nu**-2
+    with pytest.warns(AtypicalLocusWarning):
+        typical_rep(-0.5 * gap, 0.5 * gap, nu, (-0.5, 0.5))

@@ -1,9 +1,10 @@
 """The relation and level-bracket checkers against their SuperMatrix references.
 
-The checkers read every graded bracket from one ``bracket_table`` of the
-generator images.  The references below are the pairwise formulation, one
-``graded_comm`` or SuperMatrix product per bracket; both must report the
-same cases, in the same order, with the same residuals.
+The checkers read every graded bracket from one gathered batched product
+over the pairs they check (``algebra.graded_brackets``).  The references
+below are the pairwise formulation, one ``graded_comm`` or SuperMatrix
+product per bracket; both must report the same cases, in the same order,
+with the same residuals.
 """
 import dataclasses
 import warnings
@@ -13,8 +14,9 @@ import pytest
 
 from sl11kit import algebra, qaffine, qalgebra, suites, yangian
 from sl11kit.algebra import CLASSICAL_NAMES
-from sl11kit.graded import (EVEN, ODD, GradedSpace, SuperMatrix, bracket_table,
-                            graded_comm, identity, max_abs)
+from sl11kit.algebra import bracket_layout, graded_brackets
+from sl11kit.graded import (EVEN, ODD, GradedSpace, SuperMatrix, graded_comm, identity,
+                            max_abs)
 from sl11kit.qaffine import GROUP_LIKE, node_sign
 from sl11kit.report import Report
 from sl11kit.yangian import EvalRep
@@ -331,16 +333,18 @@ def test_omega_brackets_read_the_level_bracket_table(seed=3):
     assert_same_report(got, want)
 
 
-def test_bracket_table_matches_pairwise_graded_comm():
+def test_graded_brackets_match_pairwise_graded_comm():
     rng = np.random.default_rng(9)
     space = GradedSpace(4, (0, 1, 1, 0))
     # non-homogeneous matrices: the declared parity alone sets the sign
     stack = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-    odd = (True, False, True, True, False, False)
-    table = bracket_table(stack, odd)
-    assert table.shape == (6, 6, 4, 4)
-    for a in range(6):
-        for b in range(6):
-            ref = graded_comm(SuperMatrix(space, space, stack[a]),
-                              SuperMatrix(space, space, stack[b]), int(odd[a]), int(odd[b]))
-            assert np.array_equal(table[a, b], ref.m), (a, b)
+    names = ("a", "b", "c", "d", "e", "f")
+    odd = frozenset({"a", "c", "d"})
+    pairs = [(x, y) for x in names for y in names]
+    got = graded_brackets(stack, bracket_layout(names, odd, pairs))
+    assert got.shape == (36, 4, 4)
+    for k, (x, y) in enumerate(pairs):
+        a, b = names.index(x), names.index(y)
+        ref = graded_comm(SuperMatrix(space, space, stack[a]),
+                          SuperMatrix(space, space, stack[b]), int(x in odd), int(y in odd))
+        assert np.array_equal(got[k], ref.m), (x, y)

@@ -5,7 +5,7 @@ import pytest
 
 from sl11kit import algebra, suites, yangian
 from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
-from sl11kit.coproduct import STACK_CACHE_SIZE, word_product
+from sl11kit.coproduct import STACK_CACHE_SIZE
 from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
                             max_abs, zeros)
 from sl11kit.report import Report
@@ -23,6 +23,16 @@ from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError,
 
 A = RepLabels(1.3 - 0.4j, np.exp(0.7j), -0.5, 0.5)
 B = RepLabels(0.8 + 0.3j, np.exp(-0.35j), -0.5, 0.5)
+
+
+def word_product(rep, word):
+    """Reference: the named images multiplied left to right, one SuperMatrix each."""
+    if not word:
+        return np.eye(rep.space.dim, dtype=np.complex128)
+    mat = rep[word[0]].m
+    for name in word[1:]:
+        mat = mat @ rep[name].m
+    return mat
 
 
 @pytest.fixture(scope="module")
