@@ -22,8 +22,8 @@ from functools import partial
 
 import numpy as np
 
-from .coproduct import (CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
-                        coproduct_stack, spell, word_stack)
+from .coproduct import (TABLES, CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
+                        coproduct_stack, memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, max_abs
 from .report import Report, c2j, residual_report
 
@@ -322,13 +322,15 @@ def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> Generato
 # -- representation constructors ---------------------------------------------
 
 
+@memoised_by_labels
 def atypical_rep(labels: RepLabels) -> GeneratorImage:
     """The 2-dimensional atypical representation on basis (w1, w0).
 
     w1 is even and w0 odd; e_i lower w1 -> w0, f_i raise w0 -> w1, and the
     central elements act by the scalars lambda_i, mu_i, nu^{+-1}.  When
     nu^4 = 1 the representation is degenerate (``labels.degenerate``): the
-    f images and all weights vanish.
+    f images and all weights vanish.  Memoised: equal labels give one
+    module object.
     """
     g, nu, mu1, mu2 = labels.gamma, labels.nu, labels.mu1, labels.mu2
     values = (g, 1 / g, g * mu2, (1 / g) * mu1, 1, labels.lambda1, labels.lambda2,
@@ -454,6 +456,7 @@ COPRODUCT = CoproductTable({
     "u+": ((1, ("u+",), ("u+",)),),
     "u-": ((1, ("u-",), ("u-",)),),
 }, inverses={"u+": "u-", "u-": "u+"})
+TABLES["classical"] = COPRODUCT
 
 
 def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,

@@ -19,6 +19,7 @@ from functools import cache
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import GeneratorImage, RepLabels, atypical_rep, default_alpha
+from .coproduct import TABLES
 from .report import c2j, json_text
 
 #: ``verify`` flags passed on to the suites, by suite option name.
@@ -146,49 +147,41 @@ def _load_rep(path: str, usage_error) -> GeneratorImage:
     with open(path) as fh:
         try:
             blob = json.load(fh)
-            return GeneratorImage.from_dict(blob.get("representation", blob))
+            rep = GeneratorImage.from_dict(blob.get("representation", blob))
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             usage_error(f"{path} is not a representation file: {err!r}")
+    if rep.kind not in TABLES:
+        usage_error(f"{path} holds a module of unknown kind {rep.kind!r}")
+    return rep
 
 
 def _emit(args) -> int:
+    fail = args.usage_error
     if args.rep_a or args.rep_b:
         if not (args.solve and args.rep_a and args.rep_b):
-            raise SystemExit("representation files require --solve with both "
-                             "--rep-a and --rep-b")
-        rm = rmatrix.r_solve(*(_load_rep(path, args.usage_error)
-                               for path in (args.rep_a, args.rep_b)))
+            fail("representation files require --solve with both --rep-a and --rep-b")
+        rm = rmatrix.r_solve(*(_load_rep(path, fail) for path in (args.rep_a, args.rep_b)))
     elif args.trig:
-        for flag in ("theta1", "theta2", "lam"):
-            if getattr(args, flag) is None:
-                raise SystemExit("--trig needs --theta1, --theta2 and --lambda")
+        if any(v is None for v in (args.theta1, args.theta2, args.lam)):
+            fail("--trig needs --theta1, --theta2 and --lambda")
         rm = rmatrix.r_trig(args.theta1, args.theta2, args.lam)
     else:
+        alpha = default_alpha(args.coupling)
         if args.q_closed or (args.solve and args.q is not None):
-            needed = (args.q, args.lambda1, args.lambda1_b, args.nu, args.nu2)
-            if any(v is None for v in needed):
-                raise SystemExit("deformed form needs --q, --lambda1, --lambda1-b, "
-                                 "--nu and --nu2")
-            alpha = default_alpha(args.coupling)
-            la = qalgebra.q_labels(args.lambda1, args.nu, args.q, alpha)[args.root]
-            lb = qalgebra.q_labels(args.lambda1_b, args.nu2, args.q, alpha)[args.root]
-            rm = rmatrix.rq_closed(la, lb)
-            if args.solve:
-                rm = rmatrix.r_solve(qalgebra.q_atypical_rep(la),
-                                     qalgebra.q_atypical_rep(lb),
-                                     match_r11=rm.normalization)
+            if any(v is None for v in (args.q, args.lambda1, args.lambda1_b, args.nu, args.nu2)):
+                fail("deformed form needs --q, --lambda1, --lambda1-b, --nu and --nu2")
+            la, lb = (qalgebra.q_labels(lam, nu, args.q, alpha)[args.root]
+                      for lam, nu in ((args.lambda1, args.nu), (args.lambda1_b, args.nu2)))
+            closed, build = rmatrix.rq_closed, qalgebra.q_atypical_rep
         else:
-            needed = (args.gamma, args.nu, args.gamma2, args.nu2)
-            if any(v is None for v in needed):
-                raise SystemExit("closed/solved form needs --gamma, --nu, "
-                                 "--gamma2 and --nu2")
-            alpha = default_alpha(args.coupling)
+            if any(v is None for v in (args.gamma, args.nu, args.gamma2, args.nu2)):
+                fail("closed/solved form needs --gamma, --nu, --gamma2 and --nu2")
             la = RepLabels(args.gamma, args.nu, *alpha)
             lb = RepLabels(args.gamma2, args.nu2, *alpha)
-            rm = rmatrix.r_closed(la, lb)
-            if args.solve:
-                rm = rmatrix.r_solve(atypical_rep(la), atypical_rep(lb),
-                                     match_r11=rm.normalization)
+            closed, build = rmatrix.r_closed, atypical_rep
+        rm = closed(la, lb)
+        if args.solve:
+            rm = rmatrix.r_solve(build(la), build(lb), match_r11=rm.normalization)
     if args.format == "csv":
         _write(_matrix_csv(rm), args.output)
     else:

@@ -18,12 +18,15 @@ counit.
 
 Representations are immutable and hash by identity, so stacks are memoised
 per (table, rep_a, rep_b, opposite), and the table's word products per
-(table, rep), in bounded LRU caches.  The caches hold strong references to
-their keys, so an object id is never reused while its entry is live.
+(table, rep), in bounded LRU caches.  Modules are values of their labels:
+the builders are memoised (:func:`memoised_by_labels`), so equal labels give
+one object and these memos hit wherever a module is rebuilt from its labels.
+The caches hold strong references to their keys, so an object id is never
+reused while its entry is live.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from types import MappingProxyType
 
 import numpy as np
@@ -31,8 +34,23 @@ import numpy as np
 from .graded import SuperMatrix, _kron_layout, graded_flip
 
 #: Number of entries each memo keeps alive: stacks per (table, rep_a, rep_b,
-#: opposite), word products per (table, rep).
+#: opposite), word products per (table, rep), modules per label set.
 STACK_CACHE_SIZE = 32
+
+
+def memoised_by_labels(build):
+    """``build(labels, *options)`` in an LRU cache keyed by the arguments and the exact
+    bits of every complex among them and the labels' fields: ``==`` takes -0.0 for 0.0,
+    but a zero's sign reaches the module's data.  ``__wrapped__`` does not cache."""
+    @lru_cache(maxsize=STACK_CACHE_SIZE)
+    def cached(bits, labels, *options):
+        return build(labels, *options)
+
+    @wraps(build)
+    def memo(labels, *options):
+        parts = [v for v in (*vars(labels).values(), *options) if isinstance(v, complex)]
+        return cached(np.array(parts, dtype=np.complex128).tobytes(), labels, *options)
+    return memo
 
 
 class CoproductTable:
@@ -42,7 +60,7 @@ class CoproductTable:
     The antipode and the counit follow: S(g) = g^{-1} and eps(g) = 1 on a
     group-like; every other generator x is skew-primitive with central
     dressings, so S(x) = -x and eps(x) = 0.  Hashes by identity; build one
-    per algebra at import time.
+    per algebra at import time and enter it in :data:`TABLES`.
     """
 
     def __init__(self, terms: dict[str, tuple], inverses: dict[str, str]):
@@ -78,6 +96,11 @@ class CoproductTable:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
+
+
+#: module ``kind`` -> its algebra's table.  Each algebra module enters its own
+#: at import, not the constructor: a table built elsewhere replaces no entry.
+TABLES: dict[str, CoproductTable] = {}
 
 
 def spell(names: tuple[str, ...], words) -> np.ndarray:

@@ -48,9 +48,7 @@ class GradedSpace:
 
     def tensor(self, other: "GradedSpace") -> "GradedSpace":
         """Tensor product space, basis ordered row-major, parities added mod 2."""
-        par = tuple(
-            (p + q) % 2 for p in self.parity for q in other.parity
-        )
+        par = tuple((p + q) % 2 for p in self.parity for q in other.parity)
         return GradedSpace(self.dim * other.dim, par)
 
     @property
@@ -78,10 +76,8 @@ class SuperMatrix:
     def __post_init__(self):
         arr = np.array(self.m, dtype=np.complex128)
         if arr.shape != (self.space_out.dim, self.space_in.dim):
-            raise ValueError(
-                f"entry block {arr.shape} does not match spaces "
-                f"({self.space_out.dim}, {self.space_in.dim})"
-            )
+            raise ValueError(f"entry block {arr.shape} does not match spaces "
+                             f"({self.space_out.dim}, {self.space_in.dim})")
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 

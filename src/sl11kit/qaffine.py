@@ -19,13 +19,14 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, spell, word_stack
+from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
+                        memoised_by_labels, spell, word_stack)
 from .graded import EVEN, ODD, SuperMatrix
 from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, _ef_targets, q_atypical_rep
 from .algebra import (GeneratorImage, ImageStack, bracket_layout, coassociativity_checker,
                       graded_brackets)
 from .report import Report, residual_report
-from .rmatrix import rq_closed
+from .rmatrix import intertwining_report, rq_closed
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
@@ -88,7 +89,13 @@ _SCALED = [AFFINE_NAMES.index(name) for name in ("E3", "E4", "F3", "F4", "V+", "
 
 def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
                     beta: complex = 1.0) -> AffineRep:
-    """Build the affine evaluation module on a deformed atypical representation."""
+    """Build the affine evaluation module on a deformed atypical representation; memoised."""
+    # positional, normalised arguments: one module object whatever the call form
+    return _affine_eval(labels, variant, complex(beta))
+
+
+@memoised_by_labels
+def _affine_eval(labels: QRepLabels, variant: str, beta: complex) -> AffineRep:
     if variant not in ("standard", "swapped"):
         raise ValueError("variant must be 'standard' or 'swapped'")
     if abs(beta * beta - 1.0) > 1e-12:
@@ -105,10 +112,8 @@ def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
     stack[_SCALED] *= np.array([-beta * lgap[j3] / rho, -beta * lgap[j4] / rho,
                                 beta * rho / lgap[j3], beta * rho / lgap[j4],
                                 beta, beta], dtype=np.complex128)[:, None, None]
-    if variant == "standard":
-        alpha = (labels.alpha1, labels.alpha2, labels.alpha1, labels.alpha2)
-    else:
-        alpha = (labels.alpha1, labels.alpha2, labels.alpha2, labels.alpha1)
+    # nodes 3 and 4 couple as their base nodes, the complements of their gap nodes
+    alpha = (*labels.alpha, labels.alpha[2 - j3], labels.alpha[2 - j4])
     return AffineRep(base.space, ImageStack(base.space, AFFINE_NAMES, stack, _AFF_PARITY),
                      alpha, labels.q, "affine", rho=rho, variant=variant, beta=beta)
 
@@ -214,6 +219,7 @@ for _c in GROUP_LIKE:
 AFFINE_COPRODUCT = CoproductTable(
     {name: _aff_terms[name] for name in AFFINE_NAMES},
     inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in GROUP_LIKE})
+TABLES["affine"] = AFFINE_COPRODUCT
 
 
 def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
@@ -252,22 +258,13 @@ def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
 def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,
                       variant: str = "standard", beta: complex = 1.0,
                       tolerance: float = 1e-9) -> Report:
-    """The deformed R-matrix intertwines the affine coproducts for every node."""
-    rep_a = affine_eval_rep(labels_a, variant, beta)
-    rep_b = affine_eval_rep(labels_b, variant, beta)
-    return _pair_intertwine(rep_a, rep_b, labels_a, labels_b, tolerance)
-
-
-def _pair_intertwine(rep_a: AffineRep, rep_b: AffineRep, labels_a: QRepLabels,
-                     labels_b: QRepLabels, tolerance: float = 1e-9) -> Report:
-    """:func:`affine_intertwine` on evaluation modules already built from the
-    labels, so their memoised coproduct stacks are read, not rebuilt."""
-    rmat = rq_closed(labels_a, labels_b).m
-    d = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)
-    dop = coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b, opposite=True)
-    return residual_report("affine-intertwining", tolerance,
-                           [f"intertwine:{name}" for name in AFFINE_COPRODUCT.names],
-                           dop @ rmat, rmat @ d)
+    """The deformed R-matrix intertwines the affine coproducts for every node:
+    :func:`.rmatrix.intertwining_report` on the memoised evaluation modules,
+    so a pair already built from these labels has its coproduct stacks read."""
+    rep_a, rep_b = (affine_eval_rep(labels, variant, beta) for labels in (labels_a, labels_b))
+    rpt = intertwining_report(rq_closed(labels_a, labels_b), rep_a, rep_b, tolerance)
+    rpt.suite = "affine-intertwining"
+    return rpt
 
 
 #: The deformed algebra on nodes {3,4} with V, in ``Q_NAMES`` order: the

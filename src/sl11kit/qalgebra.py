@@ -28,7 +28,8 @@ from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusW
                       bracket_layout, coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, graded_brackets, kac_images,
                       on_shortening_locus, singlet_lines, twist)
-from .coproduct import CoproductTable, coproduct_matrix, coproduct_stack, spell, word_stack
+from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
+                        memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, SuperMatrix
 from .report import Report, c2j, residual_report
 
@@ -198,12 +199,14 @@ _Q_ATYPICAL_PATTERNS = ATYPICAL_PATTERNS[[0, 1, 2, 3] + [5] * 12]
 _Q_KAC_PATTERNS = KAC_PATTERNS[[0, 1, 2, 3] + [5] * 12]
 
 
+@memoised_by_labels
 def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
     """2-dimensional deformed atypical representation on basis (w1, w0).
 
     K0^{+-} acts as diag(q^{-+2}, q^{-+1}); this is the diagonal consistent
     with invertibility and with the 4-dim weights, and it satisfies
-    K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.
+    K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.  Memoised:
+    equal labels give one module object.
     """
     g, nu, q = labels.gamma, labels.nu, labels.q
     qlam1, qlam2, qmu1, qmu2 = labels.qlam1, labels.qlam2, labels.qmu1, labels.qmu2
@@ -326,6 +329,7 @@ Q_COPRODUCT = CoproductTable({
     "F2": ((1, ("F2",), ("U-", "K2-")), (1, ("U+", "K2+"), ("F2",))),
     **{c: ((1, (c,), (c,)),) for c in _GROUP_LIKE},
 }, inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in _GROUP_LIKE})
+TABLES["q"] = Q_COPRODUCT
 
 def q_coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
                       opposite: bool = False) -> SuperMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import statistics
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -126,12 +127,7 @@ class Report:
 
     @property
     def median_residual(self) -> float:
-        vals = sorted(self.residuals)
-        if not vals:
-            return 0.0
-        n = len(vals)
-        mid = n // 2
-        return vals[mid] if n % 2 else 0.5 * (vals[mid - 1] + vals[mid])
+        return statistics.median(self.residuals) if self.residuals else 0.0
 
     def _checked_against(self):
         """(residual, the tolerance it is checked against) of each case."""

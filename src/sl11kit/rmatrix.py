@@ -6,7 +6,8 @@ the stacked intertwining system, Yang-Baxter and unitarity checkers, and
 the grading-conjugated variants for flipped modules.
 
 The solver and :func:`intertwining_report` read the memoised coproduct
-stacks of the pair (:func:`.coproduct.coproduct_stack`).  The system has one
+stacks of the pair on the table of the modules' kind, so they serve the
+undeformed, deformed and affine modules alike.  The system has one
 row block kron(Delta_op(g), 1) - kron(1, Delta(g)^T) per generator g of the
 first module, built for all g in one ``einsum``; its thin SVD yields the
 n^2 singular values and right singular vectors, and the left factor is
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import COPRODUCT, GeneratorImage, ImageStack, RepLabels
-from .coproduct import coproduct_stack
+from .algebra import GeneratorImage, ImageStack, RepLabels
+from .coproduct import TABLES, coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
                      identity, max_abs, unit)
-from .qalgebra import Q_COPRODUCT, QRepLabels
+from .qalgebra import QRepLabels
 from .report import Report, c2j, residual_report
 
 _T2 = C11.tensor(C11)
@@ -174,8 +175,8 @@ def rq_closed(labels_a: QRepLabels, labels_b: QRepLabels) -> RMatrix:
 
 
 def _coproduct_stacks(rep_a: GeneratorImage, rep_b: GeneratorImage):
-    """(Delta_op, Delta) stacks of the pair, one slice per name of ``rep_a``."""
-    table = Q_COPRODUCT if rep_a.kind == "q" else COPRODUCT
+    """(Delta_op, Delta) stacks of the pair on its kind's table, one row per name of ``rep_a``."""
+    table = TABLES[rep_a.kind]
     rows = [table.position(name) for name in rep_a.names]
     return (coproduct_stack(table, rep_a, rep_b, opposite=True)[rows],
             coproduct_stack(table, rep_a, rep_b)[rows])
@@ -260,11 +261,8 @@ def ybe_embed(r12: np.ndarray, r13: np.ndarray, r23: np.ndarray) -> float:
 
 def ybe_residual(labels1, labels2, labels3, which: str = "undeformed") -> float:
     """Yang-Baxter residual for a triple of label sets."""
-    if which == "undeformed":
-        build = r_closed
-    elif which == "deformed":
-        build = rq_closed
-    else:
+    build = {"undeformed": r_closed, "deformed": rq_closed}.get(which)
+    if build is None:
         raise ValueError("which must be 'undeformed' or 'deformed'")
     r12 = build(labels1, labels2).m
     r13 = build(labels1, labels3).m
@@ -327,11 +325,9 @@ def conjugate_r(r: RMatrix, target: str) -> RMatrix:
 
 def conjugated_pair(rep_a: GeneratorImage, rep_b: GeneratorImage,
                     target: str) -> tuple[GeneratorImage, GeneratorImage]:
-    """The representation pair a conjugated R-matrix intertwines."""
-    if target == "V-Vbar":
-        return rep_a, conjugate_rep(rep_b)
-    if target == "Vbar-V":
-        return conjugate_rep(rep_a), rep_b
-    if target == "Vbar-Vbar":
-        return conjugate_rep(rep_a), conjugate_rep(rep_b)
-    raise KeyError(f"unknown target {target!r}")
+    """The representation pair a conjugated R-matrix intertwines: each factor
+    named ``Vbar`` in ``target`` replaced by its :func:`conjugate_rep`."""
+    if target not in _CONJUGATORS:
+        raise KeyError(f"unknown target {target!r}")
+    return tuple(conjugate_rep(rep) if name == "Vbar" else rep
+                 for rep, name in zip((rep_a, rep_b), target.split("-")))

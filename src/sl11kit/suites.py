@@ -62,12 +62,9 @@ def draw_qlabels(rng, q=None, alpha=None) -> QRepLabels:
 
 
 def _label_params(tag, lab) -> dict:
-    if isinstance(lab, RepLabels):
-        return {f"{tag}.gamma": lab.gamma, f"{tag}.nu": lab.nu,
-                f"{tag}.alpha1": lab.alpha1}
-    return {f"{tag}.gamma": lab.gamma, f"{tag}.nu": lab.nu, f"{tag}.q": lab.q,
-            f"{tag}.qlam1": lab.qlam1, f"{tag}.qlam2": lab.qlam2,
-            f"{tag}.alpha1": lab.alpha1}
+    fields = (("gamma", "nu", "alpha1") if isinstance(lab, RepLabels)
+              else ("gamma", "nu", "q", "qlam1", "qlam2", "alpha1"))
+    return {f"{tag}.{name}": getattr(lab, name) for name in fields}
 
 
 def suite_ybe(samples: int = 100, seed: int = 0, tolerance: float = 1e-10,
@@ -192,7 +189,7 @@ def suite_yangian(samples: int = 20, seed: int = 0, levels: int = 4,
         rpt.add(f"[{k}]antipode",
                 yangian.antipode_report(eva, 4).max_residual, tolerance=1e-10)
         rpt.add(f"[{k}]intertwining",
-                yangian._pair_intertwine(eva, evb, la, lb, levels).max_residual,
+                yangian.yangian_intertwine(la, lb, levels).max_residual,
                 tolerance=1e-9, **_label_params("a", la), **_label_params("b", lb))
     return rpt
 
@@ -221,7 +218,7 @@ def suite_affine(samples: int = 20, seed: int = 0,
         rpt.add(f"[{k}]coproduct-hom",
                 qaffine.affine_hom_report(ra, rb).max_residual, tolerance=1e-10)
         rpt.add(f"[{k}]intertwining",
-                qaffine._pair_intertwine(ra, rb, la, lb).max_residual, tolerance=1e-9)
+                qaffine.affine_intertwine(la, lb).max_residual, tolerance=1e-9)
         rpt.add(f"[{k}]intertwining-beta",
                 qaffine.affine_intertwine(la, lb, beta=-1.0).max_residual,
                 tolerance=1e-9)

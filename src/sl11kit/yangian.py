@@ -665,17 +665,10 @@ def yangian_intertwine(labels_a: RepLabels, labels_b: RepLabels, r_max: int = 4,
     """The closed-form R-matrix intertwines the level coproducts at every level.
 
     The R-matrix depends only on (gamma, nu), so the joint coupling rescale
-    that bounds |rho| leaves it untouched.
+    that bounds |rho| leaves it untouched.  Modules are values of their labels,
+    so the towers of a pair built from these labels before are read.
     """
     rep_a, rep_b = scaled_eval_pair(labels_a, labels_b)
-    return _pair_intertwine(rep_a, rep_b, labels_a, labels_b, r_max, tolerance)
-
-
-def _pair_intertwine(rep_a: EvalRep, rep_b: EvalRep, labels_a: RepLabels,
-                     labels_b: RepLabels, r_max: int = 4,
-                     tolerance: float = 1e-9) -> Report:
-    """:func:`yangian_intertwine` on ``scaled_eval_pair(labels_a, labels_b)``
-    already built, so the pair's memoised towers are read, not rebuilt."""
     rmat = r_closed(labels_a, labels_b).m
     d = coproduct_tower(rep_a, rep_b, r_max=r_max)
     dop = coproduct_tower(rep_a, rep_b, r_max=r_max, opposite=True)

@@ -59,6 +59,22 @@ def test_emit_missing_flags(capsys):
         main(["emit-r", "--closed", "--gamma", "1.0"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--trig", "--theta1", "0.3"], "--trig needs --theta1, --theta2 and --lambda"),
+    (["--closed", "--gamma", "1.0"], "closed/solved form needs --gamma, --nu, --gamma2 and --nu2"),
+    (["--q-closed", "--q", "1.1", "--nu", "1j"],
+     "deformed form needs --q, --lambda1, --lambda1-b, --nu and --nu2"),
+    (["--closed", "--rep-a", "a.json", "--rep-b", "b.json"],
+     "representation files require --solve with both --rep-a and --rep-b"),
+], ids=["trig", "closed", "deformed", "rep-files"])
+def test_emit_usage_errors_exit_2_with_the_message_on_stderr(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-r", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 def test_params_xpm_massless(capsys):
     code, out = run(capsys, "params", "xpm", "--p", "1.0", "--M", "0", "--h", "1.0")
     assert code == 0
@@ -219,6 +235,19 @@ def test_verify_failure_exit_code(capsys, tmp_path):
                  "--tolerance", "1e-30", "--output", str(path)])
     assert code == 1
     assert json.loads(path.read_text())["passed"] is False  # report still written
+
+
+def test_a_representation_of_unknown_kind_is_a_usage_error(capsys, tmp_path):
+    rep = tmp_path / "rep.json"
+    run(capsys, "params", "xpm", "--p", "1.0", "--M", "0.5", "--h", "1.0", "--emit-rep",
+        "-o", str(rep))
+    blob = json.loads(rep.read_text())
+    blob["representation"]["kind"] = "yangian"
+    rep.write_text(json.dumps(blob))
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-r", "--solve", "--rep-a", str(rep), "--rep-b", str(rep)])
+    assert exc.value.code == 2
+    assert f"{rep} holds a module of unknown kind 'yangian'" in capsys.readouterr().err
 
 
 def test_bad_flags_usage_error(capsys):

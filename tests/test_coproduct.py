@@ -1,5 +1,7 @@
 """The stacked coproduct images against a term-by-term reference, the memo,
 and the intertwining solver that reads the stacks."""
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -138,7 +140,7 @@ def test_memoised_stacks_are_read_only_and_per_object():
     lab_a = RepLabels(1.2 + 0.3j, np.exp(0.4j), -0.5, 0.5)
     lab_b = RepLabels(0.8 - 0.1j, np.exp(-1.1j), -0.5, 0.5)
     ra, rb = algebra.atypical_rep(lab_a), algebra.atypical_rep(lab_b)
-    twin = algebra.atypical_rep(lab_a)   # equal content, distinct object
+    twin = algebra.GeneratorImage(ra.space, ra.images, ra.alpha)   # equal content, distinct object
     stack = coproduct_stack(COPRODUCT, ra, rb)
     assert coproduct_stack(COPRODUCT, ra, rb, opposite=False) is stack
     assert coproduct_stack(COPRODUCT, twin, rb) is not stack
@@ -211,3 +213,76 @@ def test_intertwining_rows_follow_the_representation_names():
         d = qalgebra.q_coproduct_image(name, ra, rb).m
         assert case.residual == np.abs(dop @ rm.m - rm.m @ d).max()
     assert rpt.max_residual <= 1e-10
+
+
+# -- module builders as values of their labels -------------------------------------
+
+LAB = RepLabels(1.2, np.exp(0.4j), -0.5, 0.5)
+QLAB = qalgebra.q_labels(0.9 - 0.2j, np.exp(0.4j), 1.15, (-0.5, 0.5))[0]
+
+
+def test_equal_labels_give_one_module_object_for_every_call_form():
+    twin, qtwin = dataclasses.replace(LAB), dataclasses.replace(QLAB)
+    assert twin == LAB and twin is not LAB and qtwin == QLAB and qtwin is not QLAB
+    assert algebra.atypical_rep(twin) is algebra.atypical_rep(LAB)
+    assert qalgebra.q_atypical_rep(qtwin) is qalgebra.q_atypical_rep(QLAB)
+    build, alt = qaffine.affine_eval_rep, qaffine.alt_affinization
+    forms = {
+        "standard": [build, alt, lambda lab: build(lab, "standard", 1.0),
+                     lambda lab: build(lab, beta=1), lambda lab: build(lab, beta=1 + 0j)],
+        "swapped": [lambda lab: build(lab, "swapped"), lambda lab: build(lab, "swapped", 1),
+                    lambda lab: alt(lab, "swapped")],
+        "beta": [lambda lab: build(lab, beta=-1.0), lambda lab: build(lab, "standard", -1),
+                 lambda lab: alt(lab, "beta-sign")],
+    }
+    ids = {name: {id(form(lab)) for form in group for lab in (QLAB, qtwin)}
+           for name, group in forms.items()}
+    assert all(len(group) == 1 for group in ids.values()), ids
+    assert len(set.union(*ids.values())) == 3
+    # so the memos keyed by module object hit wherever a module is rebuilt
+    rep, rep_twin = qalgebra.q_atypical_rep(QLAB), qalgebra.q_atypical_rep(qtwin)
+    assert coproduct_stack(Q_COPRODUCT, rep_twin, rep_twin) is coproduct_stack(Q_COPRODUCT, rep, rep)
+
+
+def _zero_flips(labels):
+    """Copies of ``labels`` equal to it as numbers, each with the sign of one
+    zero part of one field flipped."""
+    out = []
+    for field in dataclasses.fields(labels):
+        z = getattr(labels, field.name)
+        if isinstance(z, complex):
+            if z.real == 0:
+                out.append(dataclasses.replace(labels, **{field.name: complex(-z.real, z.imag)}))
+            if z.imag == 0:
+                out.append(dataclasses.replace(labels, **{field.name: complex(z.real, -z.imag)}))
+    return out
+
+
+def _text(rep) -> str:
+    return json.dumps(rep.to_dict())
+
+
+def test_labels_differing_in_the_sign_of_a_zero_part_get_their_own_module():
+    """A memo keyed by ``==`` alone would serve the first module to every
+    probe; each probe's module must be its own fresh build."""
+    builders = [
+        (algebra.atypical_rep, algebra.atypical_rep.__wrapped__, LAB),
+        (qalgebra.q_atypical_rep, qalgebra.q_atypical_rep.__wrapped__, QLAB),
+        *((lambda lab, v=v, b=b: qaffine.affine_eval_rep(lab, v, b),
+           lambda lab, v=v, b=b: qaffine._affine_eval.__wrapped__(lab, v, complex(b)), QLAB)
+          for v, b in (("standard", 1.0), ("swapped", 1.0), ("standard", -1.0))),
+        (lambda lab: qaffine.affine_eval_rep(QLAB, "standard", lab),
+         lambda lab: qaffine._affine_eval.__wrapped__(QLAB, "standard", lab), -1 + 0j),
+    ]
+    differ = 0
+    for memoised, fresh, labels in builders:
+        first = memoised(labels)
+        probes = (_zero_flips(labels) if dataclasses.is_dataclass(labels)
+                  else [complex(labels.real, -labels.imag)])
+        assert probes
+        for probe in probes:
+            assert probe == labels
+            got = memoised(probe)
+            assert got is not first and _text(got) == _text(fresh(probe))
+            differ += _text(got) != _text(first)
+    assert differ >= 6

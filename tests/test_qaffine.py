@@ -6,10 +6,10 @@ from sl11kit.graded import max_abs
 from sl11kit.qalgebra import q_check_relations, q_labels
 from sl11kit.qaffine import (affine_coassociativity_report,
                              affine_coproduct_image, affine_eval_rep,
-                             _pair_intertwine, affine_hom_report, affine_intertwine,
+                             affine_hom_report, affine_intertwine,
                              affine_relations_report, node_sign,
                              upper_nodes_subalgebra)
-from sl11kit.rmatrix import intertwining_report, rq_closed
+from sl11kit.rmatrix import intertwining_report, r_solve, rq_closed
 
 Q = 1.15 + 0.08j
 ALPHA = (-0.5, 0.5)
@@ -123,23 +123,35 @@ def test_affine_intertwining_beta_variant():
     assert affine_intertwine(QA, QB, beta=-1.0).max_residual <= 1e-9
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_affine_intertwining_on_the_labels_equals_the_suite_pair(seed):
+def suite_pair(seed):
+    """Two deformed label sets drawn the way the affine suite draws a sample."""
     rng = next(iter(suites._child_rngs(seed, 1)))
     q, alpha = suites.draw_q(rng), suites.draw_alpha(rng)
-    la, lb = suites.draw_qlabels(rng, q, alpha), suites.draw_qlabels(rng, q, alpha)
-    for variant, beta in (("standard", 1.0), ("swapped", 1.0), ("standard", -1.0)):
-        ra, rb = affine_eval_rep(la, variant, beta), affine_eval_rep(lb, variant, beta)
-        got, want = _pair_intertwine(ra, rb, la, lb), affine_intertwine(la, lb, variant, beta)
-        assert (got.suite, got.tolerance) == (want.suite, want.tolerance)
-        assert ([(c.identity, c.residual) for c in got.cases]
-                == [(c.identity, c.residual) for c in want.cases])
-    # the suite's standard pair reads the Delta stack its homomorphism report built
-    ra, rb = affine_eval_rep(la), affine_eval_rep(lb)
-    affine_hom_report(ra, rb)
+    return suites.draw_qlabels(rng, q, alpha), suites.draw_qlabels(rng, q, alpha)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_affine_intertwining_reads_the_stacks_the_suite_built(seed):
+    la, lb = suite_pair(seed)
+    # the suite's standard pair: its homomorphism report builds the Delta stack
+    affine_hom_report(affine_eval_rep(la), affine_eval_rep(lb))
     misses = coproduct._stack.cache_info().misses
-    _pair_intertwine(ra, rb, la, lb)
+    affine_intertwine(la, lb)
     assert coproduct._stack.cache_info().misses == misses + 2  # Delta^op and its swap
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("variant, beta", [("standard", 1.0), ("swapped", 1.0),
+                                           ("standard", -1.0)])
+def test_the_svd_oracle_reads_the_affine_modules(seed, variant, beta):
+    la, lb = suite_pair(seed)
+    ra, rb = affine_eval_rep(la, variant, beta), affine_eval_rep(lb, variant, beta)
+    rq = rq_closed(la, lb)
+    assert max_abs(r_solve(ra, rb, match_r11=rq.normalization).m - rq.m) <= 1e-10
+    got, want = intertwining_report(rq, ra, rb), affine_intertwine(la, lb, variant, beta)
+    assert want.suite == "affine-intertwining"
+    assert ([(c.identity, c.residual) for c in got.cases]
+            == [(c.identity, c.residual) for c in want.cases])
 
 
 def test_rq_intertwines_upper_nodes_directly(rep_pair):

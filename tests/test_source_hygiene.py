@@ -6,7 +6,9 @@ from another package module.  A fold that moves a table or a helper otherwise
 leaves the old import or the old private table behind without any test noticing.
 No function body imports a package module: the package has no import cycle to
 break, so such an import only hides a dependency from the module header.
-``__init__`` only re-exports, so it is left out.
+``__init__`` only re-exports, so it is left out.  The suites call only public
+functions of the other modules, the paths a caller and a tracer of those
+functions see.
 """
 import ast
 from pathlib import Path
@@ -117,3 +119,46 @@ def test_the_check_sees_a_package_import_in_a_method_body():
                      "        return c2j(1)\n\n"
                      "def f():\n    from . import graded\n    return graded\n")
     assert _function_imports(tree) == ["to_dict (line 5)", "f (line 10)"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_calls(tree) -> list[str]:
+    """(callee, line) of every call of a private function of another package
+    module: ``module._name(...)`` on a module imported with ``from . import``,
+    or a ``_name`` imported with ``from .module import``."""
+    modules, names = set(), set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.level > 0:
+            bound = {a.asname or a.name for a in stmt.names
+                     if stmt.module is None or _private(a.name)}
+            (modules if stmt.module is None else names).update(bound)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and f.value.id in modules and _private(f.attr)):
+            found.append((node.lineno, f"{f.value.id}.{f.attr}"))
+        elif isinstance(f, ast.Name) and f.id in names:
+            found.append((node.lineno, f.id))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_suites_call_no_private_function_of_another_module():
+    private = _private_calls(TREES["suites"])
+    assert not private, f"suites: calls of private functions {private}"
+
+
+def test_the_check_sees_a_private_call_through_a_module_and_an_imported_name():
+    tree = ast.parse("from . import qaffine, yangian as y\nfrom .algebra import _words as w, "
+                     "atypical_rep\nfrom .report import Report\n\n"
+                     "def _draw(rng):\n    return rng\n\n"
+                     "def suite(la, lb):\n    r = y._pair_intertwine(la, lb)\n"
+                     "    qaffine.affine_intertwine(la, lb, _draw(0))\n"
+                     "    r.__len__()\n    w(atypical_rep(la))\n"
+                     "    return qaffine._l_word\n")
+    assert _private_calls(tree) == ["y._pair_intertwine (line 9)", "w (line 12)"]

@@ -11,7 +11,7 @@ from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, 
 from sl11kit.report import Report
 from sl11kit.rmatrix import r_closed
 from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError,
-                             TruncatedCurrent, _omega_scaled_base, _pair_intertwine,
+                             TruncatedCurrent, _omega_scaled_base,
                              _tail_terms, _tower,
                              antipode_report, coproduct_hom_report, coproduct_tower,
                              current_relations_report,
@@ -667,15 +667,17 @@ def test_series_is_one_read_only_array_copied_from_its_input():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_intertwining_on_the_labels_equals_the_suite_pair(seed):
-    la, lb, _, _ = suite_draw(seed)
+def test_intertwining_on_the_labels_reads_the_suite_towers(seed):
+    la, lb, eps1, eps2 = suite_draw(seed)
     eva, evb = scaled_eval_pair(la, lb)
-    assert_same_report(_pair_intertwine(eva, evb, la, lb, 4), yangian_intertwine(la, lb, 4))
-    # the suite's pair reads the towers the homomorphism and cocommutativity reports built
+    # equal labels give equal evaluation modules on one atypical module object
+    assert scaled_eval_pair(la, lb) == (eva, evb) and eval_rep(la).base is atypical_rep(la)
+    # one suite sample's tower reports, then the public intertwining on the labels
     coproduct_hom_report(eva, evb, 4)
     k_cocommutativity_report(eva, evb, 4)
+    omega_twist_equivalence(eva, evb, eps1, eps2, 3)
     misses = _tower.cache_info().misses
-    _pair_intertwine(eva, evb, la, lb, 4)
+    yangian_intertwine(la, lb, 4)
     assert _tower.cache_info().misses == misses
 
 
