@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -51,8 +53,13 @@ def _write(payload: str, path: str | None) -> None:
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
+        # Overwrite in place and cut the tail after: opening with truncation makes
+        # some file systems (ext4) flush the file on close.  Only a regular file is
+        # cut, so a device or a FIFO (``-o /dev/stdout``) still takes the payload.
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(payload)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _matrix_csv(rm: rmatrix.RMatrix) -> str:
@@ -60,7 +67,7 @@ def _matrix_csv(rm: rmatrix.RMatrix) -> str:
     for i in range(rm.m.shape[0]):
         for j in range(rm.m.shape[1]):
             z = rm.m[i, j]
-            lines.append(f"{i},{j},{z.real!r},{z.imag!r}")
+            lines.append(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusW
                       bracket_layout, coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, graded_brackets, kac_images,
                       on_shortening_locus, singlet_lines, twist)
-from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
-                        memoised_by_labels, spell, word_stack)
+from .coproduct import (STACK_CACHE_SIZE, TABLES, CoproductTable, coproduct_matrix,
+                        coproduct_stack, memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, SuperMatrix
 from .report import Report, c2j, residual_report
 
@@ -44,7 +44,14 @@ class RootOfUnityError(ValueError):
 
 
 def reject_root_of_unity(q: complex, order: int = 48, tol: float = 1e-9) -> None:
-    q = complex(q)
+    """Raise :class:`RootOfUnityError` when q is zero or some q^k, k <= order,
+    lies within ``tol`` of 1.  A passing q is remembered, so labels that share
+    one q test it once."""
+    _reject_root_of_unity(complex(q), order, tol)
+
+
+@lru_cache(maxsize=STACK_CACHE_SIZE)
+def _reject_root_of_unity(q: complex, order: int, tol: float) -> None:
     if q == 0:
         raise RootOfUnityError("q must be nonzero")
     power = 1.0 + 0.0j

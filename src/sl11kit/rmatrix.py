@@ -9,9 +9,11 @@ The solver and :func:`intertwining_report` read the memoised coproduct
 stacks of the pair on the table of the modules' kind, so they serve the
 undeformed, deformed and affine modules alike.  The system has one
 row block kron(Delta_op(g), 1) - kron(1, Delta(g)^T) per generator g of the
-first module, built for all g in one ``einsum``; its thin SVD yields the
-n^2 singular values and right singular vectors, and the left factor is
-never formed.
+first module, the two terms added for all g at once onto zeros.  The system
+is reduced to its n^2 x n^2 R factor, whose SVD yields the n^2 singular
+values and right singular vectors; the system's left factor is never formed.
+LAPACK's divide-and-conquer SVD of a matrix this tall takes the same QR step
+first, so the results are bitwise those of the SVD of the whole system.
 
 Conventions, fixed once:
 
@@ -29,28 +31,32 @@ import numpy as np
 
 from .algebra import GeneratorImage, ImageStack, RepLabels
 from .coproduct import TABLES, coproduct_stack
-from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm,
+from .graded import (C11, EVEN, SuperMatrix, _kron_layout, graded_kron, graded_perm,
                      identity, max_abs, unit)
 from .qalgebra import QRepLabels
 from .report import Report, c2j, residual_report
 
 _T2 = C11.tensor(C11)
 
-_E11 = unit(C11, C11, 0, 0)
-_E12 = unit(C11, C11, 0, 1)
-_E21 = unit(C11, C11, 1, 0)
-_E22 = unit(C11, C11, 1, 1)
 
-#: Graded-Kronecker flattenings of the six admissible slots.
+def _slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int], complex]:
+    """Position and value of the single entry of graded_kron(E_ab, E_cd)."""
+    m = graded_kron(unit(C11, C11, a, b), unit(C11, C11, c, d)).m
+    pos = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(m)), m.shape))
+    return pos, m[pos]
+
+
+#: The six admissible slots: the one entry of each graded-Kronecker flattening.
 _SLOTS = {
-    "11,11": graded_kron(_E11, _E11).m,
-    "11,22": graded_kron(_E11, _E22).m,
-    "12,21": graded_kron(_E12, _E21).m,
-    "21,12": graded_kron(_E21, _E12).m,
-    "22,11": graded_kron(_E22, _E11).m,
-    "22,22": graded_kron(_E22, _E22).m,
+    "11,11": _slot(0, 0, 0, 0),
+    "11,22": _slot(0, 0, 1, 1),
+    "12,21": _slot(0, 1, 1, 0),
+    "21,12": _slot(1, 0, 0, 1),
+    "22,11": _slot(1, 1, 0, 0),
+    "22,22": _slot(1, 1, 1, 1),
 }
-_SPARSITY_MASK = sum(np.abs(m) for m in _SLOTS.values()) > 0.5
+_SPARSITY_MASK = np.zeros((4, 4), dtype=bool)
+_SPARSITY_MASK[tuple(zip(*(pos for pos, value in _SLOTS.values())))] = True
 
 
 class ReducibleTensorError(ValueError):
@@ -97,18 +103,18 @@ class RMatrix:
 
 
 def _assemble(coeffs: dict[str, complex]) -> SuperMatrix:
-    m = sum(complex(c) * _SLOTS[slot] for slot, c in coeffs.items())
+    # += onto zeros leaves every zero entry +0.0; assigning c * -1 could store -0.0
+    m = np.zeros((4, 4), dtype=complex)
+    for slot, c in coeffs.items():
+        pos, value = _SLOTS[slot]
+        m[pos] += complex(c) * value
     return SuperMatrix(_T2, _T2, m, EVEN)
 
 
 def slot_coefficients(r) -> dict[str, complex]:
     """Coefficients of the six admissible E x E slots of a 4x4 intertwiner."""
     mat = r.m if isinstance(r, RMatrix) else np.asarray(r)
-    out = {}
-    for slot, s in _SLOTS.items():
-        i, j = np.unravel_index(np.argmax(np.abs(s)), s.shape)
-        out[slot] = complex(mat[i, j] / s[i, j])
-    return out
+    return {slot: complex(mat[pos] / value) for slot, (pos, value) in _SLOTS.items()}
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -196,9 +202,14 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
     """SVD nullspace of the stacked intertwining system.
 
     The rows for generator g are kron(Delta_op(g), 1) - kron(1, Delta(g)^T),
-    acting on the row-major flattening of R; they are built for every
-    generator of ``rep_a`` at once.  The thin SVD gives the n^2 singular
-    values and right singular vectors without the unused left factor.
+    acting on the row-major flattening of R.  They are built for every
+    generator of ``rep_a`` at once by adding the two terms onto zeros, so a
+    zero entry reads +0.0.  The (G n^2, n^2) system is reduced to its R
+    factor first and only that n^2 x n^2 triangle is decomposed: LAPACK's
+    divide-and-conquer SVD takes the same QR step itself on a system at
+    least twice as tall as wide, so the singular values and right singular
+    vectors are bitwise those of the full system's SVD, and no factor with
+    G n^2 rows is formed.
 
     Returns (null vectors as n x n blocks, singular values).  A direction is
     declared null when its singular value is below ``null_threshold`` times
@@ -206,11 +217,13 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
     """
     dim = rep_a.space.dim * rep_b.space.dim
     dop, d = _coproduct_stacks(rep_a, rep_b)
-    eye = np.broadcast_to(np.eye(dim), dop.shape)
-    # sum over s of kron(A_s, B_s) with (A, B) = (Delta_op, 1), (1, -Delta^T)
-    system = np.einsum("sgij,sgkl->gikjl", np.stack([dop, eye]),
-                       np.stack([eye, -d.transpose(0, 2, 1)]))
-    _, svals, vh = np.linalg.svd(system.reshape(-1, dim * dim), full_matrices=False)
+    diag = np.arange(dim)
+    # system[g, i, k, j, l]: row (i, k) and column (j, l) of block g
+    system = np.zeros((len(dop), dim, dim, dim, dim), dtype=complex)
+    system[:, :, diag, :, diag] += dop
+    system[:, diag, :, diag, :] -= d.transpose(0, 2, 1)
+    r = np.linalg.qr(system.reshape(-1, dim * dim), mode="r")
+    _, svals, vh = np.linalg.svd(r, full_matrices=False)
     # kernel vectors are conjugated rows of vh (A = U S V^H)
     null = [vh[i].conj().reshape(dim, dim) for i in range(dim * dim)
             if svals[i] < null_threshold * svals[0]]
@@ -246,14 +259,24 @@ def r_solve(rep_a: GeneratorImage, rep_b: GeneratorImage,
 # -- Yang-Baxter -----------------------------------------------------------------
 
 
+_ONE = identity(C11).m
+#: Koszul sign tables of graded_kron(R, 1) and graded_kron(1, R) for a 4x4 R.
+_SIGN_R1 = _kron_layout(_T2, _T2, C11, C11)[2]
+_SIGN_1R = _kron_layout(C11, C11, _T2, _T2)[2]
+_P23 = graded_kron(identity(C11), graded_perm(C11, C11)).m
+
+
+def _embed(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """``graded_kron(a, b).m`` of a 4x4 and a 2x2 factor, from its sign table."""
+    return (a[:, None, :, None] * b[None, :, None, :] * sign).reshape(8, 8)
+
+
 def ybe_embed(r12: np.ndarray, r13: np.ndarray, r23: np.ndarray) -> float:
     """max-abs of R12 R13 R23 - R23 R13 R12 with the standard graded embeddings."""
-    one = identity(C11)
-    sm = lambda m: SuperMatrix(_T2, _T2, m, EVEN)
-    big12 = graded_kron(sm(r12), one).m
-    big23 = graded_kron(one, sm(r23)).m
-    perm23 = graded_kron(one, graded_perm(C11, C11)).m
-    big13 = perm23 @ graded_kron(sm(r13), one).m @ perm23
+    r12, r13, r23 = (np.asarray(r, dtype=complex) for r in (r12, r13, r23))
+    big12 = _embed(r12, _ONE, _SIGN_R1)
+    big23 = _embed(_ONE, r23, _SIGN_1R)
+    big13 = _P23 @ _embed(r13, _ONE, _SIGN_R1) @ _P23
     lhs = big12 @ big13 @ big23
     rhs = big23 @ big13 @ big12
     return max_abs(lhs - rhs)

@@ -2,11 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from sl11kit import algebra, cli
+from sl11kit import algebra, cli, rmatrix
 from sl11kit.cli import main
 from sl11kit.graded import SuperMatrix
 from sl11kit.report import Report
@@ -49,9 +50,13 @@ def test_emit_csv_format(capsys):
     code, out = run(capsys, "emit-r", "--trig", "--theta1", "0.3",
                     "--theta2", "0.4", "--lambda", "0.1", "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) == 17
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["row", "col", "re", "im"]
+    assert len(rows) == 16
+    entries = np.zeros((4, 4), dtype=complex)
+    for row in rows:
+        entries[int(row["row"]), int(row["col"])] = complex(float(row["re"]), float(row["im"]))
+    np.testing.assert_array_equal(entries, rmatrix.r_trig(0.3, 0.4, 0.1).m)
 
 
 def test_emit_missing_flags(capsys):
@@ -148,6 +153,21 @@ def test_verify_suite_exit_code_and_report(capsys, tmp_path):
     assert blob["passed"] is True
     assert blob["suite"] == "singlet"
     assert "timestamp" in blob
+
+
+def test_a_short_report_over_a_longer_file_leaves_only_its_own_bytes(capsys, tmp_path):
+    path = tmp_path / "report.csv"
+    argv = ["verify", "ybe", "--seed", "3", "--format", "csv"]
+    assert main(argv + ["--samples", "4", "--output", str(path)]) == 0
+    longer = path.read_bytes()
+    code, out = run(capsys, *argv, "--samples", "1")
+    assert code == 0 and len(out.encode()) < len(longer)
+    assert main(argv + ["--samples", "1", "--output", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+def test_a_report_goes_to_a_device_that_cannot_be_truncated():
+    assert main(["verify", "ybe", "--samples", "1", "--output", os.devnull]) == 0
 
 
 def test_verify_deterministic_bytes(tmp_path):
