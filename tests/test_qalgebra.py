@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sl11kit import qalgebra
 from sl11kit.algebra import (AtypicalLocusWarning, DegenerateFusionError,
                              GeneratorImage, RepLabels,
                              SingletPreconditionError, singlet_vector)
@@ -40,6 +41,20 @@ def test_qbracket_rejects_unit_q():
 def test_root_of_unity_rejected():
     with pytest.raises(RootOfUnityError):
         q_labels(0.5, np.exp(0.3j), np.exp(2j * np.pi / 7), ALPHA)
+
+
+def test_root_of_unity_test_runs_once_per_q_and_a_root_keeps_raising():
+    q = 1.21 + 0.13j
+    before = qalgebra._reject_root_of_unity.cache_info()
+    for _ in range(3):
+        qlab(q=q)
+    after = qalgebra._reject_root_of_unity.cache_info()
+    assert after.misses - before.misses == 1 and after.hits - before.hits >= 5
+    for _ in range(2):
+        with pytest.raises(RootOfUnityError):
+            qalgebra.reject_root_of_unity(np.exp(2j * np.pi / 5))
+        with pytest.raises(RootOfUnityError, match="nonzero"):
+            qalgebra.reject_root_of_unity(0)
 
 
 def test_q_labels_roots_satisfy_shortening():
