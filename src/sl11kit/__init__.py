@@ -14,8 +14,8 @@ from .qaffine import (AffineRep, affine_coproduct_image, affine_eval_rep,
                       alt_affinization, upper_nodes_subalgebra)
 from .qalgebra import (QRepLabels, q_atypical_rep, q_check_relations,
                        q_coproduct_image, q_fuse_check, q_klein_twist, q_labels,
-                       q_singlet_report, q_singlet_vector, q_typical_rep,
-                       qbracket, qbracket_of_power)
+                       q_root_labels, q_singlet_report, q_singlet_vector,
+                       q_typical_rep, qbracket, qbracket_of_power)
 from .report import Case, Report
 from .suites import run_all, run_suite
 from .rmatrix import (RMatrix, conjugate_r, conjugate_rep, conjugated_pair,

@@ -282,7 +282,7 @@ def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float 
     def report(rep, tolerance: float = tolerance) -> Report:
         s_words = word_stack(rep.gather(sources) * signs, reversed_words)
         words = _words(table, rep)
-        lhs = sum(coeff.reshape(-1, 1, 1) * (s_words[left] @ words[right])
+        lhs = sum(coeff * (s_words[left] @ words[right])
                   for coeff, left, right in table.columns)
         counit = table.counit[:, None, None] * np.eye(rep.space.dim)
         return residual_report(suite, tolerance, names, lhs, counit)

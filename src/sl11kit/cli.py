@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import stat
 import sys
 import time
 from functools import cache
@@ -53,13 +51,8 @@ def _write(payload: str, path: str | None) -> None:
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        # Overwrite in place and cut the tail after: opening with truncation makes
-        # some file systems (ext4) flush the file on close.  Only a regular file is
-        # cut, so a device or a FIFO (``-o /dev/stdout``) still takes the payload.
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        with open(path, "w") as fh:
             fh.write(payload)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
 
 
 def _matrix_csv(rm: rmatrix.RMatrix) -> str:
@@ -177,7 +170,7 @@ def _emit(args) -> int:
         if args.q_closed or (args.solve and args.q is not None):
             if any(v is None for v in (args.q, args.lambda1, args.lambda1_b, args.nu, args.nu2)):
                 fail("deformed form needs --q, --lambda1, --lambda1-b, --nu and --nu2")
-            la, lb = (qalgebra.q_labels(lam, nu, args.q, alpha)[args.root]
+            la, lb = (qalgebra.q_root_labels(lam, nu, args.q, alpha, args.root)
                       for lam, nu in ((args.lambda1, args.nu), (args.lambda1_b, args.nu2)))
             closed, build = rmatrix.rq_closed, qalgebra.q_atypical_rep
         else:

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graded import SuperMatrix, _kron_layout, graded_flip
+from .graded import SuperMatrix, _kron_layout, graded_flip, kron_arrays
 
 #: Number of entries each memo keeps alive: stacks per (table, rep_a, rep_b,
 #: opposite), word products per (table, rep), modules per label set.
@@ -85,7 +85,7 @@ class CoproductTable:
         # indices of the left words and of the right words in ``words``).
         self.columns = tuple(
             (np.array([row[k][0] for row in padded],
-                      dtype=np.complex128).reshape(-1, 1, 1, 1, 1),
+                      dtype=np.complex128).reshape(-1, 1, 1),
              np.array([slot[row[k][1]] for row in padded]),
              np.array([slot[row[k][2]] for row in padded]))
             for k in range(width))
@@ -169,17 +169,16 @@ def _stack(table: CoproductTable, rep_a, rep_b, opposite: bool) -> np.ndarray:
 def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     """``(R, n, n)`` stack of row sums of coeff * (left word (x) right word).
 
-    Each column is (coefficients shaped ``(R, 1, 1, 1, 1)``, left word index
+    Each column is (coefficients shaped ``(R, 1, 1)``, left word index
     per row, right word index per row) into the ``(W, n, n)`` word products
     ``words_a`` on ``space_a`` and ``words_b`` on ``space_b``.  One broadcast
     graded Kronecker product per column; columns are summed in order.
     """
-    out, inn, sign = _kron_layout(space_a, space_a, space_b, space_b)
     stack = 0
     for coeff, left, right in columns:
-        a, b = words_a[left], words_b[right]
-        stack = stack + coeff * (a[:, :, None, :, None] * b[:, None, :, None, :] * sign)
-    return stack.reshape(-1, out.dim, inn.dim)
+        stack = stack + coeff * kron_arrays(words_a[left], words_b[right],
+                                            space_a, space_a, space_b, space_b)
+    return stack
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)

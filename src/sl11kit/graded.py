@@ -200,12 +200,27 @@ def graded_kron(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     tensor spaces are cached per (space_out, space_in) quadruple of the
     factors; the cached table is read-only.
     """
-    out, inn, sign = _kron_layout(a.space_out, a.space_in, b.space_out, b.space_in)
-    block = a.m[:, None, :, None] * b.m[None, :, None, :] * sign
+    out, inn, _ = _kron_layout(a.space_out, a.space_in, b.space_out, b.space_in)
     par = None
     if a.parity is not None and b.parity is not None:
         par = (a.parity + b.parity) % 2
-    return SuperMatrix(out, inn, block.reshape(out.dim, inn.dim), par)
+    return SuperMatrix(out, inn, kron_arrays(a.m, b.m, a.space_out, a.space_in,
+                                             b.space_out, b.space_in), par)
+
+
+def kron_arrays(a: np.ndarray, b: np.ndarray,
+                space_out_a: GradedSpace, space_in_a: GradedSpace,
+                space_out_b: GradedSpace, space_in_b: GradedSpace) -> np.ndarray:
+    """Entry array of the graded Kronecker product of two entry arrays.
+
+    ``a`` maps ``space_in_a`` to ``space_out_a`` and ``b`` likewise; leading
+    axes, if any, are stacks and broadcast against each other, so one call
+    gives the products of two aligned stacks.  This is the one place the
+    Koszul sign of the tensor product is applied.
+    """
+    out, inn, sign = _kron_layout(space_out_a, space_in_a, space_out_b, space_in_b)
+    block = a[..., :, None, :, None] * b[..., None, :, None, :] * sign
+    return block.reshape(*block.shape[:-4], out.dim, inn.dim)
 
 
 @cache

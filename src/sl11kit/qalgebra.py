@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusW
                       bracket_layout, coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, graded_brackets, kac_images,
                       on_shortening_locus, singlet_lines, twist)
-from .coproduct import (STACK_CACHE_SIZE, TABLES, CoproductTable, coproduct_matrix,
-                        coproduct_stack, memoised_by_labels, spell, word_stack)
+from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
+                        memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, SuperMatrix
 from .report import Report, c2j, residual_report
 
@@ -44,14 +44,7 @@ class RootOfUnityError(ValueError):
 
 
 def reject_root_of_unity(q: complex, order: int = 48, tol: float = 1e-9) -> None:
-    """Raise :class:`RootOfUnityError` when q is zero or some q^k, k <= order,
-    lies within ``tol`` of 1.  A passing q is remembered, so labels that share
-    one q test it once."""
-    _reject_root_of_unity(complex(q), order, tol)
-
-
-@lru_cache(maxsize=STACK_CACHE_SIZE)
-def _reject_root_of_unity(q: complex, order: int, tol: float) -> None:
+    q = complex(q)
     if q == 0:
         raise RootOfUnityError("q must be nonzero")
     power = 1.0 + 0.0j
@@ -166,6 +159,22 @@ def q_labels(lambda1: complex, nu: complex, q: complex,
     Both roots are returned (tagged ``root0``/``root1``); ``k2_branch`` picks
     the square root q^{lambda2/2} and ``gamma_branch`` the sign of gamma.
     """
+    roots = _shortening_roots(lambda1, nu, q, alpha)
+    return tuple(_root_labels(roots, root, nu, alpha, k2_branch, gamma_branch)
+                 for root in (0, 1))
+
+
+def q_root_labels(lambda1: complex, nu: complex, q: complex,
+                  alpha: tuple[complex, complex], root: int,
+                  k2_branch: int = 0, gamma_branch: int = 0) -> QRepLabels:
+    """``q_labels(...)[root]``, building and validating only that root's labels."""
+    return _root_labels(_shortening_roots(lambda1, nu, q, alpha), root, nu, alpha,
+                        k2_branch, gamma_branch)
+
+
+def _shortening_roots(lambda1: complex, nu: complex, q: complex,
+                      alpha: tuple[complex, complex]):
+    """(q, q^{lambda1}, (x0, x1)): the two roots of the quadratic of :func:`q_labels`."""
     a1, a2 = alpha
     q = complex(q)
     reject_root_of_unity(q)
@@ -183,18 +192,23 @@ def q_labels(lambda1: complex, nu: complex, q: complex,
         sq = -sq
     x0 = (-B + sq) / (2 * A)
     x1 = C / (A * x0)
+    return q, a, (x0, x1)
 
-    out = []
-    for tag, x in (("root0", x0), ("root1", x1)):
-        k1 = np.sqrt(a)
-        k2 = np.sqrt(x) * (-1) ** (k2_branch % 2)
-        qmu1 = k1 * k2 * nu**2
-        br_lam2 = qbracket_of_power(x, q)
-        g2 = a1 * qbracket_of_power(qmu1, q) / br_lam2
-        gamma = np.sqrt(g2) * (-1) ** (gamma_branch % 2)
-        out.append(QRepLabels(gamma, nu, q, k1, k2, a1, a2,
-                              branch=f"{tag},k2_branch={k2_branch % 2},gamma_branch={gamma_branch % 2}"))
-    return tuple(out)
+
+def _root_labels(roots, root: int, nu: complex, alpha: tuple[complex, complex],
+                 k2_branch: int, gamma_branch: int) -> QRepLabels:
+    """The labels on root ``root`` of :func:`_shortening_roots`."""
+    q, a, xs = roots
+    a1, a2 = alpha
+    x = xs[root]
+    k1 = np.sqrt(a)
+    k2 = np.sqrt(x) * (-1) ** (k2_branch % 2)
+    qmu1 = k1 * k2 * nu**2
+    br_lam2 = qbracket_of_power(x, q)
+    g2 = a1 * qbracket_of_power(qmu1, q) / br_lam2
+    gamma = np.sqrt(g2) * (-1) ** (gamma_branch % 2)
+    return QRepLabels(gamma, nu, q, k1, k2, a1, a2,
+                      branch=f"root{root % 2},k2_branch={k2_branch % 2},gamma_branch={gamma_branch % 2}")
 
 
 # -- representations ----------------------------------------------------------

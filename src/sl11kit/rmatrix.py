@@ -31,8 +31,8 @@ import numpy as np
 
 from .algebra import GeneratorImage, ImageStack, RepLabels
 from .coproduct import TABLES, coproduct_stack
-from .graded import (C11, EVEN, SuperMatrix, _kron_layout, graded_kron, graded_perm,
-                     identity, max_abs, unit)
+from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm, identity,
+                     kron_arrays, max_abs, unit)
 from .qalgebra import QRepLabels
 from .report import Report, c2j, residual_report
 
@@ -260,23 +260,15 @@ def r_solve(rep_a: GeneratorImage, rep_b: GeneratorImage,
 
 
 _ONE = identity(C11).m
-#: Koszul sign tables of graded_kron(R, 1) and graded_kron(1, R) for a 4x4 R.
-_SIGN_R1 = _kron_layout(_T2, _T2, C11, C11)[2]
-_SIGN_1R = _kron_layout(C11, C11, _T2, _T2)[2]
 _P23 = graded_kron(identity(C11), graded_perm(C11, C11)).m
-
-
-def _embed(a: np.ndarray, b: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """``graded_kron(a, b).m`` of a 4x4 and a 2x2 factor, from its sign table."""
-    return (a[:, None, :, None] * b[None, :, None, :] * sign).reshape(8, 8)
 
 
 def ybe_embed(r12: np.ndarray, r13: np.ndarray, r23: np.ndarray) -> float:
     """max-abs of R12 R13 R23 - R23 R13 R12 with the standard graded embeddings."""
     r12, r13, r23 = (np.asarray(r, dtype=complex) for r in (r12, r13, r23))
-    big12 = _embed(r12, _ONE, _SIGN_R1)
-    big23 = _embed(_ONE, r23, _SIGN_1R)
-    big13 = _P23 @ _embed(r13, _ONE, _SIGN_R1) @ _P23
+    big12 = kron_arrays(r12, _ONE, _T2, _T2, C11, C11)
+    big23 = kron_arrays(_ONE, r23, C11, C11, _T2, _T2)
+    big13 = _P23 @ kron_arrays(r13, _ONE, _T2, _T2, C11, C11) @ _P23
     lhs = big12 @ big13 @ big23
     rhs = big23 @ big13 @ big12
     return max_abs(lhs - rhs)

@@ -58,7 +58,7 @@ def draw_qlabels(rng, q=None, alpha=None) -> QRepLabels:
         nu = _phase(rng)
     lam1 = _annulus(rng, 0.3, 1.0)
     root = int(rng.integers(2))
-    return qalgebra.q_labels(lam1, nu, q, alpha)[root]
+    return qalgebra.q_root_labels(lam1, nu, q, alpha, root)
 
 
 def _label_params(tag, lab) -> dict:

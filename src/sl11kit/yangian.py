@@ -279,7 +279,7 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray
     for k in range(terms.shape[-1]):
         scalars = scalars + terms[..., k]
     # pair position p of every row is one column: the pair's scalar, its words
-    columns = [(scalars[:, p, None, None, None, None], index[:, p], index[:, p])
+    columns = [(scalars[:, p, None, None], index[:, p], index[:, p])
                for p in range(index.shape[1])]
     tower = kron_sum(columns, rep_a.space, rep_b.space,
                      word_stack(rep_a.base.gather(letters), spelled[0]),

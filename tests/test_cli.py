@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 
 import numpy as np
 import pytest
@@ -153,21 +152,6 @@ def test_verify_suite_exit_code_and_report(capsys, tmp_path):
     assert blob["passed"] is True
     assert blob["suite"] == "singlet"
     assert "timestamp" in blob
-
-
-def test_a_short_report_over_a_longer_file_leaves_only_its_own_bytes(capsys, tmp_path):
-    path = tmp_path / "report.csv"
-    argv = ["verify", "ybe", "--seed", "3", "--format", "csv"]
-    assert main(argv + ["--samples", "4", "--output", str(path)]) == 0
-    longer = path.read_bytes()
-    code, out = run(capsys, *argv, "--samples", "1")
-    assert code == 0 and len(out.encode()) < len(longer)
-    assert main(argv + ["--samples", "1", "--output", str(path)]) == 0
-    assert path.read_bytes() == out.encode()
-
-
-def test_a_report_goes_to_a_device_that_cannot_be_truncated():
-    assert main(["verify", "ybe", "--samples", "1", "--output", os.devnull]) == 0
 
 
 def test_verify_deterministic_bytes(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from sl11kit.algebra import KAC_SPACE
 from sl11kit.graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix,
                             _kron_layout, graded_comm, graded_kron, graded_perm,
-                            identity, max_abs, unit, zeros)
+                            identity, kron_arrays, max_abs, unit, zeros)
 
 
 def E(i, j):
@@ -107,6 +107,24 @@ def test_kron_matches_entrywise_formula_on_mixed_spaces():
         assert res.space_out == ao.tensor(bo) and res.space_in == ai.tensor(bi)
         assert res.parity is None
         assert np.array_equal(res.m, expect)
+
+
+def test_kron_arrays_on_stacks_is_graded_kron_per_slice_bitwise():
+    rng = np.random.default_rng(17)
+    layouts = [(C11, C11), (KAC_SPACE, C11), (C11.tensor(C11), C11.tensor(C11))]
+
+    def draw(out, inn, stack):
+        shape = (stack, out.dim, inn.dim)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for (ao, ai), (bo, bi) in itertools.product(layouts, repeat=2):
+        a, b = draw(ao, ai, 3), draw(bo, bi, 3)
+        stack = kron_arrays(a, b, ao, ai, bo, bi)
+        assert stack.shape == (3, ao.dim * bo.dim, ai.dim * bi.dim)
+        for s in range(3):
+            single = graded_kron(SuperMatrix(ao, ai, a[s]), SuperMatrix(bo, bi, b[s])).m
+            assert np.array_equal(stack[s], single)
+            assert np.array_equal(kron_arrays(a[s], b[s], ao, ai, bo, bi), single)
 
 
 def test_cached_tables_are_read_only():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sl11kit import qalgebra
 from sl11kit.algebra import (AtypicalLocusWarning, DegenerateFusionError,
                              GeneratorImage, RepLabels,
                              SingletPreconditionError, singlet_vector)
@@ -11,7 +10,7 @@ from sl11kit.qalgebra import (QRepLabels, RootOfUnityError, q_atypical_rep,
                               q_cocommutativity_report, q_coproduct_image,
                               q_counit_antipode_report, q_fuse_check,
                               q_hom_report, q_klein_twist, q_labels,
-                              q_singlet_report, q_singlet_vector,
+                              q_root_labels, q_singlet_report, q_singlet_vector,
                               q_typical_from_powers, q_typical_rep, qbracket,
                               qbracket_of_power)
 
@@ -43,26 +42,39 @@ def test_root_of_unity_rejected():
         q_labels(0.5, np.exp(0.3j), np.exp(2j * np.pi / 7), ALPHA)
 
 
-def test_root_of_unity_test_runs_once_per_q_and_a_root_keeps_raising():
-    q = 1.21 + 0.13j
-    before = qalgebra._reject_root_of_unity.cache_info()
-    for _ in range(3):
-        qlab(q=q)
-    after = qalgebra._reject_root_of_unity.cache_info()
-    assert after.misses - before.misses == 1 and after.hits - before.hits >= 5
-    for _ in range(2):
-        with pytest.raises(RootOfUnityError):
-            qalgebra.reject_root_of_unity(np.exp(2j * np.pi / 5))
-        with pytest.raises(RootOfUnityError, match="nonzero"):
-            qalgebra.reject_root_of_unity(0)
-
-
 def test_q_labels_roots_satisfy_shortening():
     r0, r1 = q_labels(0.9 - 0.2j, np.exp(0.4j), Q, ALPHA)
     for lab in (r0, r1):
         assert abs(lab.shortening_residual()) <= 1e-10
         assert max(abs(x) for x in lab.gamma_residuals()) <= 1e-10
     assert abs(r0.qlam2**2 - r1.qlam2**2) > 1e-6  # genuinely distinct roots
+
+
+def _bits(lab):
+    fields = (lab.gamma, lab.nu, lab.q, lab.qlam1, lab.qlam2, lab.alpha1, lab.alpha2)
+    return tuple(np.array(fields).view(np.uint64)) + (lab.branch,)
+
+
+def test_q_root_labels_is_one_root_of_q_labels_bitwise(monkeypatch):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        lam1 = complex(rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5))
+        nu, q = np.exp(1j * rng.uniform(0.2, 1.3)), 1 + 0.2 * np.exp(2j * np.pi * rng.uniform())
+        for k2, g in ((0, 0), (1, 0), (0, 1)):
+            both = q_labels(lam1, nu, q, ALPHA, k2, g)
+            for root in (0, 1, -1):
+                one = q_root_labels(lam1, nu, q, ALPHA, root, k2, g)
+                assert _bits(one) == _bits(both[root])
+    built = []
+    post_init = QRepLabels.__post_init__
+    monkeypatch.setattr(QRepLabels, "__post_init__",
+                        lambda self: (built.append(self), post_init(self)))
+    q_root_labels(0.9 - 0.2j, np.exp(0.4j), Q, ALPHA, 1)
+    assert len(built) == 1 and built[0].branch.startswith("root1,")
+    with pytest.raises(IndexError):
+        q_root_labels(0.9 - 0.2j, np.exp(0.4j), Q, ALPHA, 2)
+    with pytest.raises(RootOfUnityError):
+        q_root_labels(0.5, np.exp(0.3j), np.exp(2j * np.pi / 7), ALPHA, 0)
 
 
 def test_q_labels_bracket_identity_near_one():
