@@ -21,7 +21,7 @@ from .suites import run_all, run_suite
 from .rmatrix import (RMatrix, conjugate_r, conjugate_rep, conjugated_pair,
                       intertwining_report, r_closed, r_solve, r_trig, rq_closed,
                       slot_coefficients, unitarity_check, ybe_residual)
-from .yangian import (EvalRep, TruncatedCurrent, antipode_report,
+from .yangian import (EvalRep, antipode_report,
                       coproduct_hom_report, coproduct_tower,
                       current_relations_report, currents,
                       eval_rep, k_cocommutativity_report, kir_report,

@@ -2,7 +2,7 @@
 
 Representations are stored as :class:`GeneratorImage`: the images of the
 generators (e1, e2, f1, f2, h0, h1, h2, k1, k2, u+, u-) on a common graded
-space as one read-only :class:`ImageStack`, together with the
+space as one read-only ``(G, n, n)`` array with a parity vector, together with the
 central-extension couplings (alpha1, alpha2) that tie k_i to
 alpha_i (u^2 - u^{-2}).  The module builders fill the stack from the
 labels, and the relation checkers read it through gathered batched
@@ -19,6 +19,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -120,92 +121,74 @@ def default_alpha(h: complex) -> tuple[complex, complex]:
     return (-h / 2, h / 2)
 
 
-class ImageStack(Mapping):
-    """The images of ``names`` on ``space`` as one read-only ``(G, n, n)``
-    array ``stack`` (the array given is frozen in place), with their declared
-    parities (``None``: undeclared).  As a mapping it is read-only; each
-    access makes a SuperMatrix of a slice.
-    """
-
-    def __init__(self, space: GradedSpace, names, stack: np.ndarray, parity):
-        self.space, self.names, self.parity = space, tuple(names), tuple(parity)
-        self.stack = np.asarray(stack, dtype=np.complex128)
-        if (self.stack.shape != (len(self.names), space.dim, space.dim)
-                or len(self.parity) != len(self.names)):
-            raise ValueError("image stack does not match its names and carrier space")
-        self.stack.setflags(write=False)
-        self.index = {name: g for g, name in enumerate(self.names)}
-
-    def __getitem__(self, name: str) -> SuperMatrix:
-        g = self.index[name]
-        return SuperMatrix(self.space, self.space, self.stack[g], self.parity[g])
-
-    def __iter__(self):
-        return iter(self.names)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorImage:
-    """A representation: generator name -> supermatrix on a common space.
+    """A representation: the images of ``names`` on a common graded space.
 
-    ``images`` is an :class:`ImageStack`.  The constructor also takes any
-    name -> SuperMatrix mapping, checks that every image acts on ``space``
-    and stacks it once.  ``images`` and ``rep[name]`` give SuperMatrix views
-    made on access; :attr:`stack` and :meth:`gather` give the arrays.
+    ``stack`` is one read-only ``(G, n, n)`` array in ``names`` order (the
+    array given is frozen in place) and ``parity`` the images' declared
+    parities (``None``: undeclared).  :meth:`from_images` builds a module
+    from a name -> SuperMatrix mapping.  ``rep[name]`` and :attr:`images`
+    give SuperMatrix views made on access; :meth:`gather` gives arrays.
     """
 
     space: GradedSpace
-    images: Mapping[str, SuperMatrix]
+    names: tuple[str, ...]
+    stack: np.ndarray
+    parity: tuple[int | None, ...]
     alpha: tuple[complex, complex] | None = None
     q: complex | None = None
     kind: str = "classical"
 
     def __post_init__(self):
-        images, dim = self.images, self.space.dim
-        if not isinstance(images, ImageStack):
-            images = dict(images)
-            for name, mat in images.items():
-                if mat.space_out != self.space or mat.space_in != self.space:
-                    raise ValueError(f"image of {name} is not an operator on the carrier space")
-            images = ImageStack(self.space, images, np.array(
-                [mat.m for mat in images.values()]).reshape(-1, dim, dim),
-                [mat.parity for mat in images.values()])
-        elif images.space != self.space:
-            raise ValueError("the image stack is not on the carrier space")
-        object.__setattr__(self, "images", images)
+        names, parity = tuple(self.names), tuple(self.parity)
+        stack = np.asarray(self.stack, dtype=np.complex128)
+        if (stack.shape != (len(names), self.space.dim, self.space.dim)
+                or len(parity) != len(names)):
+            raise ValueError("image stack does not match its names and carrier space")
+        stack.setflags(write=False)
+        for field, value in (("names", names), ("stack", stack), ("parity", parity),
+                             ("_index", {name: g for g, name in enumerate(names)})):
+            object.__setattr__(self, field, value)
+
+    @classmethod
+    def from_images(cls, space: GradedSpace, images: Mapping[str, SuperMatrix], *args,
+                    **kwargs) -> "GeneratorImage":
+        """The module of a name -> SuperMatrix mapping, each image an operator
+        on ``space``, stacked once; the other arguments are the constructor's."""
+        for name, mat in images.items():
+            if mat.space_out != space or mat.space_in != space:
+                raise ValueError(f"image of {name} is not an operator on the carrier space")
+        stack = np.array([mat.m for mat in images.values()]).reshape(-1, space.dim, space.dim)
+        return cls(space, tuple(images), stack, [mat.parity for mat in images.values()],
+                   *args, **kwargs)
 
     def __getitem__(self, name: str) -> SuperMatrix:
         try:
-            return self.images[name]
+            g = self._index[name]
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
+        return SuperMatrix(self.space, self.space, self.stack[g], self.parity[g])
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return self.images.names
-
-    @property
-    def stack(self) -> np.ndarray:
-        """Read-only ``(G, n, n)`` array of the images, in :attr:`names` order."""
-        return self.images.stack
+    def images(self) -> Mapping[str, SuperMatrix]:
+        """Read-only name -> SuperMatrix mapping of every image."""
+        return MappingProxyType({name: self[name] for name in self.names})
 
     def gather(self, names) -> np.ndarray:
         """The images of ``names`` as one array, in that order; raises
         KeyError listing each missing image."""
-        missing = [name for name in names if name not in self.images.index]
+        missing = [name for name in names if name not in self._index]
         if missing:
             raise KeyError(f"missing generator images: {missing}")
         if tuple(names) == self.names:
             return self.stack
-        return self.stack[[self.images.index[name] for name in names]]
+        return self.stack[[self._index[name] for name in names]]
 
     def to_dict(self) -> dict:
         d = {
             "space": {"dim": self.space.dim, "parity": list(self.space.parity)},
-            "generators": {name: mat.to_dict() for name, mat in self.images.items()},
+            "generators": {name: self[name].to_dict() for name in self.names},
             "kind": self.kind,
         }
         if self.alpha is not None:
@@ -223,13 +206,13 @@ class GeneratorImage:
             a1, a2 = d["alpha"]
             alpha = (complex(*a1), complex(*a2))
         q = complex(*d["q"]) if "q" in d else None
-        return GeneratorImage(space, imgs, alpha, q, d.get("kind", "classical"))
+        return GeneratorImage.from_images(space, imgs, alpha, q, d.get("kind", "classical"))
 
 
-def _scalar_part(mat: np.ndarray, tol: float = 1e-9) -> complex | None:
-    """c such that mat = c * identity, or None."""
+def _scalar_part(mat: np.ndarray) -> complex | None:
+    """c such that mat = c * identity up to 1e-9 relative, or None."""
     c = complex(np.trace(mat)) / len(mat)
-    if max_abs(mat - c * np.eye(len(mat))) <= tol * max(1.0, abs(c)):
+    if max_abs(mat - c * np.eye(len(mat))) <= 1e-9 * max(1.0, abs(c)):
         return c
     return None
 
@@ -313,10 +296,9 @@ def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> Generato
         raise KeyError(f"unknown twist {name!r}; choose from {sorted(rows)}") from None
     sources = [src for src, _ in table.values()]
     coeffs = np.array([coeff for _, coeff in table.values()], dtype=float)
-    images = ImageStack(rep.space, table, rep.gather(sources) * coeffs[:, None, None],
-                        [rep.images.parity[rep.images.index[src]] for src in sources])
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, images, alpha=alpha, q=rep.q, kind=rep.kind)
+    return GeneratorImage(rep.space, tuple(table), rep.gather(sources) * coeffs[:, None, None],
+                          [rep.parity[rep._index[src]] for src in sources], alpha, rep.q, rep.kind)
 
 
 # -- representation constructors ---------------------------------------------
@@ -336,8 +318,7 @@ def atypical_rep(labels: RepLabels) -> GeneratorImage:
     values = (g, 1 / g, g * mu2, (1 / g) * mu1, 1, labels.lambda1, labels.lambda2,
               mu1, mu2, nu, 1 / nu)
     stack = ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
-    return GeneratorImage(C11, ImageStack(C11, CLASSICAL_NAMES, stack, _PARITY),
-                          alpha=labels.alpha)
+    return GeneratorImage(C11, CLASSICAL_NAMES, stack, _PARITY, labels.alpha)
 
 
 def on_shortening_locus(x: complex, y: complex, rel_tol: float) -> bool:
@@ -394,8 +375,7 @@ def _typical(lam1, lam2, nu, mu1, mu2, alpha) -> GeneratorImage:
     """:func:`typical_rep` from weights whose locus test has already passed."""
     values = (0, 0, 0, 0, 1, lam1, lam2, mu1, mu2, nu, 1 / nu)
     stack = kac_images(KAC_PATTERNS, values, lam1, lam2, mu1, mu2)
-    return GeneratorImage(KAC_SPACE, ImageStack(KAC_SPACE, CLASSICAL_NAMES, stack, _PARITY),
-                          alpha=alpha)
+    return GeneratorImage(KAC_SPACE, CLASSICAL_NAMES, stack, _PARITY, alpha)
 
 
 # -- relation checkers ---------------------------------------------------------
@@ -664,6 +644,5 @@ def gl2_twist(a: np.ndarray, b: np.ndarray, rep: GeneratorImage) -> GeneratorIma
         k1c, k2c = _scalar_part(x[7]), _scalar_part(x[8])
         if k1c is not None and k2c is not None:
             alpha = (k1c / (nu**2 - nu**-2), k2c / (nu**2 - nu**-2))
-    parity = [rep.images.parity[rep.images.index[name]] for name in CLASSICAL_NAMES]
-    return GeneratorImage(rep.space, ImageStack(rep.space, CLASSICAL_NAMES, x, parity),
-                          alpha=alpha, kind=rep.kind)
+    parity = [rep.parity[rep._index[name]] for name in CLASSICAL_NAMES]
+    return GeneratorImage(rep.space, CLASSICAL_NAMES, x, parity, alpha, kind=rep.kind)

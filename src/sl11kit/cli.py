@@ -25,6 +25,14 @@ from .report import c2j, json_text
 #: ``verify`` flags passed on to the suites, by suite option name.
 _SUITE_FLAGS = {"tolerance": "--tolerance", "levels": "--levels",
                 "order": "--order", "offshell": "--offshell"}
+#: Per ``emit-r`` form: its name in messages, the input flags (argparse dests)
+#: it needs, and the optional ones it also reads.
+_EMIT_FORMS = {
+    "files": ("--solve --rep-a/--rep-b", ("rep_a", "rep_b"), ()),
+    "trig": ("--trig", ("theta1", "theta2", "lam"), ()),
+    "closed": ("closed/solved form", ("gamma", "nu", "gamma2", "nu2"), ("coupling",)),
+    "deformed": ("deformed form", ("q", "lambda1", "lambda1_b", "nu", "nu2"), ("coupling", "root")),
+}
 
 
 def _complex(text: str) -> complex:
@@ -87,15 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--nu", type=_complex)
     emit.add_argument("--gamma2", type=_complex)
     emit.add_argument("--nu2", type=_complex)
-    emit.add_argument("--coupling", type=_complex, default=1.0,
-                      help="h in the convention alpha1 = -alpha2 = -h/2")
+    emit.add_argument("--coupling", type=_complex,
+                      help="h in the convention alpha1 = -alpha2 = -h/2 (default 1)")
     emit.add_argument("--q", type=_complex)
     emit.add_argument("--lambda1", type=_complex,
                       help="first weight exponent of the first deformed module")
     emit.add_argument("--lambda1-b", type=_complex,
                       help="first weight exponent of the second deformed module")
-    emit.add_argument("--root", type=int, default=0, choices=(0, 1),
-                      help="which shortening root to take for deformed labels")
+    emit.add_argument("--root", type=int, choices=(0, 1),
+                      help="which shortening root to take for deformed labels (default 0)")
     emit.add_argument("--rep-a", help="solve between representation JSON files "
                                       "instead of labels")
     emit.add_argument("--rep-b")
@@ -130,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="include the atypical representation (generator "
                           "images as JSON) in the output")
     xpm.add_argument("--output", "-o")
+    xpm.set_defaults(usage_error=xpm.error)
     qx = psub.add_parser("qx", help="deformed (x+, xi, delta, q) to labels")
     qx.add_argument("--xplus", type=_complex, required=True)
     qx.add_argument("--xi", type=_complex, required=True)
@@ -138,6 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qx.add_argument("--minus-branch", choices=("near-inverse", "near-same"),
                     default="near-inverse")
     qx.add_argument("--output", "-o")
+    qx.set_defaults(usage_error=qx.error)
     return parser
 
 
@@ -155,38 +165,41 @@ def _load_rep(path: str, usage_error) -> GeneratorImage:
     return rep
 
 
-def _emit(args) -> int:
+def _emit(args) -> str:
+    """The chosen form's R-matrix as text; an input flag it does not read is a usage error."""
     fail = args.usage_error
-    if args.rep_a or args.rep_b:
-        if not (args.solve and args.rep_a and args.rep_b):
-            fail("representation files require --solve with both --rep-a and --rep-b")
+    form = ("files" if args.rep_a or args.rep_b else "trig" if args.trig
+            else "deformed" if args.q_closed or (args.solve and args.q is not None) else "closed")
+    if form == "files" and not (args.solve and args.rep_a and args.rep_b):
+        fail("representation files require --solve with both --rep-a and --rep-b")
+    name, needs, also = _EMIT_FORMS[form]
+    flag = {dest: "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+            for _, needed, optional in _EMIT_FORMS.values() for dest in needed + optional}
+    unread = [flag[dest] for dest in flag
+              if getattr(args, dest) is not None and dest not in needs + also]
+    if unread:
+        fail(f"{name} does not take {', '.join(unread)}")
+    if any(getattr(args, dest) is None for dest in needs):
+        *head, last = (flag[dest] for dest in needs)
+        fail(f"{name} needs {', '.join(head)} and {last}")
+    if form == "files":
         rm = rmatrix.r_solve(*(_load_rep(path, fail) for path in (args.rep_a, args.rep_b)))
-    elif args.trig:
-        if any(v is None for v in (args.theta1, args.theta2, args.lam)):
-            fail("--trig needs --theta1, --theta2 and --lambda")
+    elif form == "trig":
         rm = rmatrix.r_trig(args.theta1, args.theta2, args.lam)
     else:
-        alpha = default_alpha(args.coupling)
-        if args.q_closed or (args.solve and args.q is not None):
-            if any(v is None for v in (args.q, args.lambda1, args.lambda1_b, args.nu, args.nu2)):
-                fail("deformed form needs --q, --lambda1, --lambda1-b, --nu and --nu2")
-            la, lb = (qalgebra.q_root_labels(lam, nu, args.q, alpha, args.root)
+        alpha = default_alpha(1.0 if args.coupling is None else args.coupling)
+        if form == "deformed":
+            la, lb = (qalgebra.q_root_labels(lam, nu, args.q, alpha, args.root or 0)
                       for lam, nu in ((args.lambda1, args.nu), (args.lambda1_b, args.nu2)))
             closed, build = rmatrix.rq_closed, qalgebra.q_atypical_rep
         else:
-            if any(v is None for v in (args.gamma, args.nu, args.gamma2, args.nu2)):
-                fail("closed/solved form needs --gamma, --nu, --gamma2 and --nu2")
             la = RepLabels(args.gamma, args.nu, *alpha)
             lb = RepLabels(args.gamma2, args.nu2, *alpha)
             closed, build = rmatrix.r_closed, atypical_rep
         rm = closed(la, lb)
         if args.solve:
             rm = rmatrix.r_solve(build(la), build(lb), match_r11=rm.normalization)
-    if args.format == "csv":
-        _write(_matrix_csv(rm), args.output)
-    else:
-        _write(json.dumps(rm.to_dict(), indent=2), args.output)
-    return 0
+    return _matrix_csv(rm) if args.format == "csv" else json.dumps(rm.to_dict(), indent=2)
 
 
 def _verify(args) -> int:
@@ -235,7 +248,7 @@ def _verify(args) -> int:
     return 0 if passed else 1
 
 
-def _params(args) -> int:
+def _params(args) -> str:
     if args.dictionary == "xpm":
         zp = zhukovski.zhukovski_solve(args.p, args.m, args.h, branch=args.branch)
         build = zhukovski.left_labels if args.mover == "left" else zhukovski.right_labels
@@ -263,17 +276,21 @@ def _params(args) -> int:
             "labels": labels.to_dict(),
             "pack": {k: c2j(v) for k, v in pack._asdict().items()},
         }
-    _write(json.dumps(payload, indent=2), args.output)
-    return 0
+    return json.dumps(payload, indent=2)
 
 
 def main(argv=None) -> int:
+    """Run one command.  A library ``ValueError`` from ``emit-r`` or
+    ``params`` (degenerate labels or shell data) is a usage error."""
     args = _build_parser().parse_args(argv)
-    if args.command == "emit-r":
-        return _emit(args)
     if args.command == "verify":
         return _verify(args)
-    return _params(args)
+    try:
+        text = _emit(args) if args.command == "emit-r" else _params(args)
+    except ValueError as err:
+        args.usage_error(str(err))
+    _write(text, args.output)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .graded import SuperMatrix, _kron_layout, graded_flip, kron_arrays
+from .graded import SuperMatrix, graded_flip, kron_arrays
 
 #: Number of entries each memo keeps alive: stacks per (table, rep_a, rep_b,
 #: opposite), word products per (table, rep), modules per label set.
@@ -193,5 +193,5 @@ def coproduct_matrix(table: CoproductTable, name: str, rep_a, rep_b,
                      opposite: bool = False) -> SuperMatrix:
     """One slice of :func:`coproduct_stack` as a SuperMatrix on rep_a (x) rep_b."""
     i = table.position(name)
-    space = _kron_layout(rep_a.space, rep_a.space, rep_b.space, rep_b.space)[0]
+    space = rep_a.space.tensor(rep_b.space)
     return SuperMatrix(space, space, coproduct_stack(table, rep_a, rep_b, opposite)[i])

@@ -23,8 +23,7 @@ from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stac
                         memoised_by_labels, spell, word_stack)
 from .graded import EVEN, ODD, SuperMatrix
 from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, _ef_targets, q_atypical_rep
-from .algebra import (GeneratorImage, ImageStack, bracket_layout, coassociativity_checker,
-                      graded_brackets)
+from .algebra import GeneratorImage, bracket_layout, coassociativity_checker, graded_brackets
 from .report import Report, residual_report
 from .rmatrix import intertwining_report, rq_closed
 
@@ -114,8 +113,8 @@ def _affine_eval(labels: QRepLabels, variant: str, beta: complex) -> AffineRep:
                                 beta, beta], dtype=np.complex128)[:, None, None]
     # nodes 3 and 4 couple as their base nodes, the complements of their gap nodes
     alpha = (*labels.alpha, labels.alpha[2 - j3], labels.alpha[2 - j4])
-    return AffineRep(base.space, ImageStack(base.space, AFFINE_NAMES, stack, _AFF_PARITY),
-                     alpha, labels.q, "affine", rho=rho, variant=variant, beta=beta)
+    return AffineRep(base.space, AFFINE_NAMES, stack, _AFF_PARITY, alpha, labels.q, "affine",
+                     rho=rho, variant=variant, beta=beta)
 
 
 def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep:
@@ -281,5 +280,5 @@ def upper_nodes_subalgebra(rep: AffineRep) -> GeneratorImage:
     representation can be fed straight to the deformed relation checker.
     """
     stack = word_stack(rep.gather(AFFINE_NAMES), _UPPER)
-    return GeneratorImage(rep.space, ImageStack(rep.space, Q_NAMES, stack, _Q_PARITY),
-                          alpha=(rep.alpha[2], rep.alpha[3]), q=rep.q, kind="q")
+    return GeneratorImage(rep.space, Q_NAMES, stack, _Q_PARITY, (rep.alpha[2], rep.alpha[3]),
+                          rep.q, "q")

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusWarning,
-                      DegenerateFusionError, GeneratorImage, ImageStack, _require_singlet,
+                      DegenerateFusionError, GeneratorImage, _require_singlet,
                       bracket_layout, coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, graded_brackets, kac_images,
                       on_shortening_locus, singlet_lines, twist)
@@ -43,15 +43,16 @@ class RootOfUnityError(ValueError):
     """q is (numerically) a root of unity; the deformation requires generic q."""
 
 
-def reject_root_of_unity(q: complex, order: int = 48, tol: float = 1e-9) -> None:
+def reject_root_of_unity(q: complex) -> None:
+    """Raise :class:`RootOfUnityError` when q^k is within 1e-9 of 1 for some k <= 48."""
     q = complex(q)
     if q == 0:
         raise RootOfUnityError("q must be nonzero")
     power = 1.0 + 0.0j
-    for _ in range(order):
+    for _ in range(48):
         power *= q
-        if abs(power - 1.0) < tol:
-            raise RootOfUnityError(f"q = {q} is a root of unity up to order {order}")
+        if abs(power - 1.0) < 1e-9:
+            raise RootOfUnityError(f"q = {q} is a root of unity up to order 48")
 
 
 def qbracket(x: complex, q: complex) -> complex:
@@ -236,8 +237,7 @@ def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
     stack = _Q_ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
     stack[4, [0, 1], [0, 1]] = q**-2, q**-1
     stack[5, [0, 1], [0, 1]] = q**2, q
-    return GeneratorImage(C11, ImageStack(C11, Q_NAMES, stack, _Q_PARITY),
-                          alpha=labels.alpha, q=q, kind="q")
+    return GeneratorImage(C11, Q_NAMES, stack, _Q_PARITY, labels.alpha, q, "q")
 
 
 def q_typical_rep(lambda1: complex, lambda2: complex, nu: complex, q: complex,
@@ -274,8 +274,7 @@ def _q_typical(qlam1, qlam2, nu, qmu1, qmu2, q, alpha, brackets) -> GeneratorIma
     diagonal = [0, 1, 2, 3]
     stack[4, diagonal, diagonal] = 1.0, q**-1, q**-1, q**-2
     stack[5, diagonal, diagonal] = 1.0, q, q, q**2
-    return GeneratorImage(KAC_SPACE, ImageStack(KAC_SPACE, Q_NAMES, stack, _Q_PARITY),
-                          alpha=alpha, q=q, kind="q")
+    return GeneratorImage(KAC_SPACE, Q_NAMES, stack, _Q_PARITY, alpha, q, "q")
 
 
 # -- relation checker ----------------------------------------------------------

@@ -25,11 +25,11 @@ Conventions, fixed once:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import GeneratorImage, ImageStack, RepLabels
+from .algebra import GeneratorImage, RepLabels
 from .coproduct import TABLES, coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm, identity,
                      kron_arrays, max_abs, unit)
@@ -197,8 +197,7 @@ def intertwining_report(r: np.ndarray | RMatrix, rep_a: GeneratorImage,
                            [f"intertwine:{name}" for name in rep_a.names], dop @ mat, mat @ d)
 
 
-def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
-                      null_threshold: float = 1e-8):
+def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage):
     """SVD nullspace of the stacked intertwining system.
 
     The rows for generator g are kron(Delta_op(g), 1) - kron(1, Delta(g)^T),
@@ -212,8 +211,7 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
     G n^2 rows is formed.
 
     Returns (null vectors as n x n blocks, singular values).  A direction is
-    declared null when its singular value is below ``null_threshold`` times
-    the largest one.
+    declared null when its singular value is below 1e-8 times the largest one.
     """
     dim = rep_a.space.dim * rep_b.space.dim
     dop, d = _coproduct_stacks(rep_a, rep_b)
@@ -226,7 +224,7 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage,
     _, svals, vh = np.linalg.svd(r, full_matrices=False)
     # kernel vectors are conjugated rows of vh (A = U S V^H)
     null = [vh[i].conj().reshape(dim, dim) for i in range(dim * dim)
-            if svals[i] < null_threshold * svals[0]]
+            if svals[i] < 1e-8 * svals[0]]
     return null, svals
 
 
@@ -314,12 +312,12 @@ def conjugate_rep(rep: GeneratorImage) -> GeneratorImage:
 
     Realized by reversing the basis order, so the first basis vector stays
     even; every generator matrix is conjugated by the basis swap, which
-    exchanges the raising/lowering entry patterns.
+    exchanges the raising/lowering entry patterns.  Everything else the
+    module carries (couplings, q, kind, an evaluation module's rho) is kept.
     """
     if rep.space.dim != 2:
         raise ValueError("grading conjugation is defined for the 2-dim modules")
-    images = ImageStack(rep.space, rep.names, _X @ rep.stack @ _X, rep.images.parity)
-    return GeneratorImage(rep.space, images, alpha=rep.alpha, q=rep.q, kind=rep.kind)
+    return replace(rep, stack=_X @ rep.stack @ _X)
 
 
 def conjugate_r(r: RMatrix, target: str) -> RMatrix:

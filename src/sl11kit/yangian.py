@@ -19,13 +19,13 @@ normal-ordered arithmetic is attempted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _BRACKETS, GeneratorImage, ImageStack, RepLabels, atypical_rep
-from .coproduct import STACK_CACHE_SIZE, kron_sum, spell, word_stack
+from .algebra import _BRACKETS, GeneratorImage, RepLabels, atypical_rep
+from .coproduct import STACK_CACHE_SIZE, kron_sum, memoised_by_labels, spell, word_stack
 from .graded import SuperMatrix, graded_flip, max_abs
 from .report import Report, residual_report
 from .rmatrix import r_closed
@@ -37,40 +37,40 @@ class SingularEvaluationError(ValueError):
     """nu^4 = 1: the evaluation parameter rho has a vanishing denominator."""
 
 
-@dataclass(frozen=True)
-class EvalRep:
-    """Evaluation representation: base atypical images and the scalar rho."""
+@dataclass(frozen=True, eq=False)
+class EvalRep(GeneratorImage):
+    """Evaluation representation: the level-0 images of an atypical module,
+    with the scalar ``rho`` by which level r scales them to rho^r."""
 
-    base: GeneratorImage
+    _: KW_ONLY
     rho: complex
-
-    @property
-    def space(self):
-        return self.base.space
 
     def image(self, name: str, level: int = 0) -> SuperMatrix:
         if level < 0:
             raise ValueError("negative level")
-        return (self.rho ** level) * self.base[name]
+        return (self.rho ** level) * self[name]
 
 
+@memoised_by_labels
 def eval_rep(labels: RepLabels) -> EvalRep:
     """Evaluation representation on an atypical module.
 
     rho = (nu^2 lambda1 - nu^{-2} lambda2)/(nu^2 - nu^{-2}); requires
     nu^4 != 1 so the denominator is invertible; raises
-    :class:`SingularEvaluationError` otherwise.
+    :class:`SingularEvaluationError` otherwise.  Memoised: equal labels give
+    one module object, which shares the atypical module's read-only stack.
     """
     denom = labels.nu**2 - labels.nu**-2
     if abs(denom) < 1e-12:
         raise SingularEvaluationError("nu^4 = 1 makes the evaluation parameter rho singular")
     rho = (labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2) / denom
-    return EvalRep(atypical_rep(labels), rho)
+    base = atypical_rep(labels)
+    return EvalRep(base.space, base.names, base.stack, base.parity, base.alpha, base.q,
+                   base.kind, rho=rho)
 
 
-def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels,
-                     rho_bound: float = 1.0) -> tuple[EvalRep, EvalRep]:
-    """Evaluation pair with couplings rescaled jointly so both |rho| <= bound.
+def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels) -> tuple[EvalRep, EvalRep]:
+    """Evaluation pair with couplings rescaled jointly so both |rho| <= 1.
 
     rho is linear in the couplings, so one common real factor tames the
     level growth rho^r in truncated checks while keeping the two modules
@@ -78,9 +78,9 @@ def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels,
     """
     ra, rb = eval_rep(labels_a), eval_rep(labels_b)
     worst = max(abs(ra.rho), abs(rb.rho))
-    if worst <= rho_bound:
+    if worst <= 1.0:
         return ra, rb
-    s = rho_bound / worst
+    s = 1.0 / worst
     return tuple(eval_rep(RepLabels(lab.gamma, lab.nu, lab.alpha1 * s, lab.alpha2 * s))
                  for lab in (labels_a, labels_b))
 
@@ -94,15 +94,15 @@ def _levels(r_max: int) -> range:
 
 def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation."""
-    if ev.base.alpha is None:
+    if ev.alpha is None:
         raise ValueError("evaluation representation carries no couplings")
-    up, um, h1, h2, *k = ev.base.gather(("u+", "u-", "h1", "h2", "k1", "k2"))
+    up, um, h1, h2, *k = ev.gather(("u+", "u-", "h1", "h2", "k1", "k2"))
     usq, usqm = up @ up, um @ um
     rpt = Report("k-tower", tolerance)
     # level-r images rho^r X, the scalar on the right as in :meth:`EvalRep.image`
     for r in _levels(r_max):
         rhs = usq @ (h1 * complex(ev.rho ** r)) - usqm @ (h2 * complex(ev.rho ** r))
-        for i, alpha in enumerate(ev.base.alpha, 1):
+        for i, alpha in enumerate(ev.alpha, 1):
             rpt.add(f"k{i},{r+1}",
                     max_abs(k[i - 1] * complex(ev.rho ** (r + 1)) - rhs * complex(alpha)))
     return rpt
@@ -143,7 +143,7 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     The level images rho^r X, r = 0..rs_max, are stacked as one
     ``(F, R, n, n)`` array, and every (r, s) bracket is one gathered product.
     """
-    x = ev.base.gather(FAMILIES)
+    x = ev.gather(FAMILIES)
     powers = np.array([ev.rho ** r for r in _levels(rs_max)], dtype=np.complex128)
     levels = x[:, None] * powers[None, :, None, None]
     return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
@@ -282,8 +282,8 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray
     columns = [(scalars[:, p, None, None], index[:, p], index[:, p])
                for p in range(index.shape[1])]
     tower = kron_sum(columns, rep_a.space, rep_b.space,
-                     word_stack(rep_a.base.gather(letters), spelled[0]),
-                     word_stack(rep_b.base.gather(letters), spelled[1]))
+                     word_stack(rep_a.gather(letters), spelled[0]),
+                     word_stack(rep_b.gather(letters), spelled[1]))
     return tower.reshape(len(FAMILIES), r_max + 1, *tower.shape[1:])
 
 
@@ -365,13 +365,12 @@ def _omega_scale(eps1: complex, eps2: complex) -> dict:
             "h1": eps1, "h2": eps2, "k1": eps2, "k2": eps1}
 
 
-def _omega_scaled_base(rep: GeneratorImage, eps1: complex, eps2: complex,
-                       power: int) -> GeneratorImage:
-    """Level-0 images of the rescaling automorphism omega^power (power = +-1)."""
+def _omega_twisted(ev: EvalRep, eps1: complex, eps2: complex, power: int) -> EvalRep:
+    """The module twisted by the rescaling automorphism omega^power (power =
+    +-1): its level-0 images rescaled, its couplings dropped, rho kept."""
     factors = _omega_scale(eps1**power, eps2**power)
-    scale = np.array([complex(factors[g]) for g in rep.names])[:, None, None]
-    images = ImageStack(rep.space, rep.names, rep.stack * scale, rep.images.parity)
-    return GeneratorImage(rep.space, images, alpha=None, kind=rep.kind)
+    scale = np.array([complex(factors[g]) for g in ev.names])[:, None, None]
+    return EvalRep(ev.space, ev.names, ev.stack * scale, ev.parity, kind=ev.kind, rho=ev.rho)
 
 
 def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
@@ -387,8 +386,7 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
     if eps1 == 0 or eps2 == 0:
         raise ValueError("twist parameters must be nonzero")
     scale = _omega_scale(eps1, eps2)
-    ta = EvalRep(_omega_scaled_base(rep_a.base, eps1, eps2, -1), rep_a.rho)
-    tb = EvalRep(_omega_scaled_base(rep_b.base, eps1, eps2, -1), rep_b.rho)
+    ta, tb = (_omega_twisted(rep, eps1, eps2, -1) for rep in (rep_a, rep_b))
     factors = np.array([complex(scale[name]) for name in FAMILIES])
     rhs = _direct_tower(ta, tb, (eps1, eps2), r_max) * factors[:, None, None, None]
     return _level_report("omega-twist", tolerance, "omega", FAMILIES,
@@ -400,8 +398,7 @@ def omega_preserves_brackets_report(ev: EvalRep, eps1: complex, eps2: complex,
                                     tolerance: float = 1e-11) -> Report:
     """The rescaling twist is an automorphism: twisted images still satisfy
     the level brackets."""
-    twisted = EvalRep(_omega_scaled_base(ev.base, eps1, eps2, +1), ev.rho)
-    rpt = level_bracket_report(twisted, rs_max, tolerance)
+    rpt = level_bracket_report(_omega_twisted(ev, eps1, eps2, +1), rs_max, tolerance)
     rpt.suite = "omega-brackets"
     return rpt
 
@@ -432,102 +429,38 @@ def _cauchy_batch(pairs: dict) -> dict:
     return dict(zip(pairs, _cauchy(x, y)))
 
 
-@dataclass(frozen=True)
-class TruncatedCurrent:
-    """Matrix-valued polynomial in 1/z: coeffs[r] multiplies z^{-r}.
-
-    ``coeffs`` is one read-only ``(order+1, n, n)`` complex array, a copy of
-    the matrices the constructor is given.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ValueError("coefficients must be square matrices of one size")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-    def __add__(self, other):
-        self._compat(other)
-        return TruncatedCurrent(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return TruncatedCurrent(self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return TruncatedCurrent(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedCurrent):
-            self._compat(other)
-            return TruncatedCurrent(_cauchy(self.coeffs, other.coeffs))
-        return TruncatedCurrent(complex(other) * self.coeffs)
-
-    __rmul__ = __mul__
-
-    def _compat(self, other):
-        if self.coeffs.shape != other.coeffs.shape:
-            raise ValueError("truncated currents have mismatched order or dimension")
-
-    def inverse(self) -> "TruncatedCurrent":
-        """Series inverse; requires an invertible constant term."""
-        c = self.coeffs
-        inv0 = np.linalg.inv(c[0])
-        out = np.empty_like(c)
-        out[0] = inv0
-        for r in range(1, self.order + 1):
-            terms = c[1:r + 1] @ out[r - 1::-1]  # c_s out_{r-s}, s = 1..r
-            acc = np.zeros_like(inv0)
-            for term in terms:
-                acc = acc + term
-            out[r] = -inv0 @ acc
-        return TruncatedCurrent(out)
-
-    def shift(self, k: int = 1) -> "TruncatedCurrent":
-        """Multiply by z^{-k}, dropping overflow coefficients."""
-        out = np.zeros_like(self.coeffs)
-        out[k:] = self.coeffs[: self.order + 1 - k]
-        return TruncatedCurrent(out)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
-    @staticmethod
-    def one(dim: int, order: int) -> "TruncatedCurrent":
-        coeffs = np.zeros((order + 1, dim, dim), dtype=np.complex128)
-        coeffs[0] = np.eye(dim)
-        return TruncatedCurrent(coeffs)
+def _series_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of the ``(N, n, n)`` series ``c``; requires an invertible constant term."""
+    inv0 = np.linalg.inv(c[0])
+    out = np.empty_like(c)
+    out[0] = inv0
+    for r in range(1, len(c)):
+        terms = c[1:r + 1] @ out[r - 1::-1]  # c_s out_{r-s}, s = 1..r
+        acc = np.zeros_like(inv0)
+        for term in terms:
+            acc = acc + term
+        out[r] = -inv0 @ acc
+    return out
 
 
-def currents(ev: EvalRep, order: int) -> dict[str, TruncatedCurrent]:
-    """Drinfeld currents of the evaluation module, truncated at z^{-order}.
+def currents(ev: EvalRep, order: int) -> dict[str, np.ndarray]:
+    """Drinfeld currents of the evaluation module, truncated at z^{-order}:
+    each one read-only ``(order+1, n, n)`` array whose row r multiplies z^{-r}.
 
     e/f/k currents are pure tails sum_r rho^r pi(a) z^{-r-1}; the h currents
     (including h0) carry the constant term 1.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    dim = ev.space.dim
-    names = ("e1", "e2", "f1", "f2", "k1", "k2", "h0", "h1", "h2")
     out = {}
-    for name, image in zip(names, ev.base.gather(names)):
-        coeffs = np.zeros((order + 1, dim, dim), dtype=np.complex128)
+    for name, image in zip(FAMILIES, ev.gather(FAMILIES)):
+        coeffs = np.zeros((order + 1, *image.shape), dtype=np.complex128)
         if name[0] == "h":
-            coeffs[0] = np.eye(dim)
+            coeffs[0] = np.eye(len(image))
         for r in range(1, order + 1):
             coeffs[r] = ev.rho ** (r - 1) * image
-        out[name] = TruncatedCurrent(coeffs)
+        coeffs.setflags(write=False)
+        out[name] = coeffs
     return out
 
 
@@ -561,26 +494,27 @@ def current_relations_report(ev: EvalRep, order: int,
     if order < 2:
         raise ValueError("order must be at least 2")
     cur = currents(ev, order)
-    x = np.stack([cur[a].coeffs for a, _, _, _ in _BRACKETS])
-    y = np.stack([cur[b].coeffs for _, b, _, _ in _BRACKETS])
+    x = np.stack([cur[a] for a, _, _, _ in _BRACKETS])
+    y = np.stack([cur[b] for _, b, _, _ in _BRACKETS])
     prod = x[:, :, None] @ y[:, None, :]  # [c, r, s] = a_r b_s
     swap = y[:, None, :] @ x[:, :, None]  # [c, r, s] = b_s a_r
     odd = np.array([a != "h0" for a, _, _, _ in _BRACKETS])
     cross = np.where(odd[:, None, None, None, None], prod + swap, prod - swap)
-    sides = np.stack([cur[t].coeffs if sign > 0 else -cur[t].coeffs
+    sides = np.stack([cur[t] if sign > 0 else -cur[t]
                       for _, _, t, sign in _BRACKETS]
                      + [np.zeros_like(x[0])])
     names, (ic, ir, is_, iz, iw) = _current_layout(order)
     lhs = cross[ic, ir, is_ + 1] - cross[ic, ir + 1, is_]
     rpt = residual_report("current-relations", tolerance, names, lhs,
                           sides[iz, ir] - sides[iw, is_])
-    if ev.base.alpha is not None:
-        up, um = ev.base.gather(("u+", "u-"))
+    if ev.alpha is not None:
+        up, um = ev.gather(("u+", "u-"))
         usq, usqm = complex((up @ up)[0, 0]), complex((um @ um)[0, 0])
-        hcomb = (usq * cur["h1"] - usqm * cur["h2"]).shift(1)
-        for i, alpha in enumerate(ev.base.alpha, 1):
+        hcomb = np.zeros_like(x[0])
+        hcomb[1:] = (usq * cur["h1"] - usqm * cur["h2"])[:-1]  # times 1/z
+        for i, alpha in enumerate(ev.alpha, 1):
             rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z",
-                    (cur[f"k{i}"] - alpha * hcomb).max_abs())
+                    max_abs(cur[f"k{i}"] - complex(alpha) * hcomb))
     return rpt
 
 
@@ -597,8 +531,9 @@ def antipode_report(ev: EvalRep, order: int, tolerance: float = 1e-10) -> Report
     such as e_i h_j - e_j k_i, is formed once, and independent products are
     taken in four batches.
     """
-    cur = {name: c.coeffs for name, c in currents(ev, order).items()}
-    one = TruncatedCurrent.one(ev.space.dim, order).coeffs
+    cur = currents(ev, order)
+    one = np.zeros_like(cur["h0"])
+    one[0] = np.eye(ev.space.dim)
     h, k = {1: cur["h1"], 2: cur["h2"]}, {1: cur["k1"], 2: cur["k2"]}
     e, f = {1: cur["e1"], 2: cur["e2"]}, {1: cur["f1"], 2: cur["f2"]}
     # products of two currents, keyed by their factors' names
@@ -610,7 +545,7 @@ def antipode_report(ev: EvalRep, order: int, tolerance: float = 1e-10) -> Report
                   (f"h{i}", f"k{i}"), (f"h{j}", f"e{i}"), (f"k{i}", f"e{j}")]
     p = _cauchy_batch({f"{a} {b}": (cur[a], cur[b]) for a, b in words})
     big_h = p["h1 h2"] - p["k1 k2"]
-    hinv = TruncatedCurrent(big_h).inverse().coeffs
+    hinv = _series_inverse(big_h)
     # e_i h_j - e_j k_i and f_i h_j - f_j k_j, the numerators of S(e_i), S(f_i)
     num_e = {i: p[f"e{i} h{j}"] - p[f"e{j} k{i}"] for i, j in _NODE_PAIRS}
     num_f = {i: p[f"f{i} h{j}"] - p[f"f{j} k{j}"] for i, j in _NODE_PAIRS}

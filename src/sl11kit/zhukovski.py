@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import RepLabels
-from .qalgebra import QRepLabels
+from .qalgebra import QRepLabels, reject_root_of_unity
 
 _I = 1j
 
@@ -199,19 +199,23 @@ class QZhukovskiPoint:
 
 def q_zhukovski_point(xplus: complex, xi: complex, delta: complex, q: complex,
                       minus_branch: str = "near-inverse", h_branch: int = 0,
-                      xminus_hint: complex | None = None,
-                      newton_steps: int = 2) -> QZhukovskiPoint:
+                      xminus_hint: complex | None = None) -> QZhukovskiPoint:
     """Construct a deformed shell point, solving for x^-.
 
     The shell condition q^{-delta} zeta(x+) = q^{delta} zeta(x-) fixes
     x- + 1/x- exactly, so x- follows from a quadratic; ``minus_branch``
     picks the root nearer 1/x+ (default) or nearer x+, and an explicit
-    ``xminus_hint`` overrides both.  A short Newton polish on the shell
-    function is run afterwards.
+    ``xminus_hint`` overrides both.  Two Newton steps on the shell function
+    polish the root.  x+ = 0 and xi^2 in {0, 1}, where zeta or the coupling
+    h^2 = xi^2/(xi^2 - 1) is singular, raise ValueError, and so does a root
+    of unity q.
     """
     if minus_branch not in ("near-inverse", "near-same"):
         raise ValueError("minus_branch must be 'near-inverse' or 'near-same', "
                          f"not {minus_branch!r}")
+    if xplus == 0 or xi * xi in (0, 1):
+        raise ValueError("x+ must be nonzero and xi^2 neither 0 nor 1")
+    reject_root_of_unity(q)
     q = complex(q)
     qd = np.exp(complex(delta) * np.log(q))
     target = zeta(xplus, xi) / qd**2
@@ -223,7 +227,7 @@ def q_zhukovski_point(xplus: complex, xi: complex, delta: complex, q: complex,
     else:
         ref = 1 / xplus if minus_branch == "near-inverse" else xplus
     xm = r1 if abs(r1 - ref) <= abs(r2 - ref) else r2
-    for _ in range(newton_steps):
+    for _ in range(2):
         fval = zeta(xm, xi) - target
         fp = -(1 - 1 / xm**2) / (xi - 1 / xi)
         if abs(fp) < 1e-14:

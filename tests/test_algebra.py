@@ -53,7 +53,7 @@ def test_check_relations_detects_broken_k():
     rep = atypical_rep(lab)
     imgs = dict(rep.images)
     imgs["k1"] = 0 * imgs["k1"]
-    broken = GeneratorImage(rep.space, imgs, alpha=rep.alpha)
+    broken = GeneratorImage.from_images(rep.space, imgs, alpha=rep.alpha)
     rpt = check_relations(broken)
     case = {c.identity: c.residual for c in rpt.cases}
     assert abs(case["[e1,f2]-k1"] - abs(lab.mu1)) < 1e-12
@@ -64,7 +64,7 @@ def test_check_relations_missing_name():
     imgs = dict(rep.images)
     del imgs["u+"]
     with pytest.raises(KeyError):
-        check_relations(GeneratorImage(rep.space, imgs, alpha=rep.alpha))
+        check_relations(GeneratorImage.from_images(rep.space, imgs, alpha=rep.alpha))
 
 
 def test_typical_relations_and_h0():

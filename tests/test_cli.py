@@ -254,6 +254,69 @@ def test_a_representation_of_unknown_kind_is_a_usage_error(capsys, tmp_path):
     assert f"{rep} holds a module of unknown kind 'yangian'" in capsys.readouterr().err
 
 
+CLOSED = ["--gamma", "1.3-0.4j", "--nu", "0.7648+0.6442j", "--gamma2", "0.8+0.3j",
+          "--nu2", "0.9394-0.3429j"]
+DEFORMED = ["--q", "1.12+0.05j", "--lambda1", "0.9-0.2j", "--lambda1-b", "0.6+0.5j",
+            "--nu", "0.921+0.389j", "--nu2", "0.825-0.565j"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--trig", "--theta1", "0.3", "--theta2", "0.4", "--lambda", "0.1", "--gamma", "5",
+      "--q", "1.2", "--root", "1", "--coupling", "3"],
+     "--trig does not take --gamma, --coupling, --q, --root"),
+    (["--closed", "--gamma", "1", "--nu", "1j", "--gamma2", "2", "--nu2", "0.5j", "--q", "1.2",
+      "--lambda1", "0.3", "--theta1", "0.2"],
+     "closed/solved form does not take --theta1, --q, --lambda1"),
+    (["--solve", *CLOSED, "--root", "0"], "closed/solved form does not take --root"),
+    (["--q-closed", *DEFORMED, "--gamma", "1.0"], "deformed form does not take --gamma"),
+    (["--solve", *DEFORMED, "--gamma2", "1.0"], "deformed form does not take --gamma2"),
+    (["--solve", "--rep-a", "a.json", "--rep-b", "b.json", "--nu", "1j", "--coupling", "1"],
+     "--solve --rep-a/--rep-b does not take --nu, --coupling"),
+], ids=["trig", "closed", "solve", "q-closed", "solve-q", "files"])
+def test_emit_rejects_a_flag_its_form_does_not_read(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-r", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("form, labels, defaults", [
+    ("--closed", CLOSED, ["--coupling", "1"]),
+    ("--solve", CLOSED, ["--coupling", "1"]),
+    ("--q-closed", DEFORMED, ["--coupling", "1", "--root", "0"]),
+    ("--solve", DEFORMED, ["--root", "0"]),
+])
+def test_emit_takes_the_default_coupling_and_root_where_it_reads_them(form, labels, defaults,
+                                                                       capsys):
+    code, implicit = run(capsys, "emit-r", form, *labels)
+    assert code == 0
+    code, explicit = run(capsys, "emit-r", form, *labels, *defaults)
+    assert code == 0 and explicit == implicit
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "qx", "--xplus", "0", "--xi", "3", "--delta", "0.3", "--q", "1.1"],
+     "x+ must be nonzero"),
+    (["params", "qx", "--xplus", "1.4", "--xi", "1", "--delta", "0.3", "--q", "1.1"],
+     "xi^2 neither 0 nor 1"),
+    (["params", "qx", "--xplus", "1.4", "--xi", "3", "--delta", "0.3", "--q", "1"],
+     "root of unity"),
+    (["params", "xpm", "--p", "0", "--M", "0.5", "--h", "1"], "e^{ip} = 1"),
+    (["params", "xpm", "--p", "1", "--M", "0.5", "--h", "0"], "h must be nonzero"),
+    (["emit-r", "--closed", "--gamma", "0", "--nu", "1j", "--gamma2", "2", "--nu2", "0.5j"],
+     "gamma must be nonzero"),
+    (["emit-r", "--q-closed", *DEFORMED[:1], "1", *DEFORMED[2:]], "root of unity"),
+], ids=["qx-xplus", "qx-xi", "qx-q", "xpm-p", "xpm-h", "closed-gamma", "q-closed-q"])
+def test_degenerate_input_is_a_usage_error_not_a_traceback(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert not captured.out
+
+
 def test_bad_flags_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "bogus-suite"])

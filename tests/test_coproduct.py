@@ -140,7 +140,7 @@ def test_memoised_stacks_are_read_only_and_per_object():
     lab_a = RepLabels(1.2 + 0.3j, np.exp(0.4j), -0.5, 0.5)
     lab_b = RepLabels(0.8 - 0.1j, np.exp(-1.1j), -0.5, 0.5)
     ra, rb = algebra.atypical_rep(lab_a), algebra.atypical_rep(lab_b)
-    twin = algebra.GeneratorImage(ra.space, ra.images, ra.alpha)   # equal content, distinct object
+    twin = algebra.GeneratorImage.from_images(ra.space, ra.images, ra.alpha)  # equal content, distinct object
     stack = coproduct_stack(COPRODUCT, ra, rb)
     assert coproduct_stack(COPRODUCT, ra, rb, opposite=False) is stack
     assert coproduct_stack(COPRODUCT, twin, rb) is not stack

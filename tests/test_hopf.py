@@ -96,14 +96,14 @@ def ref_klein_twist(name, rep):
     table, alpha_map = algebra.KLEIN_ROWS[name]
     imgs = {g: coeff * rep[src] for g, (src, coeff) in table.items()}
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return algebra.GeneratorImage(rep.space, imgs, alpha=alpha, kind=rep.kind)
+    return algebra.GeneratorImage.from_images(rep.space, imgs, alpha=alpha, kind=rep.kind)
 
 
 def ref_q_klein_twist(name, rep):
     table, alpha_map = qalgebra.Q_KLEIN_ROWS[name]
     imgs = {g: rep[src] for g, (src, _) in table.items()}
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return algebra.GeneratorImage(rep.space, imgs, alpha=alpha, q=rep.q, kind="q")
+    return algebra.GeneratorImage.from_images(rep.space, imgs, alpha=alpha, q=rep.q, kind="q")
 
 
 # -- seeded representations ----------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sl11kit import algebra, graded, qaffine, qalgebra, suites
-from sl11kit.algebra import CLASSICAL_NAMES, GeneratorImage, ImageStack
+from sl11kit.algebra import CLASSICAL_NAMES, GeneratorImage
 from sl11kit.graded import C11, EVEN, ODD, SuperMatrix, identity, unit
 from sl11kit.qaffine import AFFINE_NAMES, GROUP_LIKE, AffineRep, _l_word, node_sign
 
@@ -37,7 +37,7 @@ def ref_atypical_rep(labels):
         "k1": labels.mu1 * ONE, "k2": labels.mu2 * ONE,
         "u+": nu * ONE, "u-": (1 / nu) * ONE,
     }
-    return GeneratorImage(C11, imgs, alpha=labels.alpha)
+    return GeneratorImage.from_images(C11, imgs, alpha=labels.alpha)
 
 
 def ref_kac_odd_images(lam1, lam2, mu1, mu2):
@@ -64,7 +64,7 @@ def ref_typical_rep(lambda1, lambda2, nu, alpha):
         "k1": mu1 * KAC_ONE, "k2": mu2 * KAC_ONE,
         "u+": nu * KAC_ONE, "u-": (1 / nu) * KAC_ONE,
     }
-    return GeneratorImage(space, imgs, alpha=alpha)
+    return GeneratorImage.from_images(space, imgs, alpha=alpha)
 
 
 def ref_q_atypical_rep(labels):
@@ -81,7 +81,7 @@ def ref_q_atypical_rep(labels):
         "L2+": labels.qmu2 * ONE, "L2-": (1 / labels.qmu2) * ONE,
         "U+": nu * ONE, "U-": (1 / nu) * ONE,
     }
-    return GeneratorImage(C11, imgs, alpha=labels.alpha, q=q, kind="q")
+    return GeneratorImage.from_images(C11, imgs, alpha=labels.alpha, q=q, kind="q")
 
 
 def ref_q_typical_from_powers(qlam1, qlam2, nu, q, alpha):
@@ -100,7 +100,7 @@ def ref_q_typical_from_powers(qlam1, qlam2, nu, q, alpha):
         "L2+": qmu2 * KAC_ONE, "L2-": (1 / qmu2) * KAC_ONE,
         "U+": nu * KAC_ONE, "U-": (1 / nu) * KAC_ONE,
     }
-    return GeneratorImage(space, imgs, alpha=alpha, q=q, kind="q")
+    return GeneratorImage.from_images(space, imgs, alpha=alpha, q=q, kind="q")
 
 
 def ref_affine_eval_rep(labels, variant="standard", beta=1.0):
@@ -127,15 +127,15 @@ def ref_affine_eval_rep(labels, variant="standard", beta=1.0):
         imgs[tgt] = base[src]
     for tgt, src in vmap.items():
         imgs[tgt] = beta * base[src]
-    return AffineRep(base.space, imgs, alpha, labels.q, "affine",
-                     rho=rho, variant=variant, beta=beta)
+    return AffineRep.from_images(base.space, imgs, alpha, labels.q, "affine",
+                                 rho=rho, variant=variant, beta=beta)
 
 
 def ref_twist(rows, name, rep):
     table, alpha_map = rows[name]
     imgs = {g: coeff * rep[src] for g, (src, coeff) in table.items()}
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, imgs, alpha=alpha, q=rep.q, kind=rep.kind)
+    return GeneratorImage.from_images(rep.space, imgs, alpha=alpha, q=rep.q, kind=rep.kind)
 
 
 def word_product(rep, word):
@@ -158,7 +158,8 @@ def ref_upper_nodes_subalgebra(rep):
         "L2+": l_image(rep, 4, "+"), "L2-": l_image(rep, 4, "-"),
         "U+": rep["V+"], "U-": rep["V-"],
     }
-    return GeneratorImage(rep.space, imgs, alpha=(rep.alpha[2], rep.alpha[3]), q=rep.q, kind="q")
+    return GeneratorImage.from_images(rep.space, imgs, alpha=(rep.alpha[2], rep.alpha[3]),
+                                      q=rep.q, kind="q")
 
 
 # -- references: the bracket-table relation checkers ------------------------------------
@@ -359,11 +360,11 @@ def module_pairs(seed):
 def test_every_builder_equals_its_supermatrix_reference(seed):
     pairs = module_pairs(seed)
     for got, want in (pair for group in pairs.values() for pair in group):
-        assert isinstance(got.images, ImageStack)
+        assert isinstance(got, GeneratorImage)
         # the affine module now lists its images in table order
         assert sorted(got.names) == sorted(want.names)
         assert np.array_equal(got.stack, np.stack([want.images[n].m for n in got.names]))
-        assert got.images.parity == tuple(want.images[n].parity for n in got.names)
+        assert got.parity == tuple(want.images[n].parity for n in got.names)
         assert (got.space, got.alpha, got.q, got.kind) == (want.space, want.alpha, want.q,
                                                            want.kind)
         assert not got.stack.flags.writeable
@@ -394,7 +395,7 @@ def test_a_checker_without_couplings_drops_the_coupled_lines():
     for checker, reference, rep in (
             (algebra.check_relations, ref_check_relations, algebra.atypical_rep(labels)),
             (qalgebra.q_check_relations, ref_q_check_relations, qalgebra.q_atypical_rep(ql))):
-        bare = GeneratorImage(rep.space, rep.images, alpha=None, q=rep.q, kind=rep.kind)
+        bare = GeneratorImage(rep.space, rep.names, rep.stack, rep.parity, None, rep.q, rep.kind)
         cases = reference(bare)
         got = checker(bare)
         assert len(cases) < len(checker(rep).names)
@@ -405,8 +406,11 @@ def test_a_checker_without_couplings_drops_the_coupled_lines():
 def test_the_mapping_constructor_stacks_once_and_views_on_access():
     labels, _ = draws(0)
     rep = algebra.atypical_rep(labels)
-    again = GeneratorImage(rep.space, dict(rep.images), alpha=rep.alpha)
+    again = GeneratorImage.from_images(rep.space, dict(rep.images), alpha=rep.alpha)
     assert np.array_equal(again.stack, rep.stack) and again.names == rep.names
+    assert again.parity == rep.parity and not again.stack.flags.writeable
+    with pytest.raises(ValueError, match="not an operator on the carrier space"):
+        GeneratorImage.from_images(algebra.KAC_SPACE, rep.images)
     view = rep["e1"]
     assert isinstance(view, SuperMatrix) and view.parity == ODD
     assert np.array_equal(view.m, rep.stack[0]) and not view.m.flags.writeable

@@ -219,9 +219,9 @@ def test_replace_keeps_the_affine_metadata():
     from sl11kit.qaffine import AffineRep
     for variant, beta in VARIANTS:
         rep = affine_eval_rep(QA, variant, beta)
-        imgs = dict(rep.images)
-        imgs["E3"] = 2 * imgs["E3"]
-        twin = dataclasses.replace(rep, images=imgs)
+        stack = np.array(rep.stack)
+        stack[rep.names.index("E3")] *= 2
+        twin = dataclasses.replace(rep, stack=stack)
         assert type(twin) is AffineRep
         assert (twin.rho, twin.variant, twin.beta) == (rep.rho, rep.variant, rep.beta)
         assert (twin.alpha, twin.q, twin.kind) == (rep.alpha, rep.q, rep.kind)

@@ -111,7 +111,7 @@ def test_q_check_relations_perturbed_l():
     imgs = dict(rep.images)
     delta = 1e-3
     imgs["L1+"] = imgs["L1+"] + delta * np.eye(2)[0, 0] * imgs["U+"] @ imgs["U-"]
-    broken = GeneratorImage(rep.space, imgs, alpha=rep.alpha, q=rep.q, kind="q")
+    broken = GeneratorImage.from_images(rep.space, imgs, alpha=rep.alpha, q=rep.q, kind="q")
     rpt = q_check_relations(broken)
     cases = {c.identity: c.residual for c in rpt.cases}
     assert abs(cases["L1+ - K1+K2+U^2"] - delta) < 1e-12

@@ -19,7 +19,6 @@ from sl11kit.graded import (EVEN, ODD, GradedSpace, SuperMatrix, graded_comm, id
                             max_abs)
 from sl11kit.qaffine import GROUP_LIKE, node_sign
 from sl11kit.report import Report
-from sl11kit.yangian import EvalRep
 
 SEEDS = range(6)
 
@@ -244,8 +243,7 @@ def eval_reps(seed):
     ev, _ = yangian.scaled_eval_pair(suites.draw_labels(rng, alpha),
                                      suites.draw_labels(rng, alpha))
     eps1, eps2 = suites._annulus(rng, 0.5, 1.5), suites._annulus(rng, 0.5, 1.5)
-    twisted = EvalRep(yangian._omega_scaled_base(ev.base, eps1, eps2, +1), ev.rho)
-    return [ev, twisted]
+    return [ev, yangian._omega_twisted(ev, eps1, eps2, +1)]
 
 
 def assert_same_report(got: Report, want: Report):
@@ -259,11 +257,10 @@ def assert_same_report(got: Report, want: Report):
 
 def perturbed(rep, name, factor=1 + 1e-6):
     """The same representation with the image of ``name`` scaled by ``factor``."""
-    if isinstance(rep, EvalRep):
-        return EvalRep(perturbed(rep.base, name, factor), rep.rho)
-    imgs = dict(rep.images)
-    imgs[name] = factor * imgs[name]
-    return dataclasses.replace(rep, images=imgs)
+    stack = np.array(rep.stack)
+    g = rep.names.index(name)
+    stack[g] = stack[g] * complex(factor)
+    return dataclasses.replace(rep, stack=stack)
 
 
 def flagged(rpt: Report) -> list[str]:
@@ -303,10 +300,11 @@ def test_checker_flags_the_cases_the_reference_flags(checker, reference, reps, n
 @pytest.mark.parametrize("checker, _reference, reps, name, _tolerance", CHECKERS)
 def test_checker_raises_on_a_missing_image(checker, _reference, reps, name, _tolerance):
     for rep in reps(0):
-        imgs = dict(rep.images)
-        del imgs[name]
+        keep = [g for g, other in enumerate(rep.names) if other != name]
+        bare = dataclasses.replace(rep, names=[rep.names[g] for g in keep],
+                                   stack=rep.stack[keep], parity=[rep.parity[g] for g in keep])
         with pytest.raises(KeyError, match=f"missing generator images: \\['{name}'\\]"):
-            checker(dataclasses.replace(rep, images=imgs))
+            checker(bare)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -327,8 +325,7 @@ def test_omega_brackets_read_the_level_bracket_table(seed=3):
     ev = eval_reps(seed)[0]
     eps1, eps2 = 1.2 - 0.3j, 0.7 + 0.1j
     got = yangian.omega_preserves_brackets_report(ev, eps1, eps2)
-    twisted = EvalRep(yangian._omega_scaled_base(ev.base, eps1, eps2, +1), ev.rho)
-    want = ref_level_bracket_report(twisted, 3)
+    want = ref_level_bracket_report(yangian._omega_twisted(ev, eps1, eps2, +1), 3)
     want.suite = "omega-brackets"
     assert_same_report(got, want)
 

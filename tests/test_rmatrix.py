@@ -4,12 +4,14 @@ import pytest
 from sl11kit import suites
 from sl11kit.algebra import RepLabels, atypical_rep, check_relations
 from sl11kit.graded import C11, graded_perm, identity, max_abs
+from sl11kit.qaffine import affine_eval_rep, affine_relations_report
 from sl11kit.qalgebra import q_labels, q_atypical_rep
 from sl11kit.rmatrix import (ReducibleTensorError, _assemble, conjugate_r, conjugate_rep,
                              conjugated_pair, intertwining_report, r_closed,
                              r_solve, r_trig, rq_closed, rq_from_powers,
                              slot_coefficients, solve_intertwiner,
                              unitarity_check, ybe_embed, ybe_residual)
+from sl11kit.yangian import eval_rep
 
 ALPHA = (-0.5, 0.5)
 Q = 1.15 + 0.08j
@@ -226,6 +228,18 @@ def test_conjugate_rep_is_a_representation():
     # raising/lowering patterns are exchanged
     assert abs(rep["e1"].m[0, 1] - A.gamma) < 1e-15
     assert rep["e1"].m[1, 0] == 0.0
+
+
+def test_conjugate_rep_keeps_what_an_evaluation_module_carries():
+    aff = affine_eval_rep(suites.draw_qlabels(np.random.default_rng(3), 1.1 + 0.05j,
+                                              (-0.5, 0.5)), "swapped", -1.0)
+    for rep in (aff, eval_rep(A)):
+        flipped = conjugate_rep(rep)
+        assert type(flipped) is type(rep)
+        assert {k: v for k, v in vars(flipped).items() if k != "stack"} == {
+            k: v for k, v in vars(rep).items() if k != "stack"}
+        assert np.array_equal(flipped.stack, rep.stack[:, ::-1, ::-1])
+    assert affine_relations_report(conjugate_rep(aff)).max_residual <= 1e-11
 
 
 def test_conjugated_r_intertwines_flipped_pairs():

@@ -250,3 +250,16 @@ def test_q_point_rejects_an_unknown_minus_branch():
     with pytest.raises(ValueError, match="'near-inverse' or 'near-same'.*'near_inverse'"):
         q_zhukovski_point(1.4 + 0.9j, 3.0 + 0.5j, 0.35 - 0.1j, 1.12 + 0.05j,
                           minus_branch="near_inverse")
+
+
+@pytest.mark.parametrize("xplus, xi, q, message", [
+    (0, 3.0, 1.1, "x\\+ must be nonzero"),
+    (1.4, 1.0, 1.1, "xi\\^2 neither 0 nor 1"),
+    (1.4, -1.0, 1.1, "xi\\^2 neither 0 nor 1"),
+    (1.4, 0, 1.1, "xi\\^2 neither 0 nor 1"),
+    (1.4, 3.0, 1.0, "root of unity"),
+    (1.4, 3.0, 0, "q must be nonzero"),
+], ids=["xplus-0", "xi-1", "xi-minus-1", "xi-0", "q-1", "q-0"])
+def test_q_point_rejects_the_singular_loci_with_a_value_error(xplus, xi, q, message):
+    with pytest.raises(ValueError, match=message):
+        q_zhukovski_point(xplus, xi, 0.3, q)
