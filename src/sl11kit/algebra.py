@@ -25,7 +25,7 @@ import numpy as np
 
 from .coproduct import (TABLES, CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
                         coproduct_stack, memoised_by_labels, spell, word_stack)
-from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, max_abs
+from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, max_abs, product_table
 from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
@@ -219,23 +219,28 @@ def _scalar_part(mat: np.ndarray) -> complex | None:
 
 def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
     """Index arrays of the graded brackets [a, b} of ``pairs`` over ``names``:
-    the distinct products x_a x_b they read, and per pair the rows of x_a x_b
-    and x_b x_a among them and (-1)^{p_a p_b}.  One per checker, at import."""
+    the generators that stand as a right factor, and per pair the rows of
+    x_a x_b and x_b x_a in the flattened product table of
+    :func:`graded_brackets` and (-1)^{p_a p_b}.  One per checker, at import."""
     index = {name: g for g, name in enumerate(names)}
-    products = tuple(dict.fromkeys(p for a, b in pairs for p in ((a, b), (b, a))))
-    row = {p: k for k, p in enumerate(products)}
-    return (np.array([[index[a] for a, _ in products], [index[b] for _, b in products]]),
-            np.array([row[a, b] for a, b in pairs]), np.array([row[b, a] for a, b in pairs]),
+    right = {name: c for c, name in enumerate(dict.fromkeys(n for pair in pairs for n in pair))}
+
+    def row(a, b):  # of x_a x_b: right factor b, left factor a
+        return right[b] * len(names) + index[a]
+    return (np.array([index[name] for name in right]),
+            np.array([row(a, b) for a, b in pairs]), np.array([row(b, a) for a, b in pairs]),
             np.array([-1.0 if a in odd and b in odd else 1.0 for a, b in pairs])[:, None, None])
 
 
 def graded_brackets(x: np.ndarray, layout: tuple) -> np.ndarray:
     """``(P, n, n)`` brackets x_a x_b - (-1)^{p_a p_b} x_b x_a of a
-    :func:`bracket_layout` on the ``(G, n, n)`` stack ``x``, from one
-    gathered batched product."""
-    (left, right), ab, ba, sign = layout
-    prod = x[left] @ x[right]
-    return prod[ab] - sign * prod[ba]
+    :func:`bracket_layout` on the ``(G, n, n)`` stack ``x``, read from one
+    :func:`.graded.product_table` of every generator times each right factor
+    (one BLAS call per right factor)."""
+    right, ab, ba, sign = layout
+    table = product_table(x, x[right])
+    table = table.reshape(-1, *table.shape[-2:])
+    return table[ab] - sign * table[ba]
 
 
 # -- Hopf structure: checkers each algebra binds to its coproduct table -------

@@ -223,6 +223,25 @@ def kron_arrays(a: np.ndarray, b: np.ndarray,
     return block.reshape(*block.shape[:-4], out.dim, inn.dim)
 
 
+def product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``(..., R, L, n, m)`` table of every product ``left[l] @ right[r]``.
+
+    ``left`` is ``(..., L, n, k)`` and ``right`` ``(..., R, k, m)``; leading
+    axes broadcast.  The L left factors are stacked into one tall ``(L n, k)``
+    matrix, so the table takes one BLAS call per right factor (per leading
+    index) where a gathered batched product takes one per pair.  BLAS forms
+    each row of the tall product as it forms that row of the block's own
+    product, so every entry equals the per-pair ``@`` bit for bit;
+    ``tests/test_graded.py`` checks that property of the BLAS build, which
+    the callers' bitwise reproducibility relies on.  The wide layout, one
+    left factor times the right factors side by side, does not have it.
+    """
+    *batch, count, n, k = left.shape
+    tall = left.reshape(*batch, count * n, k)
+    table = tall[..., None, :, :] @ right
+    return table.reshape(*table.shape[:-2], count, n, right.shape[-1])
+
+
 @cache
 def graded_perm(v: GradedSpace, w: GradedSpace) -> SuperMatrix:
     """Graded permutation P: v (x) w -> w (x) v, P(x (x) y) = (-1)^{p(x)p(y)} y (x) x.

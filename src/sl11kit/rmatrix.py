@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import GeneratorImage, RepLabels
 from .coproduct import TABLES, coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm, identity,
-                     kron_arrays, max_abs, unit)
+                     kron_arrays, max_abs, product_table, unit)
 from .qalgebra import QRepLabels
 from .report import Report, c2j, residual_report
 
@@ -120,21 +120,26 @@ def slot_coefficients(r) -> dict[str, complex]:
 # -- closed forms ---------------------------------------------------------------
 
 
+def _require_coefficients(coeffs: dict, what: str):
+    """Raise ``ValueError`` when all six coefficients are below 1e-14: the
+    closed form is then the zero matrix, which intertwines nothing."""
+    if max(abs(c) for c in coeffs.values()) < 1e-14:
+        raise ValueError(f"all six coefficients vanish: degenerate {what}")
+
+
 def r_closed(labels_a: RepLabels, labels_b: RepLabels) -> RMatrix:
     """Rational closed form of the intertwiner for two atypical modules: the
     deformed coefficients :func:`rq_from_powers` at unit weight powers."""
     coeffs = rq_from_powers(labels_a.gamma, labels_a.nu, 1, 1,
                             labels_b.gamma, labels_b.nu, 1, 1)
-    if max(abs(c) for c in coeffs.values()) < 1e-14:
-        raise ValueError("all six coefficients vanish: degenerate label pair")
+    _require_coefficients(coeffs, "label pair")
     return RMatrix(_assemble(coeffs), "closed", labels_a, labels_b,
                    normalization=coeffs["11,11"])
 
 
-def r_trig(theta1: float, theta2: float, lam: float) -> RMatrix:
-    """Trigonometric form; equals ``r_closed/(2i)`` at nu = e^{i theta1},
-    nu' = e^{i theta2}, gamma = e^{i lam} gamma'.  All entries are real."""
-    coeffs = {
+def _trig_coefficients(theta1: float, theta2: float, lam: float) -> dict[str, float]:
+    """The six coefficients of the trigonometric form, by slot."""
+    return {
         "11,11": np.sin(theta1 + theta2 - lam),
         "11,22": -np.sin(theta1 - theta2 + lam),
         "12,21": -np.sin(2 * theta1),
@@ -142,6 +147,15 @@ def r_trig(theta1: float, theta2: float, lam: float) -> RMatrix:
         "22,11": np.sin(theta1 - theta2 - lam),
         "22,22": -np.sin(theta1 + theta2 + lam),
     }
+
+
+def r_trig(theta1: float, theta2: float, lam: float) -> RMatrix:
+    """Trigonometric form; equals ``r_closed/(2i)`` at nu = e^{i theta1},
+    nu' = e^{i theta2}, gamma = e^{i lam} gamma'.  All entries are real.
+    Raises ``ValueError`` where all six coefficients vanish, as
+    :func:`r_closed` does (at theta1 = theta2 = lam = 0, for one)."""
+    coeffs = _trig_coefficients(theta1, theta2, lam)
+    _require_coefficients(coeffs, "angle triple")
     return RMatrix(_assemble(coeffs), "trig", (theta1, theta2, lam), None,
                    normalization=coeffs["11,11"])
 
@@ -193,8 +207,10 @@ def intertwining_report(r: np.ndarray | RMatrix, rep_a: GeneratorImage,
     """Residuals of Delta_op(a) R - R Delta(a) for every generator."""
     mat = r.m if isinstance(r, RMatrix) else np.asarray(r)
     dop, d = _coproduct_stacks(rep_a, rep_b)
+    # Delta_op @ mat: one tall product with the shared right factor
     return residual_report("intertwining", tolerance,
-                           [f"intertwine:{name}" for name in rep_a.names], dop @ mat, mat @ d)
+                           [f"intertwine:{name}" for name in rep_a.names],
+                           product_table(dop, mat[None])[0], mat @ d)
 
 
 def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage):
@@ -284,9 +300,14 @@ def ybe_residual(labels1, labels2, labels3, which: str = "undeformed") -> float:
 
 
 def unitarity_check(theta1: float, theta2: float, lam: float) -> tuple[float, float]:
-    """Residual of R(t1,t2,L) P R(t2,t1,-L) P = (cos 2L - cos(2t1+2t2))/2 * 1."""
+    """Residual of R(t1,t2,L) P R(t2,t1,-L) P = (cos 2L - cos(2t1+2t2))/2 * 1.
+
+    The matrices are assembled from :func:`_trig_coefficients` without the
+    degeneracy check of :func:`r_trig`: where all six coefficients vanish
+    both sides are zero and the identity still holds."""
     p = graded_perm(C11, C11).m
-    prod = r_trig(theta1, theta2, lam).m @ p @ r_trig(theta2, theta1, -lam).m @ p
+    prod = (_assemble(_trig_coefficients(theta1, theta2, lam)).m @ p
+            @ _assemble(_trig_coefficients(theta2, theta1, -lam)).m @ p)
     scalar = 0.5 * (np.cos(2 * lam) - np.cos(2 * theta1 + 2 * theta2))
     return max_abs(prod - scalar * np.eye(4)), float(scalar)
 

@@ -6,13 +6,19 @@ module.  The level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is
 the canonical one) is evaluated on a pair of modules as one tower: every
 family at every level up to r_max, from one graded tensor product per
 distinct (left word, right word) level-0 pair, each scaled by its terms'
-coefficients times powers of the two evaluation parameters.  The
-homomorphism, cocommutativity, omega-twist and intertwining reports read
-slices of the memoised tower.
+coefficients times powers of the two evaluation parameters.  Two things are
+memoised: each module's table of level-0 word products (one for both tower
+sides and every depth), and each tower per (pair, eps, depth, opposite),
+where a shallower request reads the first levels of a deeper tower of the
+same pair.  The homomorphism, cocommutativity, omega-twist and
+intertwining reports read slices of the memoised towers.
 Drinfeld currents are handled as matrix-valued polynomials in 1/z
 truncated at a configurable order, each one ``(order+1, n, n)`` coefficient
 array; the current-relation and antipode reports take their products as
 batched Cauchy products of such series.
+Every batch of small products here (brackets, Cauchy products, the
+intertwining products with the R-matrix) is read from
+:func:`.graded.product_table`, one BLAS call per right factor.
 
 Everything here is verified in evaluation representations; no abstract
 normal-ordered arithmetic is attempted.
@@ -21,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 import numpy as np
 
 from .algebra import _BRACKETS, GeneratorImage, RepLabels, atypical_rep
 from .coproduct import STACK_CACHE_SIZE, kron_sum, memoised_by_labels, spell, word_stack
-from .graded import SuperMatrix, graded_flip, max_abs
+from .graded import SuperMatrix, graded_flip, max_abs, product_table
 from .report import Report, residual_report
 from .rmatrix import r_closed
 
@@ -108,18 +115,30 @@ def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     return rpt
 
 
+#: The families that stand in a defining bracket; h1, h2, k1, k2 are only targets.
+_BRACKETED = tuple(dict.fromkeys(f for a, b, _, _ in _BRACKETS for f in (a, b)))
+_BRACKETED_ROWS = [FAMILIES.index(name) for name in _BRACKETED]
+
+
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _bracket_layout(rs_max: int, names_format: str):
-    """Case names (``names_format`` filled with a, r, b, s) and (a, r, b, s, t,
-    r+s, (-1)^{p_a p_b}, sign) index rows of the brackets ``_BRACKETS`` with
-    r + s <= rs_max, by r, then s, then bracket."""
-    fam = FAMILIES.index
+    """Case names (``names_format`` filled with a, r, b, s) and index rows of
+    the brackets ``_BRACKETS`` with r + s <= rs_max, by r, then s, then
+    bracket: the rows of x y and y x, x = tower[a, r], y = tower[b, s], in
+    the flattened product table of the ``_BRACKETED`` families' levels
+    0..rs_max, the family and level of t_{r+s}, (-1)^{p_a p_b} and the sign."""
+    levels = rs_max + 1
+    count = len(_BRACKETED) * levels
+
+    def row(name, r):
+        return _BRACKETED.index(name) * levels + r
     names, index = [], []
     for r in _levels(rs_max):
-        for s in range(rs_max + 1 - r):
+        for s in range(levels - r):
             for a, b, t, sign in _BRACKETS:
                 names.append(names_format.format(a=a, r=r, b=b, s=s))
-                index.append((fam(a), r, fam(b), s, fam(t), r + s,
+                x, y = row(a, r), row(b, s)
+                index.append((y * count + x, x * count + y, FAMILIES.index(t), r + s,
                               1 if a == "h0" else -1, sign))
     index = np.array(index).T
     index.setflags(write=False)
@@ -129,10 +148,13 @@ def _bracket_layout(rs_max: int, names_format: str):
 def _bracket_report(suite: str, tolerance: float, tower: np.ndarray, rs_max: int,
                     names_format: str) -> Report:
     """The defining brackets on a ``(F, R, n, n)`` tower of family images by
-    level: x y - swap y x against sign t_{r+s}, x = tower[a, r], y = tower[b, s]."""
-    names, (ia, ir, ib, is_, it, irs, swap, sign) = _bracket_layout(rs_max, names_format)
-    x, y = tower[ia, ir], tower[ib, is_]
-    return residual_report(suite, tolerance, names, x @ y - swap[:, None, None] * (y @ x),
+    level: x y - swap y x against sign t_{r+s}, x = tower[a, r], y = tower[b, s],
+    every product read from one :func:`.graded.product_table` of the
+    bracketed families' levels."""
+    names, (xy, yx, it, irs, swap, sign) = _bracket_layout(rs_max, names_format)
+    factors = tower[_BRACKETED_ROWS].reshape(-1, *tower.shape[2:])
+    table = product_table(factors, factors).reshape(-1, *tower.shape[2:])
+    return residual_report(suite, tolerance, names, table[xy] - swap[:, None, None] * table[yx],
                            tower[it, irs] * sign[:, None, None])
 
 
@@ -141,7 +163,9 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices.
 
     The level images rho^r X, r = 0..rs_max, are stacked as one
-    ``(F, R, n, n)`` array, and every (r, s) bracket is one gathered product.
+    ``(F, R, n, n)`` array (the matrix operand first: the scalar-first
+    product of :func:`currents` rounds differently), and every (r, s)
+    bracket is read from one product table of its levels.
     """
     x = ev.gather(FAMILIES)
     powers = np.array([ev.rho ** r for r in _levels(rs_max)], dtype=np.complex128)
@@ -211,47 +235,57 @@ _COEFF_SLOT = {1: 0, 2: 1, 3: 2, -2: 3, -3: 4}
 _PAD_SLOT = 5
 
 
+def _level_zero_words():
+    """Letters, word -> row map and spelled ``(W, D)`` table of the distinct
+    level-0 words of the tower terms, in first-seen :func:`_tail_terms` order
+    at depth 1; the terms at every deeper level read the same words."""
+    words = dict.fromkeys(tuple(g for g, _ in factors)
+                          for name in FAMILIES for r in (0, 1)
+                          for _, *sides in _tail_terms(name, r, *_EPS_CODES)
+                          for factors in sides)
+    letters = tuple(dict.fromkeys(g for word in words for g in word))
+    return letters, {word: w for w, word in enumerate(words)}, spell(letters, list(words))
+
+
+_LETTERS, _WORD_ROW, _SPELLED = _level_zero_words()
+
+
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _tower_layout(r_max: int):
     """The level coproducts of all families at levels 0..r_max, as index tables.
 
-    Returns (letters, spelled, pair index, terms).  The distinct (left,
-    right) level-0 word pairs are numbered across families; ``spelled``
-    (``(2, Q, D)``) spells each pair's left and right word as indices into
-    ``letters``, padded with the index ``len(letters)`` of the identity.
-    Row (family, r) lists its pairs in first-seen :func:`_tail_terms` order
-    (``pair index``, ``(F (R+1), P)``), and ``terms`` holds, per pair, the
-    coefficient slot, left level and right level of its terms in order,
-    padded with zero terms to a common ``(3, F (R+1), P, K)`` shape.  Built
-    once per r_max: it depends on nothing else.
+    Returns (words, terms).  Row (family, r) lists its distinct (left,
+    right) word pairs in first-seen :func:`_tail_terms` order; ``words``
+    (``(2, F (R+1), P)``) holds each pair's left and right word as rows of
+    the module word tables (:func:`_word_table`), padded with the first
+    pair, and ``terms`` holds, per pair, the coefficient slot, left level
+    and right level of its terms in order, padded with zero terms to a
+    common ``(3, F (R+1), P, K)`` shape.  Built once per r_max: it depends
+    on nothing else.
     """
-    pairs = {}
     rows = []
     for name in FAMILIES:
         for r in _levels(r_max):
             groups = {}
             for coeff, left, right in _tail_terms(name, r, *_EPS_CODES):
-                words = (tuple(g for g, _ in left), tuple(g for g, _ in right))
-                groups.setdefault(words, []).append(
+                pair = tuple(_WORD_ROW[tuple(g for g, _ in side)] for side in (left, right))
+                groups.setdefault(pair, []).append(
                     (_COEFF_SLOT[coeff], sum(lvl for _, lvl in left),
                      sum(lvl for _, lvl in right)))
-            rows.append([(pairs.setdefault(words, len(pairs)), terms)
-                         for words, terms in groups.items()])
+            rows.append(list(groups.items()))
     width = max(len(row) for row in rows)
     depth = max(len(terms) for row in rows for _, terms in row)
-    index = np.zeros((len(rows), width), dtype=int)
+    words = np.empty((2, len(rows), width), dtype=int)
+    words.T[:] = rows[0][0][0]
     terms = np.zeros((3, len(rows), width, depth), dtype=int)
     terms[0] = _PAD_SLOT
     for i, row in enumerate(rows):
         for p, (pair, group) in enumerate(row):
-            index[i, p] = pair
+            words[:, i, p] = pair
             terms[:, i, p, :len(group)] = np.array(group).T
-    letters = tuple(dict.fromkeys(g for pair in pairs for word in pair for g in word))
-    words = spell(letters, [word for pair in pairs for word in pair])
-    spelled = words.reshape(len(pairs), 2, -1).transpose(1, 0, 2)
-    for table in (index, terms):
+    for table in (words, terms):
         table.setflags(write=False)
-    return letters, spelled, index, terms
+    return words, terms
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,9 +301,22 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray:
-    """``(F, R+1, n, n)`` array of Delta_eps(g_{f,r}), built without the memo."""
-    letters, spelled, index, (slot, level_a, level_b) = _tower_layout(r_max)
+def _word_table(rep: EvalRep) -> np.ndarray:
+    """Read-only ``(W, n, n)`` products of the tower's level-0 words in ``rep``."""
+    words = word_stack(rep.gather(_LETTERS), _SPELLED)
+    words.setflags(write=False)
+    return words
+
+
+#: The word table of each module, read by both tower sides and every depth.
+_module_words = lru_cache(maxsize=STACK_CACHE_SIZE)(_word_table)
+
+
+def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int,
+                  words=_module_words) -> np.ndarray:
+    """``(F, R+1, n, n)`` array of Delta_eps(g_{f,r}), built without the tower
+    memo from the word tables ``words(rep_a)`` and ``words(rep_b)``."""
+    (left, right), (slot, level_a, level_b) = _tower_layout(r_max)
     eps1, eps2 = complex(eps[0]), complex(eps[1])
     coeffs = np.array([1, eps1, eps2, -eps1, -eps2, 0], dtype=np.complex128)
     powers_a = np.array([rep_a.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
@@ -279,11 +326,9 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int) -> np.ndarray
     for k in range(terms.shape[-1]):
         scalars = scalars + terms[..., k]
     # pair position p of every row is one column: the pair's scalar, its words
-    columns = [(scalars[:, p, None, None], index[:, p], index[:, p])
-               for p in range(index.shape[1])]
-    tower = kron_sum(columns, rep_a.space, rep_b.space,
-                     word_stack(rep_a.gather(letters), spelled[0]),
-                     word_stack(rep_b.gather(letters), spelled[1]))
+    columns = [(scalars[:, p, None, None], left[:, p], right[:, p])
+               for p in range(left.shape[1])]
+    tower = kron_sum(columns, rep_a.space, rep_b.space, words(rep_a), words(rep_b))
     return tower.reshape(len(FAMILIES), r_max + 1, *tower.shape[1:])
 
 
@@ -297,19 +342,31 @@ def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
     one graded Kronecker product per distinct level-0 word pair, weighted
     by a scalar table of coeff * rho_a^La * rho_b^Lb summed per pair, and
     Delta^op is the graded flip of the swapped pair's tower.  Memoised per
-    (rep_a, rep_b, eps, r_max, opposite).
+    (rep_a, rep_b, eps, r_max, opposite); a request reads the first r_max + 1
+    levels of a deeper tower of the same (rep_a, rep_b, eps, opposite) if
+    one is alive, and the word tables are memoised per module.
     """
     # positional, normalised arguments: one cache entry whatever the call form
     return _tower(rep_a, rep_b, (complex(eps[0]), complex(eps[1])), int(r_max), bool(opposite))
 
 
+#: (rep_a, rep_b, eps, opposite) -> the deepest tower :func:`_tower` built, while alive
+_DEEPEST = WeakValueDictionary()
+
+
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int, opposite: bool) -> np.ndarray:
+    levels = len(_levels(r_max))  # a negative depth raises here
+    key = (rep_a, rep_b, eps, opposite)
+    deeper = _DEEPEST.get(key)
+    if deeper is not None and deeper.shape[1] >= levels:
+        return deeper[:, :levels]  # a view of a read-only array is read-only
     if opposite:
         tower = graded_flip(_tower(rep_b, rep_a, eps, r_max, False), rep_a.space, rep_b.space)
     else:
         tower = _direct_tower(rep_a, rep_b, eps, r_max)
     tower.setflags(write=False)
+    _DEEPEST[key] = tower
     return tower
 
 
@@ -381,14 +438,16 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
     omega rescales f_i, h_i by eps_i and k_i by eps_j; at representation
     level the right-hand side is Delta_eps evaluated on omega^{-1}-twisted
     modules times the omega-scale of g itself.  The twisted modules live for
-    this call only, so their tower is built without entering the memo.
+    this call only, so their tower and word tables are built without
+    entering a memo; the left-hand side reads the first r_max + 1 levels of
+    the pair's deepest memoised tower.
     """
     if eps1 == 0 or eps2 == 0:
         raise ValueError("twist parameters must be nonzero")
     scale = _omega_scale(eps1, eps2)
     ta, tb = (_omega_twisted(rep, eps1, eps2, -1) for rep in (rep_a, rep_b))
     factors = np.array([complex(scale[name]) for name in FAMILIES])
-    rhs = _direct_tower(ta, tb, (eps1, eps2), r_max) * factors[:, None, None, None]
+    rhs = _direct_tower(ta, tb, (eps1, eps2), r_max, _word_table) * factors[:, None, None, None]
     return _level_report("omega-twist", tolerance, "omega", FAMILIES,
                          coproduct_tower(rep_a, rep_b, r_max=r_max), rhs)
 
@@ -411,14 +470,15 @@ def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Coefficient k of a product is the sum of x_r y_s over r + s = k, for
     every leading index at once: all coefficient products come from one
-    broadcast ``matmul`` and are summed into z^{-(r+s)} with r ascending,
-    the order of the double loop over r, then s.
+    :func:`.graded.product_table` (one BLAS call per coefficient of ``y``
+    per leading index) and are summed into z^{-(r+s)} with r ascending, the
+    order of the double loop over r, then s.
     """
     count = x.shape[-3]
-    prods = x[..., :, None, :, :] @ y[..., None, :, :, :]
-    out = np.zeros(prods.shape[:-4] + prods.shape[-3:], dtype=np.complex128)
+    table = product_table(x, y)  # [..., s, r] = x_r y_s
+    out = np.zeros(table.shape[:-4] + table.shape[-3:], dtype=np.complex128)
     for r in range(count):
-        out[..., r:, :, :] += prods[..., r, : count - r, :, :]
+        out[..., r:, :, :] += table[..., : count - r, r, :, :]
     return out
 
 
@@ -452,16 +512,14 @@ def currents(ev: EvalRep, order: int) -> dict[str, np.ndarray]:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    out = {}
-    for name, image in zip(FAMILIES, ev.gather(FAMILIES)):
-        coeffs = np.zeros((order + 1, *image.shape), dtype=np.complex128)
-        if name[0] == "h":
-            coeffs[0] = np.eye(len(image))
-        for r in range(1, order + 1):
-            coeffs[r] = ev.rho ** (r - 1) * image
-        coeffs.setflags(write=False)
-        out[name] = coeffs
-    return out
+    x = ev.gather(FAMILIES)
+    powers = np.array([ev.rho ** r for r in range(order)], dtype=np.complex128)
+    coeffs = np.zeros((len(FAMILIES), order + 1, *x.shape[1:]), dtype=np.complex128)
+    # the scalar operand first: numpy can round matrix * scalar differently
+    coeffs[:, 1:] = powers[None, :, None, None] * x[:, None]
+    coeffs[[name[0] == "h" for name in FAMILIES], 0] = np.eye(ev.space.dim)
+    coeffs.setflags(write=False)
+    return dict(zip(FAMILIES, coeffs))
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)
@@ -487,8 +545,8 @@ def current_relations_report(ev: EvalRep, order: int,
 
     (w - z)[a(z), b(w)] is expanded over z^{-r} w^{-s}; the mixed coefficients
     must cancel and the boundary rows reproduce the level brackets.  Every
-    [a_r, b_s} comes from two batched products, and every coefficient's
-    residual from one array operation.  Also checks the k-current tie
+    [a_r, b_s} comes from two product tables (a_r b_s and b_s a_r), and
+    every coefficient's residual from one array operation.  Also checks the k-current tie
     k_i(z) = alpha_i (u^2 h1(z) - u^{-2} h2(z))/z.
     """
     if order < 2:
@@ -496,8 +554,8 @@ def current_relations_report(ev: EvalRep, order: int,
     cur = currents(ev, order)
     x = np.stack([cur[a] for a, _, _, _ in _BRACKETS])
     y = np.stack([cur[b] for _, b, _, _ in _BRACKETS])
-    prod = x[:, :, None] @ y[:, None, :]  # [c, r, s] = a_r b_s
-    swap = y[:, None, :] @ x[:, :, None]  # [c, r, s] = b_s a_r
+    prod = product_table(x, y).swapaxes(1, 2)  # [c, r, s] = a_r b_s
+    swap = product_table(y, x)  # [c, r, s] = b_s a_r
     odd = np.array([a != "h0" for a, _, _, _ in _BRACKETS])
     cross = np.where(odd[:, None, None, None, None], prod + swap, prod - swap)
     sides = np.stack([cur[t] if sign > 0 else -cur[t]
@@ -602,10 +660,12 @@ def yangian_intertwine(labels_a: RepLabels, labels_b: RepLabels, r_max: int = 4,
     The R-matrix depends only on (gamma, nu), so the joint coupling rescale
     that bounds |rho| leaves it untouched.  Modules are values of their labels,
     so the towers of a pair built from these labels before are read.
+    Delta^op R is one tall product with the shared right factor R.
     """
     rep_a, rep_b = scaled_eval_pair(labels_a, labels_b)
     rmat = r_closed(labels_a, labels_b).m
     d = coproduct_tower(rep_a, rep_b, r_max=r_max)
     dop = coproduct_tower(rep_a, rep_b, r_max=r_max, opposite=True)
+    left = product_table(dop.reshape(-1, *rmat.shape), rmat[None])[0].reshape(dop.shape)
     return _level_report("yangian-intertwining", tolerance, "intertwine", FAMILIES,
-                         dop @ rmat, rmat @ d)
+                         left, rmat @ d)

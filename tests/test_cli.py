@@ -79,6 +79,17 @@ def test_emit_usage_errors_exit_2_with_the_message_on_stderr(argv, message, caps
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("angles", [("0", "0", "0"), ("1.5707963267948966",) * 2 + ("0",)],
+                         ids=["zero", "half-pi"])
+def test_emit_degenerate_trig_exits_2_with_the_message(angles, capsys):
+    theta1, theta2, lam = angles
+    with pytest.raises(SystemExit) as exc:
+        main(["emit-r", "--trig", "--theta1", theta1, "--theta2", theta2, "--lambda", lam])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "all six coefficients vanish" in captured.err and not captured.out
+
+
 def test_params_xpm_massless(capsys):
     code, out = run(capsys, "params", "xpm", "--p", "1.0", "--M", "0", "--h", "1.0")
     assert code == 0

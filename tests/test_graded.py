@@ -7,7 +7,7 @@ import pytest
 from sl11kit.algebra import KAC_SPACE
 from sl11kit.graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix,
                             _kron_layout, graded_comm, graded_kron, graded_perm,
-                            identity, kron_arrays, max_abs, unit, zeros)
+                            identity, kron_arrays, max_abs, product_table, unit, zeros)
 
 
 def E(i, j):
@@ -215,3 +215,33 @@ def test_json_round_trip_bit_exact():
     back = SuperMatrix.from_dict(json.loads(blob))
     assert np.array_equal(back.m, sm.m)
     assert back.space_out == sm.space_out and back.space_in == sm.space_in
+
+
+def _blas_build() -> str:
+    """The BLAS numpy was built against, for a failure message."""
+    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    return json.dumps({key: deps.get(key) for key in ("blas", "lapack")})
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("count", [1, 2, 7, 45, 81, 500])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["no-batch", "batch"])
+@pytest.mark.parametrize("gathered", [False, True], ids=["contiguous", "gathered"])
+def test_product_table_is_bitwise_the_per_pair_product(n, count, batch, gathered):
+    """Every entry of the tall-stacked table equals the per-pair ``@`` exactly:
+    the Yangian and relation reports rely on it for bitwise reproducible
+    residuals, so a BLAS build without the property must fail here."""
+    rng = np.random.default_rng(1000 * n + count)
+
+    def draw(k):
+        shape = (*batch, k, n, n)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    left, right = draw(count), draw(5)
+    if gathered:  # every other factor of a larger stack, and column-major factors
+        left = np.concatenate([left, draw(count)], axis=-3)[..., ::2, :, :]
+        right = right.swapaxes(-1, -2).copy().swapaxes(-1, -2)
+        assert not right.flags.c_contiguous
+    table = product_table(left, right)
+    want = left[..., None, :, :, :] @ right[..., :, None, :, :]
+    assert table.shape == (*batch, 5, count, n, n)
+    assert np.array_equal(table, want), f"tall products differ under BLAS {_blas_build()}"

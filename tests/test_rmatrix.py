@@ -129,6 +129,18 @@ def test_trig_rational_limit():
         assert max_abs(r - target) <= 10 * (abs(theta) + abs(lam)) ** 3
 
 
+@pytest.mark.parametrize("angles", [(0.0, 0.0, 0.0), (np.pi / 2, np.pi / 2, 0.0)],
+                         ids=["zero", "half-pi"])
+def test_trig_degenerate_angles_raise_as_closed_does(angles):
+    """All six trigonometric coefficients vanish here: the zero matrix is no
+    R-matrix, so r_trig refuses it with r_closed's error."""
+    with pytest.raises(ValueError, match="all six coefficients vanish"):
+        r_trig(*angles)
+    # the unitarity identity still holds there, with both sides (nearly) zero
+    res, scalar = unitarity_check(*angles)
+    assert res < 1e-30 and abs(scalar) < 1e-15
+
+
 def test_trig_matches_closed_up_to_2i():
     t1, t2, lm = 0.7, -0.35, 0.22
     gp = 0.9 + 0.4j

@@ -695,3 +695,51 @@ def test_level_zero_brackets_are_the_first_relation_cases():
         assert [c.identity for c in relations] == [
             "[e1,f1]-h1", "[e2,f2]-h2", "[e1,f2]-k1", "[e2,f1]-k2",
             "[h0,e1]-e1", "[h0,e2]-e2", "[h0,f1]+f1", "[h0,f2]+f2"]
+
+
+def _counting(monkeypatch, name):
+    """Replace ``yangian.<name>`` by a wrapper that records its calls."""
+    calls, target = [], getattr(yangian, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return target(*args, **kwargs)
+    monkeypatch.setattr(yangian, name, counted)
+    return calls
+
+
+def test_one_suite_sample_builds_three_towers_and_four_word_tables(monkeypatch):
+    """Delta(a, b) and Delta(b, a) at the suite depth and the omega-twisted
+    pair's tower are built; omega's shallower Delta(a, b) reads the first
+    levels of the deeper one, and each of the four modules has its word
+    table formed once for both tower sides."""
+    builds = _counting(monkeypatch, "_direct_tower")
+    tables = _counting(monkeypatch, "word_stack")
+    suites.suite_yangian(samples=1, seed=8675309)  # fresh labels: no memo holds them
+    assert len(builds) == 3
+    assert [args[3] for args in builds] == [4, 4, 3]
+    assert len(tables) == 4
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_shallower_tower_reads_the_deeper_one(seed, monkeypatch):
+    la, lb, eps1, eps2 = suite_draw(seed)
+    eva, evb = scaled_eval_pair(la, lb)
+    _tower.cache_clear()
+    for eps in ((1.0, 1.0), (eps1, eps2)):
+        for opposite in (False, True):
+            deep = coproduct_tower(eva, evb, eps, 6, opposite)
+            builds = _counting(monkeypatch, "_direct_tower")
+            shallow = [coproduct_tower(eva, evb, eps, r, opposite) for r in range(7)]
+            monkeypatch.undo()
+            assert not builds
+            for r, tower in enumerate(shallow):
+                if opposite:
+                    fresh = graded_flip(yangian._direct_tower(evb, eva, eps, r),
+                                        eva.space, evb.space)
+                else:
+                    fresh = yangian._direct_tower(eva, evb, eps, r)
+                assert tower.shape == fresh.shape and np.array_equal(tower, fresh), r
+                assert np.shares_memory(tower, deep) and not tower.flags.writeable
+                with pytest.raises(ValueError):
+                    tower[0, 0, 0, 0] = 1.0
