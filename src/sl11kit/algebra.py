@@ -4,9 +4,10 @@ Representations are stored as :class:`GeneratorImage`: the images of the
 generators (e1, e2, f1, f2, h0, h1, h2, k1, k2, u+, u-) on a common graded
 space as one read-only ``(G, n, n)`` array with a parity vector, together with the
 central-extension couplings (alpha1, alpha2) that tie k_i to
-alpha_i (u^2 - u^{-2}).  The module builders fill the stack from the
-labels, and the relation checkers read it through gathered batched
-products; a SuperMatrix is made only when an image is asked for by name.
+alpha_i (u^2 - u^{-2}).  The module builders fill the stack from the labels,
+in their scalar type (:func:`label_scalar` decides it), and the relation
+checkers read it through gathered batched products; a SuperMatrix is made
+only when an image is asked for by name.
 
 The algebra carries a two-parameter family of u-deformed coproducts; at
 representation level these are assembled with the Koszul-signed tensor
@@ -25,7 +26,7 @@ import numpy as np
 
 from .coproduct import (TABLES, CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
                         coproduct_stack, memoised_by_labels, spell, word_stack)
-from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, max_abs, product_table
+from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, as_entries, max_abs, product_table
 from .report import Report, c2j, residual_report
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
@@ -39,10 +40,10 @@ KAC_SPACE = GradedSpace(4, (EVEN, ODD, ODD, EVEN))
 #: pattern times one scalar: e_i lower w1 -> w0, f_i raise w0 -> w1, h0 is
 #: diag(-2, -1) and the central elements are multiples of the identity.
 #: The deformed atypical module reuses the rows of e, f and the identity.
-_LOWER = np.array([[0, 0], [1, 0]], dtype=np.complex128)
-_ONE = np.eye(2, dtype=np.complex128)
-ATYPICAL_PATTERNS = np.stack([_LOWER, _LOWER, _LOWER.T, _LOWER.T, np.diag([-2.0, -1.0]),
-                              *[_ONE] * 6])
+#: The patterns are exact integers, so a stack takes the type of its values.
+_LOWER = np.array([[0, 0], [1, 0]])
+ATYPICAL_PATTERNS = np.stack([_LOWER, _LOWER, _LOWER.T, _LOWER.T, np.diag([-2, -1]),
+                              *[np.eye(2, dtype=int)] * 6])
 
 
 #: The defining brackets (a, b, t, sign): [a, b} = sign t, an anticommutator
@@ -67,6 +68,12 @@ class SingletPreconditionError(ValueError):
     """The requested pair of label sets does not admit a singlet."""
 
 
+def label_scalar(value):
+    """A label as stored: a Python or numpy number as a Python ``complex``, any other
+    scalar (``mpmath``, ``sympy``) as given.  The one place the scalar type is decided."""
+    return complex(value) if isinstance(value, (int, float, complex, np.number)) else value
+
+
 @dataclass(frozen=True)
 class RepLabels:
     """Atypical representation labels (gamma, nu, alpha1, alpha2).
@@ -75,7 +82,7 @@ class RepLabels:
     lambda1 = gamma^2 mu2, lambda2 = gamma^{-2} mu1, so the shortening
     constraint lambda1 lambda2 = mu1 mu2 holds identically.  ``gamma`` is
     stored directly; which square root of gamma^2 to use is the caller's
-    choice.
+    choice.  Each field is stored as :func:`label_scalar` gives it.
     """
 
     gamma: complex
@@ -85,7 +92,7 @@ class RepLabels:
 
     def __post_init__(self):
         for name in ("gamma", "nu", "alpha1", "alpha2"):
-            val = complex(getattr(self, name))
+            val = label_scalar(getattr(self, name))
             if val == 0:
                 raise ValueError(f"{name} must be nonzero")
             object.__setattr__(self, name, val)
@@ -125,8 +132,8 @@ def default_alpha(h: complex) -> tuple[complex, complex]:
 class GeneratorImage:
     """A representation: the images of ``names`` on a common graded space.
 
-    ``stack`` is one read-only ``(G, n, n)`` array in ``names`` order (the
-    array given is frozen in place) and ``parity`` the images' declared
+    ``stack`` is one read-only ``(G, n, n)`` array in ``names`` order, of the dtype
+    given (the array is frozen in place), and ``parity`` the images' declared
     parities (``None``: undeclared).  :meth:`from_images` builds a module
     from a name -> SuperMatrix mapping.  ``rep[name]`` and :attr:`images`
     give SuperMatrix views made on access; :meth:`gather` gives arrays.
@@ -142,7 +149,7 @@ class GeneratorImage:
 
     def __post_init__(self):
         names, parity = tuple(self.names), tuple(self.parity)
-        stack = np.asarray(self.stack, dtype=np.complex128)
+        stack = np.asarray(self.stack)
         if (stack.shape != (len(names), self.space.dim, self.space.dim)
                 or len(parity) != len(names)):
             raise ValueError("image stack does not match its names and carrier space")
@@ -201,10 +208,7 @@ class GeneratorImage:
     def from_dict(d: dict) -> "GeneratorImage":
         space = GradedSpace(int(d["space"]["dim"]), tuple(d["space"]["parity"]))
         imgs = {name: SuperMatrix.from_dict(md) for name, md in d["generators"].items()}
-        alpha = None
-        if "alpha" in d:
-            a1, a2 = d["alpha"]
-            alpha = (complex(*a1), complex(*a2))
+        alpha = tuple(complex(*a) for a in d["alpha"]) if "alpha" in d else None
         q = complex(*d["q"]) if "q" in d else None
         return GeneratorImage.from_images(space, imgs, alpha, q, d.get("kind", "classical"))
 
@@ -263,7 +267,7 @@ def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float 
     """Report of m(S x id)Delta(g) = eps(g) 1 on every generator of ``table``, in one module."""
     names = [f"antipode:{name}" for name in table.names]
     sources = [src for src, _ in table.antipode.values()]
-    signs = np.array([coeff for _, coeff in table.antipode.values()], dtype=float)[:, None, None]
+    signs = np.array([coeff for _, coeff in table.antipode.values()])[:, None, None]
     # S reverses products, S(x y) = S(y) S(x): the left words, reversed
     reversed_words = spell(table.names, [word[::-1] for word in table.words])
 
@@ -300,7 +304,7 @@ def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> Generato
     except KeyError:
         raise KeyError(f"unknown twist {name!r}; choose from {sorted(rows)}") from None
     sources = [src for src, _ in table.values()]
-    coeffs = np.array([coeff for _, coeff in table.values()], dtype=float)
+    coeffs = np.array([coeff for _, coeff in table.values()])
     alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
     return GeneratorImage(rep.space, tuple(table), rep.gather(sources) * coeffs[:, None, None],
                           [rep.parity[rep._index[src]] for src in sources], alpha, rep.q, rep.kind)
@@ -316,13 +320,13 @@ def atypical_rep(labels: RepLabels) -> GeneratorImage:
     w1 is even and w0 odd; e_i lower w1 -> w0, f_i raise w0 -> w1, and the
     central elements act by the scalars lambda_i, mu_i, nu^{+-1}.  When
     nu^4 = 1 the representation is degenerate (``labels.degenerate``): the
-    f images and all weights vanish.  Memoised: equal labels give one
-    module object.
+    f images and all weights vanish.  The stack has the scalar type of the
+    labels.  Memoised: equal labels give one module object.
     """
     g, nu, mu1, mu2 = labels.gamma, labels.nu, labels.mu1, labels.mu2
     values = (g, 1 / g, g * mu2, (1 / g) * mu1, 1, labels.lambda1, labels.lambda2,
               mu1, mu2, nu, 1 / nu)
-    stack = ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
+    stack = ATYPICAL_PATTERNS * as_entries(values)[:, None, None]
     return GeneratorImage(C11, CLASSICAL_NAMES, stack, _PARITY, labels.alpha)
 
 
@@ -339,8 +343,8 @@ def on_shortening_locus(x: complex, y: complex, rel_tol: float) -> bool:
 #: Entry patterns of the 4-dim images on basis (v0, v1, v2, v21): the odd
 #: images (zero here) are written in by :func:`kac_images`, h0 is
 #: diag(0, -1, -1, -2), and the central elements are multiples of the identity.
-KAC_PATTERNS = np.stack([*[np.zeros((4, 4))] * 4, np.diag([0.0, -1.0, -1.0, -2.0]),
-                         *[np.eye(4)] * 6]).astype(np.complex128)
+KAC_PATTERNS = np.stack([*[np.zeros((4, 4), dtype=int)] * 4, np.diag([0, -1, -1, -2]),
+                         *[np.eye(4, dtype=int)] * 6])
 
 
 def kac_images(patterns: np.ndarray, values, lam1: complex, lam2: complex, mu1: complex,
@@ -350,14 +354,14 @@ def kac_images(patterns: np.ndarray, values, lam1: complex, lam2: complex, mu1: 
 
     f1.v0 = v1, f2.v0 = v2, f2.v1 = -f1.v2 = v21; e_i brackets with f_i to
     the weight lam_i and with the other f to the central charge mu_i.  The
-    deformed module passes q-brackets and coupled q-brackets.
+    deformed module passes q-brackets and coupled q-brackets (typed by :func:`as_entries`).
     """
-    stack = patterns * np.array(values, dtype=np.complex128)[:, None, None]
+    stack = patterns * as_entries(values)[:, None, None]
     rows, cols = [0, 0, 1, 2], [1, 2, 3, 3]
     stack[0, rows, cols] = lam1, mu1, mu1, -lam1
     stack[1, rows, cols] = mu2, lam2, lam2, -mu2
-    stack[2, [1, 3], [0, 2]] = 1.0, -1.0
-    stack[3, [2, 3], [0, 1]] = 1.0, 1.0
+    stack[2, [1, 3], [0, 2]] = 1, -1
+    stack[3, [2, 3], [0, 1]] = 1, 1
     return stack
 
 
@@ -632,8 +636,7 @@ def gl2_twist(a: np.ndarray, b: np.ndarray, rep: GeneratorImage) -> GeneratorIma
     its (scalar) k images when possible, so the constraint checks remain
     meaningful.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = (np.asarray(m, dtype=complex) for m in (a, b))
     if abs(np.linalg.det(a)) < 1e-14 or abs(np.linalg.det(b)) < 1e-14:
         raise ValueError("twist matrices must be invertible")
     x = np.array(rep.gather(CLASSICAL_NAMES))

@@ -65,9 +65,8 @@ def _write(payload: str, path: str | None) -> None:
 
 def _matrix_csv(rm: rmatrix.RMatrix) -> str:
     lines = ["row,col,re,im"]
-    for i in range(rm.m.shape[0]):
-        for j in range(rm.m.shape[1]):
-            z = rm.m[i, j]
+    for i, row in enumerate(rm.m):
+        for j, z in enumerate(row):
             lines.append(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}")
     return "\n".join(lines) + "\n"
 
@@ -91,10 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--theta1", type=float)
     emit.add_argument("--theta2", type=float)
     emit.add_argument("--lambda", dest="lam", type=float)
-    emit.add_argument("--gamma", type=_complex)
-    emit.add_argument("--nu", type=_complex)
-    emit.add_argument("--gamma2", type=_complex)
-    emit.add_argument("--nu2", type=_complex)
+    for flag in ("--gamma", "--nu", "--gamma2", "--nu2"):
+        emit.add_argument(flag, type=_complex)
     emit.add_argument("--coupling", type=_complex,
                       help="h in the convention alpha1 = -alpha2 = -h/2 (default 1)")
     emit.add_argument("--q", type=_complex)
@@ -140,10 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
     xpm.add_argument("--output", "-o")
     xpm.set_defaults(usage_error=xpm.error)
     qx = psub.add_parser("qx", help="deformed (x+, xi, delta, q) to labels")
-    qx.add_argument("--xplus", type=_complex, required=True)
-    qx.add_argument("--xi", type=_complex, required=True)
-    qx.add_argument("--delta", type=_complex, required=True)
-    qx.add_argument("--q", type=_complex, required=True)
+    for flag in ("--xplus", "--xi", "--delta", "--q"):
+        qx.add_argument(flag, type=_complex, required=True)
     qx.add_argument("--minus-branch", choices=("near-inverse", "near-same"),
                     default="near-inverse")
     qx.add_argument("--output", "-o")

@@ -1,28 +1,20 @@
 """Coproduct tables, evaluated on a representation pair as one stacked array.
 
-A :class:`CoproductTable` lists, for every generator g, the terms
-``(coeff, left word, right word)`` of Delta(g).  A word is a tuple of
-generator names, read as the matrix product of their images in one
-representation; the empty word is the identity.  :func:`spell` writes words
-as index rows padded with the identity, and :func:`word_stack` takes all
-their products on an image stack at once.
-
-:func:`coproduct_stack` evaluates a whole table on a pair of
-representations.  It takes one broadcast graded Kronecker product per term
-position, over all generators at once, and returns a read-only ``(G, n, n)``
-array whose g-th slice is Delta(g).  The opposite coproduct is the
-swapped-pair stack conjugated by the graded permutation, which supplies all
-Koszul signs.  :func:`coassociativity_stacks` gives both sides of
-coassociativity on a triple.  The table also carries the antipode and the
-counit.
+A :class:`CoproductTable` lists the terms ``(coeff, left word, right word)``
+of Delta(g) for every generator g, with the antipode and the counit; a word
+is read as the matrix product of its letters' images (:func:`word_stack`).
+:func:`coproduct_stack` evaluates a whole table on a pair of modules as one
+read-only ``(G, n, n)`` array, Delta^op as the swapped pair's stack
+conjugated by the graded permutation, and :func:`coassociativity_stacks`
+gives both sides of coassociativity on a triple.  Stacks keep the modules'
+scalar type: the coefficients, signs and permutations are integers.
 
 Representations are immutable and hash by identity, so stacks are memoised
-per (table, rep_a, rep_b, opposite), and the table's word products per
-(table, rep), in bounded LRU caches.  Modules are values of their labels:
-the builders are memoised (:func:`memoised_by_labels`), so equal labels give
-one object and these memos hit wherever a module is rebuilt from its labels.
-The caches hold strong references to their keys, so an object id is never
-reused while its entry is live.
+per (table, rep_a, rep_b, opposite), and word products per (table, rep), in
+bounded LRU caches holding strong references to their keys (an object id is
+never reused while its entry is live).  Builders memoised by their labels
+(:func:`memoised_by_labels`) give one object for equal double labels, so
+these memos hit wherever a module is rebuilt from its labels.
 """
 from __future__ import annotations
 
@@ -41,13 +33,17 @@ STACK_CACHE_SIZE = 32
 def memoised_by_labels(build):
     """``build(labels, *options)`` in an LRU cache keyed by the arguments and the exact
     bits of every complex among them and the labels' fields: ``==`` takes -0.0 for 0.0,
-    but a zero's sign reaches the module's data.  ``__wrapped__`` does not cache."""
+    but a zero's sign reaches the module's data.  Labels with any other field type are
+    built on every call (equal ``mpmath`` values of two precisions hash equal).
+    ``__wrapped__`` does not cache."""
     @lru_cache(maxsize=STACK_CACHE_SIZE)
     def cached(bits, labels, *options):
         return build(labels, *options)
 
     @wraps(build)
     def memo(labels, *options):
+        if not {complex, str}.issuperset(map(type, vars(labels).values())):
+            return build(labels, *options)
         parts = [v for v in (*vars(labels).values(), *options) if isinstance(v, complex)]
         return cached(np.array(parts, dtype=np.complex128).tobytes(), labels, *options)
     return memo
@@ -84,8 +80,7 @@ class CoproductTable:
         # words: (coefficients shaped to broadcast over the Kronecker block,
         # indices of the left words and of the right words in ``words``).
         self.columns = tuple(
-            (np.array([row[k][0] for row in padded],
-                      dtype=np.complex128).reshape(-1, 1, 1),
+            (np.array([row[k][0] for row in padded]).reshape(-1, 1, 1),
              np.array([slot[row[k][1]] for row in padded]),
              np.array([slot[row[k][2]] for row in padded]))
             for k in range(width))
@@ -121,10 +116,10 @@ def word_stack(stack: np.ndarray, spelled: np.ndarray) -> np.ndarray:
     """``(W, n, n)`` products of spelled words on a ``(G, n, n)`` image stack.
 
     Each word is multiplied left to right, one batched gather per letter
-    position; index G is the identity, and a product by an identity is
-    exact, so every entry equals the word's plain product.
+    position; index G is the identity (of the stack's dtype), and a product
+    by an identity is exact, so every entry equals the word's plain product.
     """
-    images = np.concatenate([stack, np.eye(stack.shape[-1], dtype=np.complex128)[None]])
+    images = np.concatenate([stack, np.eye(stack.shape[-1], dtype=stack.dtype)[None]])
     words = images[spelled[:, 0]]
     for column in spelled.T[1:]:
         words = words @ images[column]
@@ -174,11 +169,8 @@ def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray
     ``words_a`` on ``space_a`` and ``words_b`` on ``space_b``.  One broadcast
     graded Kronecker product per column; columns are summed in order.
     """
-    stack = 0
-    for coeff, left, right in columns:
-        stack = stack + coeff * kron_arrays(words_a[left], words_b[right],
-                                            space_a, space_a, space_b, space_b)
-    return stack
+    return sum(coeff * kron_arrays(words_a[left], words_b[right], space_a, space_a,
+                                   space_b, space_b) for coeff, left, right in columns)
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)

@@ -1,7 +1,7 @@
-"""Z2-graded linear algebra over dense complex matrices.
+"""Z2-graded linear algebra over dense matrices.
 
 A :class:`GradedSpace` assigns a parity bit to every basis vector; a
-:class:`SuperMatrix` is a dense complex matrix between two graded spaces.
+:class:`SuperMatrix` is a dense matrix between two graded spaces.
 The graded tensor product :func:`graded_kron` inserts Koszul signs so that
 ordinary multiplication of the flattened matrices reproduces the product
 rule of graded operators,
@@ -14,7 +14,7 @@ for homogeneous factors.  The sign convention is fixed once, entrywise:
 
 where p(i), p(j) are the row/column parities of the A factor and p(k) is
 the row parity of the B factor.  Every other module builds on this choice;
-do not mix flattenings.
+do not mix flattenings.  Signs and permutations are exact integers.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -60,12 +60,19 @@ class GradedSpace:
 C11 = GradedSpace(2, (EVEN, ODD))
 
 
+def as_entries(m) -> np.ndarray:
+    """``m`` as a new array, complex128 if numeric and as given if of objects (``mpmath``)."""
+    arr = np.array(m)
+    return arr if arr.dtype == object else arr.astype(np.complex128, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class SuperMatrix:
-    """Dense complex matrix between graded spaces, optionally of declared parity.
+    """Dense matrix between graded spaces, optionally of declared parity.
 
-    ``parity`` is the Z2-degree of the operator when homogeneous; ``None``
-    means undeclared (it can still be inferred from the entry pattern).
+    Entries are stored as :func:`as_entries` gives them.  ``parity``
+    is the Z2-degree of the operator when homogeneous; ``None`` means undeclared
+    (it can still be inferred from the entry pattern).
     """
 
     space_out: GradedSpace
@@ -74,7 +81,7 @@ class SuperMatrix:
     parity: int | None = None
 
     def __post_init__(self):
-        arr = np.array(self.m, dtype=np.complex128)
+        arr = as_entries(self.m)
         if arr.shape != (self.space_out.dim, self.space_in.dim):
             raise ValueError(f"entry block {arr.shape} does not match spaces "
                              f"({self.space_out.dim}, {self.space_in.dim})")
@@ -105,7 +112,7 @@ class SuperMatrix:
         return SuperMatrix(self.space_out, self.space_in, -self.m, self.parity)
 
     def __mul__(self, scalar) -> "SuperMatrix":
-        return SuperMatrix(self.space_out, self.space_in, self.m * complex(scalar), self.parity)
+        return SuperMatrix(self.space_out, self.space_in, self.m * scalar, self.parity)
 
     __rmul__ = __mul__
 
@@ -186,7 +193,7 @@ def _kron_layout(space_out_a: GradedSpace, space_in_a: GradedSpace,
     po_b = space_out_b.parity_array
     expo = po_b[None, :, None, None] * (po_a[:, None, None, None]
                                         + pi_a[None, None, :, None])
-    sign = np.where(expo % 2 == 0, 1.0, -1.0)
+    sign = np.where(expo % 2 == 0, 1, -1)
     sign.setflags(write=False)
     return space_out_a.tensor(space_out_b), space_in_a.tensor(space_in_b), sign
 
@@ -249,19 +256,23 @@ def graded_perm(v: GradedSpace, w: GradedSpace) -> SuperMatrix:
     The two spaces may differ in dimension.  Cached per space pair; the
     returned matrix is shared and read-only.
     """
-    out = w.tensor(v)
-    inn = v.tensor(w)
-    m = np.zeros((out.dim, inn.dim), dtype=np.complex128)
+    return SuperMatrix(w.tensor(v), v.tensor(w), _perm_entries(v, w), EVEN)
+
+
+@cache
+def _perm_entries(v: GradedSpace, w: GradedSpace) -> np.ndarray:
+    """Read-only integer entries of :func:`graded_perm`."""
+    m = np.zeros((w.dim * v.dim, v.dim * w.dim), dtype=int)
     for c in range(v.dim):
         for d in range(w.dim):
-            sign = -1.0 if v.parity[c] * w.parity[d] else 1.0
-            m[d * v.dim + c, c * w.dim + d] = sign
-    return SuperMatrix(out, inn, m, EVEN)
+            m[d * v.dim + c, c * w.dim + d] = -1 if v.parity[c] * w.parity[d] else 1
+    m.setflags(write=False)
+    return m
 
 
 def graded_flip(x: np.ndarray, v: GradedSpace, w: GradedSpace) -> np.ndarray:
     """An operator on w (x) v, or a stack of them, carried to v (x) w by graded permutations."""
-    return graded_perm(w, v).m @ x @ graded_perm(v, w).m
+    return _perm_entries(w, v) @ x @ _perm_entries(v, w)
 
 
 def graded_comm(a: SuperMatrix, b: SuperMatrix,

@@ -27,10 +27,10 @@ from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusW
                       DegenerateFusionError, GeneratorImage, _require_singlet,
                       bracket_layout, coassociativity_checker, cocommutativity_checker,
                       counit_antipode_checker, fusion_report, graded_brackets, kac_images,
-                      on_shortening_locus, singlet_lines, twist)
+                      label_scalar, on_shortening_locus, singlet_lines, twist)
 from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
                         memoised_by_labels, spell, word_stack)
-from .graded import C11, EVEN, ODD, SuperMatrix
+from .graded import C11, EVEN, ODD, SuperMatrix, as_entries
 from .report import Report, c2j, residual_report
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
@@ -44,10 +44,16 @@ class RootOfUnityError(ValueError):
 
 
 def reject_root_of_unity(q: complex) -> None:
-    """Raise :class:`RootOfUnityError` when q^k is within 1e-9 of 1 for some k <= 48."""
-    q = complex(q)
+    """Raise :class:`RootOfUnityError` when q^k is within 1e-9 of 1 for some k <= 48,
+    in double precision; |q^k - 1| >= ||q| - 1|, so only q near |q| = 1 can be."""
+    try:
+        q = complex(q)
+    except TypeError as err:
+        raise TypeError(f"cannot decide whether q = {q} is a root of unity: {err}") from err
     if q == 0:
         raise RootOfUnityError("q must be nonzero")
+    if abs(abs(q) - 1) > 1e-6:
+        return
     power = 1.0 + 0.0j
     for _ in range(48):
         power *= q
@@ -62,10 +68,10 @@ def qbracket(x: complex, q: complex) -> complex:
 
 def qbracket_of_power(qx: complex, q: complex) -> complex:
     """[x]_q given the precomputed power qx = q^x (branch-free companion)."""
-    q = complex(q)
+    q = label_scalar(q)
     if abs(q - 1) < 1e-14 or abs(q + 1) < 1e-14:
         raise ValueError("qbracket undefined at q = +-1")
-    qx = complex(qx)
+    qx = label_scalar(qx)
     return (qx - 1 / qx) / (q - 1 / q)
 
 
@@ -75,7 +81,7 @@ class QRepLabels:
 
     Construction validates that q is not a root of unity, that the deformed
     shortening constraint [l1][l2] = a1 a2 [m1][m2] holds, and that gamma^2
-    matches both of its defining ratios.
+    matches both of its defining ratios.  Fields are stored as ``label_scalar`` gives them.
     """
 
     gamma: complex
@@ -89,7 +95,7 @@ class QRepLabels:
 
     def __post_init__(self):
         for name in ("gamma", "nu", "q", "qlam1", "qlam2", "alpha1", "alpha2"):
-            val = complex(getattr(self, name))
+            val = label_scalar(getattr(self, name))
             if val == 0:
                 raise ValueError(f"{name} must be nonzero")
             object.__setattr__(self, name, val)
@@ -227,14 +233,14 @@ def q_atypical_rep(labels: QRepLabels) -> GeneratorImage:
 
     K0^{+-} acts as diag(q^{-+2}, q^{-+1}); this is the diagonal consistent
     with invertibility and with the 4-dim weights, and it satisfies
-    K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.  Memoised:
-    equal labels give one module object.
+    K0^+ E_i K0^- = q E_i and K0^- F_i K0^+ = q F_i exactly.  The stack has
+    the scalar type of the labels.  Memoised: equal labels give one module object.
     """
     g, nu, q = labels.gamma, labels.nu, labels.q
     qlam1, qlam2, qmu1, qmu2 = labels.qlam1, labels.qlam2, labels.qmu1, labels.qmu2
     values = (g, 1 / g, labels.alpha2 * g * labels.br_mu2, labels.alpha1 * (1 / g) * labels.br_mu1,
               0, 0, qlam1, 1 / qlam1, qlam2, 1 / qlam2, qmu1, 1 / qmu1, qmu2, 1 / qmu2, nu, 1 / nu)
-    stack = _Q_ATYPICAL_PATTERNS * np.array(values, dtype=np.complex128)[:, None, None]
+    stack = _Q_ATYPICAL_PATTERNS * as_entries(values)[:, None, None]
     stack[4, [0, 1], [0, 1]] = q**-2, q**-1
     stack[5, [0, 1], [0, 1]] = q**2, q
     return GeneratorImage(C11, Q_NAMES, stack, _Q_PARITY, labels.alpha, q, "q")
@@ -272,8 +278,8 @@ def _q_typical(qlam1, qlam2, nu, qmu1, qmu2, q, alpha, brackets) -> GeneratorIma
               qmu1, 1 / qmu1, qmu2, 1 / qmu2, nu, 1 / nu)
     stack = kac_images(_Q_KAC_PATTERNS, values, *brackets)
     diagonal = [0, 1, 2, 3]
-    stack[4, diagonal, diagonal] = 1.0, q**-1, q**-1, q**-2
-    stack[5, diagonal, diagonal] = 1.0, q, q, q**2
+    stack[4, diagonal, diagonal] = 1, q**-1, q**-1, q**-2
+    stack[5, diagonal, diagonal] = 1, q, q, q**2
     return GeneratorImage(KAC_SPACE, Q_NAMES, stack, _Q_PARITY, alpha, q, "q")
 
 

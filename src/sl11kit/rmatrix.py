@@ -5,15 +5,11 @@ independent solver that extracts the intertwiner from the SVD nullspace of
 the stacked intertwining system, Yang-Baxter and unitarity checkers, and
 the grading-conjugated variants for flipped modules.
 
-The solver and :func:`intertwining_report` read the memoised coproduct
-stacks of the pair on the table of the modules' kind, so they serve the
-undeformed, deformed and affine modules alike.  The system has one
-row block kron(Delta_op(g), 1) - kron(1, Delta(g)^T) per generator g of the
-first module, the two terms added for all g at once onto zeros.  The system
-is reduced to its n^2 x n^2 R factor, whose SVD yields the n^2 singular
-values and right singular vectors; the system's left factor is never formed.
-LAPACK's divide-and-conquer SVD of a matrix this tall takes the same QR step
-first, so the results are bitwise those of the SVD of the whole system.
+The solver (its system is described at :func:`solve_intertwiner`) and
+:func:`intertwining_report` read the memoised coproduct stacks of the pair on
+the table of the modules' kind, so they serve the undeformed, deformed and
+affine modules alike.  The closed forms and the intertwining residuals follow
+the labels' scalar type (``mpmath``, ``sympy``); the solver is double only.
 
 Conventions, fixed once:
 
@@ -39,14 +35,14 @@ from .report import Report, c2j, residual_report
 _T2 = C11.tensor(C11)
 
 
-def _slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int], complex]:
-    """Position and value of the single entry of graded_kron(E_ab, E_cd)."""
+def _slot(a: int, b: int, c: int, d: int) -> tuple[tuple[int, int], int]:
+    """Position and value (+-1) of the single entry of graded_kron(E_ab, E_cd)."""
     m = graded_kron(unit(C11, C11, a, b), unit(C11, C11, c, d)).m
     pos = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(m)), m.shape))
-    return pos, m[pos]
+    return pos, int(m[pos].real)
 
 
-#: The six admissible slots: the one entry of each graded-Kronecker flattening.
+#: The six admissible slots: the one entry (+-1) of each graded-Kronecker flattening.
 _SLOTS = {
     "11,11": _slot(0, 0, 0, 0),
     "11,22": _slot(0, 0, 1, 1),
@@ -104,10 +100,10 @@ class RMatrix:
 
 def _assemble(coeffs: dict[str, complex]) -> SuperMatrix:
     # += onto zeros leaves every zero entry +0.0; assigning c * -1 could store -0.0
-    m = np.zeros((4, 4), dtype=complex)
+    m = np.zeros((4, 4), dtype=np.array(list(coeffs.values())).dtype)
     for slot, c in coeffs.items():
         pos, value = _SLOTS[slot]
-        m[pos] += complex(c) * value
+        m[pos] += c * value
     return SuperMatrix(_T2, _T2, m, EVEN)
 
 
@@ -123,15 +119,20 @@ def slot_coefficients(r) -> dict[str, complex]:
 def _require_coefficients(coeffs: dict, what: str):
     """Raise ``ValueError`` when all six coefficients are below 1e-14: the
     closed form is then the zero matrix, which intertwines nothing."""
-    if max(abs(c) for c in coeffs.values()) < 1e-14:
+    try:
+        vanish = max(abs(c) for c in coeffs.values()) < 1e-14
+    except TypeError:  # symbolic coefficients, which no comparison sizes
+        vanish = all(c == 0 for c in coeffs.values())
+    if vanish:
         raise ValueError(f"all six coefficients vanish: degenerate {what}")
 
 
 def r_closed(labels_a: RepLabels, labels_b: RepLabels) -> RMatrix:
     """Rational closed form of the intertwiner for two atypical modules: the
     deformed coefficients :func:`rq_from_powers` at unit weight powers."""
-    coeffs = rq_from_powers(labels_a.gamma, labels_a.nu, 1, 1,
-                            labels_b.gamma, labels_b.nu, 1, 1)
+    one = labels_a.gamma ** 0  # a unit of the labels' scalar type: exact for sympy
+    coeffs = rq_from_powers(labels_a.gamma, labels_a.nu, one, one,
+                            labels_b.gamma, labels_b.nu, one, one)
     _require_coefficients(coeffs, "label pair")
     return RMatrix(_assemble(coeffs), "closed", labels_a, labels_b,
                    normalization=coeffs["11,11"])
@@ -228,7 +229,12 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage):
 
     Returns (null vectors as n x n blocks, singular values).  A direction is
     declared null when its singular value is below 1e-8 times the largest one.
+    A stack other than complex128 (``mpmath``, ``sympy``) raises ``TypeError``.
     """
+    for rep in (rep_a, rep_b):
+        if rep.stack.dtype != np.complex128:
+            raise TypeError(f"the SVD solver runs LAPACK in complex128, not on dtype "
+                            f"{rep.stack.dtype}; use the closed forms r_closed, rq_closed")
     dim = rep_a.space.dim * rep_b.space.dim
     dop, d = _coproduct_stacks(rep_a, rep_b)
     diag = np.arange(dim)

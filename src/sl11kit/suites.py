@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def _label_params(tag, lab) -> dict:
 def suite_ybe(samples: int = 100, seed: int = 0, tolerance: float = 1e-10,
               deformed_tolerance: float = 1e-9, offshell: bool = False) -> Report:
     """Yang-Baxter residuals over random undeformed and deformed triples."""
-    rpt = Report("ybe", tolerance,
-                 meta={"seed": seed, "samples": samples})
+    rpt = Report("ybe", tolerance, meta={"seed": seed, "samples": samples})
     for k, rng in enumerate(_child_rngs(seed, samples)):
         alpha = draw_alpha(rng)
         triple = [draw_labels(rng, alpha, offshell) for _ in range(3)]
@@ -91,17 +91,16 @@ def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Re
     """Hopf-structure and module-theory checks, undeformed and deformed."""
     rpt = Report("hopf", tolerance, meta={"seed": seed, "samples": samples})
     for k, rng in enumerate(_child_rngs(seed, samples)):
+        merge = partial(rpt.merge, prefix=f"[{k}]")
         alpha = draw_alpha(rng)
         labs = [draw_labels(rng, alpha) for _ in range(3)]
         reps = [algebra.atypical_rep(lab) for lab in labs]
-        rpt.merge(algebra.coassociativity_report(*reps), prefix=f"[{k}]")
-        rpt.merge(algebra.counit_antipode_report(reps[0], 1e-12), prefix=f"[{k}]")
-        rpt.merge(algebra.cocommutativity_report(reps[0], reps[1], 1e-12),
-                  prefix=f"[{k}]")
-        rpt.merge(algebra.check_relations(reps[0], 1e-12), prefix=f"[{k}]")
+        merge(algebra.coassociativity_report(*reps))
+        merge(algebra.counit_antipode_report(reps[0], 1e-12))
+        merge(algebra.cocommutativity_report(reps[0], reps[1], 1e-12))
+        merge(algebra.check_relations(reps[0], 1e-12))
         try:
-            fusion = algebra.fuse_check(labs[0], labs[1])
-            rpt.merge(fusion.report, prefix=f"[{k}]")
+            merge(algebra.fuse_check(labs[0], labs[1]).report)
         except algebra.DegenerateFusionError as err:
             rpt.skip(f"[{k}]fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
@@ -112,17 +111,13 @@ def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Re
         qalpha = draw_alpha(rng)
         qlabs = [draw_qlabels(rng, q, qalpha) for _ in range(3)]
         qreps = [qalgebra.q_atypical_rep(lab) for lab in qlabs]
-        rpt.merge(qalgebra.q_coassociativity_report(*qreps), prefix=f"[{k}]")
-        rpt.merge(qalgebra.q_counit_antipode_report(qreps[0]), prefix=f"[{k}]")
-        rpt.merge(qalgebra.q_cocommutativity_report(qreps[0], qreps[1]),
-                  prefix=f"[{k}]")
-        rpt.merge(qalgebra.q_hom_report(qreps[0], qreps[1], 1e-11), prefix=f"[{k}]",
-                  tolerance=1e-11)
-        rpt.merge(qalgebra.q_check_relations(qreps[0], 1e-11), prefix=f"[{k}]",
-                  tolerance=1e-11)
+        merge(qalgebra.q_coassociativity_report(*qreps))
+        merge(qalgebra.q_counit_antipode_report(qreps[0]))
+        merge(qalgebra.q_cocommutativity_report(qreps[0], qreps[1]))
+        merge(qalgebra.q_hom_report(qreps[0], qreps[1], 1e-11), tolerance=1e-11)
+        merge(qalgebra.q_check_relations(qreps[0], 1e-11), tolerance=1e-11)
         try:
-            qfusion = qalgebra.q_fuse_check(qlabs[0], qlabs[1])
-            rpt.merge(qfusion.report, prefix=f"[{k}]")
+            merge(qalgebra.q_fuse_check(qlabs[0], qlabs[1]).report)
         except algebra.DegenerateFusionError as err:
             rpt.skip(f"[{k}]q-fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
@@ -141,15 +136,13 @@ def _q_singlet_partner(lab: QRepLabels, sign: int) -> QRepLabels:
                       1 / lab.qlam2, lab.alpha1, lab.alpha2)
 
 
-def suite_singlet(samples: int = 20, seed: int = 0,
-                  tolerance: float = 1e-11) -> Report:
+def suite_singlet(samples: int = 20, seed: int = 0, tolerance: float = 1e-11) -> Report:
     """Annihilation of the invariant vectors on compatible label pairs."""
     rpt = Report("singlet", tolerance, meta={"seed": seed, "samples": samples})
     for k, rng in enumerate(_child_rngs(seed, samples)):
         lab = draw_labels(rng)
         sign = 1 if rng.integers(2) else -1
-        rpt.merge(algebra.singlet_report(lab, _singlet_partner(lab, sign)),
-                  prefix=f"[{k}]")
+        rpt.merge(algebra.singlet_report(lab, _singlet_partner(lab, sign)), prefix=f"[{k}]")
         qlab = draw_qlabels(rng)
         rpt.merge(qalgebra.q_singlet_report(qlab, _q_singlet_partner(qlab, sign)),
                   prefix=f"[{k}]q-")
@@ -194,8 +187,7 @@ def suite_yangian(samples: int = 20, seed: int = 0, levels: int = 4,
     return rpt
 
 
-def suite_affine(samples: int = 20, seed: int = 0,
-                 tolerance: float = 1e-9) -> Report:
+def suite_affine(samples: int = 20, seed: int = 0, tolerance: float = 1e-9) -> Report:
     """Affine relation, variant, and intertwining checks on random deformed labels."""
     rpt = Report("affine", tolerance, meta={"seed": seed, "samples": samples})
     for k, rng in enumerate(_child_rngs(seed, samples)):

@@ -322,9 +322,7 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int,
     powers_a = np.array([rep_a.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
     powers_b = np.array([rep_b.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
     terms = _product(_product(coeffs[slot], powers_a[level_a]), powers_b[level_b])
-    scalars = 0
-    for k in range(terms.shape[-1]):
-        scalars = scalars + terms[..., k]
+    scalars = sum(terms[..., k] for k in range(terms.shape[-1]))
     # pair position p of every row is one column: the pair's scalar, its words
     columns = [(scalars[:, p, None, None], left[:, p], right[:, p])
                for p in range(left.shape[1])]
@@ -496,10 +494,7 @@ def _series_inverse(c: np.ndarray) -> np.ndarray:
     out[0] = inv0
     for r in range(1, len(c)):
         terms = c[1:r + 1] @ out[r - 1::-1]  # c_s out_{r-s}, s = 1..r
-        acc = np.zeros_like(inv0)
-        for term in terms:
-            acc = acc + term
-        out[r] = -inv0 @ acc
+        out[r] = -inv0 @ sum(terms, np.zeros_like(inv0))
     return out
 
 

@@ -18,7 +18,7 @@ from sl11kit.qalgebra import (q_atypical_rep, q_check_relations, q_fuse_check,
                               q_singlet_report, q_typical_rep)
 from sl11kit.rmatrix import (r_closed, r_solve, r_trig, rq_closed,
                              rq_from_powers, unitarity_check, ybe_residual,
-                             _assemble)
+                             _assemble, _trig_coefficients)
 from sl11kit.suites import (_child_rngs, draw_alpha, draw_labels, draw_q,
                             draw_qlabels)
 from sl11kit.yangian import (antipode_report, coproduct_hom_report,
@@ -78,13 +78,26 @@ def test_criterion_2_yang_baxter():
 
 def test_criterion_3_unitarity():
     grid = np.linspace(0.0, np.pi, 20, endpoint=False)
-    worst = 0.0
+    worst, checked, degenerate = 0.0, 0, []
     for t1 in grid:
         for t2 in grid:
             for lm in grid:
+                # where all six coefficients vanish both sides are zero: nothing is checked
+                if max(abs(c) for c in _trig_coefficients(t1, t2, lm).values()) < 1e-14:
+                    degenerate.append((t1, t2, lm))
+                    continue
                 res, _ = unitarity_check(t1, t2, lm)
                 worst = max(worst, res)
-    _criterion("3a unitarity on the 20^3 grid", worst, 1e-12)
+                checked += 1
+    half = grid[10]
+    assert half == pytest.approx(np.pi / 2)
+    assert degenerate == [(0.0, 0.0, 0.0), (0.0, half, half), (half, 0.0, half),
+                          (half, half, 0.0)]
+    for angles in degenerate:
+        with pytest.raises(ValueError, match="coefficients vanish"):
+            r_trig(*angles)
+    assert checked == 7996
+    _criterion(f"3a unitarity on the 20^3 grid, {checked} non-degenerate points", worst, 1e-12)
     res, scalar = unitarity_check(np.pi / 4, np.pi / 4, 0.0)
     ok = scalar == 1.0 and res <= 1e-14
     print(f"[{'PASS' if ok else 'FAIL'}] 3b transmission point: scalar = {scalar!r}, "

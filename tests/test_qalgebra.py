@@ -12,7 +12,7 @@ from sl11kit.qalgebra import (QRepLabels, RootOfUnityError, q_atypical_rep,
                               q_hom_report, q_klein_twist, q_labels,
                               q_root_labels, q_singlet_report, q_singlet_vector,
                               q_typical_from_powers, q_typical_rep, qbracket,
-                              qbracket_of_power)
+                              qbracket_of_power, reject_root_of_unity)
 
 Q = 1.15 + 0.08j
 ALPHA = (-0.5, 0.5)
@@ -40,6 +40,36 @@ def test_qbracket_rejects_unit_q():
 def test_root_of_unity_rejected():
     with pytest.raises(RootOfUnityError):
         q_labels(0.5, np.exp(0.3j), np.exp(2j * np.pi / 7), ALPHA)
+
+
+def _powers_come_near_one(q: complex) -> bool:
+    """The 48-power loop of reject_root_of_unity, run on every q."""
+    power = 1.0 + 0.0j
+    for _ in range(48):
+        power *= q
+        if abs(power - 1.0) < 1e-9:
+            return True
+    return False
+
+
+def _rejected(q: complex) -> bool:
+    try:
+        reject_root_of_unity(q)
+    except RootOfUnityError:
+        return True
+    return False
+
+
+def test_root_of_unity_shortcut_decides_as_the_powers_do():
+    roots = [np.exp(2j * np.pi / order) for order in range(1, 50)]
+    assert [_rejected(q) for q in roots] == [True] * 48 + [False]
+    phases = np.exp(2j * np.pi * np.arange(240) / 240)
+    offsets = [0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8, 9.9e-7, -9.9e-7,
+               1.01e-6, -1.01e-6, 2e-6, -2e-6]
+    grid = [complex(q) for offset in offsets for q in (1 + offset) * phases]
+    decisions = [_rejected(q) for q in roots + grid]
+    assert decisions == [_powers_come_near_one(q) for q in roots + grid]
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_q_labels_roots_satisfy_shortening():
