@@ -16,10 +16,11 @@ conjugation with the graded permutation.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType
 
 import numpy as np
@@ -74,6 +75,14 @@ def label_scalar(value):
     return complex(value) if isinstance(value, (int, float, complex, np.number)) else value
 
 
+def decided(check: str, test) -> bool:
+    """``test()`` as a bool; a TypeError names ``check`` when symbolic labels leave it open."""
+    try:
+        return bool(test())
+    except TypeError as err:
+        raise TypeError(f"cannot decide {check}: {err}") from err
+
+
 @dataclass(frozen=True)
 class RepLabels:
     """Atypical representation labels (gamma, nu, alpha1, alpha2).
@@ -116,7 +125,7 @@ class RepLabels:
     @property
     def degenerate(self) -> bool:
         """True when nu^4 = 1, which kills both central charges mu_i."""
-        return abs(self.nu**2 - self.nu**-2) < 1e-12
+        return decided("whether nu^4 = 1", lambda: abs(self.nu**2 - self.nu**-2) < 1e-12)
 
     @property
     def alpha(self) -> tuple[complex, complex]:
@@ -223,15 +232,14 @@ def _scalar_part(mat: np.ndarray) -> complex | None:
 
 def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
     """Index arrays of the graded brackets [a, b} of ``pairs`` over ``names``:
-    the generators that stand as a right factor, and per pair the rows of
-    x_a x_b and x_b x_a in the flattened product table of
-    :func:`graded_brackets` and (-1)^{p_a p_b}.  One per checker, at import."""
-    index = {name: g for g, name in enumerate(names)}
-    right = {name: c for c, name in enumerate(dict.fromkeys(n for pair in pairs for n in pair))}
+    the generators that stand in a pair, and per pair the rows of x_a x_b and
+    x_b x_a in the flattened product table of :func:`graded_brackets` and
+    (-1)^{p_a p_b}.  One per checker, at import."""
+    factor = {name: c for c, name in enumerate(dict.fromkeys(n for pair in pairs for n in pair))}
 
     def row(a, b):  # of x_a x_b: right factor b, left factor a
-        return right[b] * len(names) + index[a]
-    return (np.array([index[name] for name in right]),
+        return factor[b] * len(factor) + factor[a]
+    return (np.array([names.index(name) for name in factor]),
             np.array([row(a, b) for a, b in pairs]), np.array([row(b, a) for a, b in pairs]),
             np.array([-1.0 if a in odd and b in odd else 1.0 for a, b in pairs])[:, None, None])
 
@@ -239,12 +247,88 @@ def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
 def graded_brackets(x: np.ndarray, layout: tuple) -> np.ndarray:
     """``(P, n, n)`` brackets x_a x_b - (-1)^{p_a p_b} x_b x_a of a
     :func:`bracket_layout` on the ``(G, n, n)`` stack ``x``, read from one
-    :func:`.graded.product_table` of every generator times each right factor
-    (one BLAS call per right factor)."""
-    right, ab, ba, sign = layout
-    table = product_table(x, x[right])
+    :func:`.graded.product_table` of the generators in a pair times each
+    other (one BLAS call per right factor)."""
+    factors, ab, ba, sign = layout
+    factors = x[factors]
+    table = product_table(factors, factors)
     table = table.reshape(-1, *table.shape[-2:])
     return table[ab] - sign * table[ba]
+
+
+# -- relations as data: one evaluator reads every algebra's relation table ----
+
+
+@cache  # sides repeat: "0" closes every central case, "1" every inverse pair
+def _side(text: str) -> tuple:
+    """(coefficient symbol, word, subtracted word) of "symbol: word - word"; no word is "0"."""
+    symbol, _, body = text.rpartition(": ")
+    words = re.fullmatch(r"(.*?)(?:(?:^| )- (.*))?", body).groups()
+    return symbol or "1", *(tuple(re.findall(r"\(.*?\)|\S+", word or "0")) for word in words)
+
+
+def _products(letters: np.ndarray, spelled: np.ndarray) -> np.ndarray:
+    """Products over ``letters`` of words spelled longest first, padded with
+    ``len(letters)``: at letter k only the words longer than k multiply."""
+    words = letters[spelled[:, 0]]
+    for k, column in enumerate(spelled.T[1:], 1):
+        count = np.count_nonzero(column < len(letters))
+        words[:count] = words[:count] @ letters[column[:count]]
+    return words
+
+
+class RelationTable:
+    """Defining relations over the generator ``names``: cases (name, left side,
+    right side), each side written "symbol: word - word".
+
+    The symbol is 1 (or none), q, alphai, 1/(q-1/q) or alphai/(q-1/q).  A word's letters
+    are generator names, graded brackets "[a,b]", sub-words "(a b ...)", which are
+    multiplied first, "1" (the identity) and "0"; an absent word is "0".  Every
+    bracket enters one :func:`bracket_layout`; the sub-words, then the words of two
+    or more letters, are multiplied by one :func:`_products` each.
+    """
+
+    def __init__(self, names: tuple[str, ...], odd: frozenset, cases):
+        self.cases = tuple(cases)
+        self.case_names = [name for name, _, _ in self.cases]
+        sides = [_side(text) for _, lhs, rhs in self.cases for text in (lhs, rhs)]
+        words = dict.fromkeys(word for _, *pair in sides for word in pair)
+        letters = dict.fromkeys(letter for word in words for letter in word)
+        brackets = [letter for letter in letters if letter[0] == "["]
+        subwords = sorted((s for s in letters if s[0] == "("), key=lambda s: -len(s.split()))
+        long = sorted((word for word in words if len(word) > 1), key=len, reverse=True)
+        alphabet = (*names, *brackets, *subwords, "1", "0")
+        self.layout = bracket_layout(names, odd, [tuple(b[1:-1].split(",")) for b in brackets])
+        self.subwords = [spell(names, [sub[1:-1].split() for sub in subwords])] if subwords else []
+        self.words = spell(alphabet, long)
+        # rows of the word table: the letters, then the longer words
+        index = {word: w for w, word in enumerate([*((letter,) for letter in alphabet), *long])}
+        self.plus, self.minus = (np.array([index[side[k]] for side in sides]) for k in (1, 2))
+        self.symbols = tuple(dict.fromkeys(symbol for symbol, _, _ in sides))
+        self.symbol_of = np.array([self.symbols.index(symbol) for symbol, _, _ in sides])
+
+    def report(self, suite: str, tolerance: float, x: np.ndarray, q, alpha) -> Report:
+        """Residuals of the cases on the ``(G, n, n)`` stack ``x`` of ``names``, each
+        side times its coefficient on the right, as in SuperMatrix; cases whose
+        coefficients need a q or couplings that are None drop out."""
+        n = x.shape[-1]
+        values = {"1": 1} | {f"alpha{i}": a for i, a in enumerate(alpha or (), 1)}
+        if q is not None:  # 1 and each alphai, also over q - 1/q
+            values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
+            values["q"] = q
+        one = np.eye(n, dtype=x.dtype)[None]  # the letters "1" and "0" close the alphabet
+        letters = np.concatenate([x, graded_brackets(x, self.layout),
+                                  *(_products(x, sub) for sub in self.subwords), one, 0 * one])
+        table = np.concatenate([letters, _products(letters, self.words)])
+        sides = table[self.plus] - table[self.minus]
+        coeffs = np.array([values.get(symbol, 0) for symbol in self.symbols])[self.symbol_of]
+        sides = (sides * coeffs[:, None, None]).reshape(-1, 2, n, n)
+        names = self.case_names
+        if not values.keys() >= set(self.symbols):
+            known = np.array([symbol in values for symbol in self.symbols])
+            kept = known[self.symbol_of].reshape(-1, 2).all(axis=1)
+            names, sides = [name for name, keep in zip(names, kept) if keep], sides[kept]
+        return residual_report(suite, tolerance, names, sides[:, 0], sides[:, 1])
 
 
 # -- Hopf structure: checkers each algebra binds to its coproduct table -------
@@ -390,44 +474,24 @@ def _typical(lam1, lam2, nu, mu1, mu2, alpha) -> GeneratorImage:
 # -- relation checkers ---------------------------------------------------------
 
 
-#: The brackets :func:`check_relations` reads, in case order: the defining
-#: ones, the odd pairs that vanish and those of the central generators.
-_PAIRS = ([(a, b) for a, b, _, _ in _BRACKETS]
-          + [(a, b) for a in ("e1", "e2", "f1", "f2") for b in ("e1", "e2", "f1", "f2")
-             if a[0] == b[0] and a <= b]
-          + [(c, g) for c in ("h1", "h2", "k1", "k2", "u+", "u-") for g in CLASSICAL_NAMES])
-_LAYOUT = bracket_layout(CLASSICAL_NAMES, _ODD_NAMES, _PAIRS)
-_CASES = ([f"[{a},{b}]{'-' if sign > 0 else '+'}{t}" for a, b, t, sign in _BRACKETS]
-          + [f"[{a},{b}]" for a, b in _PAIRS[8:14]] + ["u+u- - 1"]
-          + [f"central:[{c},{g}]" for c, g in _PAIRS[14:]]
-          + ["k1 - alpha1(u^2-u^-2)", "k2 - alpha2(u^2-u^-2)"])
+#: The defining relations: the brackets, the odd pairs that vanish, u invertible,
+#: the central generators and the central-extension constraints.
+RELATIONS = RelationTable(CLASSICAL_NAMES, _ODD_NAMES, [
+    *((f"[{a},{b}]{'-' if sign > 0 else '+'}{t}", f"[{a},{b}]", t if sign > 0 else f"- {t}")
+      for a, b, t, sign in _BRACKETS),
+    *((f"[{a},{b}]", f"[{a},{b}]", "0") for a in ("e1", "e2", "f1", "f2")
+      for b in ("e1", "e2", "f1", "f2") if a[0] == b[0] and a <= b),
+    ("u+u- - 1", "u+ u-", "1"),
+    *((f"central:[{c},{g}]", f"[{c},{g}]", "0")
+      for c in ("h1", "h2", "k1", "k2", "u+", "u-") for g in CLASSICAL_NAMES),
+    *((f"k{i} - alpha{i}(u^2-u^-2)", f"k{i}", f"alpha{i}: u+ u+ - u- u-") for i in (1, 2))])
 
 
 def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """Residuals of all defining relations in a representation.
-
-    Covers the e-f brackets, the h0 grading brackets, triviality of the
-    remaining brackets, centrality of h_i, k_i, u^{+-}, invertibility of u,
-    and (when the representation carries couplings) the central-extension
-    constraints k_i = alpha_i (u^2 - u^{-2}).  Every bracket comes from one
-    gathered batched product.
-    """
-    x = rep.gather(CLASSICAL_NAMES)
-    n = rep.space.dim
-    br = graded_brackets(x, _LAYOUT)
-    up, um = x[9], x[10]  # u+, u-
-    lhs = [br[:14], (up @ um)[None], br[14:]]
-    rhs = [np.stack([sign * x[CLASSICAL_NAMES.index(t)] for _, _, t, sign in _BRACKETS]),
-           np.zeros((6, n, n)), np.eye(n)[None], np.zeros((len(br) - 14, n, n))]
-    if rep.alpha is not None:
-        usq = up @ up - um @ um
-        # matrix * scalar, the order SuperMatrix uses: numpy can round
-        # scalar * matrix differently in the last bit
-        lhs.append(x[7:9])  # k1, k2
-        rhs.append(np.stack([usq * a for a in rep.alpha]))
-    # one name per stacked row: the coupling lines only when there are couplings
-    return residual_report("algebra-relations", tolerance, _CASES[:sum(map(len, lhs))],
-                           np.concatenate(lhs), np.concatenate(rhs))
+    """Residuals of the defining relations (:data:`RELATIONS`) in a representation;
+    without couplings the central-extension constraints drop out."""
+    return RELATIONS.report("algebra-relations", tolerance, rep.gather(CLASSICAL_NAMES),
+                            rep.q, rep.alpha)
 
 
 # -- coproduct ----------------------------------------------------------------

@@ -22,17 +22,16 @@ import numpy as np
 from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
                         memoised_by_labels, spell, word_stack)
 from .graded import EVEN, ODD, SuperMatrix
-from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, _ef_targets, q_atypical_rep
-from .algebra import GeneratorImage, bracket_layout, coassociativity_checker, graded_brackets
-from .report import Report, residual_report
+from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, ef_relation, q_atypical_rep
+from .algebra import GeneratorImage, RelationTable, coassociativity_checker
+from .report import Report
 from .rmatrix import intertwining_report, rq_closed
 
 AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
                 "K4+", "K4-", "U+", "U-", "V+", "V-")
 _AFF_ODD = frozenset({"E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"})
-GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
-              "K4+", "K4-", "U+", "U-", "V+", "V-")
+GROUP_LIKE = AFFINE_NAMES[8:]
 _AFF_PARITY = tuple(ODD if name in _AFF_ODD else EVEN for name in AFFINE_NAMES)
 
 #: exponent convention (i) = (-1)^{i-1} used in the mixed relations
@@ -125,83 +124,51 @@ def alt_affinization(labels: QRepLabels, variant: str = "standard") -> AffineRep
     return affine_eval_rep(labels, variant)
 
 
-def _relation_layout(variant: str):
-    """Words, bracket layout, case names and L-line rows of
-    :func:`affine_relations_report` for one variant.  ``serre`` holds the
-    bracket pairs whose even commutators the Serre line and the two L-lines
-    take, ``ik`` the nodes (i, k) of the L-lines and compatibility lines."""
+def _affine_relations(variant: str) -> RelationTable:
+    """The affine defining relations of one variant: group-like inverses, K0
+    conjugations, [E_i, F_j} on both node blocks, the Serre line, the two
+    L-lines and compatibility lines on the node pairs (i, k), the vanishing
+    odd pairs, centrality and the evaluation constraints ev(K^{+-}) = 1."""
     if variant == "standard":
-        serre, ik = ("E3F2", "E4F1", "E1F3", "E4F2", "E2F4", "E3F1"), ((1, 4), (2, 3))
+        serre, ik, uv = ("E3F2", "E4F1", "E1F3", "E4F2", "E2F4", "E3F1"), ((1, 4), (2, 3)), "+-"
     else:
-        serre, ik = ("E3F1", "E4F2", "E1F4", "E3F1", "E2F3", "E4F2"), ((1, 3), (2, 4))
-    serre = [(pair[:2], pair[2:]) for pair in serre]
-    blocks = ((1, 2), (3, 4))
-    words = spell(AFFINE_NAMES, [
-        *((f"{base}+", f"{base}-") for base in ("K0", "K1", "K2", "K3", "K4", "U", "V")),
-        *(w for i in range(1, 5) for w in (("K0+", f"E{i}", "K0-"), ("K0-", f"F{i}", "K0+"))),
-        *((f"K{i}{sign}",) * 2 for block in blocks for sign in "+-" for i in block),
-        *(_l_word(i, sign) for block in blocks for sign in "+-" for i in block),
-        ("K1+", "K2+", "K3+", "K4+"), ("K1-", "K2-", "K3-", "K4-"),
-        *((("U+", "V+"), ("U-", "V-")) if variant == "standard" else (("U+", "V-"), ("U-", "V+"))),
-        *((f"K{i}{sign}", f"K{k}{sign}") for i, k in ik for sign in "+-")])
-    ef = [(f"E{i}", f"F{j}") for block in blocks for i in block for j in block]
-    trivial = [(f"{x}{i}", f"{x}{j}") for i in range(1, 5) for j in range(i, 5) for x in "EF"]
-    central = [(c, g) for c in GROUP_LIKE[2:] for g in AFFINE_NAMES[:8]]
-    commutators = [f"[[{a},{b}],[{c},{d}]]" for (a, b), (c, d) in zip(serre[::2], serre[1::2])]
-    names = ([f"{base}+{base}- - 1" for base in ("K0", "K1", "K2", "K3", "K4", "U", "V")]
-             + [f"K0{s} {x}{i} K0{t} - q {x}{i}" for i in range(1, 5)
-                for x, s, t in (("E", "+", "-"), ("F", "-", "+"))]
-             + [f"[{e},{f}]" for e, f in ef] + [commutators[0] + " - (K+-K-)/(q-1/q)"]
-             + [name + " - L-line" for name in commutators[1:]]
-             + [f"[E{i},F{k}] - compatibility" for i, k in ik]
-             + [f"[{e},{f}]" for e, f in trivial] + [f"central:[{c},{g}]" for c, g in central]
-             + ["ev(K+) - 1", "ev(K-) - 1"])
-    # rows of L_i^{+-} among the L words: by node block, then sign, then node
-    lines = [[4 * ((node - 1) // 2) + 2 * (sign == "-") + (node - 1) % 2 for node in nodes]
-             for sign in "+-" for nodes in zip(*ik)]
-    pairs = ef + serre + [(f"E{i}", f"F{k}") for i, k in ik] + trivial + central
-    return words, bracket_layout(AFFINE_NAMES, _AFF_ODD, pairs), names, lines
+        serre, ik, uv = ("E3F1", "E4F2", "E1F4", "E3F1", "E2F3", "E4F2"), ((1, 3), (2, 4)), "-+"
+    brackets = [f"[{pair[:2]},{pair[2:]}]" for pair in serre]
+    commutators = [(f"[{a},{b}]", f"{a} {b} - {b} {a}")
+                   for a, b in zip(brackets[::2], brackets[1::2])]
+
+    def l_sub(i, sign):  # L_i^{+-} as a sub-word
+        return "(" + " ".join(_l_word(i, sign)) + ")"
+    return RelationTable(AFFINE_NAMES, _AFF_ODD, [
+        *((f"{base}+{base}- - 1", f"{base}+ {base}-", "1")
+          for base in ("K0", "K1", "K2", "K3", "K4", "U", "V")),
+        *((f"K0{s} {x}{i} K0{t} - q {x}{i}", f"K0{s} {x}{i} K0{t}", f"q: {x}{i}")
+          for i in range(1, 5) for x, s, t in (("E", "+", "-"), ("F", "-", "+"))),
+        *(ef_relation(i, j, l_sub) for block in ((1, 2), (3, 4)) for i in block for j in block),
+        (commutators[0][0] + " - (K+-K-)/(q-1/q)", commutators[0][1],
+         "1/(q-1/q): K1+ K2+ K3+ K4+ - K1- K2- K3- K4-"),
+        *((name + " - L-line", lhs,
+           f"1/(q-1/q): {l_sub(i, '+')} {l_sub(k, '+')} - {l_sub(i, '-')} {l_sub(k, '-')}")
+          for (name, lhs), (i, k) in zip(commutators[1:], ik)),
+        # U V K_i K_k, the K signs (i) then -(i)
+        *((f"[E{i},F{k}] - compatibility", f"[E{i},F{k}]", f"alpha{i}/(q-1/q): (U+ V{uv[0]}) "
+           f"(K{i}{p} K{k}{p}) - (U- V{uv[1]}) (K{i}{m} K{k}{m})")
+          for i, k in ik for p, m in ["+-" if node_sign(i) == 1 else "-+"]),
+        *((f"[{x}{i},{x}{j}]", f"[{x}{i},{x}{j}]", "0")
+          for i in range(1, 5) for j in range(i, 5) for x in "EF"),
+        *((f"central:[{c},{g}]", f"[{c},{g}]", "0")
+          for c in GROUP_LIKE[2:] for g in AFFINE_NAMES[:8]),
+        ("ev(K+) - 1", "K1+ K2+ K3+ K4+", "1"), ("ev(K-) - 1", "K1- K2- K3- K4-", "1")])
 
 
-_RELATIONS = {variant: _relation_layout(variant) for variant in ("standard", "swapped")}
-#: E1, F1, ..., E4, F4: the images the K0 conjugations compare against.
-_CONJUGATED = [AFFINE_NAMES.index(f"{x}{i}") for i in range(1, 5) for x in "EF"]
+AFFINE_RELATIONS = {variant: _affine_relations(variant) for variant in ("standard", "swapped")}
 
 
 def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
-    """Residuals of the affine defining relations, Serre and compatibility lines
-    included, for the variant the representation was built with: every bracket
-    from one gathered batched product, every word from one padded batch."""
-    x = rep.gather(AFFINE_NAMES)
-    words, layout, names, (l_left, l_right, m_left, m_right) = _RELATIONS[rep.variant]
-    q, n = rep.q, rep.space.dim
-    qq = q - 1 / q
-    # w: 7 inverse pairs, 8 K0 conjugations, the K squares (15:23) and L words
-    # (23:31) of the two blocks, K+ and K- (31, 32), the U V (33, 34) and
-    # K K (35:39) of the compatibility lines; br: the cases' brackets in order
-    w, br = word_stack(x, words), graded_brackets(x, layout)
-    # scalars multiply matrices on the right, as in SuperMatrix: numpy can
-    # round scalar * matrix differently in the last bit
-    ef = [_ef_targets(w[15 + 4 * b:19 + 4 * b].reshape(2, 2, n, n),
-                      w[23 + 4 * b:27 + 4 * b].reshape(2, 2, n, n), q,
-                      rep.alpha[2 * b:2 * b + 2])[[0, 2, 3, 1]] for b in (0, 1)]
-    # the Serre line and the L-lines: even commutators of bracket pairs
-    # against (K+ - K-) and (L_i^+ L_k^+ - L_i^- L_k^-) over q - 1/q
-    a, b = br[8:14:2], br[9:14:2]
-    lw = w[23:31]
-    lines = ((np.concatenate([w[31:32], lw[l_left] @ lw[l_right]])
-              - np.concatenate([w[32:33], lw[m_left] @ lw[m_right]])) * (1 / qq))
-    # compatibility: (U V^{+-} K_i^+ K_k^+ - U V^{-+} K_i^- K_k^-) alpha_i/(q - 1/q),
-    # the K pair inverted on the node of sign (2) = -1
-    kk = w[35:39].reshape(2, 2, n, n)
-    kk[1] = np.linalg.inv(kk[1])
-    compat = ((w[33] @ kk[:, 0] - w[34] @ kk[:, 1])
-              * np.array([rep.alpha[0] / qq, rep.alpha[1] / qq])[:, None, None])
-    lhs = [w[:15], br[:8], a @ b - b @ a, br[14:], w[31:33]]
-    rhs = [np.broadcast_to(np.eye(n), (7, n, n)), x[_CONJUGATED] * q, *ef, lines, compat,
-           np.zeros((len(br) - 16, n, n)), np.broadcast_to(np.eye(n), (2, n, n))]
-    return residual_report("affine-relations", tolerance, names,
-                           np.concatenate(lhs), np.concatenate(rhs))
+    """Residuals of the affine defining relations (:data:`AFFINE_RELATIONS`), Serre and
+    compatibility lines included, for the variant the representation was built with."""
+    return AFFINE_RELATIONS[rep.variant].report("affine-relations", tolerance,
+                                                rep.gather(AFFINE_NAMES), rep.q, rep.alpha)
 
 
 # -- coproduct ------------------------------------------------------------------
@@ -232,26 +199,20 @@ affine_coassociativity_report = coassociativity_checker(AFFINE_COPRODUCT,
                                                         "affine-coassociativity")
 
 
+#: The compatibility relations of the standard variant, read on the coproduct stack.
+_DELTA_COMPATIBILITY = RelationTable(AFFINE_NAMES, _AFF_ODD, [
+    ("hom:" + name.removesuffix(" - compatibility"), lhs, rhs)
+    for name, lhs, rhs in AFFINE_RELATIONS["standard"].cases if name.endswith("compatibility")])
+
+
 def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
                       tolerance: float = 1e-10) -> Report:
     """Coproduct homomorphism residual on the compatibility relation."""
     if rep_a.variant != "standard" or rep_b.variant != "standard":
         raise ValueError("the coproduct check runs on the standard variant")
-    qq = rep_a.q - 1 / rep_a.q
-    d = dict(zip(AFFINE_COPRODUCT.names, coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b)))
-    names, lhs, rhs = [], [], []
-    for i, j in ((1, 2), (2, 1)):
-        e, f = d[f"E{i}"], d[f"F{j+2}"]
-        uv_p, uv_m = d["U+"] @ d["V+"], d["U-"] @ d["V-"]
-        # the lower node sign (i) picks which Cartan pair dresses U V
-        kp, km = ("+", "-") if node_sign(i) == 1 else ("-", "+")
-        kk_p = d[f"K{i}{kp}"] @ d[f"K{j+2}{kp}"]
-        kk_m = d[f"K{i}{km}"] @ d[f"K{j+2}{km}"]
-        names.append(f"hom:[E{i},F{j+2}]")
-        lhs.append(e @ f + f @ e)
-        # matrix * scalar, the order SuperMatrix uses
-        rhs.append((uv_p @ kk_p - uv_m @ kk_m) * (rep_a.alpha[i - 1] / qq))
-    return residual_report("affine-coproduct-homomorphism", tolerance, names, lhs, rhs)
+    return _DELTA_COMPATIBILITY.report("affine-coproduct-homomorphism", tolerance,
+                                       coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b),
+                                       rep_a.q, rep_a.alpha)
 
 
 def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,

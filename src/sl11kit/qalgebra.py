@@ -24,14 +24,14 @@ from functools import partial
 import numpy as np
 
 from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusWarning,
-                      DegenerateFusionError, GeneratorImage, _require_singlet,
-                      bracket_layout, coassociativity_checker, cocommutativity_checker,
-                      counit_antipode_checker, fusion_report, graded_brackets, kac_images,
-                      label_scalar, on_shortening_locus, singlet_lines, twist)
+                      DegenerateFusionError, GeneratorImage, RelationTable, _require_singlet,
+                      coassociativity_checker, cocommutativity_checker, counit_antipode_checker,
+                      decided, fusion_report, kac_images, label_scalar, on_shortening_locus,
+                      singlet_lines, twist)
 from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
-                        memoised_by_labels, spell, word_stack)
+                        memoised_by_labels)
 from .graded import C11, EVEN, ODD, SuperMatrix, as_entries
-from .report import Report, c2j, residual_report
+from .report import Report, c2j
 
 Q_NAMES = ("E1", "E2", "F1", "F2", "K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
            "L1+", "L1-", "L2+", "L2-", "U+", "U-")
@@ -100,10 +100,13 @@ class QRepLabels:
                 raise ValueError(f"{name} must be nonzero")
             object.__setattr__(self, name, val)
         reject_root_of_unity(self.q)
-        scale = max(abs(self.br_lam1 * self.br_lam2), 1.0)
-        if abs(self.shortening_residual()) > 1e-8 * scale:
+        if decided("the deformed shortening constraint",
+                   lambda: abs(self.shortening_residual())
+                   > 1e-8 * max(abs(self.br_lam1 * self.br_lam2), 1.0)):
             raise ValueError("labels violate the deformed shortening constraint")
-        if max(abs(r) for r in self.gamma_residuals()) > 1e-8 * max(abs(self.gamma) ** 2, 1.0):
+        if decided("whether gamma is consistent with the weight powers",
+                   lambda: max(abs(r) for r in self.gamma_residuals())
+                   > 1e-8 * max(abs(self.gamma) ** 2, 1.0)):
             raise ValueError("gamma is inconsistent with the weight powers")
 
     # L_i^+ eigenvalues q^{mu_i}; products of stored powers, no branch choice.
@@ -286,67 +289,41 @@ def _q_typical(qlam1, qlam2, nu, qmu1, qmu2, q, alpha, brackets) -> GeneratorIma
 # -- relation checker ----------------------------------------------------------
 
 
-def _ef_targets(kk: np.ndarray, ll: np.ndarray, q: complex, alpha) -> np.ndarray:
-    """[E_i, F_j} right-hand sides on a node pair (i, j), in the order (i, i),
-    (j, j), (i, j), (j, i): (K_i^{+2} - K_i^{-2})/(q - q^{-1}) from the words
-    ``kk`` = K^{+-} K^{+-} and, when the pair's couplings ``alpha`` are known,
-    alpha_i (L_i^+ - L_i^-)/(q - q^{-1}) from the images ``ll`` = L^{+-}, both
-    shaped (sign, node, n, n).  Scalars stay on the right, as in SuperMatrix."""
-    qq = q - 1 / q
-    out = [(kk[0] - kk[1]) * (1 / qq)]
-    if alpha is not None:
-        out.append((ll[0] - ll[1]) * np.array([a / qq for a in alpha])[:, None, None])
-    return np.concatenate(out)
+def ef_relation(i: int, j: int, l_image=lambda i, sign: f"L{i}{sign}") -> tuple[str, str, str]:
+    """The case [E_i, F_j}: (K_i^{+2} - K_i^{-2})/(q - q^{-1}) on one node, alpha_i
+    (L_i^+ - L_i^-)/(q - q^{-1}) across nodes, ``l_image`` spelling L_i^{+-} as a letter."""
+    rhs = (f"1/(q-1/q): K{i}+ K{i}+ - K{i}- K{i}-" if i == j
+           else f"alpha{i}/(q-1/q): {l_image(i, '+')} - {l_image(i, '-')}")
+    return f"[E{i},F{j}]", f"[E{i},F{j}]", rhs
 
 
-#: The words :func:`q_check_relations` reads: each group-like times its
-#: inverse, the K0 conjugations and the L quotients, in case order, then the
-#: K squares of the [E_i, F_i} targets by sign then node.
-_Q_WORDS = spell(Q_NAMES, [
-    *((f"{base}+", f"{base}-") for base in ("K0", "K1", "K2", "L1", "L2", "U")),
-    ("K0+", "E1", "K0-"), ("K0+", "E2", "K0-"), ("K0-", "F1", "K0+"), ("K0-", "F2", "K0+"),
-    ("K1+", "K2+", "U+", "U+"), ("K1+", "K2+", "U-", "U-"),
-    ("K1-", "K2-", "U-", "U-"), ("K1-", "K2-", "U+", "U+"),
-    *((f"K{i}{sign}",) * 2 for sign in "+-" for i in (1, 2))])
-_L_ROWS = [10, 12, 11, 13]  # L1+, L2+, L1-, L2-
-#: Its brackets, in case order: [E_i, F_j}, the vanishing odd pairs, centrality.
-_Q_PAIRS = (("E1", "F1"), ("E2", "F2"), ("E1", "F2"), ("E2", "F1"),
-            *((a, b) for a in Q_NAMES[:4] for b in Q_NAMES[:4] if a[0] == b[0] and a <= b),
-            *((c, g) for c in Q_NAMES[6:] for g in Q_NAMES[:6]))
-_Q_LAYOUT = bracket_layout(Q_NAMES, _Q_ODD, _Q_PAIRS)
-_Q_CASES = ([f"{base}+{base}- - 1" for base in ("K0", "K1", "K2", "L1", "L2", "U")]
-            + [f"K0+ {a} K0- - q {a}" for a in ("E1", "E2")]
-            + [f"K0- {a} K0+ - q {a}" for a in ("F1", "F2")]
-            + [f"[{a},{b}]" for a, b in _Q_PAIRS[:10]]
-            + ["L1+ - K1+K2+U^2", "L2+ - K1+K2+U^-2", "L1- - K1-K2-U^-2", "L2- - K1-K2-U^2"]
-            + [f"central:[{c},{g}]" for c, g in _Q_PAIRS[10:]])
+#: The deformed defining relations: each group-like times its inverse, the K0
+#: conjugations, [E_i, F_j}, the vanishing odd pairs, the L quotients and centrality.
+Q_RELATIONS = RelationTable(Q_NAMES, _Q_ODD, [
+    *((f"{base}+{base}- - 1", f"{base}+ {base}-", "1")
+      for base in ("K0", "K1", "K2", "L1", "L2", "U")),
+    *((f"K0{s} {a} K0{t} - q {a}", f"K0{s} {a} K0{t}", f"q: {a}")
+      for a, s, t in (("E1", "+", "-"), ("E2", "+", "-"), ("F1", "-", "+"), ("F2", "-", "+"))),
+    *(ef_relation(i, j) for i, j in ((1, 1), (2, 2), (1, 2), (2, 1))),
+    *((f"[{a},{b}]", f"[{a},{b}]", "0") for a in Q_NAMES[:4] for b in Q_NAMES[:4]
+      if a[0] == b[0] and a <= b),
+    ("L1+ - K1+K2+U^2", "L1+", "K1+ K2+ U+ U+"), ("L2+ - K1+K2+U^-2", "L2+", "K1+ K2+ U- U-"),
+    ("L1- - K1-K2-U^-2", "L1-", "K1- K2- U- U-"), ("L2- - K1-K2-U^2", "L2-", "K1- K2- U+ U+"),
+    *((f"central:[{c},{g}]", f"[{c},{g}]", "0") for c in Q_NAMES[6:] for g in Q_NAMES[:6])])
 
 
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
-    """Residuals of the deformed defining relations in a representation:
-    every bracket from one gathered batched product, every other line from
-    one batch of identity-padded words."""
+    """Residuals of the deformed defining relations (:data:`Q_RELATIONS`) in a
+    representation; without couplings the [E_i, F_j} across the nodes drop out."""
     x = rep.gather(Q_NAMES)
     if rep.q is None:
         raise ValueError("representation carries no deformation parameter q")
-    q, n = rep.q, rep.space.dim
-    w, br, ll = word_stack(x, _Q_WORDS), graded_brackets(x, _Q_LAYOUT), x[_L_ROWS]
-    ef = _ef_targets(w[14:].reshape(2, 2, n, n), ll.reshape(2, 2, n, n), q, rep.alpha)
-    # scalars multiply matrices on the right, as in SuperMatrix: numpy can
-    # round scalar * matrix differently in the last bit
-    lhs = [w[:10], br[:len(ef)], br[4:10], ll, br[10:]]
-    rhs = [np.broadcast_to(np.eye(n), (6, n, n)), x[:4] * q, ef, np.zeros((6, n, n)),
-           w[10:14], np.zeros((len(br) - 10, n, n))]
-    # without couplings the [E_i, F_j} across the nodes drop out
-    return residual_report("q-algebra-relations", tolerance,
-                           _Q_CASES[:10 + len(ef)] + _Q_CASES[14:],
-                           np.concatenate(lhs), np.concatenate(rhs))
+    return Q_RELATIONS.report("q-algebra-relations", tolerance, x, rep.q, rep.alpha)
 
 
 # -- coproduct -----------------------------------------------------------------
 
-_GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
-               "L1+", "L1-", "L2+", "L2-", "U+", "U-")
+_GROUP_LIKE = Q_NAMES[4:]
 
 Q_COPRODUCT = CoproductTable({
     "E1": ((1, ("E1",), ("U-", "K1-")), (1, ("U+", "K1+"), ("E1",))),
@@ -370,9 +347,9 @@ q_cocommutativity_report = cocommutativity_checker(Q_COPRODUCT, _GROUP_LIKE,
                                                    "q-cocommutativity", 1e-12)
 
 
-_HOM_PAIRS = _Q_PAIRS[2:4] + _Q_PAIRS[:2]
-_HOM_LAYOUT = bracket_layout(Q_NAMES, _Q_ODD, _HOM_PAIRS)
-_HOM_CASES = [f"[Delta({x}),Delta({y})]" for x, y in _HOM_PAIRS]
+#: The [E_i, F_j} relations, read on the coproduct stack.
+_DELTA_EF = RelationTable(Q_NAMES, _Q_ODD, [(f"[Delta(E{i}),Delta(F{j})]", *ef_relation(i, j)[1:])
+                                            for i, j in ((1, 2), (2, 1), (1, 1), (2, 2))])
 
 
 def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
@@ -383,12 +360,8 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     """
     if rep_a.alpha is None or rep_a.q is None:
         raise ValueError("representations must carry couplings and q")
-    d = coproduct_stack(Q_COPRODUCT, rep_a, rep_b)
-    n = d.shape[-1]
-    targets = _ef_targets(word_stack(d, _Q_WORDS[14:]).reshape(2, 2, n, n),
-                          d[_L_ROWS].reshape(2, 2, n, n), rep_a.q, rep_a.alpha)
-    return residual_report("q-coproduct-homomorphism", tolerance, _HOM_CASES,
-                           graded_brackets(d, _HOM_LAYOUT), targets[[2, 3, 0, 1]])
+    return _DELTA_EF.report("q-coproduct-homomorphism", tolerance,
+                            coproduct_stack(Q_COPRODUCT, rep_a, rep_b), rep_a.q, rep_a.alpha)
 
 
 # -- fusion and the deformed singlet -------------------------------------------

@@ -188,6 +188,7 @@ def rq_closed(labels_a: QRepLabels, labels_b: QRepLabels) -> RMatrix:
     coeffs = rq_from_powers(labels_a.gamma, labels_a.nu, labels_a.qlam1,
                             labels_a.qlam2, labels_b.gamma, labels_b.nu,
                             labels_b.qlam1, labels_b.qlam2)
+    _require_coefficients(coeffs, "label pair")
     return RMatrix(_assemble(coeffs), "q-closed", labels_a, labels_b,
                    normalization=coeffs["11,11"])
 

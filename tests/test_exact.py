@@ -135,6 +135,16 @@ def test_real_weights_still_build_complex128_modules():
 def test_symbolic_deformed_labels_name_the_check_they_cannot_decide():
     with pytest.raises(TypeError, match="root of unity"):
         QRepLabels(*sp.symbols("gamma nu q qlam1 qlam2 alpha1 alpha2"))
+    # a numeric q with a free gamma: the gamma check cannot be decided
+    lab = suites.draw_qlabels(np.random.default_rng(0))
+    with pytest.raises(TypeError, match="whether gamma is consistent with the weight powers"):
+        QRepLabels(sp.Symbol("gamma"), lab.nu, lab.q, lab.qlam1, lab.qlam2, lab.alpha1, lab.alpha2)
+    # nu^4 = 1 is decided where the labels decide it, and named where they do not
+    gamma, nu = sp.symbols("gamma nu")
+    assert RepLabels(gamma, sp.I, -1, 1).degenerate is True
+    assert RepLabels(gamma, sp.Integer(2), -1, 1).degenerate is False
+    with pytest.raises(TypeError, match="whether nu\\^4 = 1"):
+        RepLabels(gamma, nu, -1, 1).degenerate
 
 
 def test_importing_the_library_loads_neither_sympy_nor_mpmath():

@@ -299,8 +299,8 @@ def ref_affine_relations_report(rep):
     for i, k, vp, vm in compat:
         uv_p, uv_m = im["U+"] @ im[vp], im["U-"] @ im[vm]
         kk_p, kk_m = im[f"K{i}+"] @ im[f"K{k}+"], im[f"K{i}-"] @ im[f"K{k}-"]
-        if node_sign(i) == -1:
-            kk_p, kk_m = np.linalg.inv(kk_p), np.linalg.inv(kk_m)
+        if node_sign(i) == -1:  # (K_i^+ K_k^+)^{-1} read as the K^- word
+            kk_p, kk_m = kk_m, kk_p
         target = (uv_p @ kk_p - uv_m @ kk_m) * (rep.alpha[i - 1] / qq)
         cases.append((f"[E{i},F{k}] - compatibility", comm(f"E{i}", f"F{k}"), target))
     for i in range(1, 5):

@@ -7,6 +7,7 @@ are the per-algebra bodies they replace, one SuperMatrix per coproduct image.
 Both must give the same suite, cases, order, tolerances and params, with
 bitwise-equal residuals, on the draws the suites make.
 """
+import dataclasses
 import warnings
 
 import numpy as np
@@ -14,12 +15,14 @@ import pytest
 
 from sl11kit import algebra, qaffine, qalgebra, suites
 from sl11kit.algebra import (CLASSICAL_NAMES, AtypicalLocusWarning, DegenerateFusionError,
-                             atypical_rep, coproduct_image, fuse_check, singlet_report,
-                             singlet_vector, typical_rep)
+                             atypical_rep, check_relations, coproduct_image, fuse_check,
+                             singlet_report, singlet_vector, typical_rep)
+from sl11kit.coproduct import TABLES, coproduct_stack
 from sl11kit.graded import ODD, graded_comm, max_abs
-from sl11kit.qaffine import affine_coproduct_image, affine_hom_report, node_sign
-from sl11kit.qalgebra import (Q_NAMES, q_atypical_rep, q_coproduct_image, q_fuse_check,
-                              q_hom_report, q_singlet_report, q_singlet_vector,
+from sl11kit.qaffine import (affine_coproduct_image, affine_hom_report,
+                             affine_relations_report, node_sign)
+from sl11kit.qalgebra import (Q_NAMES, q_atypical_rep, q_check_relations, q_coproduct_image,
+                              q_fuse_check, q_hom_report, q_singlet_report, q_singlet_vector,
                               q_typical_from_powers, qbracket_of_power)
 from sl11kit.report import Report
 
@@ -291,6 +294,24 @@ def test_hom_reports_match_the_reference_bodies_on_suite_draws(seed):
     ra, rb = affine_draw(seed)
     assert_same_report(affine_hom_report(ra, rb), ref_affine_hom_report(ra, rb))
     assert_same_report(affine_hom_report(rb, ra, 1e-12), ref_affine_hom_report(rb, ra, 1e-12))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_defining_relation_holds_on_the_coproduct_stack(seed):
+    """Delta is an algebra map: the coproduct stack of a suite-drawn pair, as a
+    module on the tensor space, satisfies every defining relation its algebra's
+    checker reads, the affine Serre, compatibility and ev(K+-) lines included,
+    where the homomorphism reports read four deformed and two affine ones."""
+    labs, qlabs = hopf_draw(seed)
+    for checker, (rep_a, rep_b) in (
+            (check_relations, [atypical_rep(lab) for lab in labs[:2]]),
+            (q_check_relations, [q_atypical_rep(lab) for lab in qlabs[:2]]),
+            (affine_relations_report, affine_draw(seed))):
+        tensor = dataclasses.replace(rep_a, space=rep_a.space.tensor(rep_b.space),
+                                     stack=coproduct_stack(TABLES[rep_a.kind], rep_a, rep_b))
+        rpt = checker(tensor)
+        assert rpt.names == checker(rep_a).names
+        assert rpt.passed and rpt.max_residual <= 1e-13, (rpt.suite, rpt.max_residual)
 
 
 def test_fusion_reports_every_warning_on_hopf_draws():

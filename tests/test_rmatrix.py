@@ -5,7 +5,7 @@ from sl11kit import suites
 from sl11kit.algebra import RepLabels, atypical_rep, check_relations
 from sl11kit.graded import C11, graded_perm, identity, max_abs
 from sl11kit.qaffine import affine_eval_rep, affine_relations_report
-from sl11kit.qalgebra import q_labels, q_atypical_rep
+from sl11kit.qalgebra import QRepLabels, q_labels, q_atypical_rep
 from sl11kit.rmatrix import (ReducibleTensorError, _assemble, conjugate_r, conjugate_rep,
                              conjugated_pair, intertwining_report, r_closed,
                              r_solve, r_trig, rq_closed, rq_from_powers,
@@ -139,6 +139,14 @@ def test_trig_degenerate_angles_raise_as_closed_does(angles):
     # the unitarity identity still holds there, with both sides (nearly) zero
     res, scalar = unitarity_check(*angles)
     assert res < 1e-30 and abs(scalar) < 1e-15
+
+
+def test_q_closed_degenerate_labels_raise_as_closed_does():
+    """lambda = 0 and nu = 1 are valid labels, but all six deformed coefficients
+    vanish on the pair of them: rq_closed refuses the zero matrix as r_closed does."""
+    la = QRepLabels(1.3 + 0.2j, 1.0, 1.2 + 0.1j, 1.0, 1.0, -0.5, 0.5)
+    with pytest.raises(ValueError, match="all six coefficients vanish"):
+        rq_closed(la, la)
 
 
 def test_trig_matches_closed_up_to_2i():
