@@ -75,10 +75,11 @@ def label_scalar(value):
     return complex(value) if isinstance(value, (int, float, complex, np.number)) else value
 
 
-def decided(check: str, test) -> bool:
-    """``test()`` as a bool; a TypeError names ``check`` when symbolic labels leave it open."""
+def decided(check: str, compare) -> bool:
+    """``compare()``, which only compares values computed before the call, as a bool;
+    a TypeError names ``check`` when symbolic labels leave it open."""
     try:
-        return bool(test())
+        return bool(compare())
     except TypeError as err:
         raise TypeError(f"cannot decide {check}: {err}") from err
 
@@ -125,7 +126,8 @@ class RepLabels:
     @property
     def degenerate(self) -> bool:
         """True when nu^4 = 1, which kills both central charges mu_i."""
-        return decided("whether nu^4 = 1", lambda: abs(self.nu**2 - self.nu**-2) < 1e-12)
+        gap = abs(self.nu**2 - self.nu**-2)
+        return decided("whether nu^4 = 1", lambda: gap < 1e-12)
 
     @property
     def alpha(self) -> tuple[complex, complex]:
@@ -259,22 +261,18 @@ def graded_brackets(x: np.ndarray, layout: tuple) -> np.ndarray:
 # -- relations as data: one evaluator reads every algebra's relation table ----
 
 
+def _letters(word: str) -> tuple[str, ...]:
+    """The letters of a word: its sub-words "(a b ...)" and its other names; "0" if empty."""
+    return tuple(re.findall(r"\(.*?\)|\S+", word)) or ("0",)
+
+
 @cache  # sides repeat: "0" closes every central case, "1" every inverse pair
 def _side(text: str) -> tuple:
-    """(coefficient symbol, word, subtracted word) of "symbol: word - word"; no word is "0"."""
+    """(coefficient symbol, word, subtracted word) of "symbol: word - word"."""
     symbol, _, body = text.rpartition(": ")
-    words = re.fullmatch(r"(.*?)(?:(?:^| )- (.*))?", body).groups()
-    return symbol or "1", *(tuple(re.findall(r"\(.*?\)|\S+", word or "0")) for word in words)
-
-
-def _products(letters: np.ndarray, spelled: np.ndarray) -> np.ndarray:
-    """Products over ``letters`` of words spelled longest first, padded with
-    ``len(letters)``: at letter k only the words longer than k multiply."""
-    words = letters[spelled[:, 0]]
-    for k, column in enumerate(spelled.T[1:], 1):
-        count = np.count_nonzero(column < len(letters))
-        words[:count] = words[:count] @ letters[column[:count]]
-    return words
+    # the leading space splits "- f" too, whose first word is absent
+    word, _, subtracted = f" {body}".partition(" - ")
+    return symbol or "1", _letters(word), _letters(subtracted)
 
 
 class RelationTable:
@@ -285,27 +283,32 @@ class RelationTable:
     are generator names, graded brackets "[a,b]", sub-words "(a b ...)", which are
     multiplied first, "1" (the identity) and "0"; an absent word is "0".  Every
     bracket enters one :func:`bracket_layout`; the sub-words, then the words of two
-    or more letters, are multiplied by one :func:`_products` each.
+    or more letters, are multiplied by one :func:`.coproduct.word_stack` each.
     """
 
     def __init__(self, names: tuple[str, ...], odd: frozenset, cases):
         self.cases = tuple(cases)
         self.case_names = [name for name, _, _ in self.cases]
         sides = [_side(text) for _, lhs, rhs in self.cases for text in (lhs, rhs)]
-        words = dict.fromkeys(word for _, *pair in sides for word in pair)
+        symbols = [symbol for symbol, _, _ in sides]
+        words = dict.fromkeys(word for _, plus, minus in sides for word in (plus, minus))
         letters = dict.fromkeys(letter for word in words for letter in word)
-        brackets = [letter for letter in letters if letter[0] == "["]
-        subwords = sorted((s for s in letters if s[0] == "("), key=lambda s: -len(s.split()))
-        long = sorted((word for word in words if len(word) > 1), key=len, reverse=True)
+        brackets = [letter for letter in letters if letter.startswith("[")]
+        subwords = [letter for letter in letters if letter.startswith("(")]
+        long = [word for word in words if len(word) > 1]
         alphabet = (*names, *brackets, *subwords, "1", "0")
-        self.layout = bracket_layout(names, odd, [tuple(b[1:-1].split(",")) for b in brackets])
-        self.subwords = [spell(names, [sub[1:-1].split() for sub in subwords])] if subwords else []
+        pairs = [tuple(bracket[1:-1].split(",")) for bracket in brackets]
+        self.layout = bracket_layout(names, odd, pairs)
+        spelled_subwords = [subword[1:-1].split() for subword in subwords]
+        self.subwords = [spell(names, spelled_subwords)] if subwords else []
         self.words = spell(alphabet, long)
-        # rows of the word table: the letters, then the longer words
-        index = {word: w for w, word in enumerate([*((letter,) for letter in alphabet), *long])}
-        self.plus, self.minus = (np.array([index[side[k]] for side in sides]) for k in (1, 2))
-        self.symbols = tuple(dict.fromkeys(symbol for symbol, _, _ in sides))
-        self.symbol_of = np.array([self.symbols.index(symbol) for symbol, _, _ in sides])
+        # rows of the word table: the alphabet's letters, then the longer words
+        rows = [(letter,) for letter in alphabet] + long
+        index = {word: w for w, word in enumerate(rows)}
+        self.plus = np.array([index[plus] for _, plus, _ in sides])
+        self.minus = np.array([index[minus] for _, _, minus in sides])
+        self.symbols = tuple(dict.fromkeys(symbols))
+        self.symbol_of = np.array([self.symbols.index(symbol) for symbol in symbols])
 
     def report(self, suite: str, tolerance: float, x: np.ndarray, q, alpha) -> Report:
         """Residuals of the cases on the ``(G, n, n)`` stack ``x`` of ``names``, each
@@ -318,8 +321,8 @@ class RelationTable:
             values["q"] = q
         one = np.eye(n, dtype=x.dtype)[None]  # the letters "1" and "0" close the alphabet
         letters = np.concatenate([x, graded_brackets(x, self.layout),
-                                  *(_products(x, sub) for sub in self.subwords), one, 0 * one])
-        table = np.concatenate([letters, _products(letters, self.words)])
+                                  *(word_stack(x, sub) for sub in self.subwords), one, 0 * one])
+        table = np.concatenate([letters, word_stack(letters, self.words)])
         sides = table[self.plus] - table[self.minus]
         coeffs = np.array([values.get(symbol, 0) for symbol in self.symbols])[self.symbol_of]
         sides = (sides * coeffs[:, None, None]).reshape(-1, 2, n, n)

@@ -107,7 +107,7 @@ def spell(names: tuple[str, ...], words) -> np.ndarray:
     index = {name: g for g, name in enumerate(names)}
     width = max([1, *map(len, words)])
     spelled = np.array([[index[name] for name in word] + [len(names)] * (width - len(word))
-                        for word in words], dtype=int).reshape(len(words), width)
+                        for word in words])
     spelled.setflags(write=False)
     return spelled
 

@@ -31,7 +31,8 @@ AFFINE_NAMES = ("E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4",
                 "K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
                 "K4+", "K4-", "U+", "U-", "V+", "V-")
 _AFF_ODD = frozenset({"E1", "E2", "E3", "E4", "F1", "F2", "F3", "F4"})
-GROUP_LIKE = AFFINE_NAMES[8:]
+GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-", "K3+", "K3-",
+              "K4+", "K4-", "U+", "U-", "V+", "V-")
 _AFF_PARITY = tuple(ODD if name in _AFF_ODD else EVEN for name in AFFINE_NAMES)
 
 #: exponent convention (i) = (-1)^{i-1} used in the mixed relations

@@ -100,13 +100,13 @@ class QRepLabels:
                 raise ValueError(f"{name} must be nonzero")
             object.__setattr__(self, name, val)
         reject_root_of_unity(self.q)
+        residual, scale = abs(self.shortening_residual()), abs(self.br_lam1 * self.br_lam2)
         if decided("the deformed shortening constraint",
-                   lambda: abs(self.shortening_residual())
-                   > 1e-8 * max(abs(self.br_lam1 * self.br_lam2), 1.0)):
+                   lambda: residual > 1e-8 * max(scale, 1.0)):
             raise ValueError("labels violate the deformed shortening constraint")
+        residuals, scale = [abs(r) for r in self.gamma_residuals()], abs(self.gamma) ** 2
         if decided("whether gamma is consistent with the weight powers",
-                   lambda: max(abs(r) for r in self.gamma_residuals())
-                   > 1e-8 * max(abs(self.gamma) ** 2, 1.0)):
+                   lambda: max(residuals) > 1e-8 * max(scale, 1.0)):
             raise ValueError("gamma is inconsistent with the weight powers")
 
     # L_i^+ eigenvalues q^{mu_i}; products of stored powers, no branch choice.
@@ -323,7 +323,8 @@ def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
 
 # -- coproduct -----------------------------------------------------------------
 
-_GROUP_LIKE = Q_NAMES[4:]
+_GROUP_LIKE = ("K0+", "K0-", "K1+", "K1-", "K2+", "K2-",
+               "L1+", "L1-", "L2+", "L2-", "U+", "U-")
 
 Q_COPRODUCT = CoproductTable({
     "E1": ((1, ("E1",), ("U-", "K1-")), (1, ("U+", "K1+"), ("E1",))),

@@ -145,6 +145,10 @@ def test_symbolic_deformed_labels_name_the_check_they_cannot_decide():
     assert RepLabels(gamma, sp.Integer(2), -1, 1).degenerate is False
     with pytest.raises(TypeError, match="whether nu\\^4 = 1"):
         RepLabels(gamma, nu, -1, 1).degenerate
+    # a TypeError of the label arithmetic itself is not taken for an open check
+    with pytest.raises(TypeError) as err:
+        RepLabels(gamma, "nu", -1, 1).degenerate
+    assert "cannot decide" not in str(err.value)
 
 
 def test_importing_the_library_loads_neither_sympy_nor_mpmath():
