@@ -3,15 +3,19 @@
 Level-r generators act as rho^r times the level-0 matrices, where rho is
 the scalar by which (u^2 h1 - u^{-2} h2)/(u^2 - u^{-2}) acts on an atypical
 module.  The level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is
-the canonical one) is evaluated on a pair of modules as one tower: every
-family at every level up to r_max, from one graded tensor product per
-distinct (left word, right word) level-0 pair, each scaled by its terms'
-coefficients times powers of the two evaluation parameters.  Two things are
-memoised: each module's table of level-0 word products (one for both tower
-sides and every depth), and each tower per (pair, eps, depth, opposite),
-where a shallower request reads the first levels of a deeper tower of the
-same pair.  The homomorphism, cocommutativity, omega-twist and
-intertwining reports read slices of the memoised towers.
+the canonical one) is data: the level-0 coproduct table
+:data:`.algebra.COPRODUCT` lifted to level r, plus two tails per family
+(:data:`TAILS`).  It is evaluated on a pair of modules as one tower, every
+family at every level up to r_max, from four graded tensor products (the
+two level-0 terms and the two tails) over all (family, level) rows, scaled
+by a table of rho powers and tail sums in the labels' scalar type.  Two
+things are memoised: each module's table of word products (one for both
+tower sides and every depth), and each tower per (pair, eps, depth,
+opposite), where a shallower request reads the first levels of a deeper
+tower of the same pair.  The homomorphism, cocommutativity, omega-twist and
+intertwining reports read slices of the memoised towers; the level-bracket
+and homomorphism reports read the brackets of the flattened (family,
+level) rows through :func:`.algebra.bracket_layout`.
 Drinfeld currents are handled as matrix-valued polynomials in 1/z
 truncated at a configurable order, each one ``(order+1, n, n)`` coefficient
 array; the current-relation and antipode reports take their products as
@@ -31,7 +35,8 @@ from weakref import WeakValueDictionary
 
 import numpy as np
 
-from .algebra import _BRACKETS, GeneratorImage, RepLabels, atypical_rep
+from .algebra import (_BRACKETS, _ODD_NAMES, COPRODUCT, GeneratorImage, RepLabels, atypical_rep,
+                      bracket_layout, graded_brackets)
 from .coproduct import STACK_CACHE_SIZE, kron_sum, memoised_by_labels, spell, word_stack
 from .graded import SuperMatrix, graded_flip, max_abs, product_table
 from .report import Report, residual_report
@@ -108,54 +113,41 @@ def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
     rpt = Report("k-tower", tolerance)
     # level-r images rho^r X, the scalar on the right as in :meth:`EvalRep.image`
     for r in _levels(r_max):
-        rhs = usq @ (h1 * complex(ev.rho ** r)) - usqm @ (h2 * complex(ev.rho ** r))
+        rhs = usq @ (h1 * ev.rho ** r) - usqm @ (h2 * ev.rho ** r)
         for i, alpha in enumerate(ev.alpha, 1):
-            rpt.add(f"k{i},{r+1}",
-                    max_abs(k[i - 1] * complex(ev.rho ** (r + 1)) - rhs * complex(alpha)))
+            rpt.add(f"k{i},{r+1}", max_abs(k[i - 1] * ev.rho ** (r + 1) - rhs * alpha))
     return rpt
-
-
-#: The families that stand in a defining bracket; h1, h2, k1, k2 are only targets.
-_BRACKETED = tuple(dict.fromkeys(f for a, b, _, _ in _BRACKETS for f in (a, b)))
-_BRACKETED_ROWS = [FAMILIES.index(name) for name in _BRACKETED]
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _bracket_layout(rs_max: int, names_format: str):
-    """Case names (``names_format`` filled with a, r, b, s) and index rows of
-    the brackets ``_BRACKETS`` with r + s <= rs_max, by r, then s, then
-    bracket: the rows of x y and y x, x = tower[a, r], y = tower[b, s], in
-    the flattened product table of the ``_BRACKETED`` families' levels
-    0..rs_max, the family and level of t_{r+s}, (-1)^{p_a p_b} and the sign."""
-    levels = rs_max + 1
-    count = len(_BRACKETED) * levels
-
-    def row(name, r):
-        return _BRACKETED.index(name) * levels + r
-    names, index = [], []
-    for r in _levels(rs_max):
-        for s in range(levels - r):
-            for a, b, t, sign in _BRACKETS:
-                names.append(names_format.format(a=a, r=r, b=b, s=s))
-                x, y = row(a, r), row(b, s)
-                index.append((y * count + x, x * count + y, FAMILIES.index(t), r + s,
-                              1 if a == "h0" else -1, sign))
-    index = np.array(index).T
-    index.setflags(write=False)
-    return tuple(names), index
+    """The brackets [a_r, b_s} = sign t_{r+s} of ``_BRACKETS`` with r + s <= rs_max,
+    by r, then s, then bracket, over the rows (family, level) of a flattened
+    ``(F, rs_max + 1, n, n)`` tower: case names (``names_format`` filled with a,
+    r, b, s), their :func:`.algebra.bracket_layout`, the rows of t_{r+s} and the
+    signs, every index array read-only."""
+    rows = tuple((name, r) for name in FAMILIES for r in _levels(rs_max))
+    cases = [(a, r, b, s, t, sign) for r in _levels(rs_max) for s in range(rs_max + 1 - r)
+             for a, b, t, sign in _BRACKETS]
+    layout = bracket_layout(rows, frozenset(row for row in rows if row[0] in _ODD_NAMES),
+                            [((a, r), (b, s)) for a, r, b, s, _, _ in cases])
+    targets = np.array([rows.index((t, r + s)) for _, r, _, s, t, _ in cases])
+    signs = np.array([sign for *_, sign in cases])[:, None, None]
+    for index in (*layout, targets, signs):
+        index.setflags(write=False)
+    names = tuple(names_format.format(a=a, r=r, b=b, s=s) for a, r, b, s, _, _ in cases)
+    return names, layout, targets, signs
 
 
 def _bracket_report(suite: str, tolerance: float, tower: np.ndarray, rs_max: int,
                     names_format: str) -> Report:
     """The defining brackets on a ``(F, R, n, n)`` tower of family images by
-    level: x y - swap y x against sign t_{r+s}, x = tower[a, r], y = tower[b, s],
-    every product read from one :func:`.graded.product_table` of the
-    bracketed families' levels."""
-    names, (xy, yx, it, irs, swap, sign) = _bracket_layout(rs_max, names_format)
-    factors = tower[_BRACKETED_ROWS].reshape(-1, *tower.shape[2:])
-    table = product_table(factors, factors).reshape(-1, *tower.shape[2:])
-    return residual_report(suite, tolerance, names, table[xy] - swap[:, None, None] * table[yx],
-                           tower[it, irs] * sign[:, None, None])
+    level: [x, y} against sign t_{r+s}, x = tower[a, r], y = tower[b, s], every
+    bracket read by :func:`.algebra.graded_brackets` from one product table."""
+    names, layout, targets, signs = _bracket_layout(rs_max, names_format)
+    rows = tower.reshape(-1, *tower.shape[2:])
+    return residual_report(suite, tolerance, names, graded_brackets(rows, layout),
+                           rows[targets] * signs)
 
 
 def level_bracket_report(ev: EvalRep, rs_max: int = 8,
@@ -163,12 +155,12 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
     """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices.
 
     The level images rho^r X, r = 0..rs_max, are stacked as one
-    ``(F, R, n, n)`` array (the matrix operand first: the scalar-first
-    product of :func:`currents` rounds differently), and every (r, s)
-    bracket is read from one product table of its levels.
+    ``(F, R, n, n)`` array in the labels' scalar type (the matrix operand
+    first: the scalar-first product of :func:`currents` rounds differently),
+    and every (r, s) bracket is read from one product table of its levels.
     """
     x = ev.gather(FAMILIES)
-    powers = np.array([ev.rho ** r for r in _levels(rs_max)], dtype=np.complex128)
+    powers = np.array([ev.rho ** r for r in _levels(rs_max)])
     levels = x[:, None] * powers[None, :, None, None]
     return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
 
@@ -176,134 +168,54 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
 # -- level coproduct -------------------------------------------------------------
 
 
-def _tail_terms(name: str, r: int, eps1: complex, eps2: complex):
-    """(coefficient, left factors, right factors) with factors (generator, level).
+#: The level-mixing tails of the level coproduct.  Delta_eps(x_r) is rho_a^r C0 +
+#: rho_b^r C1, where C0 and C1 are the two terms of x's row of
+#: :data:`.algebra.COPRODUCT` (x on the left in C0, on the right in C1), plus,
+#: for each of x's two tails (sign, i, left word, right word) and l = 1..r,
+#: sign eps_i rho_a^{r-l} rho_b^{l-1} (left word) (x) (right word): the last
+#: letter of the left word stands at level r - l, that of the right word at
+#: level l - 1, and every u+- at level 0.
+TAILS = {
+    "e1": ((1, 1, ("u+", "h1"), ("e1",)), (1, 2, ("u-", "k1"), ("u-", "u-", "e2"))),
+    "e2": ((1, 2, ("u-", "h2"), ("e2",)), (1, 1, ("u+", "k2"), ("u+", "u+", "e1"))),
+    "f1": ((1, 1, ("f1",), ("u+", "h1")), (1, 2, ("u-", "u-", "f2"), ("u-", "k2"))),
+    "f2": ((1, 2, ("f2",), ("u-", "h2")), (1, 1, ("u+", "u+", "f1"), ("u+", "k1"))),
+    "h1": ((1, 1, ("h1",), ("h1",)), (1, 2, ("u-", "u-", "k1"), ("u-", "u-", "k2"))),
+    "h2": ((1, 2, ("h2",), ("h2",)), (1, 1, ("u+", "u+", "k2"), ("u+", "u+", "k1"))),
+    "k1": ((1, 2, ("k1",), ("u-", "u-", "h2")), (1, 1, ("u+", "u+", "h1"), ("k1",))),
+    "k2": ((1, 1, ("k2",), ("u+", "u+", "h1")), (1, 2, ("u-", "u-", "h2"), ("k2",))),
+    "h0": ((-1, 1, ("u+", "f1"), ("u+", "e1")), (-1, 2, ("u-", "f2"), ("u-", "e2"))),
+}
 
-    The r = 0 part reproduces the level-0 coproduct; the l = 1..r tails mix
-    levels exactly as the unique grading-respecting extension demands.
-    """
-    terms = []
-    if name == "h0":
-        terms.append((1, (("h0", r),), ()))
-        terms.append((1, (), (("h0", r),)))
-        for l in range(1, r + 1):
-            terms.append((-eps1, (("u+", 0), ("f1", r - l)), (("u+", 0), ("e1", l - 1))))
-            terms.append((-eps2, (("u-", 0), ("f2", r - l)), (("u-", 0), ("e2", l - 1))))
-        return terms
-    fam, i = name[0], int(name[1])
-    j = 3 - i
-    up, um = ("u+", "u-") if i == 1 else ("u-", "u+")
-    ei, ej = (eps1, eps2) if i == 1 else (eps2, eps1)
-    if fam == "e":
-        terms.append((1, ((name, r),), ((um, 0),)))
-        terms.append((1, ((up, 0),), ((name, r),)))
-        for l in range(1, r + 1):
-            terms.append((ei, ((up, 0), (f"h{i}", r - l)), ((f"e{i}", l - 1),)))
-            terms.append((ej, ((um, 0), (f"k{i}", r - l)),
-                          ((um, 0), (um, 0), (f"e{j}", l - 1))))
-    elif fam == "f":
-        terms.append((1, ((name, r),), ((up, 0),)))
-        terms.append((1, ((um, 0),), ((name, r),)))
-        for l in range(1, r + 1):
-            terms.append((ei, ((f"f{i}", r - l),), ((up, 0), (f"h{i}", l - 1))))
-            terms.append((ej, ((um, 0), (um, 0), (f"f{j}", r - l)),
-                          ((um, 0), (f"k{j}", l - 1))))
-    elif fam == "h":
-        terms.append((1, ((name, r),), ()))
-        terms.append((1, (), ((name, r),)))
-        for l in range(1, r + 1):
-            terms.append((ei, ((f"h{i}", r - l),), ((f"h{i}", l - 1),)))
-            terms.append((ej, ((um, 0), (um, 0), (f"k{i}", r - l)),
-                          ((um, 0), (um, 0), (f"k{j}", l - 1))))
-    elif fam == "k":
-        terms.append((1, ((name, r),), ((um, 0), (um, 0))))
-        terms.append((1, ((up, 0), (up, 0)), ((name, r),)))
-        for l in range(1, r + 1):
-            terms.append((ej, ((f"k{i}", r - l),),
-                          ((um, 0), (um, 0), (f"h{j}", l - 1))))
-            terms.append((ei, ((up, 0), (up, 0), (f"h{i}", r - l)), ((f"k{i}", l - 1),)))
-    else:
-        raise KeyError(f"unknown family {name!r}")
-    return terms
+#: The words of the tower: the level-0 coproduct's, then the tails' other words.
+_WORDS = tuple(dict.fromkeys([*COPRODUCT.words, *(
+    word for tails in TAILS.values() for *_, left, right in tails for word in (left, right))]))
+_SPELLED = spell(COPRODUCT.names, _WORDS)
 
 
-#: Stand-ins for eps1 and eps2 while :func:`_tail_terms` is walked for the
-#: tower layout; every coefficient it forms is one of 1, +-eps1, +-eps2.
-_EPS_CODES = (2, 3)
-#: coefficient stand-in -> slot of the coefficient vector (1, eps1, eps2, -eps1, -eps2, 0)
-_COEFF_SLOT = {1: 0, 2: 1, 3: 2, -2: 3, -3: 4}
-_PAD_SLOT = 5
+def _column_layout():
+    """Per tower column (C0, C1, tail 0, tail 1) and family: the row of the
+    scalar table of :func:`_direct_tower` (rho_a^r, rho_b^r, then the tail sums
+    of eps1, eps2, -eps1, -eps2) and the left and right words, rows of ``_WORDS``;
+    three read-only ``(4, F)`` arrays."""
+    rows = [COPRODUCT.position(name) for name in FAMILIES]
+    word = {w: k for k, w in enumerate(_WORDS)}
+    level_zero = [(np.full(len(rows), k), left[rows], right[rows])
+                  for k, (_, left, right) in enumerate(COPRODUCT.columns)]
+    tails = [np.array([(1 + i + 2 * (sign < 0), word[left], word[right])
+                       for sign, i, left, right in (TAILS[name][t] for name in FAMILIES)]).T
+             for t in (0, 1)]
+    layout = np.array([*level_zero, *tails]).swapaxes(0, 1)
+    layout.setflags(write=False)
+    return layout
 
 
-def _level_zero_words():
-    """Letters, word -> row map and spelled ``(W, D)`` table of the distinct
-    level-0 words of the tower terms, in first-seen :func:`_tail_terms` order
-    at depth 1; the terms at every deeper level read the same words."""
-    words = dict.fromkeys(tuple(g for g, _ in factors)
-                          for name in FAMILIES for r in (0, 1)
-                          for _, *sides in _tail_terms(name, r, *_EPS_CODES)
-                          for factors in sides)
-    letters = tuple(dict.fromkeys(g for word in words for g in word))
-    return letters, {word: w for w, word in enumerate(words)}, spell(letters, list(words))
-
-
-_LETTERS, _WORD_ROW, _SPELLED = _level_zero_words()
-
-
-@lru_cache(maxsize=STACK_CACHE_SIZE)
-def _tower_layout(r_max: int):
-    """The level coproducts of all families at levels 0..r_max, as index tables.
-
-    Returns (words, terms).  Row (family, r) lists its distinct (left,
-    right) word pairs in first-seen :func:`_tail_terms` order; ``words``
-    (``(2, F (R+1), P)``) holds each pair's left and right word as rows of
-    the module word tables (:func:`_word_table`), padded with the first
-    pair, and ``terms`` holds, per pair, the coefficient slot, left level
-    and right level of its terms in order, padded with zero terms to a
-    common ``(3, F (R+1), P, K)`` shape.  Built once per r_max: it depends
-    on nothing else.
-    """
-    rows = []
-    for name in FAMILIES:
-        for r in _levels(r_max):
-            groups = {}
-            for coeff, left, right in _tail_terms(name, r, *_EPS_CODES):
-                pair = tuple(_WORD_ROW[tuple(g for g, _ in side)] for side in (left, right))
-                groups.setdefault(pair, []).append(
-                    (_COEFF_SLOT[coeff], sum(lvl for _, lvl in left),
-                     sum(lvl for _, lvl in right)))
-            rows.append(list(groups.items()))
-    width = max(len(row) for row in rows)
-    depth = max(len(terms) for row in rows for _, terms in row)
-    words = np.empty((2, len(rows), width), dtype=int)
-    words.T[:] = rows[0][0][0]
-    terms = np.zeros((3, len(rows), width, depth), dtype=int)
-    terms[0] = _PAD_SLOT
-    for i, row in enumerate(rows):
-        for p, (pair, group) in enumerate(row):
-            words[:, i, p] = pair
-            terms[:, i, p, :len(group)] = np.array(group).T
-    for table in (words, terms):
-        table.setflags(write=False)
-    return words, terms
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise complex product rounded as Python's complex type rounds it.
-
-    numpy's vector loops fuse the multiply-add of a complex product; forming
-    the real and imaginary parts separately keeps the scalar rounding, so the
-    scalar table equals the one built term by term in Python.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+_SCALAR_ROWS, _LEFT, _RIGHT = _column_layout()
 
 
 def _word_table(rep: EvalRep) -> np.ndarray:
     """Read-only ``(W, n, n)`` products of the tower's level-0 words in ``rep``."""
-    words = word_stack(rep.gather(_LETTERS), _SPELLED)
+    words = word_stack(rep.gather(COPRODUCT.names), _SPELLED)
     words.setflags(write=False)
     return words
 
@@ -315,19 +227,24 @@ _module_words = lru_cache(maxsize=STACK_CACHE_SIZE)(_word_table)
 def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int,
                   words=_module_words) -> np.ndarray:
     """``(F, R+1, n, n)`` array of Delta_eps(g_{f,r}), built without the tower
-    memo from the word tables ``words(rep_a)`` and ``words(rep_b)``."""
-    (left, right), (slot, level_a, level_b) = _tower_layout(r_max)
+    memo from the word tables ``words(rep_a)`` and ``words(rep_b)``: one
+    graded Kronecker product per column of C0, C1 and the :data:`TAILS`.
+
+    The scalars are Python arithmetic in the labels' type: rho^r, and the
+    tail sums over ascending l of (c rho_a^{r-l}) rho_b^{l-1}.
+    """
     eps1, eps2 = complex(eps[0]), complex(eps[1])
-    coeffs = np.array([1, eps1, eps2, -eps1, -eps2, 0], dtype=np.complex128)
-    powers_a = np.array([rep_a.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
-    powers_b = np.array([rep_b.rho ** k for k in range(r_max + 1)], dtype=np.complex128)
-    terms = _product(_product(coeffs[slot], powers_a[level_a]), powers_b[level_b])
-    scalars = sum(terms[..., k] for k in range(terms.shape[-1]))
-    # pair position p of every row is one column: the pair's scalar, its words
-    columns = [(scalars[:, p, None, None], left[:, p], right[:, p])
-               for p in range(left.shape[1])]
+    levels = range(r_max + 1)
+    powers_a = [rep_a.rho ** r for r in levels]
+    powers_b = [rep_b.rho ** r for r in levels]
+    scalars = np.array([powers_a, powers_b, *(
+        [sum(c * powers_a[r - l] * powers_b[l - 1] for l in range(1, r + 1)) for r in levels]
+        for c in (eps1, eps2, -eps1, -eps2))])
+    # rows (family, level) of each column: its scalars, left words and right words
+    columns = zip(scalars[_SCALAR_ROWS].reshape(len(_SCALAR_ROWS), -1, 1, 1),
+                  np.repeat(_LEFT, len(levels), axis=1), np.repeat(_RIGHT, len(levels), axis=1))
     tower = kron_sum(columns, rep_a.space, rep_b.space, words(rep_a), words(rep_b))
-    return tower.reshape(len(FAMILIES), r_max + 1, *tower.shape[1:])
+    return tower.reshape(len(FAMILIES), len(levels), *tower.shape[1:])
 
 
 def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
@@ -337,8 +254,8 @@ def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
 
     The first axis follows :data:`FAMILIES`, the second the levels 0..r_max.
     A level-r factor acts as rho^r times its level-0 image, so the tower is
-    one graded Kronecker product per distinct level-0 word pair, weighted
-    by a scalar table of coeff * rho_a^La * rho_b^Lb summed per pair, and
+    one graded Kronecker product per term of a family's row (C0, C1 and
+    the two :data:`TAILS`), each weighted by its rho power or tail sum, and
     Delta^op is the graded flip of the swapped pair's tower.  Memoised per
     (rep_a, rep_b, eps, r_max, opposite); a request reads the first r_max + 1
     levels of a deeper tower of the same (rep_a, rep_b, eps, opposite) if

@@ -17,6 +17,8 @@ from sl11kit.algebra import COPRODUCT, RepLabels, atypical_rep, default_alpha, t
 from sl11kit.coproduct import TABLES, coproduct_stack
 from sl11kit.qalgebra import QRepLabels, q_atypical_rep, q_typical_from_powers, qbracket_of_power
 from sl11kit.rmatrix import intertwining_report, r_closed, r_solve, rq_closed, solve_intertwiner
+from sl11kit.yangian import (coproduct_hom_report, coproduct_tower, k_cocommutativity_report,
+                             kir_report, level_bracket_report, scaled_eval_pair)
 
 _FIELDS = ("gamma", "nu", "alpha1", "alpha2")
 _U_MINUS = COPRODUCT.position("u-")
@@ -82,6 +84,19 @@ def test_mpmath_labels_intertwine_at_40_digits(deformed):
     print(f"40-digit intertwining residual, {'deformed' if deformed else 'undeformed'}: "
           f"{worst:.2e}")
     assert worst <= 1e-35
+
+
+def test_mpmath_labels_run_the_yangian_tower_at_40_digits():
+    la, lb = next(_pairs(7, False))
+    with mp.workdps(40):
+        eva, evb = scaled_eval_pair(_mp_labels(la), _mp_labels(lb))
+        tower = coproduct_tower(eva, evb, r_max=4)
+        assert tower.dtype == object and {type(z) for z in tower.ravel()} <= {mpc, int}
+        reports = (coproduct_hom_report(eva, evb, 4), k_cocommutativity_report(eva, evb, 4),
+                   kir_report(eva, 4), level_bracket_report(eva, 4))
+    for rpt in reports:
+        print(f"40-digit {rpt.suite} residual: {rpt.max_residual:.2e}")
+        assert rpt.max_residual <= 1e-35, rpt.suite
 
 
 def test_sympy_labels_intertwine_exactly():

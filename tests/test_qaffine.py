@@ -133,6 +133,7 @@ def suite_pair(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_affine_intertwining_reads_the_stacks_the_suite_built(seed):
     la, lb = suite_pair(seed)
+    coproduct._stack.cache_clear()  # an earlier test may hold this pair's stacks
     # the suite's standard pair: its homomorphism report builds the Delta stack
     affine_hom_report(affine_eval_rep(la), affine_eval_rep(lb))
     misses = coproduct._stack.cache_info().misses

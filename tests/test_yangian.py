@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from sl11kit import algebra, suites, yangian
-from sl11kit.algebra import GeneratorImage, RepLabels, atypical_rep, coproduct_image
-from sl11kit.coproduct import STACK_CACHE_SIZE
+from sl11kit.algebra import COPRODUCT, GeneratorImage, RepLabels, atypical_rep, coproduct_image
+from sl11kit.coproduct import STACK_CACHE_SIZE, coproduct_stack
 from sl11kit.graded import (SuperMatrix, graded_flip, graded_kron, graded_perm, identity,
                             max_abs, zeros)
 from sl11kit.report import Report
 from sl11kit.rmatrix import r_closed
 from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError, _cauchy,
-                             _omega_twisted, _series_inverse, _tail_terms, _tower,
+                             _omega_twisted, _series_inverse, _tower,
                              antipode_report, coproduct_hom_report, coproduct_tower,
                              current_relations_report,
                              currents, eval_rep, k_cocommutativity_report,
@@ -22,6 +22,58 @@ from sl11kit.yangian import (FAMILIES, EvalRep, SingularEvaluationError, _cauchy
 
 A = RepLabels(1.3 - 0.4j, np.exp(0.7j), -0.5, 0.5)
 B = RepLabels(0.8 + 0.3j, np.exp(-0.35j), -0.5, 0.5)
+
+
+# The level coproduct term by term: the reference for the tables of yangian.TAILS.
+def _tail_terms(name: str, r: int, eps1: complex, eps2: complex):
+    """(coefficient, left factors, right factors) with factors (generator, level).
+
+    The r = 0 part reproduces the level-0 coproduct; the l = 1..r tails mix
+    levels exactly as the unique grading-respecting extension demands.
+    """
+    terms = []
+    if name == "h0":
+        terms.append((1, (("h0", r),), ()))
+        terms.append((1, (), (("h0", r),)))
+        for l in range(1, r + 1):
+            terms.append((-eps1, (("u+", 0), ("f1", r - l)), (("u+", 0), ("e1", l - 1))))
+            terms.append((-eps2, (("u-", 0), ("f2", r - l)), (("u-", 0), ("e2", l - 1))))
+        return terms
+    fam, i = name[0], int(name[1])
+    j = 3 - i
+    up, um = ("u+", "u-") if i == 1 else ("u-", "u+")
+    ei, ej = (eps1, eps2) if i == 1 else (eps2, eps1)
+    if fam == "e":
+        terms.append((1, ((name, r),), ((um, 0),)))
+        terms.append((1, ((up, 0),), ((name, r),)))
+        for l in range(1, r + 1):
+            terms.append((ei, ((up, 0), (f"h{i}", r - l)), ((f"e{i}", l - 1),)))
+            terms.append((ej, ((um, 0), (f"k{i}", r - l)),
+                          ((um, 0), (um, 0), (f"e{j}", l - 1))))
+    elif fam == "f":
+        terms.append((1, ((name, r),), ((up, 0),)))
+        terms.append((1, ((um, 0),), ((name, r),)))
+        for l in range(1, r + 1):
+            terms.append((ei, ((f"f{i}", r - l),), ((up, 0), (f"h{i}", l - 1))))
+            terms.append((ej, ((um, 0), (um, 0), (f"f{j}", r - l)),
+                          ((um, 0), (f"k{j}", l - 1))))
+    elif fam == "h":
+        terms.append((1, ((name, r),), ()))
+        terms.append((1, (), ((name, r),)))
+        for l in range(1, r + 1):
+            terms.append((ei, ((f"h{i}", r - l),), ((f"h{i}", l - 1),)))
+            terms.append((ej, ((um, 0), (um, 0), (f"k{i}", r - l)),
+                          ((um, 0), (um, 0), (f"k{j}", l - 1))))
+    elif fam == "k":
+        terms.append((1, ((name, r),), ((um, 0), (um, 0))))
+        terms.append((1, ((up, 0), (up, 0)), ((name, r),)))
+        for l in range(1, r + 1):
+            terms.append((ej, ((f"k{i}", r - l),),
+                          ((um, 0), (um, 0), (f"h{j}", l - 1))))
+            terms.append((ei, ((up, 0), (up, 0), (f"h{i}", r - l)), ((f"k{i}", l - 1),)))
+    else:
+        raise KeyError(f"unknown family {name!r}")
+    return terms
 
 
 def word_product(rep, word):
@@ -77,10 +129,12 @@ def test_level_brackets_to_eight(pair):
 
 def test_coproduct_level_zero_matches_algebra(pair):
     eva, evb = pair
-    for name in ("e1", "f2", "h1", "k2", "h0"):
+    stack = coproduct_stack(COPRODUCT, eva, evb)
+    for name in FAMILIES:
         lvl0 = yangian_coproduct(name, 0, eva, evb)
         ref = coproduct_image(name, eva, evb)
         assert max_abs(lvl0 - ref) == 0.0
+        assert np.array_equal(lvl0.m, stack[COPRODUCT.position(name)]), name
 
 
 def _term_by_term_coproduct(name, r, rep_a, rep_b, eps=(1.0, 1.0), opposite=False):
@@ -373,11 +427,13 @@ def test_bracket_layout_is_built_once_per_depth_and_format():
             misses = layout.cache_info().misses
     assert layout.cache_info().misses == misses
     assert layout.cache_info().maxsize == STACK_CACHE_SIZE
-    names, index = layout(2, "[{a},{r};{b},{s}]")
-    assert len(names) == index.shape[1] == 8 * 6  # eight brackets, six (r, s) with r + s <= 2
+    names, brackets, targets, signs = layout(2, "[{a},{r};{b},{s}]")
+    # eight brackets, six (r, s) with r + s <= 2
+    assert len(names) == len(targets) == len(signs) == len(brackets[1]) == 8 * 6
     assert [c.identity for c in level_bracket_report(eva, 2).cases] == list(names)
-    with pytest.raises(ValueError):
-        index[0, 0] = 1
+    for index in (*brackets, targets, signs):
+        with pytest.raises(ValueError):
+            index[0] = 1
 
 
 def test_coproduct_is_a_tower_slice(pair):
