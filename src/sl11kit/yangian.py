@@ -2,30 +2,27 @@
 
 Level-r generators act as rho^r times the level-0 matrices, where rho is
 the scalar by which (u^2 h1 - u^{-2} h2)/(u^2 - u^{-2}) acts on an atypical
-module.  The level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is
-the canonical one) is data: the level-0 coproduct table
-:data:`.algebra.COPRODUCT` lifted to level r, plus two tails per family
-(:data:`TAILS`).  It is evaluated on a pair of modules as one tower, every
-family at every level up to r_max, from four graded tensor products (the
-two level-0 terms and the two tails) over all (family, level) rows, scaled
-by a table of rho powers and tail sums in the labels' scalar type.  Two
-things are memoised: each module's table of word products (one for both
-tower sides and every depth), and each tower per (pair, eps, depth,
-opposite), where a shallower request reads the first levels of a deeper
-tower of the same pair.  The homomorphism, cocommutativity, omega-twist and
-intertwining reports read slices of the memoised towers; the level-bracket
-and homomorphism reports read the brackets of the flattened (family,
-level) rows through :func:`.algebra.bracket_layout`.
-Drinfeld currents are handled as matrix-valued polynomials in 1/z
-truncated at a configurable order, each one ``(order+1, n, n)`` coefficient
-array; the current-relation and antipode reports take their products as
-batched Cauchy products of such series.
-Every batch of small products here (brackets, Cauchy products, the
-intertwining products with the R-matrix) is read from
+module.  One stack holds these level images rho^r x, scalar first: the
+k-tower, the level brackets and the Drinfeld currents (matrix-valued
+polynomials in 1/z, one ``(order+1, n, n)`` array each) all read it.  The
+level-mixing coproduct family Delta_eps (eps_1 = eps_2 = 1 is the canonical
+one) is data: the level-0 coproduct table :data:`.algebra.COPRODUCT` lifted
+to level r, plus two tails per family (:data:`TAILS`).  It is evaluated on a
+pair of modules as one tower, every family at every level up to r_max, from
+four graded tensor products over all (family, level) rows, scaled by rho
+powers and tail sums.  Each module's table of word products and each tower
+per (pair, eps, depth, opposite) are memoised; a shallower request reads the
+first levels of a deeper tower of the same pair.  The homomorphism,
+cocommutativity, omega-twist and intertwining reports read slices of the
+towers.  Every defining bracket, of level images, tower slices or current
+coefficients, is read through :func:`.algebra.bracket_layout` over
+flattened (family, level) rows, and every batch of small products from
 :func:`.graded.product_table`, one BLAS call per right factor.
 
-Everything here is verified in evaluation representations; no abstract
-normal-ordered arithmetic is attempted.
+Nothing here casts a scalar: every report runs in the labels' scalar type,
+which :func:`.algebra.label_scalar` decides, but the antipode report, whose
+series inverse is double only.  Everything is verified in evaluation
+representations; no abstract normal-ordered arithmetic is attempted.
 """
 from __future__ import annotations
 
@@ -36,7 +33,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from .algebra import (_BRACKETS, _ODD_NAMES, COPRODUCT, GeneratorImage, RepLabels, atypical_rep,
-                      bracket_layout, graded_brackets)
+                      bracket_layout, graded_brackets, label_scalar)
 from .coproduct import STACK_CACHE_SIZE, kron_sum, memoised_by_labels, spell, word_stack
 from .graded import SuperMatrix, graded_flip, max_abs, product_table
 from .report import Report, residual_report
@@ -72,10 +69,10 @@ def eval_rep(labels: RepLabels) -> EvalRep:
     :class:`SingularEvaluationError` otherwise.  Memoised: equal labels give
     one module object, which shares the atypical module's read-only stack.
     """
-    denom = labels.nu**2 - labels.nu**-2
-    if abs(denom) < 1e-12:
+    if labels.degenerate:
         raise SingularEvaluationError("nu^4 = 1 makes the evaluation parameter rho singular")
-    rho = (labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2) / denom
+    rho = ((labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2)
+           / (labels.nu**2 - labels.nu**-2))
     base = atypical_rep(labels)
     return EvalRep(base.space, base.names, base.stack, base.parity, base.alpha, base.q,
                    base.kind, rho=rho)
@@ -104,19 +101,28 @@ def _levels(r_max: int) -> range:
     return range(r_max + 1)
 
 
+def _level_images(ev: EvalRep, depth: int) -> np.ndarray:
+    """``(F, depth+1, n, n)`` stack of the level images rho^r x, r = 0..depth, of
+    the :data:`FAMILIES`: the scalar operand first, in the labels' scalar type."""
+    powers = np.array([ev.rho ** r for r in _levels(depth)])
+    return powers[None, :, None, None] * ev.gather(FAMILIES)[:, None]
+
+
 def kir_report(ev: EvalRep, r_max: int = 4, tolerance: float = 1e-12) -> Report:
-    """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation."""
+    """k_{i,r+1} = alpha_i (u^2 h_{1,r} - u^{-2} h_{2,r}) under evaluation, on
+    the level images of :func:`_level_images`, every level in one product."""
     if ev.alpha is None:
         raise ValueError("evaluation representation carries no couplings")
-    up, um, h1, h2, *k = ev.gather(("u+", "u-", "h1", "h2", "k1", "k2"))
-    usq, usqm = up @ up, um @ um
-    rpt = Report("k-tower", tolerance)
-    # level-r images rho^r X, the scalar on the right as in :meth:`EvalRep.image`
-    for r in _levels(r_max):
-        rhs = usq @ (h1 * ev.rho ** r) - usqm @ (h2 * ev.rho ** r)
-        for i, alpha in enumerate(ev.alpha, 1):
-            rpt.add(f"k{i},{r+1}", max_abs(k[i - 1] * ev.rho ** (r + 1) - rhs * alpha))
-    return rpt
+    names = [f"k{i},{r+1}" for r in _levels(r_max) for i in (1, 2)]
+    images = _level_images(ev, r_max + 1)
+    h1, h2, k1, k2 = (images[FAMILIES.index(name)] for name in ("h1", "h2", "k1", "k2"))
+    up, um = ev.gather(("u+", "u-"))
+    hcomb = (up @ up) @ h1[:-1] - (um @ um) @ h2[:-1]  # [r] = u^2 h_{1,r} - u^{-2} h_{2,r}
+    lhs = np.stack([k1[1:], k2[1:]], axis=1)  # [r, i - 1] = k_{i,r+1}
+    rhs = hcomb[:, None] * np.array(ev.alpha)[:, None, None]
+    n = lhs.shape[-1]
+    return residual_report("k-tower", tolerance, names, lhs.reshape(-1, n, n),
+                           rhs.reshape(-1, n, n))
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)
@@ -154,15 +160,12 @@ def level_bracket_report(ev: EvalRep, rs_max: int = 8,
                          tolerance: float = 1e-11) -> Report:
     """Defining level brackets [e_{i,r}, f_{j,s}] etc. evaluated as matrices.
 
-    The level images rho^r X, r = 0..rs_max, are stacked as one
-    ``(F, R, n, n)`` array in the labels' scalar type (the matrix operand
-    first: the scalar-first product of :func:`currents` rounds differently),
-    and every (r, s) bracket is read from one product table of its levels.
+    Every (r, s) bracket is read from one product table of the level images
+    rho^r X, r = 0..rs_max, of :func:`_level_images`: the matrices that the
+    k-tower and the Drinfeld currents read, bit for bit.
     """
-    x = ev.gather(FAMILIES)
-    powers = np.array([ev.rho ** r for r in _levels(rs_max)])
-    levels = x[:, None] * powers[None, :, None, None]
-    return _bracket_report("level-brackets", tolerance, levels, rs_max, "[{a},{r};{b},{s}]")
+    return _bracket_report("level-brackets", tolerance, _level_images(ev, rs_max), rs_max,
+                           "[{a},{r};{b},{s}]")
 
 
 # -- level coproduct -------------------------------------------------------------
@@ -233,7 +236,7 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int,
     The scalars are Python arithmetic in the labels' type: rho^r, and the
     tail sums over ascending l of (c rho_a^{r-l}) rho_b^{l-1}.
     """
-    eps1, eps2 = complex(eps[0]), complex(eps[1])
+    eps1, eps2 = eps
     levels = range(r_max + 1)
     powers_a = [rep_a.rho ** r for r in levels]
     powers_b = [rep_b.rho ** r for r in levels]
@@ -262,7 +265,8 @@ def coproduct_tower(rep_a: EvalRep, rep_b: EvalRep,
     one is alive, and the word tables are memoised per module.
     """
     # positional, normalised arguments: one cache entry whatever the call form
-    return _tower(rep_a, rep_b, (complex(eps[0]), complex(eps[1])), int(r_max), bool(opposite))
+    return _tower(rep_a, rep_b, (label_scalar(eps[0]), label_scalar(eps[1])), int(r_max),
+                  bool(opposite))
 
 
 #: (rep_a, rep_b, eps, opposite) -> the deepest tower :func:`_tower` built, while alive
@@ -341,7 +345,7 @@ def _omega_twisted(ev: EvalRep, eps1: complex, eps2: complex, power: int) -> Eva
     """The module twisted by the rescaling automorphism omega^power (power =
     +-1): its level-0 images rescaled, its couplings dropped, rho kept."""
     factors = _omega_scale(eps1**power, eps2**power)
-    scale = np.array([complex(factors[g]) for g in ev.names])[:, None, None]
+    scale = np.array([factors[g] for g in ev.names])[:, None, None]
     return EvalRep(ev.space, ev.names, ev.stack * scale, ev.parity, kind=ev.kind, rho=ev.rho)
 
 
@@ -361,7 +365,7 @@ def omega_twist_equivalence(rep_a: EvalRep, rep_b: EvalRep,
         raise ValueError("twist parameters must be nonzero")
     scale = _omega_scale(eps1, eps2)
     ta, tb = (_omega_twisted(rep, eps1, eps2, -1) for rep in (rep_a, rep_b))
-    factors = np.array([complex(scale[name]) for name in FAMILIES])
+    factors = np.array([scale[name] for name in FAMILIES])
     rhs = _direct_tower(ta, tb, (eps1, eps2), r_max, _word_table) * factors[:, None, None, None]
     return _level_report("omega-twist", tolerance, "omega", FAMILIES,
                          coproduct_tower(rep_a, rep_b, r_max=r_max), rhs)
@@ -387,11 +391,11 @@ def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     every leading index at once: all coefficient products come from one
     :func:`.graded.product_table` (one BLAS call per coefficient of ``y``
     per leading index) and are summed into z^{-(r+s)} with r ascending, the
-    order of the double loop over r, then s.
+    order of the double loop over r, then s, in the coefficients' scalar type.
     """
     count = x.shape[-3]
     table = product_table(x, y)  # [..., s, r] = x_r y_s
-    out = np.zeros(table.shape[:-4] + table.shape[-3:], dtype=np.complex128)
+    out = np.zeros_like(table[..., 0, :, :])
     for r in range(count):
         out[..., r:, :, :] += table[..., : count - r, r, :, :]
     return out
@@ -417,74 +421,69 @@ def _series_inverse(c: np.ndarray) -> np.ndarray:
 
 def currents(ev: EvalRep, order: int) -> dict[str, np.ndarray]:
     """Drinfeld currents of the evaluation module, truncated at z^{-order}:
-    each one read-only ``(order+1, n, n)`` array whose row r multiplies z^{-r}.
+    each one read-only ``(order+1, n, n)`` array whose row r multiplies z^{-r},
+    in the labels' scalar type.
 
-    e/f/k currents are pure tails sum_r rho^r pi(a) z^{-r-1}; the h currents
+    e/f/k currents are pure tails sum_r rho^r pi(a) z^{-r-1}, their rows past
+    the first the level images of :func:`_level_images`; the h currents
     (including h0) carry the constant term 1.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    x = ev.gather(FAMILIES)
-    powers = np.array([ev.rho ** r for r in range(order)], dtype=np.complex128)
-    coeffs = np.zeros((len(FAMILIES), order + 1, *x.shape[1:]), dtype=np.complex128)
-    # the scalar operand first: numpy can round matrix * scalar differently
-    coeffs[:, 1:] = powers[None, :, None, None] * x[:, None]
-    coeffs[[name[0] == "h" for name in FAMILIES], 0] = np.eye(ev.space.dim)
+    levels = _level_images(ev, order - 1)
+    coeffs = np.concatenate([np.zeros_like(levels[:, :1]), levels], axis=1)
+    coeffs[[name[0] == "h" for name in FAMILIES], 0] = np.eye(ev.space.dim, dtype=int)
     coeffs.setflags(write=False)
     return dict(zip(FAMILIES, coeffs))
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)
 def _current_layout(order: int):
-    """Case names and (bracket, r, s, z-side row, w-side row) indices of the
-    mixed coefficients r + s < order, bracket by bracket; a side row is the
-    bracket's own, or the zero row ``len(_BRACKETS)`` off the boundary."""
-    zero = len(_BRACKETS)
-    names, index = [], []
-    for c, (a, b, _, _) in enumerate(_BRACKETS):
-        for r in range(order):
-            for s in range(order - r):
-                names.append(f"(w-z)[{a}(z),{b}(w)]@({r},{s})")
-                index.append((c, r, s, c if s == 0 else zero, c if r == 0 else zero))
-    index = np.array(index).T
-    index.setflags(write=False)
-    return tuple(names), index
+    """The coefficients r + s < order of (w - z)[a(z), b(w)} = sign (t(z) - t(w)),
+    bracket by bracket, over the rows (family, coefficient) of the flattened
+    ``(F, order+1, n, n)`` currents: case names, the :func:`.algebra.bracket_layout`
+    of every [a_r, b_{s+1}}, then of every [a_{r+1}, b_s}, and the right side as
+    the row of t_{r+s} and its weight sign ([s = 0] - [r = 0]), read-only."""
+    rows = tuple((name, k) for name in FAMILIES for k in range(order + 1))
+    cases = [(a, r, b, s, t, sign) for a, b, t, sign in _BRACKETS
+             for r in range(order) for s in range(order - r)]
+    layout = bracket_layout(rows, frozenset(row for row in rows if row[0] in _ODD_NAMES),
+                            [((a, r), (b, s + 1)) for a, r, b, s, _, _ in cases]
+                            + [((a, r + 1), (b, s)) for a, r, b, s, _, _ in cases])
+    targets = np.array([rows.index((t, r + s)) for _, r, _, s, t, _ in cases])
+    weights = np.array([sign * ((s == 0) - (r == 0)) for _, r, _, s, _, sign in cases])
+    for index in (*layout, targets, weights):
+        index.setflags(write=False)
+    names = tuple(f"(w-z)[{a}(z),{b}(w)]@({r},{s})" for a, r, b, s, _, _ in cases)
+    return names, layout, targets, weights[:, None, None]
 
 
 def current_relations_report(ev: EvalRep, order: int,
                              tolerance: float = 1e-11) -> Report:
     """Defining relations as double-series identities, coefficient by coefficient.
 
-    (w - z)[a(z), b(w)] is expanded over z^{-r} w^{-s}; the mixed coefficients
-    must cancel and the boundary rows reproduce the level brackets.  Every
-    [a_r, b_s} comes from two product tables (a_r b_s and b_s a_r), and
-    every coefficient's residual from one array operation.  Also checks the k-current tie
+    (w - z)[a(z), b(w)} is expanded over z^{-r} w^{-s}: the coefficient
+    [a_r, b_{s+1}} - [a_{r+1}, b_s} vanishes off the boundary and is sign t_r
+    at s = 0, -sign t_s at r = 0.  Every bracket is read by
+    :func:`.algebra.graded_brackets` from one product table of the flattened
+    currents, in the labels' scalar type.  Also checks the k-current tie
     k_i(z) = alpha_i (u^2 h1(z) - u^{-2} h2(z))/z.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     cur = currents(ev, order)
-    x = np.stack([cur[a] for a, _, _, _ in _BRACKETS])
-    y = np.stack([cur[b] for _, b, _, _ in _BRACKETS])
-    prod = product_table(x, y).swapaxes(1, 2)  # [c, r, s] = a_r b_s
-    swap = product_table(y, x)  # [c, r, s] = b_s a_r
-    odd = np.array([a != "h0" for a, _, _, _ in _BRACKETS])
-    cross = np.where(odd[:, None, None, None, None], prod + swap, prod - swap)
-    sides = np.stack([cur[t] if sign > 0 else -cur[t]
-                      for _, _, t, sign in _BRACKETS]
-                     + [np.zeros_like(x[0])])
-    names, (ic, ir, is_, iz, iw) = _current_layout(order)
-    lhs = cross[ic, ir, is_ + 1] - cross[ic, ir + 1, is_]
-    rpt = residual_report("current-relations", tolerance, names, lhs,
-                          sides[iz, ir] - sides[iw, is_])
+    names, layout, targets, weights = _current_layout(order)
+    rows = np.concatenate([cur[name] for name in FAMILIES])
+    brackets = graded_brackets(rows, layout)
+    rpt = residual_report("current-relations", tolerance, names,
+                          brackets[:len(names)] - brackets[len(names):], rows[targets] * weights)
     if ev.alpha is not None:
         up, um = ev.gather(("u+", "u-"))
-        usq, usqm = complex((up @ up)[0, 0]), complex((um @ um)[0, 0])
-        hcomb = np.zeros_like(x[0])
+        usq, usqm = (up @ up)[0, 0], (um @ um)[0, 0]
+        hcomb = np.zeros_like(cur["h1"])
         hcomb[1:] = (usq * cur["h1"] - usqm * cur["h2"])[:-1]  # times 1/z
         for i, alpha in enumerate(ev.alpha, 1):
-            rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z",
-                    max_abs(cur[f"k{i}"] - complex(alpha) * hcomb))
+            rpt.add(f"k{i}(z) - a{i}(u^2 h1 - u^-2 h2)/z", max_abs(cur[f"k{i}"] - alpha * hcomb))
     return rpt
 
 

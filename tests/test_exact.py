@@ -17,8 +17,10 @@ from sl11kit.algebra import COPRODUCT, RepLabels, atypical_rep, default_alpha, t
 from sl11kit.coproduct import TABLES, coproduct_stack
 from sl11kit.qalgebra import QRepLabels, q_atypical_rep, q_typical_from_powers, qbracket_of_power
 from sl11kit.rmatrix import intertwining_report, r_closed, r_solve, rq_closed, solve_intertwiner
-from sl11kit.yangian import (coproduct_hom_report, coproduct_tower, k_cocommutativity_report,
-                             kir_report, level_bracket_report, scaled_eval_pair)
+from sl11kit.yangian import (antipode_report, coproduct_hom_report, coproduct_tower,
+                             current_relations_report, eval_rep, k_cocommutativity_report,
+                             kir_report, level_bracket_report, omega_preserves_brackets_report,
+                             omega_twist_equivalence, scaled_eval_pair)
 
 _FIELDS = ("gamma", "nu", "alpha1", "alpha2")
 _U_MINUS = COPRODUCT.position("u-")
@@ -92,8 +94,15 @@ def test_mpmath_labels_run_the_yangian_tower_at_40_digits():
         eva, evb = scaled_eval_pair(_mp_labels(la), _mp_labels(lb))
         tower = coproduct_tower(eva, evb, r_max=4)
         assert tower.dtype == object and {type(z) for z in tower.ravel()} <= {mpc, int}
+        eps1, eps2 = mpc(1.2, -0.3), mpc(0.7, 0.1)
         reports = (coproduct_hom_report(eva, evb, 4), k_cocommutativity_report(eva, evb, 4),
-                   kir_report(eva, 4), level_bracket_report(eva, 4))
+                   kir_report(eva, 4), level_bracket_report(eva, 4),
+                   current_relations_report(eva, 6), omega_twist_equivalence(eva, evb, eps1, eps2),
+                   omega_preserves_brackets_report(eva, eps1, eps2))
+        # the series inverse of the antipode report is double only: numpy's inverse
+        # has no loop for mpc entries
+        with pytest.raises(TypeError):
+            antipode_report(eva, 4)
     for rpt in reports:
         print(f"40-digit {rpt.suite} residual: {rpt.max_residual:.2e}")
         assert rpt.max_residual <= 1e-35, rpt.suite
@@ -160,6 +169,8 @@ def test_symbolic_deformed_labels_name_the_check_they_cannot_decide():
     assert RepLabels(gamma, sp.Integer(2), -1, 1).degenerate is False
     with pytest.raises(TypeError, match="whether nu\\^4 = 1"):
         RepLabels(gamma, nu, -1, 1).degenerate
+    with pytest.raises(TypeError, match="whether nu\\^4 = 1"):
+        eval_rep(RepLabels(gamma, nu, -1, 1))
     # a TypeError of the label arithmetic itself is not taken for an open check
     with pytest.raises(TypeError) as err:
         RepLabels(gamma, "nu", -1, 1).degenerate

@@ -8,7 +8,9 @@ No function body imports a package module: the package has no import cycle to
 break, so such an import only hides a dependency from the module header.
 ``__init__`` only re-exports, so it is left out.  The suites call only public
 functions of the other modules, the paths a caller and a tracer of those
-functions see.
+functions see.  ``yangian`` casts no scalar: it neither calls ``complex`` nor
+names ``complex128``, so the labels' type, decided only by
+``algebra.label_scalar``, runs through its reports.
 """
 import ast
 from pathlib import Path
@@ -162,3 +164,27 @@ def test_the_check_sees_a_private_call_through_a_module_and_an_imported_name():
                      "    r.__len__()\n    w(atypical_rep(la))\n"
                      "    return qaffine._l_word\n")
     assert _private_calls(tree) == ["y._pair_intertwine (line 9)", "w (line 12)"]
+
+
+def _scalar_casts(tree) -> list[str]:
+    """(cast, line) of every ``complex(...)`` call and every ``complex128`` name."""
+    found = [(node.lineno, "complex(...)") for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "complex"]
+    found += [(node.lineno, "complex128") for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "complex128"
+              or isinstance(node, ast.Attribute) and node.attr == "complex128"]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_yangian_casts_no_scalar():
+    casts = _scalar_casts(TREES["yangian"])
+    assert not casts, f"yangian: scalar casts {casts}"
+
+
+def test_the_check_sees_a_complex_call_and_a_complex128_name():
+    tree = ast.parse("import numpy as np\nfrom numpy import complex128\n\n"
+                     "def f(x: complex) -> complex:\n    y = complex(x)\n"
+                     "    return np.zeros(2, dtype=np.complex128) + complex128(y)\n")
+    assert _scalar_casts(tree) == ["complex(...) (line 5)", "complex128 (line 6)",
+                                   "complex128 (line 6)"]

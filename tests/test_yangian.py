@@ -799,3 +799,29 @@ def test_a_shallower_tower_reads_the_deeper_one(seed, monkeypatch):
                 assert np.shares_memory(tower, deep) and not tower.flags.writeable
                 with pytest.raises(ValueError):
                     tower[0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_level_brackets_read_the_current_coefficients_bitwise(seed):
+    la, lb, _, _ = suite_draw(seed)
+    for ev in scaled_eval_pair(la, lb):
+        for rs_max in (0, 3, 8):
+            cur = currents(ev, rs_max + 1)
+            rows = np.stack([cur[name][1:] for name in FAMILIES])
+            want = yangian._bracket_report("level-brackets", 1e-11, rows, rs_max,
+                                           "[{a},{r};{b},{s}]")
+            assert_same_report(level_bracket_report(ev, rs_max), want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_k_tower_reads_the_current_coefficients(seed, monkeypatch):
+    la, lb, _, _ = suite_draw(seed)
+    read = _counting(monkeypatch, "_level_images")
+    for ev in scaled_eval_pair(la, lb):
+        read.clear()
+        kir_report(ev, 4)
+        ((_, depth),) = read
+        images = yangian._level_images(ev, depth)
+        cur = currents(ev, depth + 1)
+        for name in ("k1", "k2", "h1", "h2"):
+            assert np.array_equal(images[FAMILIES.index(name)], cur[name][1:]), name
