@@ -361,8 +361,8 @@ def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float 
     def report(rep, tolerance: float = tolerance) -> Report:
         s_words = word_stack(rep.gather(sources) * signs, reversed_words)
         words = _words(table, rep)
-        lhs = sum(coeff * (s_words[left] @ words[right])
-                  for coeff, left, right in table.columns)
+        coeffs, left, right = table.columns
+        lhs = sum(coeffs * (s_words[left] @ words[right]))
         counit = table.counit[:, None, None] * np.eye(rep.space.dim)
         return residual_report(suite, tolerance, names, lhs, counit)
     return report

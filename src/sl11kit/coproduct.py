@@ -77,13 +77,13 @@ class CoproductTable:
         self.spelled = spell(self.names, self.words)
         slot = {word: i for i, word in enumerate(self.words)}
         # Term position k of every generator, padded with zero terms on empty
-        # words: (coefficients shaped to broadcast over the Kronecker block,
-        # indices of the left words and of the right words in ``words``).
-        self.columns = tuple(
-            (np.array([row[k][0] for row in padded]).reshape(-1, 1, 1),
-             np.array([slot[row[k][1]] for row in padded]),
-             np.array([slot[row[k][2]] for row in padded]))
-            for k in range(width))
+        # words, one row per k: (coefficients ``(K, G, 1, 1)``, shaped to
+        # broadcast over the Kronecker block, and the ``(K, G)`` indices of the
+        # left words and of the right words in ``words``).
+        positions = list(zip(*padded))
+        self.columns = (np.array([[t[0] for t in terms] for terms in positions])[..., None, None],
+                        *(np.array([[slot[t[side]] for t in terms] for terms in positions])
+                          for side in (1, 2)))
 
     def position(self, name: str) -> int:
         """Index of ``name`` along the first axis of a stack."""
@@ -164,13 +164,14 @@ def _stack(table: CoproductTable, rep_a, rep_b, opposite: bool) -> np.ndarray:
 def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     """``(R, n, n)`` stack of row sums of coeff * (left word (x) right word).
 
-    Each column is (coefficients shaped ``(R, 1, 1)``, left word index
-    per row, right word index per row) into the ``(W, n, n)`` word products
-    ``words_a`` on ``space_a`` and ``words_b`` on ``space_b``.  One broadcast
-    graded Kronecker product per column; columns are summed in order.
+    ``columns`` is (coefficients ``(K, R, 1, 1)``, left and right word indices
+    ``(K, R)``) into the ``(W, n, n)`` word products ``words_a`` on ``space_a``
+    and ``words_b`` on ``space_b``.  One broadcast graded Kronecker product of
+    all K columns, summed in order.
     """
-    return sum(coeff * kron_arrays(words_a[left], words_b[right], space_a, space_a,
-                                   space_b, space_b) for coeff, left, right in columns)
+    coeffs, left, right = columns
+    return sum(coeffs * kron_arrays(words_a[left], words_b[right], space_a, space_a,
+                                    space_b, space_b))
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)

@@ -236,14 +236,18 @@ def product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     ``left`` is ``(..., L, n, k)`` and ``right`` ``(..., R, k, m)``; leading
     axes broadcast.  The L left factors are stacked into one tall ``(L n, k)``
     matrix, so the table takes one BLAS call per right factor (per leading
-    index) where a gathered batched product takes one per pair.  BLAS forms
-    each row of the tall product as it forms that row of the block's own
-    product, so every entry equals the per-pair ``@`` bit for bit;
-    ``tests/test_graded.py`` checks that property of the BLAS build, which
-    the callers' bitwise reproducibility relies on.  The wide layout, one
-    left factor times the right factors side by side, does not have it.
+    index, or for all of them if ``right`` has none) where a gathered batched
+    product takes one per pair.  BLAS forms each row of the tall product as it
+    forms that row of the block's own product, so every entry equals the
+    per-pair ``@`` bit for bit; ``tests/test_graded.py`` checks that property
+    of the BLAS build, which the callers' bitwise reproducibility relies on.
+    The wide layout, one left factor times the right factors side by side,
+    does not have it.
     """
     *batch, count, n, k = left.shape
+    if right.ndim == 3:  # [r, ..., l] of one tall product, moved to [..., r, l]
+        table = (left.reshape(-1, k) @ right).reshape(len(right), *batch, count, n, -1)
+        return np.moveaxis(table, 0, -4)
     tall = left.reshape(*batch, count * n, k)
     table = tall[..., None, :, :] @ right
     return table.reshape(*table.shape[:-2], count, n, right.shape[-1])
@@ -270,9 +274,24 @@ def _perm_entries(v: GradedSpace, w: GradedSpace) -> np.ndarray:
     return m
 
 
+@cache
+def _flip_gather(v: GradedSpace, w: GradedSpace):
+    """Read-only rows, columns and signs of :func:`graded_flip`: P = ``_perm_entries(w, v)``
+    has one entry per row, and ``_perm_entries(v, w)`` is P^T."""
+    perm = _perm_entries(w, v)
+    (_, source), sign = perm.nonzero(), perm.sum(axis=1)
+    index = (*np.ix_(source, source), np.outer(sign, sign))
+    for table in index:
+        table.setflags(write=False)
+    return index
+
+
 def graded_flip(x: np.ndarray, v: GradedSpace, w: GradedSpace) -> np.ndarray:
-    """An operator on w (x) v, or a stack of them, carried to v (x) w by graded permutations."""
-    return _perm_entries(w, v) @ x @ _perm_entries(v, w)
+    """An operator on w (x) v, or a stack of them, carried to v (x) w by graded
+    permutations, as one signed gather: every value is that of the products
+    ``_perm_entries(w, v) @ x @ _perm_entries(v, w)``, but a zero's sign."""
+    rows, cols, signs = _flip_gather(v, w)
+    return x[..., rows, cols] * signs
 
 
 def graded_comm(a: SuperMatrix, b: SuperMatrix,

@@ -60,19 +60,23 @@ class EvalRep(GeneratorImage):
         return (self.rho ** level) * self[name]
 
 
-@memoised_by_labels
-def eval_rep(labels: RepLabels) -> EvalRep:
-    """Evaluation representation on an atypical module.
-
-    rho = (nu^2 lambda1 - nu^{-2} lambda2)/(nu^2 - nu^{-2}); requires
-    nu^4 != 1 so the denominator is invertible; raises
-    :class:`SingularEvaluationError` otherwise.  Memoised: equal labels give
-    one module object, which shares the atypical module's read-only stack.
-    """
+def _rho(labels: RepLabels):
+    """rho = (nu^2 lambda1 - nu^{-2} lambda2)/(nu^2 - nu^{-2}); requires nu^4 != 1
+    so the denominator is invertible; raises :class:`SingularEvaluationError` otherwise."""
     if labels.degenerate:
         raise SingularEvaluationError("nu^4 = 1 makes the evaluation parameter rho singular")
-    rho = ((labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2)
-           / (labels.nu**2 - labels.nu**-2))
+    return ((labels.nu**2 * labels.lambda1 - labels.nu**-2 * labels.lambda2)
+            / (labels.nu**2 - labels.nu**-2))
+
+
+@memoised_by_labels
+def eval_rep(labels: RepLabels) -> EvalRep:
+    """Evaluation representation on an atypical module, with rho of :func:`_rho`.
+
+    Memoised: equal labels give one module object, which shares the atypical
+    module's read-only stack.
+    """
+    rho = _rho(labels)
     base = atypical_rep(labels)
     return EvalRep(base.space, base.names, base.stack, base.parity, base.alpha, base.q,
                    base.kind, rho=rho)
@@ -83,12 +87,12 @@ def scaled_eval_pair(labels_a: RepLabels, labels_b: RepLabels) -> tuple[EvalRep,
 
     rho is linear in the couplings, so one common real factor tames the
     level growth rho^r in truncated checks while keeping the two modules
-    over the same algebra (identical alpha_i).
+    over the same algebra (identical alpha_i).  rho is read from the labels,
+    so only the two returned modules are built.
     """
-    ra, rb = eval_rep(labels_a), eval_rep(labels_b)
-    worst = max(abs(ra.rho), abs(rb.rho))
+    worst = max(abs(_rho(labels_a)), abs(_rho(labels_b)))
     if worst <= 1.0:
-        return ra, rb
+        return eval_rep(labels_a), eval_rep(labels_b)
     s = 1.0 / worst
     return tuple(eval_rep(RepLabels(lab.gamma, lab.nu, lab.alpha1 * s, lab.alpha2 * s))
                  for lab in (labels_a, labels_b))
@@ -203,8 +207,8 @@ def _column_layout():
     three read-only ``(4, F)`` arrays."""
     rows = [COPRODUCT.position(name) for name in FAMILIES]
     word = {w: k for k, w in enumerate(_WORDS)}
-    level_zero = [(np.full(len(rows), k), left[rows], right[rows])
-                  for k, (_, left, right) in enumerate(COPRODUCT.columns)]
+    _, left, right = COPRODUCT.columns
+    level_zero = [(np.full(len(rows), k), left[k, rows], right[k, rows]) for k in range(len(left))]
     tails = [np.array([(1 + i + 2 * (sign < 0), word[left], word[right])
                        for sign, i, left, right in (TAILS[name][t] for name in FAMILIES)]).T
              for t in (0, 1)]
@@ -244,8 +248,8 @@ def _direct_tower(rep_a: EvalRep, rep_b: EvalRep, eps, r_max: int,
         [sum(c * powers_a[r - l] * powers_b[l - 1] for l in range(1, r + 1)) for r in levels]
         for c in (eps1, eps2, -eps1, -eps2))])
     # rows (family, level) of each column: its scalars, left words and right words
-    columns = zip(scalars[_SCALAR_ROWS].reshape(len(_SCALAR_ROWS), -1, 1, 1),
-                  np.repeat(_LEFT, len(levels), axis=1), np.repeat(_RIGHT, len(levels), axis=1))
+    columns = (scalars[_SCALAR_ROWS].reshape(len(_SCALAR_ROWS), -1, 1, 1),
+               np.repeat(_LEFT, len(levels), axis=1), np.repeat(_RIGHT, len(levels), axis=1))
     tower = kron_sum(columns, rep_a.space, rep_b.space, words(rep_a), words(rep_b))
     return tower.reshape(len(FAMILIES), len(levels), *tower.shape[1:])
 
@@ -389,9 +393,10 @@ def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Coefficient k of a product is the sum of x_r y_s over r + s = k, for
     every leading index at once: all coefficient products come from one
-    :func:`.graded.product_table` (one BLAS call per coefficient of ``y``
-    per leading index) and are summed into z^{-(r+s)} with r ascending, the
-    order of the double loop over r, then s, in the coefficients' scalar type.
+    :func:`.graded.product_table` (one BLAS call per coefficient of ``y``,
+    per leading index unless ``y`` is one series) and are summed into
+    z^{-(r+s)} with r ascending, the order of the double loop over r, then s,
+    in the coefficients' scalar type.
     """
     count = x.shape[-3]
     table = product_table(x, y)  # [..., s, r] = x_r y_s
@@ -399,13 +404,6 @@ def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for r in range(count):
         out[..., r:, :, :] += table[..., : count - r, r, :, :]
     return out
-
-
-def _cauchy_batch(pairs: dict) -> dict:
-    """Cauchy products x y of named ``(x, y)`` series pairs, in one batch."""
-    x = np.stack([x for x, _ in pairs.values()])
-    y = np.stack([y for _, y in pairs.values()])
-    return dict(zip(pairs, _cauchy(x, y)))
 
 
 def _series_inverse(c: np.ndarray) -> np.ndarray:
@@ -419,20 +417,26 @@ def _series_inverse(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def currents(ev: EvalRep, order: int) -> dict[str, np.ndarray]:
-    """Drinfeld currents of the evaluation module, truncated at z^{-order}:
-    each one read-only ``(order+1, n, n)`` array whose row r multiplies z^{-r},
-    in the labels' scalar type.
-
-    e/f/k currents are pure tails sum_r rho^r pi(a) z^{-r-1}, their rows past
-    the first the level images of :func:`_level_images`; the h currents
-    (including h0) carry the constant term 1.
-    """
+def _current_rows(ev: EvalRep, order: int) -> np.ndarray:
+    """``(F + 2, order+1, n, n)`` coefficients of the currents of :data:`FAMILIES`,
+    then of the series 1 and 0.  e/f/k currents are pure tails sum_r rho^r pi(a)
+    z^{-r-1}, their rows past the first the level images of :func:`_level_images`;
+    the h currents (including h0) carry the constant term 1."""
     if order < 1:
         raise ValueError("order must be at least 1")
     levels = _level_images(ev, order - 1)
-    coeffs = np.concatenate([np.zeros_like(levels[:, :1]), levels], axis=1)
-    coeffs[[name[0] == "h" for name in FAMILIES], 0] = np.eye(ev.space.dim, dtype=int)
+    rows = np.zeros_like(levels, shape=(len(FAMILIES) + 2, order + 1, *levels.shape[2:]))
+    rows[:len(FAMILIES), 1:] = levels
+    constant = [name[0] == "h" for name in FAMILIES] + [True, False]
+    rows[constant, 0] = np.eye(ev.space.dim, dtype=int)
+    return rows
+
+
+def currents(ev: EvalRep, order: int) -> dict[str, np.ndarray]:
+    """Drinfeld currents of the evaluation module, truncated at z^{-order}: each one
+    read-only ``(order+1, n, n)`` array of :func:`_current_rows` whose row r multiplies
+    z^{-r}, in the labels' scalar type."""
+    coeffs = _current_rows(ev, order)[:len(FAMILIES)]
     coeffs.setflags(write=False)
     return dict(zip(FAMILIES, coeffs))
 
@@ -491,77 +495,79 @@ def current_relations_report(ev: EvalRep, order: int,
 _NODE_PAIRS = ((1, 2), (2, 1))
 
 
+@lru_cache(maxsize=1)
+def _antipode_plan():
+    """The antipode identities as stages of named series: ``a*b`` is the Cauchy
+    product a b, a sum is read left to right, the second stage's series
+    multiply Hinv and the last stage lists each case's series.  The pool
+    starts with the currents of :data:`FAMILIES`, 1 and 0 and gains each
+    stage's products, then its names.  Returns the case names, the first
+    series of each case, the pool row of H and, per stage, the operand rows of
+    its products ``(2, P)``, the signed rows of its sums ``(K, S)`` (row R + x
+    is -x on a pool of R rows), read-only, and whether it multiplies Hinv."""
+    def pairs(entries):  # the entries with (i, j) filled in, for each node ordering
+        return {k.format(i=i, j=j): v.format(i=i, j=j) for i, j in _NODE_PAIRS
+                for k, v in entries.items()}
+    stages = (pairs({"H": "h1*h2 - k1*k2", "Ne{i}": "e{i}*h{j} - e{j}*k{i}",
+                     "Nf{i}": "f{i}*h{j} - f{j}*k{j}"}),
+              # times Hinv: S(e_i) = -Ne_i Hinv, S(f_i) = -Nf_i Hinv and the cases' sides
+              pairs({"HH": "H", "Se{i}": "-Ne{i}", "Sf{i}": "-Nf{i}",
+                     "hh{i}": "h{j}*h{i} - k{i}*k{j}", "k-{i}": "k{i}*h{j} - h{j}*k{i}",
+                     "k+{i}": "k{i}*h{i} - h{i}*k{i}", "eL{i}": "-Ne{i} + h{j}*e{i} - k{i}*e{j}",
+                     "eR{i}": "e{i}*H - h{i}*Ne{i} - k{i}*Ne{j}",
+                     "fL{i}": "f{i}*H - Nf{i}*h{i} - Nf{j}*k{j}",
+                     "fR{i}": "-Nf{i} + f{i}*h{j} - f{j}*k{j}"}),
+              # S(h0) = 1 - h0 + S(f1) e1 + S(f2) e2, also 1 - h0 + f1 S(e1) + f2 S(e2)
+              {"Sfe": "Sf1*e1 + Sf2*e2", "fSe": "f1*Se1 + f2*Se2"},
+              {"H Hinv - 1": "HH - 1", **pairs({
+                  "h{i}: (h{j} h{i} - k{i} k{j}) Hinv - 1": "hh{i} - 1",
+                  "k{i}: commutator telescopes": "k-{i}, k+{i}",
+                  "e{i}: left antipode": "eL{i}", "e{i}: right antipode": "eR{i}",
+                  "f{i}: left antipode": "fL{i}", "f{i}: right antipode": "fR{i}"}),
+               "h0: S(f)e = f S(e)": "Sfe - fSe",
+               "h0: S(h0) + h0 - S(f)e - 1": "1 - h0 + Sfe + h0 - Sfe - 1",
+               "h0: S(h0) + h0 - f S(e) - 1": "1 - h0 + Sfe + h0 - fSe - 1"})
+    rows, steps = [*FAMILIES, "1", "0"], []
+    for stage in stages:
+        formulas = [v.split(", ") for v in stage.values()]
+        series = [s.replace("- ", "-").replace("+ ", "").split() for f in formulas for s in f]
+        products = list(dict.fromkeys(t.lstrip("-") for terms in series for t in terms
+                                      if "*" in t and t.lstrip("-") not in rows))
+        operands = np.array([[rows.index(x) for x in p.split("*")] for p in products]).T
+        rows += products
+        width = max(map(len, series))
+        sums = np.array([[rows.index(t.lstrip("-")) + len(rows) * t.startswith("-")
+                          for t in terms + ["0"] * (width - len(terms))] for terms in series]).T
+        steps.append((operands.reshape(2, -1), sums, stage is stages[1]))
+        rows += stage
+    for operands, sums, _ in steps:
+        operands.setflags(write=False)
+        sums.setflags(write=False)
+    return tuple(stage), np.cumsum([0, *map(len, formulas)])[:-1], rows.index("H"), steps
+
+
 def antipode_report(ev: EvalRep, order: int, tolerance: float = 1e-10) -> Report:
     """The antipode identities for all currents, truncated at the given order.
 
     H(z) = h1 h2 - k1 k2 has constant term 1 and is inverted as a series;
     the checks multiply out m(S x id)Delta and m(id x S)Delta for each
-    current in a single evaluation module.  Each repeated subexpression,
-    such as e_i h_j - e_j k_i, is formed once, and independent products are
-    taken in four batches.
+    current in a single evaluation module, by the stages of
+    :func:`_antipode_plan`: one Cauchy product of gathered operands, one
+    signed gather-sum and, in the second, one product table by Hinv.
     """
-    cur = currents(ev, order)
-    one = np.zeros_like(cur["h0"])
-    one[0] = np.eye(ev.space.dim)
-    h, k = {1: cur["h1"], 2: cur["h2"]}, {1: cur["k1"], 2: cur["k2"]}
-    e, f = {1: cur["e1"], 2: cur["e2"]}, {1: cur["f1"], 2: cur["f2"]}
-    # products of two currents, keyed by their factors' names
-    words = [("h1", "h2"), ("k1", "k2")]
-    for i, j in _NODE_PAIRS:
-        words += [(f"e{i}", f"h{j}"), (f"e{j}", f"k{i}"), (f"f{i}", f"h{j}"),
-                  (f"f{j}", f"k{j}"), (f"h{j}", f"h{i}"), (f"k{i}", f"k{j}"),
-                  (f"k{i}", f"h{j}"), (f"h{j}", f"k{i}"), (f"k{i}", f"h{i}"),
-                  (f"h{i}", f"k{i}"), (f"h{j}", f"e{i}"), (f"k{i}", f"e{j}")]
-    p = _cauchy_batch({f"{a} {b}": (cur[a], cur[b]) for a, b in words})
-    big_h = p["h1 h2"] - p["k1 k2"]
-    hinv = _series_inverse(big_h)
-    # e_i h_j - e_j k_i and f_i h_j - f_j k_j, the numerators of S(e_i), S(f_i)
-    num_e = {i: p[f"e{i} h{j}"] - p[f"e{j} k{i}"] for i, j in _NODE_PAIRS}
-    num_f = {i: p[f"f{i} h{j}"] - p[f"f{j} k{j}"] for i, j in _NODE_PAIRS}
-    # the products in the right antipode of e_i and the left antipode of f_i
-    q = _cauchy_batch({key: pair for i, j in _NODE_PAIRS for key, pair in (
-        (f"e{i} H", (e[i], big_h)), (f"h{i} num_e{i}", (h[i], num_e[i])),
-        (f"k{i} num_e{j}", (k[i], num_e[j])), (f"f{i} H", (f[i], big_h)),
-        (f"num_f{i} h{i}", (num_f[i], h[i])), (f"num_f{j} k{j}", (num_f[j], k[j])))})
-    # every series that is multiplied by Hinv on the right
-    over_h = {("H", 0): big_h}
-    for i, j in _NODE_PAIRS:
-        over_h |= {
-            ("Se", i): num_e[i],
-            ("Sf", i): num_f[i],
-            ("h", i): p[f"h{j} h{i}"] - p[f"k{i} k{j}"],
-            ("k-", i): p[f"k{i} h{j}"] - p[f"h{j} k{i}"],
-            ("k+", i): p[f"k{i} h{i}"] - p[f"h{i} k{i}"],
-            ("eL", i): -num_e[i] + p[f"h{j} e{i}"] - p[f"k{i} e{j}"],
-            ("eR", i): q[f"e{i} H"] - q[f"h{i} num_e{i}"] - q[f"k{i} num_e{j}"],
-            ("fL", i): q[f"f{i} H"] - q[f"num_f{i} h{i}"] - q[f"num_f{j} k{j}"],
-            ("fR", i): -num_f[i] + p[f"f{i} h{j}"] - p[f"f{j} k{j}"],
-        }
-    t = _cauchy_batch({key: (x, hinv) for key, x in over_h.items()})
-    s_e = {i: -t["Se", i] for i in (1, 2)}
-    s_f = {i: -t["Sf", i] for i in (1, 2)}
-    # h0: S(h0) = 1 - h0 + S(f1) e1 + S(f2) e2; the nontrivial side needs
-    # S(f1) e1 + S(f2) e2 = f1 S(e1) + f2 S(e2)
-    g = _cauchy_batch({f"S(f{i}) e{i}": (s_f[i], e[i]) for i in (1, 2)}
-                      | {f"f{i} S(e{i})": (f[i], s_e[i]) for i in (1, 2)})
-    lhs = g["S(f1) e1"] + g["S(f2) e2"]
-    rhs = g["f1 S(e1)"] + g["f2 S(e2)"]
-    s_h0 = one - cur["h0"] + lhs
-    cases = [("H Hinv - 1", [t["H", 0] - one])]
-    for i, j in _NODE_PAIRS:
-        cases += [(f"h{i}: (h{j} h{i} - k{i} k{j}) Hinv - 1", [t["h", i] - one]),
-                  (f"k{i}: commutator telescopes", [t["k-", i], t["k+", i]]),
-                  (f"e{i}: left antipode", [t["eL", i]]),
-                  (f"e{i}: right antipode", [t["eR", i]]),
-                  (f"f{i}: left antipode", [t["fL", i]]),
-                  (f"f{i}: right antipode", [t["fR", i]])]
-    cases += [("h0: S(f)e = f S(e)", [lhs - rhs]),
-              ("h0: S(h0) + h0 - S(f)e - 1", [s_h0 + cur["h0"] - lhs - one]),
-              ("h0: S(h0) + h0 - f S(e) - 1", [s_h0 + cur["h0"] - rhs - one])]
-    rpt = Report("antipode", tolerance)
-    for name, series in cases:
-        rpt.add(name, max(float(np.abs(x).max()) for x in series))
-    return rpt
+    names, starts, h_row, steps = _antipode_plan()
+    pool = _current_rows(ev, order)
+    for operands, sums, times_hinv in steps:
+        if operands.size:
+            pool = np.concatenate([pool, _cauchy(*pool[operands])])
+        terms = np.concatenate([pool, -pool])[sums]
+        series = sum(terms[1:], terms[0])
+        if times_hinv:
+            series = _cauchy(series, _series_inverse(pool[h_row]))
+        pool = np.concatenate([pool, series])
+    residuals = np.maximum.reduceat(np.abs(series).reshape(len(series), -1).max(axis=1), starts)
+    return Report("antipode", tolerance, names=list(names), residuals=residuals.tolist(),
+                  tolerances=[None] * len(names))
 
 
 def yangian_intertwine(labels_a: RepLabels, labels_b: RepLabels, r_max: int = 4,

@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sl11kit import algebra, qaffine, qalgebra, rmatrix, suites
+from sl11kit import algebra, qaffine, qalgebra, rmatrix, suites, yangian
 from sl11kit.algebra import COPRODUCT, KAC_SPACE, RepLabels
-from sl11kit.coproduct import STACK_CACHE_SIZE, _stack, _words, coproduct_stack
-from sl11kit.graded import SuperMatrix, graded_kron, identity
+from sl11kit.coproduct import STACK_CACHE_SIZE, _stack, _words, coproduct_stack, kron_sum
+from sl11kit.graded import SuperMatrix, graded_kron, identity, kron_arrays
 from sl11kit.qaffine import AFFINE_COPRODUCT
 from sl11kit.qalgebra import Q_COPRODUCT
 
@@ -103,6 +103,38 @@ def test_affine_stack_matches_term_by_term_reference(seed):
         ra = qaffine.affine_eval_rep(qa, variant, beta)
         rb = qaffine.affine_eval_rep(qb, variant, beta)
         _assert_stack_matches(AFFINE_COPRODUCT, qaffine._AFF_ODD, ra, rb)
+
+
+def _column_by_column(columns, space_a, space_b, words_a, words_b):
+    """kron_sum as one graded Kronecker product per column, summed in order."""
+    return sum(coeff * kron_arrays(words_a[left], words_b[right], space_a, space_a,
+                                   space_b, space_b) for coeff, left, right in zip(*columns))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_pass_kron_sum_is_the_column_by_column_sum(seed):
+    rng = np.random.default_rng(seed)
+    (ra, rb), (ta, tb), *_ = _classical_pairs(rng)
+    (qa, qb), *_ = _q_pairs(rng)
+    q, alpha = suites.draw_q(rng), suites.draw_alpha(rng)
+    fa, fb = (qaffine.affine_eval_rep(suites.draw_qlabels(rng, q, alpha)) for _ in range(2))
+    for table, a, b in ((COPRODUCT, ra, rb), (COPRODUCT, ta, tb), (COPRODUCT, ra, ta),
+                        (Q_COPRODUCT, qa, qb), (AFFINE_COPRODUCT, fa, fb)):
+        args = (table.columns, a.space, b.space, _words(table, a), _words(table, b))
+        one_pass = kron_sum(*args)
+        assert np.array_equal(one_pass, _column_by_column(*args))
+        assert np.array_equal(coproduct_stack(table, a, b), one_pass)
+
+
+@pytest.mark.parametrize("eps", [(1.0, 1.0), (1.3 - 0.2j, 0.7 + 0.4j)])
+def test_one_pass_kron_sum_builds_the_yangian_tower(eps, monkeypatch):
+    rng = np.random.default_rng(23)
+    alpha = suites.draw_alpha(rng)
+    eva, evb = yangian.scaled_eval_pair(suites.draw_labels(rng, alpha),
+                                        suites.draw_labels(rng, alpha))
+    tower = yangian._direct_tower(eva, evb, eps, 4)
+    monkeypatch.setattr(yangian, "kron_sum", _column_by_column)
+    assert np.array_equal(yangian._direct_tower(eva, evb, eps, 4), tower)
 
 
 def test_mixed_dimension_pairs_match_reference_in_both_orders():

@@ -6,8 +6,9 @@ import pytest
 
 from sl11kit.algebra import KAC_SPACE
 from sl11kit.graded import (C11, EVEN, ODD, GradedSpace, SuperMatrix,
-                            _kron_layout, graded_comm, graded_kron, graded_perm,
-                            identity, kron_arrays, max_abs, product_table, unit, zeros)
+                            _kron_layout, _perm_entries, graded_comm, graded_flip, graded_kron,
+                            graded_perm, identity, kron_arrays, max_abs, product_table, unit,
+                            zeros)
 
 
 def E(i, j):
@@ -245,3 +246,62 @@ def test_product_table_is_bitwise_the_per_pair_product(n, count, batch, gathered
     want = left[..., None, :, :, :] @ right[..., :, None, :, :]
     assert table.shape == (*batch, 5, count, n, n)
     assert np.array_equal(table, want), f"tall products differ under BLAS {_blas_build()}"
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("gathered", [False, True], ids=["contiguous", "gathered"])
+def test_product_table_with_one_right_stack_is_bitwise_the_per_pair_product(n, gathered):
+    """A right stack without leading axes meets every leading index of the left
+    in one tall product: each entry still equals the per-pair ``@`` exactly."""
+    rng = np.random.default_rng(7 * n)
+
+    def draw(*shape):
+        return rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
+    left, right = draw(3, 4, 9), draw(6)
+    if gathered:
+        left = left[:, ::2]
+    table = product_table(left, right)
+    assert table.shape == (*left.shape[:-3], 6, left.shape[-3], n, n)
+    assert np.array_equal(table, left[..., None, :, :, :] @ right[:, None])
+
+
+#: Every space pair whose tensors the package flips: module pairs of dimensions
+#: 2 and 4, in both orders, and the 8-dimensional coassociativity tensors.
+FLIP_PAIRS = [(C11, C11), (KAC_SPACE, C11), (C11, KAC_SPACE), (KAC_SPACE, KAC_SPACE),
+              (C11.tensor(C11), C11), (C11, C11.tensor(C11))]
+
+
+def _flip_by_permutations(x, v, w):
+    return _perm_entries(w, v) @ x @ _perm_entries(v, w)
+
+
+@pytest.mark.parametrize("v, w", FLIP_PAIRS,
+                         ids=["2x2", "4x2", "2x4", "4x4", "(2x2)x2", "2x(2x2)"])
+def test_graded_flip_is_the_permutation_product(v, w):
+    """The signed gather equals the two permutation products in every value
+    (``array_equal`` takes -0.0 for 0.0), on a stack and on one matrix."""
+    n = v.dim * w.dim
+    rng = np.random.default_rng(n + v.dim)
+    x = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
+    x[0, 0, ::2] = 0.0
+    flipped = graded_flip(x, v, w)
+    assert flipped.shape == x.shape and flipped.dtype == x.dtype
+    assert np.array_equal(flipped, _flip_by_permutations(x, v, w))
+    assert np.array_equal(graded_flip(x[1, 2], v, w), _flip_by_permutations(x[1, 2], v, w))
+    assert np.array_equal(graded_flip(flipped, w, v), x)
+
+
+def test_graded_flip_is_exact_on_object_stacks():
+    mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
+    v, w = KAC_SPACE, C11
+    n = v.dim * w.dim
+    t = sympy.Symbol("t")
+    stacks = [np.array([[[mpmath.mpc(i + k, -j) / 3 for j in range(n)] for i in range(n)]
+                         for k in range(2)], dtype=object),
+              np.array([[sympy.Rational(i + 1, j + 2) + sympy.I * t ** i for j in range(n)]
+                        for i in range(n)], dtype=object)]
+    for x in stacks:
+        flipped = graded_flip(x, v, w)
+        assert flipped.dtype == object
+        assert np.array_equal(flipped, _flip_by_permutations(x, v, w))

@@ -685,6 +685,32 @@ def test_current_reports_match_the_reference_bodies_on_suite_pairs(seeds):
                                    ref_antipode_report(ev, order))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_antipode_matches_the_reference_body_at_odd_orders_and_eight(seed):
+    """With the even orders above, every series order up to 8 is pinned."""
+    la, lb, _, _ = suite_draw(seed)
+    for ev in scaled_eval_pair(la, lb):
+        for order in (1, 3, 5, 7, 8):
+            assert_same_report(antipode_report(ev, order), ref_antipode_report(ev, order))
+
+
+def test_antipode_plan_is_built_once_per_process():
+    """Antipode reports of every order on fresh modules read one cached plan,
+    whose index arrays are read-only and whose case names are the report's."""
+    plan = yangian._antipode_plan
+    for seed in range(3):
+        la, lb, _, _ = suite_draw(seed)
+        for ev in scaled_eval_pair(la, lb):
+            for order in (1, 4, 8):
+                rpt = antipode_report(ev, order)
+    assert plan.cache_info().misses == 1 and plan.cache_info().maxsize == 1
+    names, starts, h_row, steps = plan()
+    assert [c.identity for c in rpt.cases] == list(names) and len(starts) == len(names) == 16
+    assert [times_hinv for *_, times_hinv in steps] == [False, True, False, False]
+    assert not any(index.flags.writeable for operands, sums, _ in steps
+                   for index in (operands, sums))
+
+
 def test_current_reports_match_the_reference_bodies_without_couplings(pair):
     eva, _ = pair
     bare = EvalRep.from_images(eva.space, eva.images, rho=eva.rho)
@@ -775,6 +801,25 @@ def test_one_suite_sample_builds_three_towers_and_four_word_tables(monkeypatch):
     assert len(builds) == 3
     assert [args[3] for args in builds] == [4, 4, 3]
     assert len(tables) == 4
+
+
+def test_a_rescaled_pair_builds_only_the_two_modules_it_returns(monkeypatch):
+    """rho is read from the labels, so a draw with |rho| > 1 builds its two
+    rescaled evaluation modules and no unscaled ones; the memo returns them."""
+    la, lb, _, _ = suite_draw(424242)  # labels no other test draws
+    worst = max(abs(yangian._rho(la)), abs(yangian._rho(lb)))
+    assert worst > 1.0
+    builds = _counting(monkeypatch, "atypical_rep")
+    eva, evb = scaled_eval_pair(la, lb)
+    monkeypatch.undo()
+    assert len(builds) == 2 and max(abs(eva.rho), abs(evb.rho)) <= 1.0
+    again = scaled_eval_pair(la, lb)
+    assert again[0] is eva and again[1] is evb
+    s = 1.0 / worst
+    assert eval_rep(RepLabels(lb.gamma, lb.nu, lb.alpha1 * s, lb.alpha2 * s)) is evb
+    degenerate = RepLabels(la.gamma, 1j, la.alpha1, la.alpha2)
+    with pytest.raises(SingularEvaluationError):
+        scaled_eval_pair(la, degenerate)
 
 
 @pytest.mark.parametrize("seed", range(10))
