@@ -13,7 +13,7 @@ from .qaffine import (AffineRep, affine_coproduct_image, affine_eval_rep,
                       affine_intertwine, affine_relations_report,
                       alt_affinization, upper_nodes_subalgebra)
 from .qalgebra import (QRepLabels, q_atypical_rep, q_check_relations,
-                       q_coproduct_image, q_fuse_check, q_klein_twist, q_labels,
+                       q_coproduct_image, q_fuse_check, q_labels,
                        q_root_labels, q_singlet_report, q_singlet_vector,
                        q_typical_rep, qbracket, qbracket_of_power)
 from .report import Case, Report

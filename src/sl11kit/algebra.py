@@ -20,13 +20,13 @@ import re
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .coproduct import (TABLES, CoproductTable, _words, coassociativity_stacks, coproduct_matrix,
-                        coproduct_stack, memoised_by_labels, spell, word_stack)
+from .coproduct import (ALGEBRAS, Algebra, CoproductTable, coproduct_matrix, coproduct_stack,
+                        memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, as_entries, max_abs, product_table
 from .report import Report, c2j, residual_report
 
@@ -266,6 +266,10 @@ def _letters(word: str) -> tuple[str, ...]:
     return tuple(re.findall(r"\(.*?\)|\S+", word)) or ("0",)
 
 
+#: The coefficient symbols :meth:`RelationTable.report` knows how to value.
+_SYMBOL = re.compile(r"(1|q|alpha\d+)(/\(q-1/q\))?")
+
+
 @cache  # sides repeat: "0" closes every central case, "1" every inverse pair
 def _side(text: str) -> tuple:
     """(coefficient symbol, word, subtracted word) of "symbol: word - word"."""
@@ -279,9 +283,10 @@ class RelationTable:
     """Defining relations over the generator ``names``: cases (name, left side,
     right side), each side written "symbol: word - word".
 
-    The symbol is 1 (or none), q, alphai, 1/(q-1/q) or alphai/(q-1/q).  A word's letters
-    are generator names, graded brackets "[a,b]", sub-words "(a b ...)", which are
-    multiplied first, "1" (the identity) and "0"; an absent word is "0".  Every
+    The symbol is 1 (or none), q or alphaN, each optionally over (q-1/q); any other
+    raises ValueError naming its case.  A word's letters are generator names, graded
+    brackets "[a,b]", sub-words "(a b ...)", which are multiplied first, "1" (the
+    identity) and "0"; an absent word is "0".  Every
     bracket enters one :func:`bracket_layout`; the sub-words, then the words of two
     or more letters, are multiplied by one :func:`.coproduct.word_stack` each.
     """
@@ -291,6 +296,10 @@ class RelationTable:
         self.case_names = [name for name, _, _ in self.cases]
         sides = [_side(text) for _, lhs, rhs in self.cases for text in (lhs, rhs)]
         symbols = [symbol for symbol, _, _ in sides]
+        for i, symbol in enumerate(symbols):
+            if not _SYMBOL.fullmatch(symbol):
+                raise ValueError(f"relation {self.case_names[i // 2]!r}: unknown coefficient "
+                                 f"symbol {symbol!r}; use 1, q or alphaN, optionally /(q-1/q)")
         words = dict.fromkeys(word for _, plus, minus in sides for word in (plus, minus))
         letters = dict.fromkeys(letter for word in words for letter in word)
         brackets = [letter for letter in letters if letter.startswith("[")]
@@ -316,9 +325,9 @@ class RelationTable:
         coefficients need a q or couplings that are None drop out."""
         n = x.shape[-1]
         values = {"1": 1} | {f"alpha{i}": a for i, a in enumerate(alpha or (), 1)}
-        if q is not None:  # 1 and each alphai, also over q - 1/q
-            values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
+        if q is not None:  # q, and 1, q and each alphai over q - 1/q
             values["q"] = q
+            values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
         one = np.eye(n, dtype=x.dtype)[None]  # the letters "1" and "0" close the alphabet
         letters = np.concatenate([x, graded_brackets(x, self.layout),
                                   *(word_stack(x, sub) for sub in self.subwords), one, 0 * one])
@@ -332,69 +341,6 @@ class RelationTable:
             kept = known[self.symbol_of].reshape(-1, 2).all(axis=1)
             names, sides = [name for name, keep in zip(names, kept) if keep], sides[kept]
         return residual_report(suite, tolerance, names, sides[:, 0], sides[:, 1])
-
-
-# -- Hopf structure: checkers each algebra binds to its coproduct table -------
-
-
-def coassociativity_checker(table: CoproductTable, suite: str):
-    """Report of (Delta x id)Delta = (id x Delta)Delta on every generator of ``table``.
-
-    Both sides are :func:`.coproduct.coassociativity_stacks`.
-    """
-    names = [f"coassoc:{name}" for name in table.names]
-
-    def report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
-        left, right = coassociativity_stacks(table, rep_a, rep_b, rep_c)
-        return residual_report(suite, tolerance, names, left, right)
-    return report
-
-
-def counit_antipode_checker(table: CoproductTable, suite: str, tolerance: float = 1e-10):
-    """Report of m(S x id)Delta(g) = eps(g) 1 on every generator of ``table``, in one module."""
-    names = [f"antipode:{name}" for name in table.names]
-    sources = [src for src, _ in table.antipode.values()]
-    signs = np.array([coeff for _, coeff in table.antipode.values()])[:, None, None]
-    # S reverses products, S(x y) = S(y) S(x): the left words, reversed
-    reversed_words = spell(table.names, [word[::-1] for word in table.words])
-
-    def report(rep, tolerance: float = tolerance) -> Report:
-        s_words = word_stack(rep.gather(sources) * signs, reversed_words)
-        words = _words(table, rep)
-        coeffs, left, right = table.columns
-        lhs = sum(coeffs * (s_words[left] @ words[right]))
-        counit = table.counit[:, None, None] * np.eye(rep.space.dim)
-        return residual_report(suite, tolerance, names, lhs, counit)
-    return report
-
-
-def cocommutativity_checker(table: CoproductTable, generators: tuple[str, ...], suite: str,
-                            tolerance: float = 1e-10):
-    """Report of Delta(g) = Delta^op(g) for each of ``generators``."""
-    positions = [table.position(name) for name in generators]
-    names = [f"cocomm:{name}" for name in generators]
-
-    def report(rep_a, rep_b, tolerance: float = tolerance) -> Report:
-        return residual_report(suite, tolerance, names,
-                               coproduct_stack(table, rep_a, rep_b)[positions],
-                               coproduct_stack(table, rep_a, rep_b, opposite=True)[positions])
-    return report
-
-
-def twist(rows: Mapping[str, tuple], name: str, rep: GeneratorImage) -> GeneratorImage:
-    """Apply the outer automorphism ``rows[name]`` to a representation.
-
-    A row set is (target -> (source, coefficient), coupling map); q and kind are kept.
-    """
-    try:
-        table, alpha_map = rows[name]
-    except KeyError:
-        raise KeyError(f"unknown twist {name!r}; choose from {sorted(rows)}") from None
-    sources = [src for src, _ in table.values()]
-    coeffs = np.array([coeff for _, coeff in table.values()])
-    alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
-    return GeneratorImage(rep.space, tuple(table), rep.gather(sources) * coeffs[:, None, None],
-                          [rep.parity[rep._index[src]] for src in sources], alpha, rep.q, rep.kind)
 
 
 # -- representation constructors ---------------------------------------------
@@ -512,7 +458,6 @@ COPRODUCT = CoproductTable({
     "u+": ((1, ("u+",), ("u+",)),),
     "u-": ((1, ("u-",), ("u-",)),),
 }, inverses={"u+": "u-", "u-": "u+"})
-TABLES["classical"] = COPRODUCT
 
 
 def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
@@ -523,12 +468,6 @@ def coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
     """
     return coproduct_matrix(COPRODUCT, name, rep_a, rep_b, opposite)
 
-
-coassociativity_report = coassociativity_checker(COPRODUCT, "coassociativity")
-counit_antipode_report = counit_antipode_checker(COPRODUCT, "counit-antipode")
-#: Delta = Delta^op on the central elements (this is what the k_i constraint buys).
-cocommutativity_report = cocommutativity_checker(
-    COPRODUCT, ("h1", "h2", "k1", "k2", "u+", "u-"), "central-cocommutativity")
 
 
 # -- fusion and the singlet ---------------------------------------------------
@@ -543,14 +482,13 @@ class FusionResult:
     report: Report
 
 
-def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
-                  lowering: tuple[str, str], weights, raised, want: np.ndarray,
-                  tolerance: float) -> tuple[np.ndarray, Report]:
+def fusion_report(suite: str, rep_a, rep_b, lowering: tuple[str, str], weights, raised,
+                  want: np.ndarray, tolerance: float) -> tuple[np.ndarray, Report]:
     """Identify rep_a (x) rep_b, two atypical modules, with a 4-dim module.
 
     Builds the cyclic basis (v0, v1, v2, v21) from v0 = w0 (x) w0' with the
     two ``lowering`` generators (v1 = f.v0, v2 = f'.v0, v21 = f'f.v0) and
-    checks, on the coproduct stack of the pair:
+    checks, on the coproduct stack of the pair (the table of their kind):
 
     * ``weights``: (name, value) with Delta(name) v0 = value v0;
     * ``raised``: (name, c1, c2) with Delta(name) v21 = c1 v1 - c2 v2;
@@ -559,6 +497,7 @@ def fusion_report(suite: str, table: CoproductTable, rep_a, rep_b,
 
     Returns the basis and the report.
     """
+    table = ALGEBRAS[rep_a.kind].coproduct
     cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
     low1, low2 = (cop[name] for name in lowering)
     v0 = np.zeros(4, dtype=complex)
@@ -609,7 +548,7 @@ def fuse_check(labels_a: RepLabels, labels_b: RepLabels,
             "fused weights satisfy the shortening constraint; the product is reducible")
     target = _typical(lam1, lam2, nu_t, mu1, mu2, labels_a.alpha)
     basis, r = fusion_report(
-        "fusion", COPRODUCT, atypical_rep(labels_a), atypical_rep(labels_b), ("f1", "f2"),
+        "fusion", atypical_rep(labels_a), atypical_rep(labels_b), ("f1", "f2"),
         (("h1", lam1), ("h2", lam2), ("k1", mu1), ("k2", mu2), ("u+", nu_t), ("u-", 1 / nu_t)),
         (("e1", mu1, lam1), ("e2", lam2, mu2)), target.stack + _H0_SHIFT, tolerance)
     return FusionResult(lam1, lam2, nu_t, basis, r)
@@ -640,14 +579,16 @@ def singlet_vector(labels_a: RepLabels, labels_b: RepLabels,
     return v
 
 
-def singlet_lines(suite: str, table: CoproductTable, rep_a, rep_b, v: np.ndarray,
-                  annihilating, invariant, eigen, tolerance: float) -> Report:
-    """Residuals of an invariant vector ``v`` of rep_a (x) rep_b, on the coproduct stack.
+def singlet_lines(suite: str, rep_a, rep_b, v: np.ndarray, annihilating, invariant, eigen,
+                  tolerance: float) -> Report:
+    """Residuals of an invariant vector ``v`` of rep_a (x) rep_b, on the coproduct stack
+    of the table of their kind.
 
     Delta(g) v = 0 for g in ``annihilating``, Delta(g) v = v for g in
     ``invariant``, and v an eigenvector of Delta(g) for g in ``eigen``
     (the eigenvalue is recorded).
     """
+    table = ALGEBRAS[rep_a.kind].coproduct
     cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
     r = Report(suite, tolerance)
     for name in annihilating:
@@ -665,8 +606,8 @@ def singlet_report(labels_a: RepLabels, labels_b: RepLabels,
                    tolerance: float = 1e-11) -> Report:
     """Annihilation and invariance residuals for the singlet vector."""
     v = singlet_vector(labels_a, labels_b, tolerance=max(tolerance, 1e-10))
-    return singlet_lines("singlet", COPRODUCT, atypical_rep(labels_a), atypical_rep(labels_b),
-                         v, ("e1", "e2", "f1", "f2"), ("u+", "u-"), ("h0",), tolerance)
+    return singlet_lines("singlet", atypical_rep(labels_a), atypical_rep(labels_b), v,
+                         ("e1", "e2", "f1", "f2"), ("u+", "u-"), ("h0",), tolerance)
 
 
 # -- twists -------------------------------------------------------------------
@@ -693,7 +634,24 @@ KLEIN_ROWS = {
               lambda a: (-a[1], -a[0])),
 }
 
-klein_twist = partial(twist, KLEIN_ROWS)
+#: The undeformed algebra's record; the k_i constraint makes the central elements cocommute.
+ALGEBRAS["classical"] = Algebra("", COPRODUCT, ("h1", "h2", "k1", "k2", "u+", "u-"), KLEIN_ROWS)
+
+
+def klein_twist(name: str, rep: GeneratorImage) -> GeneratorImage:
+    """Apply the outer automorphism ``name`` of the Klein rows of the module's algebra:
+    (target -> (source, coefficient), coupling map); q and kind are kept."""
+    rows = ALGEBRAS[rep.kind].klein_rows
+    try:
+        table, alpha_map = rows[name]
+    except KeyError:
+        raise KeyError(f"unknown twist {name!r} of kind {rep.kind!r}; "
+                       f"choose from {sorted(rows)}") from None
+    sources = [src for src, _ in table.values()]
+    coeffs = np.array([coeff for _, coeff in table.values()])
+    alpha = alpha_map(rep.alpha) if rep.alpha is not None else None
+    return GeneratorImage(rep.space, tuple(table), rep.gather(sources) * coeffs[:, None, None],
+                          [rep.parity[rep._index[src]] for src in sources], alpha, rep.q, rep.kind)
 
 
 def gl2_twist(a: np.ndarray, b: np.ndarray, rep: GeneratorImage) -> GeneratorImage:

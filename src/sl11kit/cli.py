@@ -19,7 +19,7 @@ from functools import cache
 
 from . import qalgebra, rmatrix, suites, zhukovski
 from .algebra import GeneratorImage, RepLabels, atypical_rep, default_alpha
-from .coproduct import TABLES
+from .coproduct import ALGEBRAS
 from .report import c2j, json_text
 
 #: ``verify`` flags passed on to the suites, by suite option name.
@@ -155,7 +155,7 @@ def _load_rep(path: str, usage_error) -> GeneratorImage:
             rep = GeneratorImage.from_dict(blob.get("representation", blob))
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             usage_error(f"{path} is not a representation file: {err!r}")
-    if rep.kind not in TABLES:
+    if rep.kind not in ALGEBRAS:
         usage_error(f"{path} holds a module of unknown kind {rep.kind!r}")
     return rep
 

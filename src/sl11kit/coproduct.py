@@ -1,13 +1,15 @@
-"""Coproduct tables, evaluated on a representation pair as one stacked array.
+"""Coproduct tables, the algebra registry, and the Hopf axioms checked on stacks.
 
 A :class:`CoproductTable` lists the terms ``(coeff, left word, right word)``
 of Delta(g) for every generator g, with the antipode and the counit; a word
 is read as the matrix product of its letters' images (:func:`word_stack`).
 :func:`coproduct_stack` evaluates a whole table on a pair of modules as one
 read-only ``(G, n, n)`` array, Delta^op as the swapped pair's stack
-conjugated by the graded permutation, and :func:`coassociativity_stacks`
-gives both sides of coassociativity on a triple.  Stacks keep the modules'
+conjugated by the graded permutation.  Stacks keep the modules'
 scalar type: the coefficients, signs and permutations are integers.
+:data:`ALGEBRAS` maps a module's ``kind`` to its :class:`Algebra`; the Hopf
+axioms below and every other check that needs a coproduct read the entry of
+their modules' kind when called, so replacing one entry reaches them all.
 
 Representations are immutable and hash by identity, so stacks are memoised
 per (table, rep_a, rep_b, opposite), and word products per (table, rep), in
@@ -18,12 +20,15 @@ these memos hit wherever a module is rebuilt from its labels.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
 import numpy as np
 
 from .graded import SuperMatrix, graded_flip, kron_arrays
+from .report import Report, residual_report
 
 #: Number of entries each memo keeps alive: stacks per (table, rep_a, rep_b,
 #: opposite), word products per (table, rep), modules per label set.
@@ -55,8 +60,9 @@ class CoproductTable:
 
     The antipode and the counit follow: S(g) = g^{-1} and eps(g) = 1 on a
     group-like; every other generator x is skew-primitive with central
-    dressings, so S(x) = -x and eps(x) = 0.  Hashes by identity; build one
-    per algebra at import time and enter it in :data:`TABLES`.
+    dressings, so S(x) = -x and eps(x) = 0: S(g) is ``antipode_signs[g]`` times the
+    image of ``antipode_sources[g]``, and S reverses words (``reversed_words``).
+    Hashes by identity; build one per algebra at import, for its :class:`Algebra`.
     """
 
     def __init__(self, terms: dict[str, tuple], inverses: dict[str, str]):
@@ -67,6 +73,8 @@ class CoproductTable:
         self.antipode = MappingProxyType({
             name: (inverses[name], 1) if name in inverses else (name, -1)
             for name in self.names})
+        self.antipode_sources = [src for src, _ in self.antipode.values()]
+        self.antipode_signs = np.array([c for _, c in self.antipode.values()])[:, None, None]
         #: eps(g) for g in ``names``
         self.counit = np.array([1.0 if name in inverses else 0.0 for name in self.names])
         width = max(len(t) for t in self.terms.values())
@@ -75,6 +83,7 @@ class CoproductTable:
         self.words = tuple(dict.fromkeys(
             word for row in padded for _, left, right in row for word in (left, right)))
         self.spelled = spell(self.names, self.words)
+        self.reversed_words = spell(self.names, [word[::-1] for word in self.words])
         slot = {word: i for i, word in enumerate(self.words)}
         # Term position k of every generator, padded with zero terms on empty
         # words, one row per k: (coefficients ``(K, G, 1, 1)``, shaped to
@@ -93,9 +102,20 @@ class CoproductTable:
             raise KeyError(f"unknown generator {name!r}") from None
 
 
-#: module ``kind`` -> its algebra's table.  Each algebra module enters its own
-#: at import, not the constructor: a table built elsewhere replaces no entry.
-TABLES: dict[str, CoproductTable] = {}
+@dataclass(frozen=True)
+class Algebra:
+    """What the shared checkers read of one algebra: the prefix of its report
+    suites, its coproduct table, the generators on which Delta = Delta^op, and
+    its Klein-four twists (name -> (target -> (source, coefficient), coupling map))."""
+
+    prefix: str
+    coproduct: CoproductTable
+    cocommutative: tuple[str, ...]
+    klein_rows: Mapping[str, tuple]
+
+
+#: module ``kind`` -> its algebra; each algebra module enters its own record at import.
+ALGEBRAS: dict[str, Algebra] = {}
 
 
 def spell(names: tuple[str, ...], words) -> np.ndarray:
@@ -131,23 +151,6 @@ def coproduct_stack(table: CoproductTable, rep_a, rep_b,
     """Read-only ``(G, n, n)`` array of Delta(g), or Delta^op(g), for g in ``table.names``."""
     # positional, normalised arguments: one cache entry whatever the call form
     return _stack(table, rep_a, rep_b, bool(opposite))
-
-
-def coassociativity_stacks(table: CoproductTable, rep_a, rep_b, rep_c):
-    """(Delta x id)Delta and (id x Delta)Delta on rep_a (x) rep_b (x) rep_c, as two stacks.
-
-    They are the Delta stacks of (rep_a (x) rep_b, rep_c) and of
-    (rep_a, rep_b (x) rep_c), where a tensor module's generators act by the
-    slices of its pair's stack.  The tensor modules live for one call, so
-    their word products and these two stacks enter no memo; the pair stacks
-    and the word products of the three given modules do.
-    """
-    ab, bc = coproduct_stack(table, rep_a, rep_b), coproduct_stack(table, rep_b, rep_c)
-    left = kron_sum(table.columns, rep_a.space.tensor(rep_b.space), rep_c.space,
-                    word_stack(ab, table.spelled), _words(table, rep_c))
-    right = kron_sum(table.columns, rep_a.space, rep_b.space.tensor(rep_c.space),
-                     _words(table, rep_a), word_stack(bc, table.spelled))
-    return left, right
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)
@@ -188,3 +191,46 @@ def coproduct_matrix(table: CoproductTable, name: str, rep_a, rep_b,
     i = table.position(name)
     space = rep_a.space.tensor(rep_b.space)
     return SuperMatrix(space, space, coproduct_stack(table, rep_a, rep_b, opposite)[i])
+
+
+# -- the Hopf axioms, on the table of the modules' kind -------------------------
+
+
+def coassociativity_report(rep_a, rep_b, rep_c, tolerance: float = 1e-10) -> Report:
+    """Report of (Delta x id)Delta = (id x Delta)Delta on every generator: the Delta
+    stacks of (rep_a (x) rep_b, rep_c) and (rep_a, rep_b (x) rep_c), a tensor module
+    acting by its pair's stack.  Only the pair stacks and the words of the three
+    given modules enter the memos."""
+    alg = ALGEBRAS[rep_a.kind]
+    table = alg.coproduct
+    ab, bc = coproduct_stack(table, rep_a, rep_b), coproduct_stack(table, rep_b, rep_c)
+    left = kron_sum(table.columns, rep_a.space.tensor(rep_b.space), rep_c.space,
+                    word_stack(ab, table.spelled), _words(table, rep_c))
+    right = kron_sum(table.columns, rep_a.space, rep_b.space.tensor(rep_c.space),
+                     _words(table, rep_a), word_stack(bc, table.spelled))
+    return residual_report(f"{alg.prefix}coassociativity", tolerance,
+                           [f"coassoc:{name}" for name in table.names], left, right)
+
+
+def counit_antipode_report(rep, tolerance: float = 1e-10) -> Report:
+    """Report of m(S x id)Delta(g) = eps(g) 1 on every generator, in one module."""
+    alg = ALGEBRAS[rep.kind]
+    table = alg.coproduct
+    s_words = word_stack(rep.gather(table.antipode_sources) * table.antipode_signs,
+                         table.reversed_words)
+    coeffs, left, right = table.columns
+    lhs = sum(coeffs * (s_words[left] @ _words(table, rep)[right]))
+    counit = table.counit[:, None, None] * np.eye(rep.space.dim)
+    return residual_report(f"{alg.prefix}counit-antipode", tolerance,
+                           [f"antipode:{name}" for name in table.names], lhs, counit)
+
+
+def cocommutativity_report(rep_a, rep_b, tolerance: float = 1e-10) -> Report:
+    """Report of Delta(g) = Delta^op(g) on the algebra's cocommutative generators."""
+    alg = ALGEBRAS[rep_a.kind]
+    table, names = alg.coproduct, alg.cocommutative
+    positions = [table.position(name) for name in names]
+    return residual_report(f"{alg.prefix}cocommutativity", tolerance,
+                           [f"cocomm:{name}" for name in names],
+                           coproduct_stack(table, rep_a, rep_b)[positions],
+                           coproduct_stack(table, rep_a, rep_b, opposite=True)[positions])

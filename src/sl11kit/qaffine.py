@@ -19,11 +19,11 @@ from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
-from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
+from .coproduct import (ALGEBRAS, Algebra, CoproductTable, coproduct_matrix, coproduct_stack,
                         memoised_by_labels, spell, word_stack)
 from .graded import EVEN, ODD, SuperMatrix
 from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, ef_relation, q_atypical_rep
-from .algebra import GeneratorImage, RelationTable, coassociativity_checker
+from .algebra import GeneratorImage, RelationTable
 from .report import Report
 from .rmatrix import intertwining_report, rq_closed
 
@@ -186,7 +186,8 @@ for _c in GROUP_LIKE:
 AFFINE_COPRODUCT = CoproductTable(
     {name: _aff_terms[name] for name in AFFINE_NAMES},
     inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in GROUP_LIKE})
-TABLES["affine"] = AFFINE_COPRODUCT
+#: The affine algebra's record: the fourteen group-likes cocommute; no Klein twists.
+ALGEBRAS["affine"] = Algebra("affine-", AFFINE_COPRODUCT, GROUP_LIKE, {})
 
 
 def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
@@ -194,10 +195,6 @@ def affine_coproduct_image(name: str, rep_a: AffineRep, rep_b: AffineRep,
     """Matrix of the affine coproduct: U-dressing on nodes 1,2 and V-dressing
     on nodes 3,4; all fourteen Cartan/group-like elements are group-like."""
     return coproduct_matrix(AFFINE_COPRODUCT, name, rep_a, rep_b, opposite)
-
-
-affine_coassociativity_report = coassociativity_checker(AFFINE_COPRODUCT,
-                                                        "affine-coassociativity")
 
 
 #: The compatibility relations of the standard variant, read on the coproduct stack.
@@ -212,8 +209,8 @@ def affine_hom_report(rep_a: AffineRep, rep_b: AffineRep,
     if rep_a.variant != "standard" or rep_b.variant != "standard":
         raise ValueError("the coproduct check runs on the standard variant")
     return _DELTA_COMPATIBILITY.report("affine-coproduct-homomorphism", tolerance,
-                                       coproduct_stack(AFFINE_COPRODUCT, rep_a, rep_b),
-                                       rep_a.q, rep_a.alpha)
+                                       coproduct_stack(ALGEBRAS[rep_a.kind].coproduct,
+                                                       rep_a, rep_b), rep_a.q, rep_a.alpha)
 
 
 def affine_intertwine(labels_a: QRepLabels, labels_b: QRepLabels,

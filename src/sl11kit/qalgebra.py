@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .algebra import (ATYPICAL_PATTERNS, KAC_PATTERNS, KAC_SPACE, AtypicalLocusWarning,
                       DegenerateFusionError, GeneratorImage, RelationTable, _require_singlet,
-                      coassociativity_checker, cocommutativity_checker, counit_antipode_checker,
                       decided, fusion_report, kac_images, label_scalar, on_shortening_locus,
-                      singlet_lines, twist)
-from .coproduct import (TABLES, CoproductTable, coproduct_matrix, coproduct_stack,
+                      singlet_lines)
+from .coproduct import (ALGEBRAS, Algebra, CoproductTable, coproduct_matrix, coproduct_stack,
                         memoised_by_labels)
 from .graded import C11, EVEN, ODD, SuperMatrix, as_entries
 from .report import Report, c2j
@@ -333,19 +331,12 @@ Q_COPRODUCT = CoproductTable({
     "F2": ((1, ("F2",), ("U-", "K2-")), (1, ("U+", "K2+"), ("F2",))),
     **{c: ((1, (c,), (c,)),) for c in _GROUP_LIKE},
 }, inverses={c: c[:-1] + ("-" if c.endswith("+") else "+") for c in _GROUP_LIKE})
-TABLES["q"] = Q_COPRODUCT
+
 
 def q_coproduct_image(name: str, rep_a: GeneratorImage, rep_b: GeneratorImage,
                       opposite: bool = False) -> SuperMatrix:
     """Matrix of the deformed coproduct (or its opposite) on the tensor space."""
     return coproduct_matrix(Q_COPRODUCT, name, rep_a, rep_b, opposite)
-
-
-q_coassociativity_report = coassociativity_checker(Q_COPRODUCT, "q-coassociativity")
-q_counit_antipode_report = counit_antipode_checker(Q_COPRODUCT, "q-counit-antipode", 1e-12)
-#: Group-like elements are exactly co-commutative.
-q_cocommutativity_report = cocommutativity_checker(Q_COPRODUCT, _GROUP_LIKE,
-                                                   "q-cocommutativity", 1e-12)
 
 
 #: The [E_i, F_j} relations, read on the coproduct stack.
@@ -362,7 +353,8 @@ def q_hom_report(rep_a, rep_b, tolerance: float = 1e-11) -> Report:
     if rep_a.alpha is None or rep_a.q is None:
         raise ValueError("representations must carry couplings and q")
     return _DELTA_EF.report("q-coproduct-homomorphism", tolerance,
-                            coproduct_stack(Q_COPRODUCT, rep_a, rep_b), rep_a.q, rep_a.alpha)
+                            coproduct_stack(ALGEBRAS[rep_a.kind].coproduct, rep_a, rep_b),
+                            rep_a.q, rep_a.alpha)
 
 
 # -- fusion and the deformed singlet -------------------------------------------
@@ -411,7 +403,7 @@ def q_fuse_check(labels_a: QRepLabels, labels_b: QRepLabels,
     want[4] = q**-2 * want[4]
     want[5] = q**2 * want[5]
     basis, r = fusion_report(
-        "q-fusion", Q_COPRODUCT, q_atypical_rep(labels_a), q_atypical_rep(labels_b),
+        "q-fusion", q_atypical_rep(labels_a), q_atypical_rep(labels_b),
         ("F1", "F2"), (("K1+", k1t), ("K2+", k2t), ("L1+", qmu1t), ("L2+", qmu2t), ("U+", nut)),
         (("E1", a1 * bm1, bl1), ("E2", bl2, a2 * bm2)), want, tolerance)
     return QFusionResult(k1t, k2t, nut, basis, r)
@@ -440,9 +432,8 @@ def q_singlet_report(labels_a: QRepLabels, labels_b: QRepLabels,
                      tolerance: float = 1e-11) -> Report:
     """Annihilation and invariance residuals for the deformed singlet vector."""
     v = q_singlet_vector(labels_a, labels_b, tolerance=max(tolerance, 1e-10))
-    return singlet_lines("q-singlet", Q_COPRODUCT, q_atypical_rep(labels_a),
-                         q_atypical_rep(labels_b), v, ("E1", "E2", "F1", "F2"),
-                         ("U+", "U-"), (), tolerance)
+    return singlet_lines("q-singlet", q_atypical_rep(labels_a), q_atypical_rep(labels_b), v,
+                         ("E1", "E2", "F1", "F2"), ("U+", "U-"), (), tolerance)
 
 
 # -- Klein-four twists ---------------------------------------------------------
@@ -467,4 +458,5 @@ Q_KLEIN_ROWS = {
               lambda a: (a[1], a[0])),
 }
 
-q_klein_twist = partial(twist, Q_KLEIN_ROWS)
+#: The deformed algebra's record; the group-like elements are exactly cocommutative.
+ALGEBRAS["q"] = Algebra("q-", Q_COPRODUCT, _GROUP_LIKE, Q_KLEIN_ROWS)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import GeneratorImage, RepLabels
-from .coproduct import TABLES, coproduct_stack
+from .coproduct import ALGEBRAS, coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm, identity,
                      kron_arrays, max_abs, product_table, unit)
 from .qalgebra import QRepLabels
@@ -198,7 +198,7 @@ def rq_closed(labels_a: QRepLabels, labels_b: QRepLabels) -> RMatrix:
 
 def _coproduct_stacks(rep_a: GeneratorImage, rep_b: GeneratorImage):
     """(Delta_op, Delta) stacks of the pair on its kind's table, one row per name of ``rep_a``."""
-    table = TABLES[rep_a.kind]
+    table = ALGEBRAS[rep_a.kind].coproduct
     rows = [table.position(name) for name in rep_a.names]
     return (coproduct_stack(table, rep_a, rep_b, opposite=True)[rows],
             coproduct_stack(table, rep_a, rep_b)[rows])

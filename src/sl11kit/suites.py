@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from . import algebra, qaffine, qalgebra, rmatrix, yangian
+from . import algebra, coproduct, qaffine, qalgebra, rmatrix, yangian
 from .algebra import RepLabels
 from .qalgebra import QRepLabels
 from .report import Report
@@ -87,33 +87,37 @@ def suite_ybe(samples: int = 100, seed: int = 0, tolerance: float = 1e-10,
     return rpt
 
 
+def _hopf_axioms(rpt: Report, prefix: str, reps) -> None:
+    """Merge, under ``prefix``, coassociativity on the three modules, the counit and
+    antipode on the first and cocommutativity on the first two, on their kind's table."""
+    rpt.merge(coproduct.coassociativity_report(*reps), prefix)
+    rpt.merge(coproduct.counit_antipode_report(reps[0], 1e-12), prefix)
+    rpt.merge(coproduct.cocommutativity_report(reps[0], reps[1], 1e-12), prefix)
+
+
 def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Report:
-    """Hopf-structure and module-theory checks, undeformed and deformed."""
+    """Hopf-structure and module-theory checks, undeformed and deformed, and the
+    Hopf axioms on the affine evaluation modules of the deformed labels."""
     rpt = Report("hopf", tolerance, meta={"seed": seed, "samples": samples})
     for k, rng in enumerate(_child_rngs(seed, samples)):
         merge = partial(rpt.merge, prefix=f"[{k}]")
         alpha = draw_alpha(rng)
         labs = [draw_labels(rng, alpha) for _ in range(3)]
         reps = [algebra.atypical_rep(lab) for lab in labs]
-        merge(algebra.coassociativity_report(*reps))
-        merge(algebra.counit_antipode_report(reps[0], 1e-12))
-        merge(algebra.cocommutativity_report(reps[0], reps[1], 1e-12))
+        _hopf_axioms(rpt, f"[{k}]", reps)
         merge(algebra.check_relations(reps[0], 1e-12))
         try:
             merge(algebra.fuse_check(labs[0], labs[1]).report)
         except algebra.DegenerateFusionError as err:
             rpt.skip(f"[{k}]fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
-            tw = algebra.klein_twist(name, reps[0])
-            rpt.add(f"[{k}]twist:{name}",
-                    algebra.check_relations(tw).max_residual, tolerance=1e-11)
+            rpt.add(f"[{k}]twist:{name}", algebra.check_relations(
+                algebra.klein_twist(name, reps[0])).max_residual, tolerance=1e-11)
         q = draw_q(rng)
         qalpha = draw_alpha(rng)
         qlabs = [draw_qlabels(rng, q, qalpha) for _ in range(3)]
         qreps = [qalgebra.q_atypical_rep(lab) for lab in qlabs]
-        merge(qalgebra.q_coassociativity_report(*qreps))
-        merge(qalgebra.q_counit_antipode_report(qreps[0]))
-        merge(qalgebra.q_cocommutativity_report(qreps[0], qreps[1]))
+        _hopf_axioms(rpt, f"[{k}]", qreps)
         merge(qalgebra.q_hom_report(qreps[0], qreps[1], 1e-11), tolerance=1e-11)
         merge(qalgebra.q_check_relations(qreps[0], 1e-11), tolerance=1e-11)
         try:
@@ -121,9 +125,10 @@ def suite_hopf(samples: int = 10, seed: int = 0, tolerance: float = 1e-10) -> Re
         except algebra.DegenerateFusionError as err:
             rpt.skip(f"[{k}]q-fusion", str(err))
         for name in ("ef", "ef_cross", "nodes"):
-            tw = qalgebra.q_klein_twist(name, qreps[0])
-            rpt.add(f"[{k}]q-twist:{name}",
-                    qalgebra.q_check_relations(tw).max_residual, tolerance=1e-11)
+            rpt.add(f"[{k}]q-twist:{name}", qalgebra.q_check_relations(
+                algebra.klein_twist(name, qreps[0])).max_residual, tolerance=1e-11)
+        # the affine and deformed tables share generator names
+        _hopf_axioms(rpt, f"[{k}]affine-", [qaffine.affine_eval_rep(lab) for lab in qlabs])
     return rpt
 
 

@@ -6,11 +6,12 @@ import pytest
 from sl11kit.algebra import (AtypicalLocusWarning, DegenerateFusionError,
                              GeneratorImage, RepLabels,
                              SingletPreconditionError, atypical_rep,
-                             check_relations, coassociativity_report,
-                             cocommutativity_report, coproduct_image,
-                             counit_antipode_report, default_alpha, fuse_check,
+                             check_relations, coproduct_image,
+                             default_alpha, fuse_check,
                              gl2_twist, klein_twist, singlet_report,
                              singlet_vector, typical_rep)
+from sl11kit.coproduct import (coassociativity_report, cocommutativity_report,
+                               counit_antipode_report)
 from sl11kit.graded import C11, max_abs, unit
 
 

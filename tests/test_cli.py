@@ -2,12 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
-from sl11kit import algebra, cli, rmatrix
+from sl11kit import algebra, cli, qaffine, qalgebra, rmatrix, suites
 from sl11kit.cli import main
+from sl11kit.coproduct import ALGEBRAS
 from sl11kit.graded import SuperMatrix
 from sl11kit.report import Report
 
@@ -194,7 +196,12 @@ def test_verify_all_csv_has_one_header_row(capsys, tmp_path):
 
 #: sha256 of the (suite, identity, passed) rows of ``verify all --samples 2
 #: --no-timestamp``; residuals are left out, so they may move in the last bit.
-VERIFY_ALL_CASES = "d8774e2c62f165f17a521d4d7ccb6772b914a1c1620aca7d61adc06db79acdcd"
+VERIFY_ALL_CASES = "754fed32891ac2e3afe81dc532eb36560d89cec513974d0a6ad05fc7c8afc5f6"
+#: The same digest over the rows without the hopf suite's affine Hopf-axiom cases
+#: (``[k]affine-...``): the rows from before those cases were added, each unchanged
+#: and in order.
+VERIFY_ALL_CASES_BEFORE_AFFINE_HOPF = (
+    "d8774e2c62f165f17a521d4d7ccb6772b914a1c1620aca7d61adc06db79acdcd")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42])
@@ -204,8 +211,13 @@ def test_verify_all_keeps_its_case_names_and_pass_flags(seed, tmp_path):
                  "--output", str(path)]) == 0
     rows = [[s["suite"], c["identity"], c["residual"] <= c.get("tolerance", s["tolerance"])]
             for s in json.loads(path.read_text())["suites"] for c in s["cases"]]
-    assert len(rows) == 662
+    assert len(rows) == 778
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == VERIFY_ALL_CASES
+    before = [row for row in rows
+              if not (row[0] == "hopf" and re.match(r"\[\d+\]affine-", row[1]))]
+    assert len(before) == 662
+    assert (hashlib.sha256(json.dumps(before).encode()).hexdigest()
+            == VERIFY_ALL_CASES_BEFORE_AFFINE_HOPF)
 
 
 def test_verify_csv_marks_failed_cases(capsys):
@@ -250,6 +262,26 @@ def test_verify_failure_exit_code(capsys, tmp_path):
                  "--tolerance", "1e-30", "--output", str(path)])
     assert code == 1
     assert json.loads(path.read_text())["passed"] is False  # report still written
+
+
+@pytest.mark.parametrize("kind", ["classical", "q", "affine"])
+def test_emit_solve_reads_representation_files_of_every_registry_kind(capsys, tmp_path, kind):
+    rng = np.random.default_rng(5)
+    q, alpha = suites.draw_q(rng), suites.draw_alpha(rng)
+    labels = {"classical": [suites.draw_labels(rng, alpha) for _ in range(2)],
+              "q": [suites.draw_qlabels(rng, q, alpha) for _ in range(2)]}
+    build = {"classical": algebra.atypical_rep, "q": qalgebra.q_atypical_rep,
+             "affine": qaffine.affine_eval_rep}
+    assert set(build) == set(ALGEBRAS)
+    reps = [build[kind](lab) for lab in labels.get(kind, labels["q"])]
+    paths = [tmp_path / f"{tag}.json" for tag in "ab"]
+    for path, rep in zip(paths, reps):
+        path.write_text(json.dumps(rep.to_dict()))
+    code, out = run(capsys, "emit-r", "--solve", "--rep-a", str(paths[0]),
+                    "--rep-b", str(paths[1]))
+    assert code == 0
+    mat = SuperMatrix.from_dict(json.loads(out)["matrix"]).m
+    assert rmatrix.intertwining_report(mat, *reps).max_residual <= 1e-10
 
 
 def test_a_representation_of_unknown_kind_is_a_usage_error(capsys, tmp_path):

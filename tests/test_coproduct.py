@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sl11kit import algebra, qaffine, qalgebra, rmatrix, suites, yangian
+from sl11kit import algebra, coproduct, qaffine, qalgebra, rmatrix, suites, yangian
 from sl11kit.algebra import COPRODUCT, KAC_SPACE, RepLabels
 from sl11kit.coproduct import STACK_CACHE_SIZE, _stack, _words, coproduct_stack, kron_sum
 from sl11kit.graded import SuperMatrix, graded_kron, identity, kron_arrays
@@ -77,8 +77,8 @@ def _q_pairs(rng):
         ta = qalgebra.q_typical_rep(0.9 - 0.2j, 0.6 + 0.5j, qa.nu, q, alpha)
         tb = qalgebra.q_typical_rep(0.3 + 0.1j, 1.2, qb.nu, q, alpha)
     return [(ra, rb), (ta, tb),
-            (qalgebra.q_klein_twist("ef", ra), qalgebra.q_klein_twist("ef", rb)),
-            (qalgebra.q_klein_twist("ef_cross", ra), rb),
+            (algebra.klein_twist("ef", ra), algebra.klein_twist("ef", rb)),
+            (algebra.klein_twist("ef_cross", ra), rb),
             (rmatrix.conjugate_rep(ra), rmatrix.conjugate_rep(rb))]
 
 
@@ -148,7 +148,7 @@ def test_mixed_dimension_pairs_match_reference_in_both_orders():
         assert small.space.dim != big.space.dim
         _assert_stack_matches(table, odd, small, big)
         _assert_stack_matches(table, odd, big, small)
-    assert algebra.cocommutativity_report(ra, ta).max_residual <= 1e-12
+    assert coproduct.cocommutativity_report(ra, ta).max_residual <= 1e-12
 
 
 def test_image_functions_are_slices_of_the_stack():
@@ -233,8 +233,8 @@ def test_intertwining_rows_follow_the_representation_names():
     rng = np.random.default_rng(3)
     q, alpha = suites.draw_q(rng), suites.draw_alpha(rng)
     qa, qb = suites.draw_qlabels(rng, q, alpha), suites.draw_qlabels(rng, q, alpha)
-    ra = qalgebra.q_klein_twist("ef", qalgebra.q_atypical_rep(qa))
-    rb = qalgebra.q_klein_twist("ef", qalgebra.q_atypical_rep(qb))
+    ra = algebra.klein_twist("ef", qalgebra.q_atypical_rep(qa))
+    rb = algebra.klein_twist("ef", qalgebra.q_atypical_rep(qb))
     assert ra.names != Q_COPRODUCT.names
     rm = rmatrix.r_solve(ra, rb)
     rpt = rmatrix.intertwining_report(rm, ra, rb)

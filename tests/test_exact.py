@@ -14,7 +14,7 @@ from mpmath import mp, mpc
 import sl11kit
 from sl11kit import suites
 from sl11kit.algebra import COPRODUCT, RepLabels, atypical_rep, default_alpha, typical_rep
-from sl11kit.coproduct import TABLES, coproduct_stack
+from sl11kit.coproduct import ALGEBRAS, coproduct_stack
 from sl11kit.qalgebra import QRepLabels, q_atypical_rep, q_typical_from_powers, qbracket_of_power
 from sl11kit.rmatrix import intertwining_report, r_closed, r_solve, rq_closed, solve_intertwiner
 from sl11kit.yangian import (antipode_report, coproduct_hom_report, coproduct_tower,
@@ -75,7 +75,8 @@ def test_mpmath_labels_intertwine_at_40_digits(deformed):
         for la, lb in _pairs(7, deformed):
             ma, mb = lift(la), lift(lb)
             ra, rb = build(ma), build(mb)
-            for array in (ra.stack, rb.stack, coproduct_stack(TABLES[ra.kind], ra, rb)):
+            table = ALGEBRAS[ra.kind].coproduct
+            for array in (ra.stack, rb.stack, coproduct_stack(table, ra, rb)):
                 # mpc throughout, beside the patterns' exact integer zeros and ones
                 assert array.dtype == object
                 assert {type(z) for z in array.ravel()} <= {mpc, int}

@@ -1,21 +1,25 @@
 """The Hopf-structure checkers against their SuperMatrix references.
 
-The coassociativity, counit/antipode and cocommutativity checkers of the
-three algebras are bindings of one generic set that reads coproduct stacks,
-and the two Klein twists are bindings of one twist function.  The references
-below are the per-algebra formulations they replace: one SuperMatrix product
-per coproduct term, with the antipode and counit written out by hand.  Both
-must report the same cases, in the same order, with bitwise-equal residuals.
+The coassociativity, counit/antipode and cocommutativity reports of
+:mod:`sl11kit.coproduct` are one set of functions for the three algebras:
+each reads the registry entry ``ALGEBRAS[rep.kind]`` (its coproduct table,
+cocommutative generators and report prefix) and evaluates the coproduct
+stacks, and ``klein_twist`` reads the Klein rows of the same entry.  The
+references below are the per-algebra formulations they replace: one
+SuperMatrix product per coproduct term, with the antipode and counit written
+out by hand.  Both must report the same cases, in the same order, with
+bitwise-equal residuals.
 """
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from sl11kit import algebra, qaffine, qalgebra, suites
-from sl11kit.algebra import (CLASSICAL_NAMES, COPRODUCT, coassociativity_checker,
-                             counit_antipode_checker)
-from sl11kit.coproduct import CoproductTable, _stack, _words
+from sl11kit.algebra import CLASSICAL_NAMES, COPRODUCT
+from sl11kit.coproduct import (ALGEBRAS, CoproductTable, _stack, _words, coassociativity_report,
+                               cocommutativity_report, counit_antipode_report)
 from sl11kit.graded import SuperMatrix, graded_kron, identity, max_abs, zeros
 from sl11kit.qaffine import AFFINE_COPRODUCT, AFFINE_NAMES, affine_coproduct_image
 from sl11kit.qalgebra import Q_COPRODUCT, Q_NAMES, q_coproduct_image
@@ -129,7 +133,7 @@ def q_reps(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", algebra.AtypicalLocusWarning)
         typical = qalgebra.q_typical_rep(0.9 - 0.2j, 0.6 + 0.5j, labs[0].nu, q, alpha)
-    twists = [qalgebra.q_klein_twist(name, rep) for name in qalgebra.Q_KLEIN_ROWS
+    twists = [algebra.klein_twist(name, rep) for name in qalgebra.Q_KLEIN_ROWS
               for rep in reps[:2]]
     return reps, typical, twists
 
@@ -172,17 +176,17 @@ def assert_same_report(got: Report, want: Report):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_coassociativity_matches_reference(seed):
     for triple in triples(*classical_reps(seed)):
-        got = algebra.coassociativity_report(*triple)
+        got = coassociativity_report(*triple)
         assert_same_report(got, ref_coassociativity(
             "coassociativity", CLASSICAL_NAMES, COPRODUCT, algebra.coproduct_image, *triple))
         assert got.passed
     for triple in triples(*q_reps(seed)):
-        got = qalgebra.q_coassociativity_report(*triple)
+        got = coassociativity_report(*triple)
         assert_same_report(got, ref_coassociativity(
             "q-coassociativity", Q_NAMES, Q_COPRODUCT, q_coproduct_image, *triple))
         assert got.passed
     for triple in affine_reps(seed):
-        got = qaffine.affine_coassociativity_report(*triple)
+        got = coassociativity_report(*triple)
         assert_same_report(got, ref_coassociativity(
             "affine-coassociativity", AFFINE_NAMES, AFFINE_COPRODUCT,
             affine_coproduct_image, *triple))
@@ -193,13 +197,13 @@ def test_coassociativity_matches_reference(seed):
 def test_counit_antipode_matches_reference(seed):
     for rep in singles(*classical_reps(seed)):
         for args in ((), (1e-12,)):
-            got = algebra.counit_antipode_report(rep, *args)
+            got = counit_antipode_report(rep, *args)
             assert_same_report(got, ref_counit_antipode(
                 "counit-antipode", CLASSICAL_NAMES, COPRODUCT, REF_ANTIPODE,
                 REF_COUNIT.get, rep, *(args or (1e-10,))))
             assert got.passed
     for rep in singles(*q_reps(seed)):
-        got = qalgebra.q_counit_antipode_report(rep)
+        got = counit_antipode_report(rep, 1e-12)
         assert_same_report(got, ref_counit_antipode(
             "q-counit-antipode", Q_NAMES, Q_COPRODUCT, REF_Q_ANTIPODE,
             lambda name: 1 if name in REF_Q_GROUP_LIKE else 0, rep, 1e-12))
@@ -209,14 +213,14 @@ def test_counit_antipode_matches_reference(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cocommutativity_matches_reference(seed):
     for pair in pairs(*classical_reps(seed)):
-        got = algebra.cocommutativity_report(*pair, 1e-12)
+        got = cocommutativity_report(*pair, 1e-12)
         assert_same_report(got, ref_cocommutativity(
-            "central-cocommutativity", ("h1", "h2", "k1", "k2", "u+", "u-"),
+            "cocommutativity", ("h1", "h2", "k1", "k2", "u+", "u-"),
             algebra.coproduct_image, *pair, 1e-12))
         assert got.passed
-        assert algebra.cocommutativity_report(*pair).tolerance == 1e-10
+        assert cocommutativity_report(*pair).tolerance == 1e-10
     for pair in pairs(*q_reps(seed)):
-        got = qalgebra.q_cocommutativity_report(*pair)
+        got = cocommutativity_report(*pair, 1e-12)
         assert_same_report(got, ref_cocommutativity(
             "q-cocommutativity", REF_Q_GROUP_LIKE, q_coproduct_image, *pair, 1e-12))
         assert got.passed
@@ -231,9 +235,8 @@ def test_table_antipode_and_counit_match_the_hand_written_ones():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_affine_antipode_and_counit_hold(seed):
-    check = counit_antipode_checker(AFFINE_COPRODUCT, "affine-counit-antipode", 1e-12)
     for reps in affine_reps(seed):
-        rpt = check(reps[0])
+        rpt = counit_antipode_report(reps[0], 1e-12)
         assert [c.identity for c in rpt.cases] == [f"antipode:{n}" for n in AFFINE_NAMES]
         assert rpt.passed
 
@@ -241,7 +244,7 @@ def test_affine_antipode_and_counit_hold(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_twists_match_reference(seed):
     for twist, reference, reps in ((algebra.klein_twist, ref_klein_twist, classical_reps),
-                                   (qalgebra.q_klein_twist, ref_q_klein_twist, q_reps)):
+                                   (algebra.klein_twist, ref_q_klein_twist, q_reps)):
         base, typical, _ = reps(seed)
         for rep in (*base, typical):
             for name in ("ef", "ef_cross", "nodes"):
@@ -252,25 +255,27 @@ def test_twists_match_reference(seed):
                     assert np.array_equal(got[g].m, want[g].m), (name, g)
                     assert got[g].parity == want[g].parity
     with pytest.raises(KeyError, match="unknown twist"):
-        qalgebra.q_klein_twist("bogus", base[0])
+        algebra.klein_twist("bogus", base[0])
 
 
 def test_coassociativity_flags_a_doubled_coproduct_term():
     terms = dict(COPRODUCT.terms)
     terms["e1"] = ((1, ("e1",), ("u-",)), (2, ("u+",), ("e1",)))
     broken = CoproductTable(terms, inverses={"u+": "u-", "u-": "u+"})
-    check = coassociativity_checker(broken, "coassociativity")
     reps, _, _ = classical_reps(0)
-    rpt = check(*reps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(ALGEBRAS, "classical",
+                      dataclasses.replace(ALGEBRAS["classical"], coproduct=broken))
+        rpt = coassociativity_report(*reps)
     assert [c.identity for c in rpt.cases if c.residual > rpt.tolerance] == ["coassoc:e1"]
-    assert algebra.coassociativity_report(*reps).passed
+    assert coassociativity_report(*reps).passed
 
 
 def test_coassociativity_memoises_only_its_own_modules():
     # the tensor modules live for one call: their stacks and word products stay
     # out of the memos, which keep the pairs (a, b), (b, c) and the words of a, b, c
-    for reps, report in ((classical_reps(0)[0], algebra.coassociativity_report),
-                         (q_reps(0)[0], qalgebra.q_coassociativity_report)):
+    for reps, report in ((classical_reps(0)[0], coassociativity_report),
+                         (q_reps(0)[0], coassociativity_report)):
         _stack.cache_clear()
         _words.cache_clear()
         report(*reps)

@@ -346,7 +346,7 @@ def module_pairs(seed):
         + [(algebra.klein_twist(name, rep), ref_twist(algebra.KLEIN_ROWS, name, rep))
            for name in algebra.KLEIN_ROWS],
         "q": [(qrep, ref_q_atypical_rep(ql)), q_typical]
-        + [(qalgebra.q_klein_twist(name, qrep), ref_twist(qalgebra.Q_KLEIN_ROWS, name, qrep))
+        + [(algebra.klein_twist(name, qrep), ref_twist(qalgebra.Q_KLEIN_ROWS, name, qrep))
            for name in qalgebra.Q_KLEIN_ROWS],
         "affine": []}
     for variant, beta in (("standard", 1.0), ("swapped", 1.0), ("standard", -1.0)):

@@ -1,11 +1,12 @@
 """The fusion, singlet and coproduct-homomorphism checkers against their per-algebra bodies.
 
-The fusion and singlet checkers of the undeformed and deformed algebras are
-bindings of one ``fusion_report`` and one ``singlet_lines``; the deformed and
-affine homomorphism reports read the coproduct stacks.  The references below
-are the per-algebra bodies they replace, one SuperMatrix per coproduct image.
-Both must give the same suite, cases, order, tolerances and params, with
-bitwise-equal residuals, on the draws the suites make.
+The fusion and singlet checkers of the undeformed and deformed algebras call
+one ``fusion_report`` and one ``singlet_lines``, and the deformed and affine
+homomorphism reports evaluate relation tables; all of them read the coproduct
+stack of the table that ``coproduct.ALGEBRAS`` holds for their modules' kind.
+The references below are the per-algebra bodies they replace, one SuperMatrix
+per coproduct image.  Both must give the same suite, cases, order, tolerances
+and params, with bitwise-equal residuals, on the draws the suites make.
 """
 import dataclasses
 import warnings
@@ -17,7 +18,7 @@ from sl11kit import algebra, qaffine, qalgebra, suites
 from sl11kit.algebra import (CLASSICAL_NAMES, AtypicalLocusWarning, DegenerateFusionError,
                              atypical_rep, check_relations, coproduct_image, fuse_check,
                              singlet_report, singlet_vector, typical_rep)
-from sl11kit.coproduct import TABLES, coproduct_stack
+from sl11kit.coproduct import ALGEBRAS, coproduct_stack
 from sl11kit.graded import ODD, graded_comm, max_abs
 from sl11kit.qaffine import (affine_coproduct_image, affine_hom_report,
                              affine_relations_report, node_sign)
@@ -307,8 +308,9 @@ def test_every_defining_relation_holds_on_the_coproduct_stack(seed):
             (check_relations, [atypical_rep(lab) for lab in labs[:2]]),
             (q_check_relations, [q_atypical_rep(lab) for lab in qlabs[:2]]),
             (affine_relations_report, affine_draw(seed))):
+        table = ALGEBRAS[rep_a.kind].coproduct
         tensor = dataclasses.replace(rep_a, space=rep_a.space.tensor(rep_b.space),
-                                     stack=coproduct_stack(TABLES[rep_a.kind], rep_a, rep_b))
+                                     stack=coproduct_stack(table, rep_a, rep_b))
         rpt = checker(tensor)
         assert rpt.names == checker(rep_a).names
         assert rpt.passed and rpt.max_residual <= 1e-13, (rpt.suite, rpt.max_residual)

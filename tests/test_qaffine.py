@@ -4,8 +4,8 @@ import pytest
 from sl11kit import coproduct, suites
 from sl11kit.graded import max_abs
 from sl11kit.qalgebra import q_check_relations, q_labels
-from sl11kit.qaffine import (affine_coassociativity_report,
-                             affine_coproduct_image, affine_eval_rep,
+from sl11kit.coproduct import coassociativity_report
+from sl11kit.qaffine import (affine_coproduct_image, affine_eval_rep,
                              affine_hom_report, affine_intertwine,
                              affine_relations_report, node_sign,
                              upper_nodes_subalgebra)
@@ -104,7 +104,7 @@ def test_group_like_coproducts(rep_pair):
 def test_affine_coassociativity(rep_pair):
     ra, rb = rep_pair
     rc = affine_eval_rep(q_labels(0.3 + 0.8j, np.exp(0.9j), Q, ALPHA)[0])
-    assert affine_coassociativity_report(ra, rb, rc).max_residual <= 1e-10
+    assert coassociativity_report(ra, rb, rc).max_residual <= 1e-10
 
 
 def test_affine_hom_on_compatibility(rep_pair):

@@ -7,6 +7,7 @@ product per bracket; both must report the same cases, in the same order,
 with the same residuals.
 """
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -225,7 +226,7 @@ def q_reps(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", algebra.AtypicalLocusWarning)
         typical = qalgebra.q_typical_rep(0.9 - 0.2j, 0.6 + 0.5j, lab.nu, q, alpha)
-    twists = [qalgebra.q_klein_twist(name, rep) for name in qalgebra.Q_KLEIN_ROWS]
+    twists = [algebra.klein_twist(name, rep) for name in qalgebra.Q_KLEIN_ROWS]
     upper = qaffine.upper_nodes_subalgebra(qaffine.affine_eval_rep(lab))
     return [rep, typical, *twists, upper]
 
@@ -345,3 +346,31 @@ def test_graded_brackets_match_pairwise_graded_comm():
         ref = graded_comm(SuperMatrix(space, space, stack[a]),
                           SuperMatrix(space, space, stack[b]), int(x in odd), int(y in odd))
         assert np.array_equal(got[k], ref.m), (x, y)
+
+
+@pytest.mark.parametrize("table, names, odd, typo, case", [
+    (algebra.RELATIONS, CLASSICAL_NAMES, algebra._ODD_NAMES, ("alpha1:", "alphx1:"),
+     "k1 - alpha1(u^2-u^-2)"),
+    (qalgebra.Q_RELATIONS, qalgebra.Q_NAMES, qalgebra._Q_ODD, ("q:", "Q:"), "K0+ E1 K0- - q E1")])
+def test_a_typo_in_a_coefficient_symbol_is_rejected_naming_its_case(table, names, odd, typo,
+                                                                    case):
+    # a symbol outside the grammar would otherwise drop its cases without a word
+    cases = [(name, lhs, rhs.replace(*typo)) for name, lhs, rhs in table.cases]
+    symbol = typo[1][:-1]
+    with pytest.raises(ValueError, match=re.escape(f"relation {case!r}: unknown coefficient "
+                                                   f"symbol {symbol!r}")):
+        algebra.RelationTable(names, odd, cases)
+    assert algebra.RelationTable(names, odd, table.cases).case_names == table.case_names
+
+
+def test_every_symbol_of_the_grammar_is_valued():
+    # q over (q-1/q) is grammatical, so it is valued, not dropped
+    rep = qalgebra.q_atypical_rep(suites.draw_qlabels(np.random.default_rng(4)))
+    table = algebra.RelationTable(qalgebra.Q_NAMES, qalgebra._Q_ODD, [
+        ("K0+ q/(q-1/q)", "q/(q-1/q): K0+", "0"), ("K0+ alpha2", "alpha2: K0+", "0"),
+        ("[E1,E1]", "[E1,E1]", "0"), ("K0+K0- - 1", "K0+ K0-", "1")])
+    rpt = table.report("s", 1.0, rep.stack, rep.q, rep.alpha)
+    k0 = rep["K0+"].m
+    assert rpt.names == table.case_names
+    assert rpt.residuals[:2] == [np.abs(k0 * (rep.q / (rep.q - 1 / rep.q))).max(),
+                                 np.abs(k0 * rep.alpha[1]).max()]

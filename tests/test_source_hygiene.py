@@ -10,9 +10,13 @@ break, so such an import only hides a dependency from the module header.
 functions of the other modules, the paths a caller and a tracer of those
 functions see.  ``yangian`` casts no scalar: it neither calls ``complex`` nor
 names ``complex128``, so the labels' type, decided only by
-``algebra.label_scalar``, runs through its reports.
+``algebra.label_scalar``, runs through its reports.  ``suites`` and ``cli``
+reach Hopf data only through ``coproduct.ALGEBRAS``: they name no coproduct
+table constant and no per-algebra Hopf checker, so replacing one registry
+entry reaches every check they run.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -188,3 +192,56 @@ def test_the_check_sees_a_complex_call_and_a_complex128_name():
                      "    return np.zeros(2, dtype=np.complex128) + complex128(y)\n")
     assert _scalar_casts(tree) == ["complex(...) (line 5)", "complex128 (line 6)",
                                    "complex128 (line 6)"]
+
+
+#: Names that bind one algebra's Hopf data outside the registry.
+_TABLE_CONSTANTS = frozenset({"COPRODUCT", "Q_COPRODUCT", "AFFINE_COPRODUCT"})
+_PER_ALGEBRA_CHECKER = re.compile(
+    r"\w+_checker|(q|affine)_(coassociativity|counit_antipode|cocommutativity)_report")
+_HOPF_REPORTS = frozenset({"coassociativity_report", "counit_antipode_report",
+                           "cocommutativity_report"})
+
+
+def _hopf_bindings(tree) -> list[str]:
+    """(name, line) of every coproduct table constant and per-algebra Hopf checker
+    named in ``tree``, and of every Hopf report read from a module but ``coproduct``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named = [(node.id, node.id)]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            named = [(node.attr, f"{owner}.{node.attr}")]
+            if node.attr in _HOPF_REPORTS and owner != "coproduct":
+                found.append((node.lineno, f"{owner}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom):
+            named = [(a.name, a.name) for a in node.names]
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in _HOPF_REPORTS and node.module != "coproduct"]
+        else:
+            continue
+        found += [(node.lineno, shown) for name, shown in named
+                  if name in _TABLE_CONSTANTS or _PER_ALGEBRA_CHECKER.fullmatch(name)]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", ["suites", "cli"])
+def test_the_suites_and_the_cli_reach_hopf_data_only_through_the_registry(module):
+    bound = _hopf_bindings(TREES[module])
+    assert not bound, f"{module}: per-algebra Hopf data {bound}"
+
+
+def test_the_check_sees_table_constants_and_per_algebra_checkers():
+    tree = ast.parse("from . import algebra, coproduct, qalgebra\n"
+                     "from .qalgebra import Q_COPRODUCT\n"
+                     "from .algebra import counit_antipode_report\n\n"
+                     "def suite(reps):\n    coproduct.coassociativity_report(*reps)\n"
+                     "    algebra.cocommutativity_report(*reps[:2])\n"
+                     "    qalgebra.affine_counit_antipode_report(reps[0])\n"
+                     "    check = algebra.hopf_checker(algebra.COPRODUCT, 's')\n"
+                     "    return check, coproduct.ALGEBRAS[reps[0].kind].coproduct\n")
+    assert _hopf_bindings(tree) == [
+        "Q_COPRODUCT (line 2)", "counit_antipode_report (line 3)",
+        "algebra.cocommutativity_report (line 7)",
+        "qalgebra.affine_counit_antipode_report (line 8)",
+        "algebra.COPRODUCT (line 9)", "algebra.hopf_checker (line 9)"]
