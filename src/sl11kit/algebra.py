@@ -75,6 +75,12 @@ def label_scalar(value):
     return complex(value) if isinstance(value, (int, float, complex, np.number)) else value
 
 
+def require_complex128(what: str, reps, hint: str = "") -> None:
+    """Raise ``TypeError`` unless every module of ``reps`` is complex128: ``what`` runs LAPACK."""
+    for dtype in {rep.stack.dtype for rep in reps} - {np.dtype(np.complex128)}:
+        raise TypeError(f"{what} runs LAPACK in complex128, not on dtype {dtype}{hint}")
+
+
 def decided(check: str, compare) -> bool:
     """``compare()``, which only compares values computed before the call, as a bool;
     a TypeError names ``check`` when symbolic labels leave it open."""
@@ -241,8 +247,9 @@ def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
 
     def row(a, b):  # of x_a x_b: right factor b, left factor a
         return factor[b] * len(factor) + factor[a]
-    return (np.array([names.index(name) for name in factor]),
-            np.array([row(a, b) for a, b in pairs]), np.array([row(b, a) for a, b in pairs]),
+    return (np.array([names.index(name) for name in factor], dtype=int),
+            np.array([row(a, b) for a, b in pairs], dtype=int),
+            np.array([row(b, a) for a, b in pairs], dtype=int),
             np.array([-1.0 if a in odd and b in odd else 1.0 for a, b in pairs])[:, None, None])
 
 
@@ -308,8 +315,7 @@ class RelationTable:
         alphabet = (*names, *brackets, *subwords, "1", "0")
         pairs = [tuple(bracket[1:-1].split(",")) for bracket in brackets]
         self.layout = bracket_layout(names, odd, pairs)
-        spelled_subwords = [subword[1:-1].split() for subword in subwords]
-        self.subwords = [spell(names, spelled_subwords)] if subwords else []
+        self.subwords = spell(names, [subword[1:-1].split() for subword in subwords])
         self.words = spell(alphabet, long)
         # rows of the word table: the alphabet's letters, then the longer words
         rows = [(letter,) for letter in alphabet] + long
@@ -330,7 +336,7 @@ class RelationTable:
             values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
         one = np.eye(n, dtype=x.dtype)[None]  # the letters "1" and "0" close the alphabet
         letters = np.concatenate([x, graded_brackets(x, self.layout),
-                                  *(word_stack(x, sub) for sub in self.subwords), one, 0 * one])
+                                  word_stack(x, self.subwords), one, 0 * one])
         table = np.concatenate([letters, word_stack(letters, self.words)])
         sides = table[self.plus] - table[self.minus]
         coeffs = np.array([values.get(symbol, 0) for symbol in self.symbols])[self.symbol_of]
@@ -495,16 +501,15 @@ def fusion_report(suite: str, rep_a, rep_b, lowering: tuple[str, str], weights, 
     * every generator conjugated into the basis against its row of the
       ``(G, 4, 4)`` stack ``want``, in table order.
 
-    Returns the basis and the report.
+    Returns the basis and the report; LAPACK inverts the basis, so in complex128 only.
     """
+    require_complex128("the fusion basis inverse", (rep_a, rep_b))
     table = ALGEBRAS[rep_a.kind].coproduct
     cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
     low1, low2 = (cop[name] for name in lowering)
-    v0 = np.zeros(4, dtype=complex)
-    v0[3] = 1.0  # w0 (x) w0'
-    v1 = low1 @ v0
-    v2 = low2 @ v0
-    v21 = low2 @ (low1 @ v0)
+    v0 = np.eye(4, dtype=complex)[3]  # w0 (x) w0'
+    v1, v2 = low1 @ v0, low2 @ v0
+    v21 = low2 @ v1
     basis = np.column_stack([v0, v1, v2, v21])
 
     r = Report(suite, tolerance)
@@ -573,10 +578,7 @@ def singlet_vector(labels_a: RepLabels, labels_b: RepLabels,
     lam1, lam2, nunu, mu1, mu2 = _fused_weights(labels_a, labels_b)
     _require_singlet("singlet", (("lambda~1", lam1), ("lambda~2", lam2), ("mu~1", mu1),
                                  ("mu~2", mu2), ("nu nu' - 1", nunu - 1)), tolerance)
-    v = np.zeros(4, dtype=complex)
-    v[1] = labels_a.gamma            # w1 (x) w0'
-    v[2] = labels_b.gamma * labels_a.nu * labels_b.nu   # w0 (x) w1'
-    return v
+    return np.array([0, labels_a.gamma, labels_b.gamma * labels_a.nu * labels_b.nu, 0])
 
 
 def singlet_lines(suite: str, rep_a, rep_b, v: np.ndarray, annihilating, invariant, eigen,

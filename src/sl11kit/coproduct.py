@@ -127,7 +127,7 @@ def spell(names: tuple[str, ...], words) -> np.ndarray:
     index = {name: g for g, name in enumerate(names)}
     width = max([1, *map(len, words)])
     spelled = np.array([[index[name] for name in word] + [len(names)] * (width - len(word))
-                        for word in words])
+                        for word in words], dtype=int).reshape(-1, width)
     spelled.setflags(write=False)
     return spelled
 

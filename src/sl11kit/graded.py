@@ -244,13 +244,13 @@ def product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     The wide layout, one left factor times the right factors side by side,
     does not have it.
     """
-    *batch, count, n, k = left.shape
+    (*batch, count, n, k), m = left.shape, right.shape[-1]
     if right.ndim == 3:  # [r, ..., l] of one tall product, moved to [..., r, l]
-        table = (left.reshape(-1, k) @ right).reshape(len(right), *batch, count, n, -1)
+        table = (left.reshape(-1, k) @ right).reshape(len(right), *batch, count, n, m)
         return np.moveaxis(table, 0, -4)
     tall = left.reshape(*batch, count * n, k)
     table = tall[..., None, :, :] @ right
-    return table.reshape(*table.shape[:-2], count, n, right.shape[-1])
+    return table.reshape(*table.shape[:-2], count, n, m)
 
 
 @cache

@@ -23,7 +23,7 @@ from .coproduct import (ALGEBRAS, Algebra, CoproductTable, coproduct_matrix, cop
                         memoised_by_labels, spell, word_stack)
 from .graded import EVEN, ODD, SuperMatrix
 from .qalgebra import Q_NAMES, QRepLabels, _Q_PARITY, ef_relation, q_atypical_rep
-from .algebra import GeneratorImage, RelationTable
+from .algebra import GeneratorImage, RelationTable, label_scalar
 from .report import Report
 from .rmatrix import intertwining_report, rq_closed
 
@@ -90,7 +90,7 @@ def affine_eval_rep(labels: QRepLabels, variant: str = "standard",
                     beta: complex = 1.0) -> AffineRep:
     """Build the affine evaluation module on a deformed atypical representation; memoised."""
     # positional, normalised arguments: one module object whatever the call form
-    return _affine_eval(labels, variant, complex(beta))
+    return _affine_eval(labels, variant, label_scalar(beta))
 
 
 @memoised_by_labels
@@ -110,7 +110,7 @@ def _affine_eval(labels: QRepLabels, variant: str, beta: complex) -> AffineRep:
     # E_{i+2} from E_i with the complementary central gap, V from beta U
     stack[_SCALED] *= np.array([-beta * lgap[j3] / rho, -beta * lgap[j4] / rho,
                                 beta * rho / lgap[j3], beta * rho / lgap[j4],
-                                beta, beta], dtype=np.complex128)[:, None, None]
+                                beta, beta])[:, None, None]
     # nodes 3 and 4 couple as their base nodes, the complements of their gap nodes
     alpha = (*labels.alpha, labels.alpha[2 - j3], labels.alpha[2 - j4])
     return AffineRep(base.space, AFFINE_NAMES, stack, _AFF_PARITY, alpha, labels.q, "affine",

@@ -259,7 +259,7 @@ def q_typical_rep(lambda1: complex, lambda2: complex, nu: complex, q: complex,
 def q_typical_from_powers(qlam1: complex, qlam2: complex, nu: complex, q: complex,
                           alpha: tuple[complex, complex]) -> GeneratorImage:
     a1, a2 = alpha
-    q = complex(q)
+    q = label_scalar(q)
     reject_root_of_unity(q)
     qmu1 = qlam1 * qlam2 * nu**2
     qmu2 = qlam1 * qlam2 * nu**-2
@@ -422,10 +422,8 @@ def q_singlet_vector(labels_a: QRepLabels, labels_b: QRepLabels,
                      (("q^lambda~1 - 1", k1t**2 - 1), ("q^lambda~2 - 1", k2t**2 - 1),
                       ("q^mu~1 - 1", qmu1t - 1), ("q^mu~2 - 1", qmu2t - 1),
                       ("nu nu' - 1", nut - 1)), tolerance)
-    v = np.zeros(4, dtype=complex)
-    v[1] = labels_a.gamma
-    v[2] = (1 / k2t) * labels_b.gamma * labels_a.nu * labels_b.nu
-    return v
+    w0w1 = (1 / k2t) * labels_b.gamma * labels_a.nu * labels_b.nu  # of w0 (x) w1'
+    return np.array([0, labels_a.gamma, w0w1, 0])
 
 
 def q_singlet_report(labels_a: QRepLabels, labels_b: QRepLabels,

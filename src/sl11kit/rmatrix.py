@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import GeneratorImage, RepLabels
+from .algebra import GeneratorImage, RepLabels, label_scalar, require_complex128
 from .coproduct import ALGEBRAS, coproduct_stack
 from .graded import (C11, EVEN, SuperMatrix, graded_kron, graded_perm, identity,
                      kron_arrays, max_abs, product_table, unit)
@@ -110,7 +110,7 @@ def _assemble(coeffs: dict[str, complex]) -> SuperMatrix:
 def slot_coefficients(r) -> dict[str, complex]:
     """Coefficients of the six admissible E x E slots of a 4x4 intertwiner."""
     mat = r.m if isinstance(r, RMatrix) else np.asarray(r)
-    return {slot: complex(mat[pos] / value) for slot, (pos, value) in _SLOTS.items()}
+    return {slot: label_scalar(mat[pos] / value) for slot, (pos, value) in _SLOTS.items()}
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -232,10 +232,8 @@ def solve_intertwiner(rep_a: GeneratorImage, rep_b: GeneratorImage):
     declared null when its singular value is below 1e-8 times the largest one.
     A stack other than complex128 (``mpmath``, ``sympy``) raises ``TypeError``.
     """
-    for rep in (rep_a, rep_b):
-        if rep.stack.dtype != np.complex128:
-            raise TypeError(f"the SVD solver runs LAPACK in complex128, not on dtype "
-                            f"{rep.stack.dtype}; use the closed forms r_closed, rq_closed")
+    require_complex128("the SVD solver", (rep_a, rep_b),
+                       "; use the closed forms r_closed, rq_closed")
     dim = rep_a.space.dim * rep_b.space.dim
     dop, d = _coproduct_stacks(rep_a, rep_b)
     diag = np.arange(dim)
@@ -266,8 +264,8 @@ def r_solve(rep_a: GeneratorImage, rep_b: GeneratorImage,
     if match_r11 is not None:
         if abs(mat[0, 0]) < 1e-12:
             raise ValueError("cannot normalize: E11xE11 coefficient vanishes")
-        mat = mat * (complex(match_r11) / mat[0, 0])
         norm = complex(match_r11)
+        mat = mat * (norm / mat[0, 0])
     else:
         idx = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
         mat = mat / mat[idx]
@@ -280,13 +278,13 @@ def r_solve(rep_a: GeneratorImage, rep_b: GeneratorImage,
 # -- Yang-Baxter -----------------------------------------------------------------
 
 
-_ONE = identity(C11).m
-_P23 = graded_kron(identity(C11), graded_perm(C11, C11)).m
+#: exact integers, so the embeddings keep the entries' scalar type (sympy stays exact)
+_ONE = np.eye(2, dtype=int)
+_P23 = graded_kron(identity(C11), graded_perm(C11, C11)).m.real.astype(int)
 
 
 def ybe_embed(r12: np.ndarray, r13: np.ndarray, r23: np.ndarray) -> float:
     """max-abs of R12 R13 R23 - R23 R13 R12 with the standard graded embeddings."""
-    r12, r13, r23 = (np.asarray(r, dtype=complex) for r in (r12, r13, r23))
     big12 = kron_arrays(r12, _ONE, _T2, _T2, C11, C11)
     big23 = kron_arrays(_ONE, r23, C11, C11, _T2, _T2)
     big13 = _P23 @ kron_arrays(r13, _ONE, _T2, _T2, C11, C11) @ _P23

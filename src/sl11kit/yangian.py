@@ -407,8 +407,9 @@ def _cauchy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _series_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of the ``(N, n, n)`` series ``c``; requires an invertible constant term."""
-    inv0 = np.linalg.inv(c[0])
+    """Inverse of the ``(N, n, n)`` series ``c``; requires an invertible constant term,
+    which LAPACK inverts unless it is exactly 1, as for H(z) = h1 h2 - k1 k2."""
+    inv0 = c[0] if np.array_equal(c[0], np.eye(len(c[0]))) else np.linalg.inv(c[0])
     out = np.empty_like(c)
     out[0] = inv0
     for r in range(1, len(c)):
@@ -566,8 +567,8 @@ def antipode_report(ev: EvalRep, order: int, tolerance: float = 1e-10) -> Report
             series = _cauchy(series, _series_inverse(pool[h_row]))
         pool = np.concatenate([pool, series])
     residuals = np.maximum.reduceat(np.abs(series).reshape(len(series), -1).max(axis=1), starts)
-    return Report("antipode", tolerance, names=list(names), residuals=residuals.tolist(),
-                  tolerances=[None] * len(names))
+    return Report("antipode", tolerance, names=list(names),
+                  residuals=residuals.astype(float).tolist(), tolerances=[None] * len(names))
 
 
 def yangian_intertwine(labels_a: RepLabels, labels_b: RepLabels, r_max: int = 4,

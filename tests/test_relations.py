@@ -374,3 +374,19 @@ def test_every_symbol_of_the_grammar_is_valued():
     assert rpt.names == table.case_names
     assert rpt.residuals[:2] == [np.abs(k0 * (rep.q / (rep.q - 1 / rep.q))).max(),
                                  np.abs(k0 * rep.alpha[1]).max()]
+
+
+@pytest.mark.parametrize("cases", [
+    [("K0+K0- - 1", "K0+ K0-", "1"), ("q K0+", "q: K0+", "0")],
+    [("[E1,E1]", "[E1,E1]", "0"), ("[E1,F2]", "[E1,F2]", "0"), ("K0+ - K0+", "K0+", "K0+")],
+], ids=["no-bracket", "no-word-of-two-letters"])
+def test_a_table_without_a_bracket_or_a_long_word_evaluates(cases):
+    rep = qalgebra.q_atypical_rep(suites.draw_qlabels(np.random.default_rng(4)))
+    rpt = algebra.RelationTable(qalgebra.Q_NAMES, qalgebra._Q_ODD, cases).report(
+        "s", 1.0, rep.stack, rep.q, rep.alpha)
+    x = {name: rep[name].m for name in ("E1", "F2", "K0+", "K0-")}
+    want = {"K0+K0- - 1": x["K0+"] @ x["K0-"] - np.eye(2), "q K0+": rep.q * x["K0+"],
+            "[E1,E1]": 2 * x["E1"] @ x["E1"], "[E1,F2]": x["E1"] @ x["F2"] + x["F2"] @ x["E1"],
+            "K0+ - K0+": 0 * x["K0+"]}
+    assert rpt.names == [name for name, _, _ in cases]
+    assert rpt.residuals == [np.abs(want[name]).max() for name in rpt.names]

@@ -8,12 +8,14 @@ No function body imports a package module: the package has no import cycle to
 break, so such an import only hides a dependency from the module header.
 ``__init__`` only re-exports, so it is left out.  The suites call only public
 functions of the other modules, the paths a caller and a tracer of those
-functions see.  ``yangian`` casts no scalar: it neither calls ``complex`` nor
-names ``complex128``, so the labels' type, decided only by
-``algebra.label_scalar``, runs through its reports.  ``suites`` and ``cli``
-reach Hopf data only through ``coproduct.ALGEBRAS``: they name no coproduct
-table constant and no per-algebra Hopf checker, so replacing one registry
-entry reaches every check they run.
+functions see.  No function casts a scalar (a ``complex`` call, a
+``complex128`` name, a ``dtype=complex`` keyword or a LAPACK ``linalg`` call)
+but the named double-only ones, so the labels' type, decided only by
+``algebra.label_scalar`` and ``graded.as_entries``, runs through every other
+builder and report.  ``suites`` and ``cli`` reach Hopf data only through
+``coproduct.ALGEBRAS``: they name no coproduct table constant and no
+per-algebra Hopf checker, so replacing one registry entry reaches every check
+they run.
 """
 import ast
 import re
@@ -170,20 +172,92 @@ def test_the_check_sees_a_private_call_through_a_module_and_an_imported_name():
     assert _private_calls(tree) == ["y._pair_intertwine (line 9)", "w (line 12)"]
 
 
+def _name(node) -> str | None:
+    """The name a Name or an Attribute node reads."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _cast(node) -> str | None:
+    """The scalar cast ``node`` is, if any: a ``complex(...)`` call, a ``linalg`` call
+    (numpy's LAPACK steps), a ``dtype=complex`` keyword or a ``complex128`` name."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Name) and node.func.id == "complex":
+            return "complex(...)"
+        if isinstance(node.func, ast.Attribute) and _name(node.func.value) == "linalg":
+            return f"linalg.{node.func.attr}"
+    elif isinstance(node, ast.keyword):
+        if node.arg == "dtype" and isinstance(node.value, ast.Name) and node.value.id == "complex":
+            return "dtype=complex"
+    elif isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "complex128":
+        return "complex128"
+    return None
+
+
 def _scalar_casts(tree) -> list[str]:
-    """(cast, line) of every ``complex(...)`` call and every ``complex128`` name."""
-    found = [(node.lineno, "complex(...)") for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and node.func.id == "complex"]
-    found += [(node.lineno, "complex128") for node in ast.walk(tree)
-              if isinstance(node, ast.Name) and node.id == "complex128"
-              or isinstance(node, ast.Attribute) and node.attr == "complex128"]
-    return [f"{name} (line {line})" for line, name in sorted(found)]
+    """(cast, line) of every :func:`_cast` under ``tree``, by line."""
+    found = sorted((node.lineno, cast) for node in ast.walk(tree) if (cast := _cast(node)))
+    return [f"{name} (line {line})" for line, name in found]
 
 
-def test_the_yangian_casts_no_scalar():
-    casts = _scalar_casts(TREES["yangian"])
-    assert not casts, f"yangian: scalar casts {casts}"
+def _casts_by_function(module: str, tree) -> dict[str, list[str]]:
+    """``module.function`` (``module.Class.method``; ``module`` for the other
+    module-level statements) -> its :func:`_scalar_casts`, for each one that casts."""
+    units = {module: []}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            units[f"{module}.{stmt.name}"] = [stmt]
+        elif isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                key = f"{module}.{stmt.name}.{item.name}" \
+                    if isinstance(item, ast.FunctionDef) else f"{module}.{stmt.name}"
+                units.setdefault(key, []).append(item)
+        else:
+            units[module].append(stmt)
+    casts = {key: _scalar_casts(ast.Module(body=body, type_ignores=[]))
+             for key, body in units.items()}
+    return {key: found for key, found in casts.items() if found}
+
+
+#: The functions that keep a double-precision step, each with the reason.  Everything
+#: else in the package runs in the labels' scalar type, which ``algebra.label_scalar``
+#: (scalars) and ``graded.as_entries`` (arrays) decide.
+_DOUBLE_ONLY = {
+    "algebra.label_scalar": "decides the scalar type of labels",
+    "graded.as_entries": "decides the scalar type of arrays",
+    "algebra.require_complex128": "the type check in front of the LAPACK steps",
+    **dict.fromkeys(["graded.unit", "graded.identity", "graded.zeros"],
+                    "unit, identity and zero matrices for callers; the package reads only "
+                    "integer layouts from them"),
+    **dict.fromkeys(["rmatrix.solve_intertwiner", "rmatrix.r_solve"], "the SVD solver"),
+    "algebra.fusion_report": "fusion's LAPACK basis inverse",
+    **dict.fromkeys(["qalgebra.q_typical_rep", "qalgebra._shortening_roots",
+                     "qalgebra.qbracket"], "constructors that take exponents (numpy's log)"),
+    "qalgebra.reject_root_of_unity": "the root-of-unity test, decided in double",
+    **dict.fromkeys(["algebra.gl2_twist", "algebra._scalar_part"],
+                    "the GL(2) twist, whose matrices are given as doubles"),
+    "coproduct.memoised_by_labels": "the memo key: the bits of double labels",
+    **dict.fromkeys(["report.c2j", "graded.SuperMatrix.from_dict",
+                     "algebra.GeneratorImage.from_dict", "algebra.singlet_lines"],
+                    "serialization: JSON numbers and a report's eigenvalue parameter"),
+    "cli._complex": "the CLI reads complex flags",
+    **dict.fromkeys(["zhukovski._principal_root", "zhukovski.q_zhukovski_point",
+                     "zhukovski.q_labels_from_x", "zhukovski.dispersion"],
+                    "the Zhukovski map: principal roots and logarithms"),
+    "yangian._series_inverse": "LAPACK only for a constant term other than exactly 1, "
+                               "which H(z) of the antipode report never has",
+}
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_scalar_casts_stay_in_the_double_only_functions(module):
+    casts = {key: found for key, found in _casts_by_function(module, TREES[module]).items()
+             if key not in _DOUBLE_ONLY}
+    assert not casts, f"{module}: scalar casts outside the double-only functions {casts}"
+
+
+def test_every_double_only_function_still_casts():
+    casting = {key for module, tree in TREES.items() for key in _casts_by_function(module, tree)}
+    assert set(_DOUBLE_ONLY) <= casting, sorted(set(_DOUBLE_ONLY) - casting)
 
 
 def test_the_check_sees_a_complex_call_and_a_complex128_name():
@@ -192,6 +266,18 @@ def test_the_check_sees_a_complex_call_and_a_complex128_name():
                      "    return np.zeros(2, dtype=np.complex128) + complex128(y)\n")
     assert _scalar_casts(tree) == ["complex(...) (line 5)", "complex128 (line 6)",
                                    "complex128 (line 6)"]
+
+
+def test_the_check_sees_a_dtype_keyword_and_a_lapack_call_by_function():
+    tree = ast.parse("import numpy as np\n_ONE = np.eye(2, dtype=complex)\n\n"
+                     "def embed(r):\n    return np.asarray(r, dtype=complex) @ _ONE\n\n"
+                     "class Series:\n    order: int = 2\n\n    def inverse(self, c):\n"
+                     "        return np.linalg.inv(c[0]), np.asarray(c, dtype=int)\n\n"
+                     "def det(a):\n    return linalg.det(a)\n")
+    assert _casts_by_function("m", tree) == {"m": ["dtype=complex (line 2)"],
+                                             "m.embed": ["dtype=complex (line 5)"],
+                                             "m.Series.inverse": ["linalg.inv (line 11)"],
+                                             "m.det": ["linalg.det (line 14)"]}
 
 
 #: Names that bind one algebra's Hopf data outside the registry.
