@@ -28,7 +28,7 @@ import numpy as np
 from .coproduct import (ALGEBRAS, Algebra, CoproductTable, coproduct_matrix, coproduct_stack,
                         memoised_by_labels, spell, word_stack)
 from .graded import C11, EVEN, ODD, GradedSpace, SuperMatrix, as_entries, max_abs, product_table
-from .report import Report, c2j, residual_report
+from .report import Report, c2j, residual_report, residual_reports
 
 CLASSICAL_NAMES = ("e1", "e2", "f1", "f2", "h0", "h1", "h2", "k1", "k2", "u+", "u-")
 _ODD_NAMES = frozenset({"e1", "e2", "f1", "f2"})
@@ -207,7 +207,7 @@ class GeneratorImage:
             raise KeyError(f"missing generator images: {missing}")
         if tuple(names) == self.names:
             return self.stack
-        return self.stack[[self._index[name] for name in names]]
+        return self.stack.take([self._index[name] for name in names], axis=0)
 
     def to_dict(self) -> dict:
         d = {
@@ -254,15 +254,15 @@ def bracket_layout(names: tuple[str, ...], odd: frozenset, pairs) -> tuple:
 
 
 def graded_brackets(x: np.ndarray, layout: tuple) -> np.ndarray:
-    """``(P, n, n)`` brackets x_a x_b - (-1)^{p_a p_b} x_b x_a of a
-    :func:`bracket_layout` on the ``(G, n, n)`` stack ``x``, read from one
+    """``(..., P, n, n)`` brackets x_a x_b - (-1)^{p_a p_b} x_b x_a of a
+    :func:`bracket_layout` on the ``(..., G, n, n)`` stack ``x``, read from one
     :func:`.graded.product_table` of the generators in a pair times each
-    other (one BLAS call per right factor)."""
+    other (one BLAS call per right factor and leading index)."""
     factors, ab, ba, sign = layout
-    factors = x[factors]
+    factors = x.take(factors, axis=-3)
     table = product_table(factors, factors)
-    table = table.reshape(-1, *table.shape[-2:])
-    return table[ab] - sign * table[ba]
+    table = table.reshape(*table.shape[:-4], -1, *table.shape[-2:])
+    return table.take(ab, axis=-3) - sign * table.take(ba, axis=-3)
 
 
 # -- relations as data: one evaluator reads every algebra's relation table ----
@@ -299,6 +299,7 @@ class RelationTable:
     """
 
     def __init__(self, names: tuple[str, ...], odd: frozenset, cases):
+        self.names = names
         self.cases = tuple(cases)
         self.case_names = [name for name, _, _ in self.cases]
         sides = [_side(text) for _, lhs, rhs in self.cases for text in (lhs, rhs)]
@@ -313,6 +314,7 @@ class RelationTable:
         subwords = [letter for letter in letters if letter.startswith("(")]
         long = [word for word in words if len(word) > 1]
         alphabet = (*names, *brackets, *subwords, "1", "0")
+        self.alphabet_size = len(alphabet)
         pairs = [tuple(bracket[1:-1].split(",")) for bracket in brackets]
         self.layout = bracket_layout(names, odd, pairs)
         self.subwords = spell(names, [subword[1:-1].split() for subword in subwords])
@@ -329,24 +331,51 @@ class RelationTable:
         """Residuals of the cases on the ``(G, n, n)`` stack ``x`` of ``names``, each
         side times its coefficient on the right, as in SuperMatrix; cases whose
         coefficients need a q or couplings that are None drop out."""
-        n = x.shape[-1]
-        values = {"1": 1} | {f"alpha{i}": a for i, a in enumerate(alpha or (), 1)}
-        if q is not None:  # q, and 1, q and each alphai over q - 1/q
-            values["q"] = q
-            values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
-        one = np.eye(n, dtype=x.dtype)[None]  # the letters "1" and "0" close the alphabet
-        letters = np.concatenate([x, graded_brackets(x, self.layout),
-                                  word_stack(x, self.subwords), one, 0 * one])
-        table = np.concatenate([letters, word_stack(letters, self.words)])
-        sides = table[self.plus] - table[self.minus]
-        coeffs = np.array([values.get(symbol, 0) for symbol in self.symbols])[self.symbol_of]
-        sides = (sides * coeffs[:, None, None]).reshape(-1, 2, n, n)
+        return self.reports(suite, tolerance, x[None], (q,), (alpha,))[0]
+
+    def check(self, suite: str, tolerance: float, rep) -> Report | list[Report]:
+        """:meth:`report` on a module's images of ``names``, or, given a sequence of
+        modules, their :meth:`reports` in one pass."""
+        if isinstance(rep, GeneratorImage):
+            return self.report(suite, tolerance, rep.gather(self.names), rep.q, rep.alpha)
+        return self.reports(suite, tolerance, np.stack([r.gather(self.names) for r in rep]),
+                            [r.q for r in rep], [r.alpha for r in rep])
+
+    def reports(self, suite: str, tolerance: float, x: np.ndarray, qs, alphas) -> list[Report]:
+        """:meth:`report` of each module of the ``(B, G, n, n)`` stack ``x``, whose q and
+        couplings are ``qs[b]`` and ``alphas[b]``, from one evaluation; every entry is
+        that of the module's own.  Raises ValueError when the modules differ in which
+        coefficients are known, so that their reports would list different cases."""
+        batch, count, n, _ = x.shape
+        coeffs, known = [], set()
+        for q, alpha in zip(qs, alphas, strict=True):
+            values = {"1": 1} | {f"alpha{i}": a for i, a in enumerate(alpha or (), 1)}
+            if q is not None:  # q, and 1, q and each alphai over q - 1/q
+                values["q"] = q
+                values |= {f"{s}/(q-1/q)": v / (q - 1 / q) for s, v in values.items()}
+            coeffs.append([values.get(symbol, 0) for symbol in self.symbols])
+            known.add(tuple(symbol in values for symbol in self.symbols))
+        if len(known) > 1:
+            raise ValueError("the modules of a batch differ in which of q and the couplings "
+                             "they carry; check them one at a time")
+        (known,) = known
+        # the table's rows: the alphabet (names, brackets, sub-words, "1" and "0"), then
+        # the longer words; the "0" row stays as filled
+        table = np.zeros((batch, self.alphabet_size + len(self.words), n, n), dtype=x.dtype)
+        bracket, subword, one = count, count + len(self.layout[1]), self.alphabet_size - 2
+        table[:, :bracket] = x
+        table[:, bracket:subword] = graded_brackets(x, self.layout)
+        table[:, subword:one] = word_stack(x, self.subwords)
+        table[:, one] = np.eye(n, dtype=x.dtype)
+        table[:, one + 2:] = word_stack(table[:, :one + 2], self.words)
+        sides = table.take(self.plus, axis=1) - table.take(self.minus, axis=1)
+        coeffs = np.array(coeffs)[:, self.symbol_of]
+        sides = (sides * coeffs[..., None, None]).reshape(batch, -1, 2, n, n)
         names = self.case_names
-        if not values.keys() >= set(self.symbols):
-            known = np.array([symbol in values for symbol in self.symbols])
-            kept = known[self.symbol_of].reshape(-1, 2).all(axis=1)
-            names, sides = [name for name, keep in zip(names, kept) if keep], sides[kept]
-        return residual_report(suite, tolerance, names, sides[:, 0], sides[:, 1])
+        if not all(known):
+            kept = np.array(known)[self.symbol_of].reshape(-1, 2).all(axis=1)
+            names, sides = [name for name, keep in zip(names, kept) if keep], sides[:, kept]
+        return residual_reports(suite, tolerance, names, sides[:, :, 0], sides[:, :, 1])
 
 
 # -- representation constructors ---------------------------------------------
@@ -444,9 +473,10 @@ RELATIONS = RelationTable(CLASSICAL_NAMES, _ODD_NAMES, [
 
 def check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     """Residuals of the defining relations (:data:`RELATIONS`) in a representation;
-    without couplings the central-extension constraints drop out."""
-    return RELATIONS.report("algebra-relations", tolerance, rep.gather(CLASSICAL_NAMES),
-                            rep.q, rep.alpha)
+    without couplings the central-extension constraints drop out.  Given a sequence
+    of modules of one dimension, one report each, from one pass
+    (:meth:`RelationTable.check`)."""
+    return RELATIONS.check("algebra-relations", tolerance, rep)
 
 
 # -- coproduct ----------------------------------------------------------------
@@ -505,21 +535,27 @@ def fusion_report(suite: str, rep_a, rep_b, lowering: tuple[str, str], weights, 
     """
     require_complex128("the fusion basis inverse", (rep_a, rep_b))
     table = ALGEBRAS[rep_a.kind].coproduct
-    cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
-    low1, low2 = (cop[name] for name in lowering)
+    stack = coproduct_stack(table, rep_a, rep_b)
+
+    def rows(names):
+        return stack[[table.position(name) for name in names]]
+    low1, low2 = rows(lowering)
     v0 = np.eye(4, dtype=complex)[3]  # w0 (x) w0'
     v1, v2 = low1 @ v0, low2 @ v0
     v21 = low2 @ v1
     basis = np.column_stack([v0, v1, v2, v21])
 
     r = Report(suite, tolerance)
-    for name, val in weights:
-        r.add(f"weight:{name}", max_abs(cop[name] @ v0 - val * v0), expected=val)
-    for name, c1, c2 in raised:
-        r.add(f"{name}.v21", max_abs(cop[name] @ v21 - (c1 * v1 - c2 * v2)))
-    binv = np.linalg.inv(basis)
-    for name, target in zip(table.names, want):
-        r.add(f"basis-conjugation:{name}", max_abs(binv @ cop[name] @ basis - target))
+    values = np.array([val for _, val in weights])[:, None]
+    lines = rows(name for name, _ in weights) @ v0 - values * v0
+    for (name, val), residual in zip(weights, np.abs(lines).max(axis=1).tolist()):
+        r.add(f"weight:{name}", residual, expected=val)
+    c1, c2 = (np.array([row[i] for row in raised])[:, None] for i in (1, 2))
+    lines = rows(name for name, _, _ in raised) @ v21 - (c1 * v1 - c2 * v2)
+    for (name, _, _), residual in zip(raised, np.abs(lines).max(axis=1).tolist()):
+        r.add(f"{name}.v21", residual)
+    names = [f"basis-conjugation:{name}" for name in table.names]
+    r.merge(residual_report(suite, tolerance, names, np.linalg.inv(basis) @ stack @ basis, want))
     return basis, r
 
 
@@ -591,14 +627,16 @@ def singlet_lines(suite: str, rep_a, rep_b, v: np.ndarray, annihilating, invaria
     (the eigenvalue is recorded).
     """
     table = ALGEBRAS[rep_a.kind].coproduct
-    cop = dict(zip(table.names, coproduct_stack(table, rep_a, rep_b)))
-    r = Report(suite, tolerance)
-    for name in annihilating:
-        r.add(f"annihilation:{name}", max_abs(cop[name] @ v))
-    for name in invariant:
-        r.add(f"invariance:{name}", max_abs(cop[name] @ v - v))
+    stack = coproduct_stack(table, rep_a, rep_b)
+    # Delta(g) v against 0 on the annihilating rows and v on the invariant ones
+    gv = stack[[table.position(name) for name in (*annihilating, *invariant)]] @ v
+    fixed = np.zeros_like(gv)
+    fixed[len(annihilating):] = v
+    r = residual_report(suite, tolerance, [*(f"annihilation:{name}" for name in annihilating),
+                                           *(f"invariance:{name}" for name in invariant)],
+                        gv[..., None], fixed[..., None])
     for name in eigen:
-        gv = cop[name] @ v
+        gv = stack[table.position(name)] @ v
         coeff = np.vdot(v, gv) / np.vdot(v, v)
         r.add(f"{name}-eigenvector", max_abs(gv - coeff * v), eigenvalue=complex(coeff))
     return r

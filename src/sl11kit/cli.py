@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 import time
 from functools import cache
@@ -54,13 +56,24 @@ def _int_at_least(low: int):
 
 
 def _write(payload: str, path: str | None) -> None:
+    """Write ``payload`` to standard output, or over the file at ``path`` in place.
+
+    The file is opened as ``open(path, "w")`` opens it, but without truncating it
+    first; once the payload is written, a regular file is cut to its length.
+    Emptying the file before the rewrite would free its blocks only to allocate
+    them again, and makes some filesystems flush it on close.
+    """
     if path is None or path == "-":
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(payload)
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _matrix_csv(rm: rmatrix.RMatrix) -> str:

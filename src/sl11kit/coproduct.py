@@ -133,16 +133,23 @@ def spell(names: tuple[str, ...], words) -> np.ndarray:
 
 
 def word_stack(stack: np.ndarray, spelled: np.ndarray) -> np.ndarray:
-    """``(W, n, n)`` products of spelled words on a ``(G, n, n)`` image stack.
+    """``(..., W, n, n)`` products of spelled words on a ``(..., G, n, n)`` image stack;
+    leading axes are stacks of modules, each read on its own.
 
     Each word is multiplied left to right, one batched gather per letter
     position; index G is the identity (of the stack's dtype), and a product
     by an identity is exact, so every entry equals the word's plain product.
+    No words give an empty stack of the stack's dtype.
     """
-    images = np.concatenate([stack, np.eye(stack.shape[-1], dtype=stack.dtype)[None]])
-    words = images[spelled[:, 0]]
+    *batch, count, n, _ = stack.shape
+    if not len(spelled):
+        return np.empty((*batch, 0, n, n), dtype=stack.dtype)
+    images = np.empty((*batch, count + 1, n, n), dtype=stack.dtype)
+    images[..., :count, :, :] = stack
+    images[..., count, :, :] = np.eye(n, dtype=stack.dtype)
+    words = images.take(spelled[:, 0], axis=-3)
     for column in spelled.T[1:]:
-        words = words @ images[column]
+        words = words @ images.take(column, axis=-3)
     return words
 
 
@@ -173,8 +180,8 @@ def kron_sum(columns, space_a, space_b, words_a: np.ndarray, words_b: np.ndarray
     all K columns, summed in order.
     """
     coeffs, left, right = columns
-    return sum(coeffs * kron_arrays(words_a[left], words_b[right], space_a, space_a,
-                                    space_b, space_b))
+    return sum(coeffs * kron_arrays(words_a.take(left, axis=0), words_b.take(right, axis=0),
+                                    space_a, space_a, space_b, space_b))
 
 
 @lru_cache(maxsize=STACK_CACHE_SIZE)

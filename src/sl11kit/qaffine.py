@@ -167,9 +167,13 @@ AFFINE_RELATIONS = {variant: _affine_relations(variant) for variant in ("standar
 
 def affine_relations_report(rep: AffineRep, tolerance: float = 1e-11) -> Report:
     """Residuals of the affine defining relations (:data:`AFFINE_RELATIONS`), Serre and
-    compatibility lines included, for the variant the representation was built with."""
-    return AFFINE_RELATIONS[rep.variant].report("affine-relations", tolerance,
-                                                rep.gather(AFFINE_NAMES), rep.q, rep.alpha)
+    compatibility lines included, for the variant the representation was built with.
+    Given a sequence of modules of one variant, one report each, from one pass."""
+    variants = {r.variant for r in ([rep] if isinstance(rep, GeneratorImage) else rep)}
+    if len(variants) > 1:
+        raise ValueError(f"a batch of modules of the variants {sorted(variants)}; "
+                         "check each variant on its own")
+    return AFFINE_RELATIONS[variants.pop()].check("affine-relations", tolerance, rep)
 
 
 # -- coproduct ------------------------------------------------------------------

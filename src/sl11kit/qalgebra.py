@@ -312,11 +312,11 @@ Q_RELATIONS = RelationTable(Q_NAMES, _Q_ODD, [
 
 def q_check_relations(rep: GeneratorImage, tolerance: float = 1e-10) -> Report:
     """Residuals of the deformed defining relations (:data:`Q_RELATIONS`) in a
-    representation; without couplings the [E_i, F_j} across the nodes drop out."""
-    x = rep.gather(Q_NAMES)
-    if rep.q is None:
+    representation; without couplings the [E_i, F_j} across the nodes drop out.
+    Given a sequence of modules of one dimension, one report each, from one pass."""
+    if any(r.q is None for r in ([rep] if isinstance(rep, GeneratorImage) else rep)):
         raise ValueError("representation carries no deformation parameter q")
-    return Q_RELATIONS.report("q-algebra-relations", tolerance, x, rep.q, rep.alpha)
+    return Q_RELATIONS.check("q-algebra-relations", tolerance, rep)
 
 
 # -- coproduct -----------------------------------------------------------------

@@ -12,9 +12,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -129,14 +132,14 @@ class Report:
     def median_residual(self) -> float:
         return statistics.median(self.residuals) if self.residuals else 0.0
 
-    def _checked_against(self):
-        """(residual, the tolerance it is checked against) of each case."""
+    def _checked_against(self) -> list:
+        """The tolerance each case is checked against."""
         tolerance = self.tolerance
-        return zip(self.residuals, (tolerance if t is None else t for t in self.tolerances))
+        return [tolerance if t is None else t for t in self.tolerances]
 
     @property
     def passed(self) -> bool:
-        return all(r <= t for r, t in self._checked_against())
+        return all(map(operator.le, self.residuals, self._checked_against()))
 
     def json_fields(self, include_timestamp: bool = True) -> dict:
         """:meth:`to_dict` with the report itself in place of its case list."""
@@ -172,30 +175,50 @@ class Report:
         writer.writerow(["suite", "identity", "residual", "tolerance", "passed"])
         writer.writerows([self.suite, name, repr(res), repr(tol),
                           "true" if res <= tol else "false"]
-                         for name, (res, tol) in zip(self.names, self._checked_against()))
+                         for name, res, tol in zip(self.names, self.residuals,
+                                                   self._checked_against()))
         return buf.getvalue()
+
+
+def _float_text(x: float) -> str:
+    """A float as the JSON encoder writes it, without its set-up."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
 
 
 def json_text(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2)`` as written ``depth`` levels deep, where a
     :class:`Report` in place of a case list is written from its columns.
     Dict keys are strings."""
-    if isinstance(obj, float):  # as the encoder writes it, without its set-up
-        text = float.__repr__(obj)
-        return _NON_FINITE.get(text, text)
+    if isinstance(obj, float):
+        return _float_text(obj)
     pad = "\n" + "  " * (depth + 1)
-    if isinstance(obj, Report):  # each case as its ``Case.to_dict()``
+    if isinstance(obj, Report):  # each case as its ``Case.to_dict()``, from constant pieces
+        if not obj.names:
+            return "[]"
         key = pad + '  "'
-        params = {i: json_text({k: param_value(v) for k, v in p.items()}, depth + 2)
-                  for i, p in obj.params.items()}
-        residuals = [_NON_FINITE.get(t, t) for t in map(float.__repr__, obj.residuals)]
-        tolerances = ["" if t is None else f',{key}tolerance": {json_text(t)}'
-                      for t in obj.tolerances]
-        brackets = "[]"
-        items = [f'{{{key}identity": {encode_basestring_ascii(name)},{key}residual": {res}'
-                 f',{key}params": {params.get(i, "{}")}{tol}{pad}}}' for i, (name, res, tol)
-                 in enumerate(zip(obj.names, residuals, tolerances))]
-    elif isinstance(obj, dict):
+        # one text per distinct residual; 0.0 and -0.0 share a key but not a text
+        texts = {r: _float_text(r) for r in dict.fromkeys(obj.residuals)}
+        residuals = list(map(texts.__getitem__, obj.residuals))
+        if 0.0 in texts and min(map(math.copysign, repeat(1.0), obj.residuals)) < 0:
+            residuals = [_float_text(r) if r == 0 else t
+                         for r, t in zip(obj.residuals, residuals)]
+        params = ["{}"] * len(obj.names)
+        for i, p in obj.params.items():
+            params[i] = json_text({k: param_value(v) for k, v in p.items()}, depth + 2)
+        # one text per tolerance object: equal values may print apart (0.0 and -0.0, 1 and 1.0)
+        ids = list(map(id, obj.tolerances))
+        tolerances = {i: "" if t is None else f',{key}tolerance": {json_text(t)}'
+                      for i, t in dict(zip(ids, obj.tolerances)).items()}
+        # every case opens with the close of the one before; the first opens the list
+        opening = '{' + key + 'identity": '
+        pieces = chain.from_iterable(zip(
+            repeat(pad + "}," + pad + opening), map(encode_basestring_ascii, obj.names),
+            repeat(f',{key}residual": '), residuals,
+            repeat(f',{key}params": '), params, map(tolerances.__getitem__, ids)))
+        return "".join(["[", pad, opening, *islice(pieces, 1, None), pad, "}\n",
+                        "  " * depth, "]"])
+    if isinstance(obj, dict):
         brackets = "{}"
         items = [f"{encode_basestring_ascii(k)}: {json_text(v, depth + 1)}"
                  for k, v in obj.items()]
@@ -214,7 +237,15 @@ def residual_report(suite: str, tolerance: float, names, lhs, rhs) -> Report:
     ``lhs`` and ``rhs`` are ``(C, n, n)`` arrays or sequences of C matrices;
     every residual is taken in one array operation.
     """
-    residuals = np.abs(np.asarray(lhs) - np.asarray(rhs)).max(axis=(1, 2)).astype(float)
-    residuals = residuals.tolist()
-    return Report(suite, tolerance, names=list(names), residuals=residuals,
-                  tolerances=[None] * len(residuals))
+    (rpt,) = residual_reports(suite, tolerance, names, np.asarray(lhs)[None],
+                              np.asarray(rhs)[None])
+    return rpt
+
+
+def residual_reports(suite: str, tolerance: float, names, lhs, rhs) -> list[Report]:
+    """:func:`residual_report` of each leading index of the ``(B, C, n, n)`` arrays
+    ``lhs`` and ``rhs``, all residuals taken in one array operation."""
+    names = list(names)
+    residuals = np.abs(lhs - rhs).max(axis=(-2, -1)).astype(float).tolist()
+    return [Report(suite, tolerance, names=names.copy(), residuals=row,
+                   tolerances=[None] * len(row)) for row in residuals]

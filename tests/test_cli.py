@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -173,6 +175,48 @@ def test_verify_deterministic_bytes(tmp_path):
     assert main(argv + ["--output", str(a)]) == 0
     assert main(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+SINGLET = ["verify", "singlet", "--samples", "2", "--seed", "3", "--no-timestamp"]
+
+
+def test_output_rewrites_a_longer_file_in_place(capsys, tmp_path):
+    """-o FILE over a longer FILE leaves exactly the report's bytes, in the same inode."""
+    main(SINGLET)
+    report = capsys.readouterr().out.encode()
+    path = tmp_path / "report.json"
+    path.write_bytes(b"x" * (3 * len(report)))
+    inode = path.stat().st_ino
+    assert main(SINGLET + ["-o", str(path)]) == 0
+    assert path.read_bytes() + b"\n" == report  # stdout ends the payload with a newline
+    assert json.loads(path.read_text())["suite"] == "singlet"
+    assert path.stat().st_ino == inode
+
+
+def test_output_to_a_character_device_is_not_truncated(monkeypatch, tmp_path):
+    truncated = []
+    ftruncate = cli.os.ftruncate
+    monkeypatch.setattr(cli.os, "ftruncate",
+                        lambda fd, length: truncated.append(length) or ftruncate(fd, length))
+    assert main(SINGLET + ["-o", "/dev/null"]) == 0
+    assert truncated == []
+    # a regular file is cut to the written length
+    path = tmp_path / "report.json"
+    assert main(SINGLET + ["-o", str(path)]) == 0
+    assert truncated == [path.stat().st_size]
+
+
+def test_a_new_output_file_gets_the_mode_open_gives_under_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        main(SINGLET + ["-o", str(tmp_path / "new.json")])
+        with open(tmp_path / "reference.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "new.json").stat().st_mode
+    assert mode == (tmp_path / "reference.json").stat().st_mode
+    assert stat.S_IMODE(mode) == 0o640
 
 
 def test_verify_csv(capsys):
